@@ -573,14 +573,30 @@ fn run_rank1_section() -> (f64, f64, f64) {
     let mut ws = Workspace::new();
 
     // Warm both paths once, then time fixed iteration counts.
-    let _ = closed_form_delta_with(&data, &capture, &[], &added, &mut ws).expect("rank-1");
+    let _ = closed_form_delta_with(
+        &data,
+        &capture.normal,
+        capture.regularization,
+        &[],
+        Some(&added),
+        &mut ws,
+    )
+    .expect("rank-1");
     let rebuilt = ClosedFormCapture::build(&appended, 0.05).expect("rebuild");
     let _ = closed_form_full(&rebuilt).expect("solve");
 
     const RANK1_ITERS: u32 = 20;
     let t0 = Instant::now();
     for _ in 0..RANK1_ITERS {
-        let _ = closed_form_delta_with(&data, &capture, &[], &added, &mut ws).expect("rank-1");
+        let _ = closed_form_delta_with(
+            &data,
+            &capture.normal,
+            capture.regularization,
+            &[],
+            Some(&added),
+            &mut ws,
+        )
+        .expect("rank-1");
     }
     let rank1_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(RANK1_ITERS);
 

@@ -12,22 +12,23 @@
 
 use priu_data::dataset::DenseDataset;
 use priu_linalg::decomposition::{cholesky_factor_into, cholesky_solve_into, Cholesky};
-use priu_linalg::{Matrix, Vector};
+use priu_linalg::Vector;
 
+use crate::capture::NormalEquations;
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
 use crate::update::normalize_removed;
 use crate::workspace::Workspace;
 
-/// The maintained views `M = XᵀX` and `N = XᵀY`, built offline.
+/// The closed-form baseline's inputs: the normal-equations view
+/// `M = XᵀX`, `N = XᵀY` over the training rows plus the regularisation
+/// rate. A linear session keeps only the [`NormalEquations`] (shared with
+/// PrIU-opt) and solves through [`closed_form_delta_with`]; this pairing
+/// is the standalone form.
 #[derive(Debug, Clone)]
 pub struct ClosedFormCapture {
-    /// `XᵀX` over the full training data.
-    pub xtx: Matrix,
-    /// `XᵀY` over the full training data.
-    pub xty: Vector,
-    /// Number of training samples `n`.
-    pub num_samples: usize,
+    /// `XᵀX`, `XᵀY` and `n` over the full training data.
+    pub normal: NormalEquations,
     /// Regularisation rate `λ`.
     pub regularization: f64,
 }
@@ -38,16 +39,8 @@ impl ClosedFormCapture {
     /// # Errors
     /// Returns [`CoreError::LabelMismatch`] for non-regression datasets.
     pub fn build(dataset: &DenseDataset, regularization: f64) -> Result<Self> {
-        let y = dataset
-            .labels
-            .as_continuous()
-            .ok_or(CoreError::LabelMismatch {
-                expected: "continuous labels for the closed-form baseline",
-            })?;
         Ok(Self {
-            xtx: dataset.x.gram(),
-            xty: dataset.x.transpose_matvec(y)?,
-            num_samples: dataset.num_samples(),
+            normal: NormalEquations::build(dataset)?,
             regularization,
         })
     }
@@ -59,12 +52,11 @@ impl ClosedFormCapture {
 /// # Errors
 /// Propagates factorisation failures.
 pub fn closed_form_full(capture: &ClosedFormCapture) -> Result<Model> {
-    solve(
-        capture.xtx.clone(),
-        capture.xty.clone(),
-        capture.num_samples,
-        capture.regularization,
-    )
+    let normal = &capture.normal;
+    let mut xtx = normal.xtx.clone();
+    xtx.add_diagonal_mut(normal.n as f64 * capture.regularization / 2.0)?;
+    let w = Cholesky::new(&xtx)?.solve(&normal.xty)?;
+    Model::new(ModelKind::Linear, vec![w])
 }
 
 /// Incrementally updates the closed-form solution after removing the given
@@ -79,90 +71,36 @@ pub fn closed_form_incremental(
     capture: &ClosedFormCapture,
     removed: &[usize],
 ) -> Result<Model> {
-    closed_form_incremental_with(dataset, capture, removed, &mut Workspace::new())
+    closed_form_delta_with(
+        dataset,
+        &capture.normal,
+        capture.regularization,
+        removed,
+        None,
+        &mut Workspace::new(),
+    )
 }
 
-/// Like [`closed_form_incremental`], reusing a caller-owned [`Workspace`]:
-/// the removed-row block, the downdated views, the blocked Cholesky factor
-/// and the substitution all run on workspace buffers, so a warm (pre-sized)
-/// workspace makes the whole update allocate only the produced model. This
-/// is the entry point the linear engine's timed updates use.
-///
-/// # Errors
-/// See [`closed_form_incremental`].
-pub fn closed_form_incremental_with(
-    dataset: &DenseDataset,
-    capture: &ClosedFormCapture,
-    removed: &[usize],
-    ws: &mut Workspace,
-) -> Result<Model> {
-    let y = dataset
-        .labels
-        .as_continuous()
-        .ok_or(CoreError::LabelMismatch {
-            expected: "continuous labels for the closed-form baseline",
-        })?;
-    let removed = normalize_removed(dataset.num_samples(), removed)?;
-    if removed.len() >= capture.num_samples {
-        return Err(CoreError::InvalidRemoval {
-            index: capture.num_samples,
-            num_samples: capture.num_samples,
-        });
-    }
-    let m = dataset.num_features();
-    // ΔX into the batch-rows buffer, ΔY into a batch-sized buffer.
-    ws.batch.clear();
-    ws.batch.extend_from_slice(&removed);
-    ws.select_batch_rows(&dataset.x);
-    ws.prepare_batch(removed.len());
-    ws.prepare_features(m);
-    ws.prepare_square(m);
-    let Workspace {
-        rows: delta_x,
-        b0: delta_y,
-        m0: xty,
-        mm0: xtx,
-        mm1: factor,
-        ..
-    } = ws;
-    for (slot, &i) in removed.iter().enumerate() {
-        delta_y[slot] = y[i];
-    }
-
-    // Downdated views: M' = M − ΔXᵀΔX (the removed block's Gram goes into
-    // the factor buffer, which the factorisation overwrites right after),
-    // N' = N − ΔXᵀΔY.
-    xtx.as_mut_slice().copy_from_slice(capture.xtx.as_slice());
-    delta_x.weighted_gram_into(None, factor);
-    xtx.axpy(-1.0, factor)?;
-    delta_x.transpose_matvec_into(delta_y, xty)?;
-    for (slot, full) in xty.iter_mut().zip(capture.xty.iter()) {
-        *slot = full - *slot;
-    }
-
-    // Regularised normal equations via the blocked Cholesky `_into` pair.
-    let n_u = capture.num_samples - removed.len();
-    xtx.add_diagonal_mut(n_u as f64 * capture.regularization / 2.0)?;
-    cholesky_factor_into(xtx, factor)?;
-    let mut w = Vector::zeros(m);
-    cholesky_solve_into(factor, xty, w.as_mut_slice())?;
-    Model::new(ModelKind::Linear, vec![w])
-}
-
-/// Like [`closed_form_incremental_with`], additionally folding a block of
-/// added rows into the views before solving — the bidirectional delta form
-/// of normal-equation maintenance: `M' = M − ΔXᵀΔX + AᵀA`,
-/// `N' = N − ΔXᵀΔY + AᵀY_A`, then one regularised solve with
-/// `n' = n − |Δ| + |A|`. Cost `O((Δn + |A|)·m² + m³)`, independent of `n`.
+/// Solves the closed-form model after a delta, from a session's
+/// [`NormalEquations`]: the removed rows downdate the views and any added
+/// rows grow them — `M' = M − ΔXᵀΔX + AᵀA`, `N' = N − ΔXᵀΔY + AᵀY_A` —
+/// then one regularised solve with `n' = n − |Δ| + |A|`, in
+/// `O((Δn + |A|)·m² + m³)`, independent of `n`. The removed-row block, the
+/// updated views, the blocked Cholesky factor and the substitution all run
+/// on the caller's [`Workspace`], so a warm (pre-sized) workspace makes the
+/// whole update allocate only the produced model. Without added rows (or
+/// with an empty block) the growth stage never runs. This is the entry
+/// point the linear engine's timed updates use.
 ///
 /// # Errors
 /// Label mismatches (on either the session dataset or the added block),
 /// invalid removals and factorisation failures are reported as usual.
 pub fn closed_form_delta_with(
     dataset: &DenseDataset,
-    capture: &ClosedFormCapture,
+    normal: &NormalEquations,
+    regularization: f64,
     removed: &[usize],
-    added: &DenseDataset,
+    added: Option<&DenseDataset>,
     ws: &mut Workspace,
 ) -> Result<Model> {
     let y = dataset
@@ -171,23 +109,31 @@ pub fn closed_form_delta_with(
         .ok_or(CoreError::LabelMismatch {
             expected: "continuous labels for the closed-form baseline",
         })?;
-    let y_added = added
-        .labels
-        .as_continuous()
-        .ok_or(CoreError::LabelMismatch {
-            expected: "continuous labels for rows added to the closed-form baseline",
-        })?;
+    // Validate the added block's labels even when it is empty.
+    let added = match added {
+        Some(rows) => {
+            let y = rows
+                .labels
+                .as_continuous()
+                .ok_or(CoreError::LabelMismatch {
+                    expected: "continuous labels for rows added to the closed-form baseline",
+                })?;
+            (rows.num_samples() > 0).then_some((rows, y))
+        }
+        None => None,
+    };
     let removed = normalize_removed(dataset.num_samples(), removed)?;
-    if removed.len() >= capture.num_samples {
+    if removed.len() >= normal.n {
         return Err(CoreError::InvalidRemoval {
-            index: capture.num_samples,
-            num_samples: capture.num_samples,
+            index: normal.n,
+            num_samples: normal.n,
         });
     }
     let m = dataset.num_features();
-    let k = added.num_samples();
 
-    // Stage 1 — downdate the removed block, exactly as the incremental path.
+    // Stage 1 — downdate the removed block: M' = M − ΔXᵀΔX (the removed
+    // block's Gram goes into the factor buffer, which the factorisation
+    // overwrites right after), N' = N − ΔXᵀΔY.
     ws.batch.clear();
     ws.batch.extend_from_slice(&removed);
     ws.select_batch_rows(&dataset.x);
@@ -206,18 +152,19 @@ pub fn closed_form_delta_with(
         for (slot, &i) in removed.iter().enumerate() {
             delta_y[slot] = y[i];
         }
-        xtx.as_mut_slice().copy_from_slice(capture.xtx.as_slice());
+        xtx.as_mut_slice().copy_from_slice(normal.xtx.as_slice());
         delta_x.weighted_gram_into(None, factor);
         xtx.axpy(-1.0, factor)?;
         delta_x.transpose_matvec_into(delta_y, xty)?;
-        for (slot, full) in xty.iter_mut().zip(capture.xty.iter()) {
+        for (slot, full) in xty.iter_mut().zip(normal.xty.iter()) {
             *slot = full - *slot;
         }
     }
 
     // Stage 2 — fold the added block in (same buffers, re-staged; the
     // feature accumulators `m0`/`m1` survive the batch re-preparation).
-    if k > 0 {
+    let k = added.map_or(0, |(rows, _)| rows.num_samples());
+    if let Some((added, y_added)) = added {
         ws.batch.clear();
         ws.batch.extend(0..k);
         ws.select_batch_rows(&added.x);
@@ -241,24 +188,17 @@ pub fn closed_form_delta_with(
     }
 
     // Regularised normal equations via the blocked Cholesky `_into` pair.
-    let n_u = capture.num_samples - removed.len() + k;
+    let n_u = normal.n - removed.len() + k;
     let Workspace {
         m0: xty,
         mm0: xtx,
         mm1: factor,
         ..
     } = ws;
-    xtx.add_diagonal_mut(n_u as f64 * capture.regularization / 2.0)?;
+    xtx.add_diagonal_mut(n_u as f64 * regularization / 2.0)?;
     cholesky_factor_into(xtx, factor)?;
     let mut w = Vector::zeros(m);
     cholesky_solve_into(factor, xty, w.as_mut_slice())?;
-    Model::new(ModelKind::Linear, vec![w])
-}
-
-fn solve(mut xtx: Matrix, xty: Vector, n: usize, regularization: f64) -> Result<Model> {
-    xtx.add_diagonal_mut(n as f64 * regularization / 2.0)?;
-    let chol = Cholesky::new(&xtx)?;
-    let w = chol.solve(&xty)?;
     Model::new(ModelKind::Linear, vec![w])
 }
 
@@ -269,6 +209,7 @@ mod tests {
     use priu_data::dataset::Labels;
     use priu_data::dirty::random_subsets;
     use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+    use priu_linalg::Matrix;
 
     fn dataset() -> DenseDataset {
         generate_regression(&RegressionConfig {
@@ -321,7 +262,9 @@ mod tests {
             ..Default::default()
         });
         let mut ws = Workspace::new();
-        let delta = closed_form_delta_with(&data, &capture, &removed, &added, &mut ws).unwrap();
+        let (normal, lambda) = (&capture.normal, capture.regularization);
+        let delta =
+            closed_form_delta_with(&data, normal, lambda, &removed, Some(&added), &mut ws).unwrap();
 
         // Ground truth: rebuild the views over survivors + added rows.
         let kept: Vec<usize> = (0..data.num_samples())
@@ -336,7 +279,8 @@ mod tests {
         // An empty added block reduces to the removal-only incremental path.
         let empty = DenseDataset::new(Matrix::zeros(0, 6), Labels::Continuous(Vector::zeros(0)));
         let removal_only = closed_form_incremental(&data, &capture, &removed).unwrap();
-        let via_delta = closed_form_delta_with(&data, &capture, &removed, &empty, &mut ws).unwrap();
+        let via_delta =
+            closed_form_delta_with(&data, normal, lambda, &removed, Some(&empty), &mut ws).unwrap();
         assert_eq!(removal_only, via_delta);
     }
 
@@ -350,7 +294,15 @@ mod tests {
         ws.reserve_decompositions(data.num_features());
         for _ in 0..2 {
             // Twice: a warm workspace must not change results either.
-            let with_ws = closed_form_incremental_with(&data, &capture, &removed, &mut ws).unwrap();
+            let with_ws = closed_form_delta_with(
+                &data,
+                &capture.normal,
+                capture.regularization,
+                &removed,
+                None,
+                &mut ws,
+            )
+            .unwrap();
             assert_eq!(plain, with_ws);
         }
     }

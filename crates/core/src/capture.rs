@@ -8,13 +8,14 @@
 //! contributions — which only needs the caches below plus the removed rows
 //! themselves.
 
+use priu_data::dataset::DenseDataset;
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::{GramFactor, TruncatedGram, TruncationMethod};
 use priu_linalg::{Matrix, Vector};
 
 use crate::config::Compression;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::model::Model;
 
 /// A cached Gram-form intermediate `Σ_i c_i x_i x_i^T`, either dense or in
@@ -250,14 +251,86 @@ pub struct LogisticIterationCache {
     pub batch_size: usize,
 }
 
-/// PrIU-opt capture for linear regression (§5.2): the offline eigen-
-/// decomposition of `M = X^T X` plus the moment vector `N = X^T Y`.
+/// The normal-equations view of a linear session: `M = XᵀX`, `N = XᵀY`
+/// and the row count `n` over the rows the session currently covers. One
+/// view feeds both the closed-form baseline (which solves with it) and
+/// PrIU-opt (whose eigenbasis is refreshed from it), and chained updates
+/// keep it exact with rank-k down/updates instead of rebuilding it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NormalEquations {
+    /// `XᵀX`.
+    pub xtx: Matrix,
+    /// `XᵀY`.
+    pub xty: Vector,
+    /// Number of rows `n` the view covers.
+    pub n: usize,
+}
+
+impl NormalEquations {
+    /// Builds the view from a regression dataset.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::LabelMismatch`] for non-regression datasets.
+    pub fn build(dataset: &DenseDataset) -> Result<Self> {
+        let y = continuous_labels(dataset)?;
+        Ok(Self {
+            xtx: dataset.x.gram(),
+            xty: dataset.x.transpose_matvec(y)?,
+            n: dataset.num_samples(),
+        })
+    }
+
+    /// Folds a delta into the view — `M ← M − ΔXᵀΔX + AᵀA`,
+    /// `N ← N − ΔXᵀΔY + AᵀY_A`, `n ← n − |Δ| + |A|` — in
+    /// `O((|Δ| + |A|)·m²)`, independent of `n`. `removed` holds the removed
+    /// rows with their labels, `added` the appended ones.
+    ///
+    /// # Errors
+    /// Label mismatches, shape mismatches, or removing more rows than the
+    /// view covers.
+    pub fn apply_delta(
+        &mut self,
+        removed: &DenseDataset,
+        added: Option<&DenseDataset>,
+    ) -> Result<()> {
+        if removed.num_samples() > self.n {
+            return Err(CoreError::InvalidRemoval {
+                index: self.n,
+                num_samples: self.n,
+            });
+        }
+        self.xtx.axpy(-1.0, &removed.x.gram())?;
+        self.xty.axpy(
+            -1.0,
+            &removed.x.transpose_matvec(continuous_labels(removed)?)?,
+        )?;
+        self.n -= removed.num_samples();
+        if let Some(added) = added {
+            self.xtx.axpy(1.0, &added.x.gram())?;
+            self.xty
+                .axpy(1.0, &added.x.transpose_matvec(continuous_labels(added)?)?)?;
+            self.n += added.num_samples();
+        }
+        Ok(())
+    }
+}
+
+fn continuous_labels(dataset: &DenseDataset) -> Result<&Vector> {
+    dataset
+        .labels
+        .as_continuous()
+        .ok_or(CoreError::LabelMismatch {
+            expected: "continuous labels for the normal equations",
+        })
+}
+
+/// PrIU-opt capture for linear regression (§5.2): the eigendecomposition
+/// `XᵀX = Q diag(c) Qᵀ` of the session's [`NormalEquations`], which
+/// supply the moment vector `N = XᵀY` as well.
 #[derive(Debug, Clone)]
 pub struct LinearOptCapture {
-    /// Eigendecomposition of the full-data Gram matrix `X^T X`.
+    /// Eigendecomposition of the Gram matrix `XᵀX`.
     pub eigen: SymmetricEigen,
-    /// Full-data moment vector `X^T Y`.
-    pub xty: Vector,
 }
 
 /// PrIU-opt capture for one class of a logistic model (§5.4): at iteration
@@ -298,7 +371,11 @@ pub struct LinearProvenance {
     pub initial_model: Model,
     /// Per-iteration caches (length `τ`).
     pub iterations: Vec<LinearIterationCache>,
-    /// PrIU-opt capture (present unless disabled in the config).
+    /// The normal-equations view (present whenever the PrIU-opt or the
+    /// closed-form capture is on).
+    pub normal: Option<NormalEquations>,
+    /// PrIU-opt capture (present unless disabled in the config; implies
+    /// `normal`).
     pub opt: Option<LinearOptCapture>,
 }
 
@@ -334,11 +411,14 @@ impl ProvenanceMemory for LinearProvenance {
             .iter()
             .map(|it| (it.gram.stored_values() + it.xy.len()) * 8)
             .sum();
+        let normal = self
+            .normal
+            .as_ref()
+            .map_or(0, |v| (v.xtx.nrows() * v.xtx.ncols() + v.xty.len()) * 8);
         let opt = self.opt.as_ref().map_or(0, |o| {
-            (o.eigen.values.len() + o.eigen.vectors.nrows() * o.eigen.vectors.ncols() + o.xty.len())
-                * 8
+            (o.eigen.values.len() + o.eigen.vectors.nrows() * o.eigen.vectors.ncols()) * 8
         });
-        per_iter + opt
+        per_iter + normal + opt
     }
 }
 
@@ -486,6 +566,7 @@ mod tests {
                     batch_size: 6,
                 },
             ],
+            normal: None,
             opt: None,
         };
         // 2 iterations × (16 gram values + 4 xy values) × 8 bytes.

@@ -1,17 +1,18 @@
 //! The linear-regression deletion engine.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use priu_data::dataset::{DenseDataset, TaskKind};
-use priu_linalg::decomposition::eigen::SymmetricEigen;
-use priu_linalg::Vector;
+use priu_linalg::decomposition::eigen::{EigenScratch, SymmetricEigen};
+use priu_linalg::{Matrix, Vector};
 
-use crate::baseline::closed_form::{
-    closed_form_delta_with, closed_form_incremental_with, ClosedFormCapture,
-};
+use crate::baseline::closed_form::closed_form_delta_with;
 use crate::baseline::influence::influence_update;
 use crate::baseline::retrain::retrain_linear;
-use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, ProvenanceMemory};
+use crate::capture::{
+    LinearIterationCache, LinearOptCapture, LinearProvenance, NormalEquations, ProvenanceMemory,
+};
 use crate::config::TrainerConfig;
 use crate::engine::{
     appended_batches, split_survivors, timed_update, ChainedUpdate, DeletionEngine, Delta,
@@ -20,9 +21,9 @@ use crate::engine::{
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
 use crate::snapshot::{
-    get_closed_form, get_dense_dataset, get_linear_provenance, get_model, get_trainer_config,
-    put_closed_form, put_dense_dataset, put_linear_provenance, put_model, put_trainer_config,
-    SnapshotReader, SnapshotWriter,
+    get_closed_form_v1, get_dense_dataset, get_linear_provenance, get_linear_provenance_v1,
+    get_model, get_trainer_config, put_dense_dataset, put_linear_provenance, put_model,
+    put_trainer_config, SnapshotReader, SnapshotWriter,
 };
 use crate::trainer::linear::{linear_step, train_linear_with, TrainedLinear};
 use crate::update::priu_linear::priu_update_linear_with;
@@ -30,19 +31,35 @@ use crate::update::priu_opt_linear::priu_opt_update_linear_with;
 use crate::update::{normalize_removed, removed_positions};
 use crate::workspace::Workspace;
 
+thread_local! {
+    /// Eigen buffers reused by every successor refresh on this thread (the
+    /// server's applier), so a chained apply factorises on warm scratch.
+    static REFRESH_SCRATCH: RefCell<EigenScratch> = RefCell::new(EigenScratch::default());
+}
+
+/// The successor's PrIU-opt eigenbasis: an exact eigendecomposition of the
+/// maintained `XᵀX`, on this thread's warm scratch.
+fn refresh_eigen(xtx: &Matrix) -> Result<SymmetricEigen> {
+    REFRESH_SCRATCH.with_borrow_mut(|scratch| Ok(SymmetricEigen::new_with(xtx, scratch)?))
+}
+
 /// A linear-regression session: dataset + trained model + captured
-/// provenance + (optionally) the closed-form baseline's materialised views.
+/// provenance, including one normal-equations view shared by the
+/// closed-form baseline and PrIU-opt.
 ///
 /// Linear provenance shrinks *exactly* under [`DeletionEngine::apply`] —
-/// Gram caches, the PrIU-opt eigendecomposition and the closed-form views
-/// are all downdated by the removed samples' contributions — so a chained
-/// linear session keeps its full method set.
+/// Gram caches and the normal-equations view are downdated by the removed
+/// samples' contributions, and the PrIU-opt eigenbasis is recomputed from
+/// the downdated view — so a chained linear session keeps its full method
+/// set.
 #[derive(Debug, Clone)]
 pub struct LinearEngine {
     dataset: DenseDataset,
     config: TrainerConfig,
     trained: TrainedLinear,
-    closed_form: Option<ClosedFormCapture>,
+    /// Whether the closed-form method is offered (it solves with
+    /// `trained.provenance.normal`, present whenever this is set).
+    closed_form: bool,
     training_time: Duration,
 }
 
@@ -75,20 +92,15 @@ impl LinearEngine {
             ws.reserve_decompositions(dataset.num_features());
         }
         let start = Instant::now();
-        let trained = train_linear_with(&dataset, &config, &mut ws)?;
-        let closed_form = if capture_closed_form {
-            Some(ClosedFormCapture::build(
-                &dataset,
-                config.hyper.regularization,
-            )?)
-        } else {
-            None
-        };
+        let mut trained = train_linear_with(&dataset, &config, &mut ws)?;
+        if capture_closed_form && trained.provenance.normal.is_none() {
+            trained.provenance.normal = Some(NormalEquations::build(&dataset)?);
+        }
         Ok(Self {
             dataset,
             config,
             trained,
-            closed_form,
+            closed_form: capture_closed_form,
             training_time: start.elapsed(),
         })
     }
@@ -98,23 +110,26 @@ impl LinearEngine {
         &self.dataset
     }
 
-    /// Serializes the whole engine state bit-exactly (durability snapshots).
+    /// The captured provenance, including the normal-equations view and
+    /// the PrIU-opt eigenpairs when those captures are on.
+    pub fn provenance(&self) -> &LinearProvenance {
+        &self.trained.provenance
+    }
+
+    /// Serializes the whole engine state bit-exactly (durability snapshots)
+    /// in the current layout (layout 2, see [`LinearEngine::decode_snapshot`]).
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
         put_dense_dataset(w, &self.dataset);
         put_trainer_config(w, &self.config);
         put_model(w, &self.trained.model);
         put_linear_provenance(w, &self.trained.provenance);
-        match &self.closed_form {
-            None => w.bool(false),
-            Some(c) => {
-                w.bool(true);
-                put_closed_form(w, c);
-            }
-        }
+        w.bool(self.closed_form);
         w.u64(self.training_time.as_nanos() as u64);
     }
 
-    /// Rebuilds an engine from [`LinearEngine::encode_snapshot`] bytes.
+    /// Rebuilds an engine from [`LinearEngine::encode_snapshot`] bytes:
+    /// dataset, config, model, provenance (one normal-equations view, then
+    /// the eigenpairs), the closed-form flag and the training time.
     ///
     /// # Errors
     /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
@@ -123,12 +138,86 @@ impl LinearEngine {
         let config = get_trainer_config(r, "linear config")?;
         let model = get_model(r, "linear model")?;
         let provenance = get_linear_provenance(r, "linear provenance")?;
-        let closed_form = if r.bool("linear closed-form flag")? {
-            Some(get_closed_form(r, "linear closed-form")?)
+        let closed_form = r.bool("linear closed-form flag")?;
+        let training_time = Duration::from_nanos(r.u64("linear training time")?);
+        Self::checked(
+            dataset,
+            config,
+            model,
+            provenance,
+            closed_form,
+            training_time,
+        )
+    }
+
+    /// Rebuilds an engine from bytes in the first layout, where the
+    /// PrIU-opt capture and the closed-form views each carried their own
+    /// `XᵀY` (and the closed-form views their own `XᵀX`). The copies fold
+    /// into one view: the closed-form one when present (it is exact), else
+    /// the opt capture's `XᵀY` with `XᵀX` reconstructed from its
+    /// eigenpairs.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
+    pub fn decode_snapshot_v1(r: &mut SnapshotReader<'_>) -> Result<Self> {
+        let dataset = get_dense_dataset(r, "linear dataset")?;
+        let config = get_trainer_config(r, "linear config")?;
+        let model = get_model(r, "linear model")?;
+        let (mut provenance, opt_xty) = get_linear_provenance_v1(r, "linear provenance")?;
+        let closed_form_view = if r.bool("linear closed-form flag")? {
+            Some(get_closed_form_v1(r, "linear closed-form")?)
         } else {
             None
         };
         let training_time = Duration::from_nanos(r.u64("linear training time")?);
+        let closed_form = closed_form_view.is_some();
+        provenance.normal = match (closed_form_view, &provenance.opt, opt_xty) {
+            (Some(view), _, _) => Some(view),
+            (None, Some(opt), Some(xty)) => Some(NormalEquations {
+                xtx: opt.eigen.reconstruct(),
+                xty,
+                n: dataset.num_samples(),
+            }),
+            _ => None,
+        };
+        Self::checked(
+            dataset,
+            config,
+            model,
+            provenance,
+            closed_form,
+            training_time,
+        )
+    }
+
+    /// Assembles a decoded engine, rejecting views and eigenpairs whose
+    /// shape disagrees with the dataset (so corrupt input fails here with
+    /// a typed error instead of panicking in a later apply).
+    fn checked(
+        dataset: DenseDataset,
+        config: TrainerConfig,
+        model: Model,
+        provenance: LinearProvenance,
+        closed_form: bool,
+        training_time: Duration,
+    ) -> Result<Self> {
+        let m = dataset.num_features();
+        let view_fits = provenance
+            .normal
+            .as_ref()
+            .is_none_or(|v| v.xtx.nrows() == m && v.n == dataset.num_samples());
+        let eigen_fits = provenance
+            .opt
+            .as_ref()
+            .is_none_or(|o| o.eigen.vectors.nrows() == m);
+        let view_present =
+            provenance.normal.is_some() || (provenance.opt.is_none() && !closed_form);
+        if !(view_fits && eigen_fits && view_present) {
+            return Err(CoreError::Snapshot(
+                "snapshot truncated or corrupt: linear captures do not match the dataset"
+                    .to_string(),
+            ));
+        }
         Ok(Self {
             dataset,
             config,
@@ -136,6 +225,17 @@ impl LinearEngine {
             closed_form,
             training_time,
         })
+    }
+
+    /// The normal-equations view the closed-form method solves with.
+    fn closed_form_view(&self) -> Result<&NormalEquations> {
+        match &self.trained.provenance.normal {
+            Some(view) if self.closed_form => Ok(view),
+            _ => Err(CoreError::UnsupportedMethod {
+                method: Method::ClosedForm.name(),
+                reason: "the closed-form views were not materialised for this session",
+            }),
+        }
     }
 
     fn continuous_labels(&self) -> &Vector {
@@ -241,20 +341,24 @@ impl LinearEngine {
     }
 
     /// One timed closed-form solve folding the whole delta into the
-    /// normal-equation views (downdate removed, update added, solve once).
-    fn closed_form_delta(&self, removed: &[usize], added: &DenseDataset) -> Result<UpdateOutcome> {
-        let capture = self
-            .closed_form
-            .as_ref()
-            .ok_or(CoreError::UnsupportedMethod {
-                method: Method::ClosedForm.name(),
-                reason: "the closed-form views were not materialised for this session",
-            })?;
+    /// normal-equations view (downdate removed, grow added, solve once).
+    fn closed_form_delta(
+        &self,
+        removed: &[usize],
+        added: Option<&DenseDataset>,
+    ) -> Result<UpdateOutcome> {
+        let view = self.closed_form_view()?;
+        let lambda = self.trained.provenance.regularization;
         let num_removed = normalize_removed(self.num_samples(), removed)?.len();
-        let mut ws = self.sized_workspace(num_removed.max(added.num_samples()));
+        let num_added = added.map_or(0, DenseDataset::num_samples);
+        // Sized before the timer: the downdate, blocked Cholesky
+        // factorisation and substitution all reuse workspace buffers (the
+        // m × m pair is reserved here only — the replay methods never
+        // touch it).
+        let mut ws = self.sized_workspace(num_removed.max(num_added));
         ws.reserve_decompositions(self.dataset.num_features());
-        timed_update(Method::ClosedForm, num_removed, added.num_samples(), || {
-            closed_form_delta_with(&self.dataset, capture, removed, added, &mut ws)
+        timed_update(Method::ClosedForm, num_removed, num_added, || {
+            closed_form_delta_with(&self.dataset, view, lambda, removed, added, &mut ws)
         })
     }
 
@@ -296,24 +400,7 @@ impl LinearEngine {
                     )
                 })
             }
-            Method::ClosedForm => {
-                let capture = self
-                    .closed_form
-                    .as_ref()
-                    .ok_or(CoreError::UnsupportedMethod {
-                        method: method.name(),
-                        reason: "the closed-form views were not materialised for this session",
-                    })?;
-                // Sized before the timer: the downdate, blocked Cholesky
-                // factorisation and substitution all reuse workspace buffers
-                // (the m × m pair is reserved here only — the replay methods
-                // never touch it).
-                let mut ws = self.sized_workspace(num_removed);
-                ws.reserve_decompositions(self.dataset.num_features());
-                timed_update(method, num_removed, 0, || {
-                    closed_form_incremental_with(&self.dataset, capture, removed, &mut ws)
-                })
-            }
+            Method::ClosedForm => self.closed_form_delta(removed, None),
             Method::Influence => timed_update(method, num_removed, 0, || {
                 influence_update(
                     &self.dataset,
@@ -352,7 +439,7 @@ impl DeletionEngine for LinearEngine {
         if self.trained.provenance.opt.is_some() {
             methods.push(Method::PriuOpt);
         }
-        if self.closed_form.is_some() {
+        if self.closed_form {
             methods.push(Method::ClosedForm);
         }
         methods.push(Method::Influence);
@@ -367,7 +454,7 @@ impl DeletionEngine for LinearEngine {
         // every other method removes with its own machinery and then runs
         // the exact appended GD steps warm-started from the removal model.
         if method == Method::ClosedForm {
-            return self.closed_form_delta(&delta.removed, added);
+            return self.closed_form_delta(&delta.removed, Some(added));
         }
         let mut outcome = self.removal_update(method, &delta.removed)?;
         let mut ws = self.sized_workspace(0);
@@ -382,11 +469,10 @@ impl DeletionEngine for LinearEngine {
 
     fn apply_delta(&self, method: Method, delta: &Delta) -> Result<ChainedUpdate> {
         let added = self.validate_added(delta)?;
-        let mut outcome = match added {
-            Some(added) if method == Method::ClosedForm => {
-                self.closed_form_delta(&delta.removed, added)?
-            }
-            _ => self.removal_update(method, &delta.removed)?,
+        let mut outcome = if method == Method::ClosedForm {
+            self.closed_form_delta(&delta.removed, added)?
+        } else {
+            self.removal_update(method, &delta.removed)?
         };
         let (removed, survivors) = split_survivors(self.num_samples(), &delta.removed)?;
         let y = self.continuous_labels();
@@ -422,63 +508,24 @@ impl DeletionEngine for LinearEngine {
             });
         }
 
-        // Shared by the opt-capture and closed-form downdates below.
-        let delta_rows = self.dataset.x.select_rows(&removed);
-        let delta_y = Vector::from_vec(removed.iter().map(|&i| y[i]).collect());
-        let delta_gram = delta_rows.gram();
-        let delta_xty = delta_rows.transpose_matvec(&delta_y)?;
-
-        // Added-block contributions (rank-k growth of the quadratic views).
-        let added_views = match added {
-            Some(added) => {
-                let y_added = added
-                    .labels
-                    .as_continuous()
-                    .expect("added rows were validated as continuous");
-                Some((added.x.gram(), added.x.transpose_matvec(y_added)?))
+        // The normal-equations view downdates by the removed block and
+        // grows by the added one (rank-k, O((|Δ| + |A|)·m²)); the PrIU-opt
+        // eigenbasis is then one exact eigendecomposition of the maintained
+        // `XᵀX` (O(m³), independent of n). Neither is charged to
+        // `outcome.duration`.
+        let normal = match &provenance.normal {
+            Some(view) => {
+                let mut view = view.clone();
+                view.apply_delta(&self.dataset.select(&removed), added)?;
+                Some(view)
             }
             None => None,
         };
-
-        // The PrIU-opt capture adjusts exactly: `XᵀX` is downdated by the
-        // removed block, grown by the added block, and re-eigendecomposed
-        // once (O(m³), independent of n).
-        let opt = match &provenance.opt {
-            Some(capture) => {
-                let mut gram = capture.eigen.reconstruct();
-                gram.axpy(-1.0, &delta_gram)?;
-                let mut xty = capture.xty.clone();
-                xty.axpy(-1.0, &delta_xty)?;
-                if let Some((added_gram, added_xty)) = &added_views {
-                    gram.axpy(1.0, added_gram)?;
-                    xty.axpy(1.0, added_xty)?;
-                }
-                let eigen = SymmetricEigen::new(&gram)?;
-                Some(LinearOptCapture { eigen, xty })
-            }
-            None => None,
-        };
-
-        // The closed-form views downdate and grow the same way they do
-        // per-update.
-        let closed_form = match &self.closed_form {
-            Some(capture) => {
-                let mut xtx = capture.xtx.clone();
-                xtx.axpy(-1.0, &delta_gram)?;
-                let mut xty = capture.xty.clone();
-                xty.axpy(-1.0, &delta_xty)?;
-                if let Some((added_gram, added_xty)) = &added_views {
-                    xtx.axpy(1.0, added_gram)?;
-                    xty.axpy(1.0, added_xty)?;
-                }
-                Some(ClosedFormCapture {
-                    xtx,
-                    xty,
-                    num_samples: survivors.len() + added.map_or(0, DenseDataset::num_samples),
-                    regularization: capture.regularization,
-                })
-            }
-            None => None,
+        let opt = match (&provenance.opt, &normal) {
+            (Some(_), Some(view)) => Some(LinearOptCapture {
+                eigen: refresh_eigen(&view.xtx)?,
+            }),
+            _ => None,
         };
 
         let mut dataset = self.dataset.select(&survivors);
@@ -520,10 +567,11 @@ impl DeletionEngine for LinearEngine {
                     regularization: provenance.regularization,
                     initial_model: provenance.initial_model.clone(),
                     iterations,
+                    normal,
                     opt,
                 },
             },
-            closed_form,
+            closed_form: self.closed_form,
             training_time: self.training_time,
         };
         Ok(ChainedUpdate {

@@ -499,7 +499,9 @@ impl Session {
         w.into_bytes()
     }
 
-    /// Rebuilds a session from [`Session::to_snapshot_bytes`] output.
+    /// Rebuilds a session from [`Session::to_snapshot_bytes`] output,
+    /// including linear sessions written in the first layout (their
+    /// separate `XᵀX`/`XᵀY` copies fold into one normal-equations view).
     ///
     /// # Errors
     /// Returns [`CoreError::Snapshot`](crate::error::CoreError::Snapshot) on
@@ -509,6 +511,7 @@ impl Session {
         let mut r = crate::snapshot::SnapshotReader::new(bytes);
         let session = match r.u8("session family tag")? {
             SESSION_LINEAR => Session::Linear(LinearEngine::decode_snapshot(&mut r)?),
+            SESSION_LINEAR_V1 => Session::Linear(LinearEngine::decode_snapshot_v1(&mut r)?),
             SESSION_LOGISTIC => Session::Logistic(LogisticEngine::decode_snapshot(&mut r)?),
             SESSION_SPARSE_LOGISTIC => {
                 Session::SparseLogistic(SparseLogisticEngine::decode_snapshot(&mut r)?)
@@ -524,9 +527,15 @@ impl Session {
     }
 }
 
-const SESSION_LINEAR: u8 = 1;
+// The family tag doubles as the layout version: a layout change takes a
+// fresh tag, and the old tag stays decodable so existing stores recover.
+/// Linear, first layout (separate closed-form and PrIU-opt `XᵀY` copies);
+/// decoded only.
+const SESSION_LINEAR_V1: u8 = 1;
 const SESSION_LOGISTIC: u8 = 2;
 const SESSION_SPARSE_LOGISTIC: u8 = 3;
+/// Linear, layout 2: one normal-equations view behind both captures.
+const SESSION_LINEAR: u8 = 4;
 
 macro_rules! delegate {
     ($self:ident, $e:ident => $body:expr) => {

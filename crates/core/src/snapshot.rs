@@ -24,10 +24,10 @@ use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::TruncatedGram;
 use priu_linalg::{CsrMatrix, Matrix, Vector};
 
-use crate::baseline::closed_form::ClosedFormCapture;
 use crate::capture::{
     ClassIterationCache, GramCache, LinearIterationCache, LinearOptCapture, LinearProvenance,
     LogisticIterationCache, LogisticOptCapture, LogisticOptClassCapture, LogisticProvenance,
+    NormalEquations,
 };
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
@@ -460,6 +460,9 @@ pub fn get_trainer_config(r: &mut SnapshotReader<'_>, what: &str) -> Result<Trai
     };
     let half_range = r.f64(what)?;
     let num_intervals = r.usize(what)?;
+    if half_range.is_nan() || half_range <= 0.0 || num_intervals == 0 {
+        return Err(corrupt(&format!("{what}: bad interpolation grid")));
+    }
     Ok(TrainerConfig {
         hyper,
         seed,
@@ -594,13 +597,37 @@ fn put_eigen(w: &mut SnapshotWriter, e: &SymmetricEigen) {
 }
 
 fn get_eigen(r: &mut SnapshotReader<'_>, what: &str) -> Result<SymmetricEigen> {
-    Ok(SymmetricEigen {
-        values: get_vector(r, what)?,
-        vectors: get_matrix(r, what)?,
+    let values = get_vector(r, what)?;
+    let vectors = get_matrix(r, what)?;
+    if !vectors.is_square() || vectors.nrows() != values.len() {
+        return Err(corrupt(&format!("{what}: eigenpair shape mismatch")));
+    }
+    Ok(SymmetricEigen { values, vectors })
+}
+
+/// Encodes the normal-equations view.
+pub fn put_normal_equations(w: &mut SnapshotWriter, v: &NormalEquations) {
+    put_matrix(w, &v.xtx);
+    put_vector(w, &v.xty);
+    w.usize(v.n);
+}
+
+/// Decodes the normal-equations view.
+pub fn get_normal_equations(r: &mut SnapshotReader<'_>, what: &str) -> Result<NormalEquations> {
+    let xtx = get_matrix(r, what)?;
+    let xty = get_vector(r, what)?;
+    if !xtx.is_square() || xtx.nrows() != xty.len() {
+        return Err(corrupt(&format!("{what}: normal-equations shape mismatch")));
+    }
+    Ok(NormalEquations {
+        xtx,
+        xty,
+        n: r.usize(what)?,
     })
 }
 
-/// Encodes the full linear-regression provenance.
+/// Encodes the full linear-regression provenance (layout 2: the
+/// normal-equations view, then the eigenpairs alone).
 pub fn put_linear_provenance(w: &mut SnapshotWriter, p: &LinearProvenance) {
     put_schedule(w, &p.schedule);
     w.f64(p.learning_rate);
@@ -612,18 +639,58 @@ pub fn put_linear_provenance(w: &mut SnapshotWriter, p: &LinearProvenance) {
         put_vector(w, &it.xy);
         w.usize(it.batch_size);
     }
+    match &p.normal {
+        None => w.bool(false),
+        Some(normal) => {
+            w.bool(true);
+            put_normal_equations(w, normal);
+        }
+    }
     match &p.opt {
         None => w.bool(false),
         Some(opt) => {
             w.bool(true);
             put_eigen(w, &opt.eigen);
-            put_vector(w, &opt.xty);
         }
     }
 }
 
-/// Decodes the full linear-regression provenance.
+/// Decodes the full linear-regression provenance (layout 2).
 pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
+    let mut provenance = get_linear_iterations(r, what)?;
+    if r.bool(what)? {
+        provenance.normal = Some(get_normal_equations(r, what)?);
+    }
+    if r.bool(what)? {
+        provenance.opt = Some(LinearOptCapture {
+            eigen: get_eigen(r, what)?,
+        });
+    }
+    Ok(provenance)
+}
+
+/// Decodes linear provenance in the first layout, where the PrIU-opt
+/// capture carried its own `XᵀY` after the eigenpairs. Returns the
+/// provenance without a normal-equations view, plus that `XᵀY` copy for
+/// the caller to fold into one.
+pub fn get_linear_provenance_v1(
+    r: &mut SnapshotReader<'_>,
+    what: &str,
+) -> Result<(LinearProvenance, Option<Vector>)> {
+    let mut provenance = get_linear_iterations(r, what)?;
+    let mut xty = None;
+    if r.bool(what)? {
+        provenance.opt = Some(LinearOptCapture {
+            eigen: get_eigen(r, what)?,
+        });
+        xty = Some(get_vector(r, what)?);
+    }
+    Ok((provenance, xty))
+}
+
+/// The layout-independent head of linear provenance: schedule, rates,
+/// initial model and per-iteration caches (no view, no opt capture).
+fn get_linear_iterations(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
     let schedule = get_schedule(r, what)?;
     let learning_rate = r.f64(what)?;
     let regularization = r.f64(what)?;
@@ -637,21 +704,14 @@ pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<L
             batch_size: r.usize(what)?,
         });
     }
-    let opt = if r.bool(what)? {
-        Some(LinearOptCapture {
-            eigen: get_eigen(r, what)?,
-            xty: get_vector(r, what)?,
-        })
-    } else {
-        None
-    };
     Ok(LinearProvenance {
         schedule,
         learning_rate,
         regularization,
         initial_model,
         iterations,
-        opt,
+        normal: None,
+        opt: None,
     })
 }
 
@@ -779,22 +839,13 @@ pub fn get_sparse_provenance(
     })
 }
 
-/// Encodes the closed-form normal-equation views.
-pub fn put_closed_form(w: &mut SnapshotWriter, c: &ClosedFormCapture) {
-    put_matrix(w, &c.xtx);
-    put_vector(w, &c.xty);
-    w.usize(c.num_samples);
-    w.f64(c.regularization);
-}
-
-/// Decodes the closed-form normal-equation views.
-pub fn get_closed_form(r: &mut SnapshotReader<'_>, what: &str) -> Result<ClosedFormCapture> {
-    Ok(ClosedFormCapture {
-        xtx: get_matrix(r, what)?,
-        xty: get_vector(r, what)?,
-        num_samples: r.usize(what)?,
-        regularization: r.f64(what)?,
-    })
+/// Decodes the first layout's closed-form views — `XᵀX`, `XᵀY`, `n` and
+/// the regularisation rate — as a normal-equations view. The rate is
+/// dropped: it always equals the trainer configuration's.
+pub fn get_closed_form_v1(r: &mut SnapshotReader<'_>, what: &str) -> Result<NormalEquations> {
+    let normal = get_normal_equations(r, what)?;
+    r.f64(what)?;
+    Ok(normal)
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@ use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::{Matrix, Vector};
 
-use crate::capture::{GramCache, LinearIterationCache, LinearOptCapture, LinearProvenance};
+use crate::capture::{
+    GramCache, LinearIterationCache, LinearOptCapture, LinearProvenance, NormalEquations,
+};
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
@@ -86,8 +88,8 @@ pub struct TrainedLinear {
 /// iteration, the batch Gram matrix `Σ_{i∈B_t} x_i x_iᵀ` (possibly truncated,
 /// Eq. 14) and the moment vector `Σ_{i∈B_t} x_i y_i` (Eq. 13). When
 /// `config.capture_opt` is set the PrIU-opt offline structures (§5.2) — the
-/// eigendecomposition of the full Gram matrix `XᵀX` and `XᵀY` — are captured
-/// as well.
+/// normal-equations view `XᵀX`, `XᵀY` and the eigendecomposition of `XᵀX`
+/// — are captured as well.
 ///
 /// # Errors
 /// * [`CoreError::LabelMismatch`] if the dataset is not a regression dataset.
@@ -151,19 +153,24 @@ pub fn train_linear_with(
         });
     }
 
-    // PrIU-opt offline capture: eigendecomposition of M = XᵀX and N = XᵀY.
-    // The Gram matrix and the Jacobi sweep run on workspace buffers
-    // (`weighted_gram_into` + `SymmetricEigen::new_with`), so with a
-    // pre-sized workspace the capture allocates only what it stores.
-    let opt = if config.capture_opt {
+    // PrIU-opt offline capture: the normal equations M = XᵀX, N = XᵀY and
+    // the eigendecomposition of M. The Gram matrix and the tridiagonal + QL
+    // solve run on workspace buffers (`weighted_gram_into` +
+    // `SymmetricEigen::new_with`), so with a pre-sized workspace the
+    // capture allocates only what it stores.
+    let (normal, opt) = if config.capture_opt {
         ws.prepare_square(m);
         let Workspace { mm0, eig, .. } = ws;
         dataset.x.weighted_gram_into(None, mm0);
         let eigen = SymmetricEigen::new_with(mm0, eig)?;
-        let xty = dataset.x.transpose_matvec(y)?;
-        Some(LinearOptCapture { eigen, xty })
+        let normal = NormalEquations {
+            xtx: mm0.clone(),
+            xty: dataset.x.transpose_matvec(y)?,
+            n,
+        };
+        (Some(normal), Some(LinearOptCapture { eigen }))
     } else {
-        None
+        (None, None)
     };
 
     let model = Model::new(ModelKind::Linear, vec![w])?;
@@ -175,6 +182,7 @@ pub fn train_linear_with(
             regularization: lambda,
             initial_model,
             iterations,
+            normal,
             opt,
         },
     })
@@ -256,6 +264,7 @@ mod tests {
         let data = dataset();
         let trained = train_linear(&data, &config().with_opt_capture(false)).unwrap();
         assert!(trained.provenance.opt.is_none());
+        assert!(trained.provenance.normal.is_none());
     }
 
     #[test]

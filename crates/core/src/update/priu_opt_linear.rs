@@ -4,8 +4,8 @@
 //! its full-gradient (GD) counterpart, which diagonalises in the eigenbasis
 //! of `M = XᵀX`:
 //!
-//! 1. offline (during training): eigendecompose `M = Q diag(c) Qᵀ` and cache
-//!    `N = XᵀY`;
+//! 1. offline (during training): cache the normal equations `M = XᵀX`,
+//!    `N = XᵀY` and eigendecompose `M = Q diag(c) Qᵀ`;
 //! 2. online (per deletion): approximate the eigenvalues of
 //!    `M' = M − ΔXᵀΔX` by `c'_i = (Qᵀ M' Q)_{ii}` (Eq. 18, the incremental
 //!    eigenvalue update of Ning et al.), update `N' = N − ΔXᵀΔY`, and run the
@@ -56,10 +56,9 @@ pub fn priu_opt_update_linear_with(
             })
         }
     };
-    let opt = provenance
-        .opt
-        .as_ref()
-        .ok_or(CoreError::MissingCapture("PrIU-opt linear capture"))?;
+    let (Some(opt), Some(normal)) = (&provenance.opt, &provenance.normal) else {
+        return Err(CoreError::MissingCapture("PrIU-opt linear capture"));
+    };
     let n = dataset.num_samples();
     let removed = normalize_removed(n, removed)?;
     let delta_n = removed.len();
@@ -87,7 +86,7 @@ pub fn priu_opt_update_linear_with(
     // which would make the recursion expansive, so clamp at zero.
     let mut c_prime = opt.eigen.downdated_eigenvalues(delta_x)?;
     c_prime.map_mut(|c| c.max(0.0));
-    let mut n_prime = opt.xty.clone();
+    let mut n_prime = normal.xty.clone();
     let delta_xty = delta_x.transpose_matvec(delta_y)?;
     n_prime.axpy(-1.0, &delta_xty)?;
 

@@ -4,19 +4,24 @@
 //! model retrained on the surviving samples, and the interpolation error
 //! must respect the Theorem 4 bound.
 //!
+//! A chained linear session must also keep its normal-equations view exact
+//! and its PrIU-opt eigenbasis a fresh eigendecomposition of that view.
+//!
 //! Sessions are driven through the unified `DeletionEngine` API; removal
 //! sets are drawn from the workspace's deterministic RNG (one seed per
 //! case), so the suite runs in fully offline builds.
 
 use std::sync::OnceLock;
 
-use priu_core::engine::{DeletionEngine, Method, Session, SessionBuilder};
+use priu_core::baseline::closed_form::ClosedFormCapture;
+use priu_core::engine::{DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder};
 use priu_core::interpolation::PiecewiseLinearSigmoid;
 use priu_core::metrics::compare_models;
 use priu_core::TrainerConfig;
 use priu_data::catalog::Hyperparameters;
 use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+use priu_linalg::decomposition::SymmetricEigen;
 use priu_rng::Rng64;
 
 const N: usize = 160;
@@ -169,6 +174,87 @@ fn chained_apply_matches_one_shot_updates_for_arbitrary_splits() {
             "case {case}: distance {}",
             cmp.l2_distance
         );
+    }
+}
+
+/// `max |a − b| / max |b|` over two equal-length slices.
+fn relative_max_error(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let scale = b.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()));
+    let diff = a
+        .iter()
+        .zip(b)
+        .fold(0.0_f64, |acc, (x, y)| acc.max((x - y).abs()));
+    diff / scale
+}
+
+#[test]
+fn chained_priu_opt_applies_keep_the_normal_equations_exact() {
+    // ~30 PrIU-opt applies mixing removals with appended rows. After every
+    // apply the maintained view must equal the view rebuilt from the
+    // successor's rows, and the successor's eigenpairs must be *bitwise*
+    // the eigendecomposition of the maintained `XᵀX` — a basis carried
+    // forward instead of refreshed would fail the second check.
+    const M: usize = 40;
+    let lambda = 0.05;
+    let data = generate_regression(&RegressionConfig {
+        num_samples: 200,
+        num_features: M,
+        noise_std: 0.1,
+        seed: 1003,
+        ..Default::default()
+    });
+    let extra = generate_regression(&RegressionConfig {
+        num_samples: 64,
+        num_features: M,
+        noise_std: 0.1,
+        seed: 1004,
+        ..Default::default()
+    });
+    let config = TrainerConfig::from_hyper(Hyperparameters {
+        batch_size: 25,
+        num_iterations: 16,
+        learning_rate: 0.01,
+        regularization: lambda,
+    });
+    let mut session = SessionBuilder::dense(data, config)
+        .seed(6)
+        .fit()
+        .expect("chain fixture");
+    let mut rng = Rng64::from_seed(0xC004);
+    let mut next_extra = 0;
+    for step in 0..30 {
+        let n = session.num_samples();
+        let removed: Vec<usize> = (0..step % 4).map(|_| rng.index(n)).collect();
+        let added = (step % 3 != 0).then(|| {
+            let rows: Vec<usize> = (next_extra..next_extra + 2).collect();
+            next_extra += 2;
+            DeltaRows::Dense(extra.select(&rows))
+        });
+        let delta = Delta { removed, added };
+        session = session
+            .apply_delta(Method::PriuOpt, &delta)
+            .unwrap_or_else(|e| panic!("step {step}: {e}"))
+            .session;
+
+        let Session::Linear(engine) = &session else {
+            panic!("a linear session stays linear");
+        };
+        let provenance = engine.provenance();
+        let normal = provenance.normal.as_ref().expect("maintained view");
+        let rebuilt = ClosedFormCapture::build(engine.dataset(), lambda)
+            .unwrap()
+            .normal;
+        assert_eq!(normal.n, rebuilt.n, "step {step}: row count");
+        let xtx_err = relative_max_error(normal.xtx.as_slice(), rebuilt.xtx.as_slice());
+        let xty_err = relative_max_error(normal.xty.as_slice(), rebuilt.xty.as_slice());
+        assert!(xtx_err < 1e-10, "step {step}: XᵀX relative error {xtx_err}");
+        assert!(xty_err < 1e-10, "step {step}: XᵀY relative error {xty_err}");
+
+        let eigen = &provenance.opt.as_ref().expect("opt capture").eigen;
+        let fresh = SymmetricEigen::new(&normal.xtx).unwrap();
+        assert_eq!(eigen.values, fresh.values, "step {step}: eigenvalues");
+        assert_eq!(eigen.vectors, fresh.vectors, "step {step}: eigenvectors");
     }
 }
 

@@ -295,3 +295,119 @@ fn corrupt_session_blobs_fail_typed_never_panic() {
     padded.push(0);
     assert!(Session::from_snapshot_bytes(&padded).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// The first linear layout
+// ---------------------------------------------------------------------------
+
+/// Linear session blobs written by the first layout, in which the PrIU-opt
+/// capture and the closed-form views each carried their own `XᵀY` (and the
+/// views their own `XᵀX`). Both are one chained PrIU-opt apply (rows 5 and
+/// 17 removed) on a 48×4 regression session (`generate_regression` seed 23,
+/// noise 0.1; batch 12, 8 iterations, η 0.05, λ 0.05, trainer seed 3),
+/// with and without the closed-form capture.
+const V1_BOTH: &[u8] = include_bytes!("fixtures/linear_v1_both.bin");
+const V1_OPT_ONLY: &[u8] = include_bytes!("fixtures/linear_v1_opt_only.bin");
+
+/// Model bits the first layout's code produced for `update(method, &[1, 9])`
+/// on the fixtures above, per SIMD level (any thread count).
+fn v1_priu_opt_bits(level: SimdLevel) -> [u64; 4] {
+    let third = match level {
+        SimdLevel::Portable => 0xbf80c1c949a3f3c1,
+        SimdLevel::Avx2 => 0xbf80c1c949a3f3c0,
+    };
+    [
+        0x3fc79dce33fa63a3,
+        0x3fd444d8b361bfa5,
+        third,
+        0xbf96914224c03c7d,
+    ]
+}
+const V1_CLOSED_FORM_BITS: [u64; 4] = [
+    0x3fceff33213381f7,
+    0x3fe0a505540be6c1,
+    0xbfa11422c0e65114,
+    0x3f7ea8e126b1a652,
+];
+
+fn weight_bits(session: &Session, method: Method) -> Vec<u64> {
+    session
+        .update(method, &[1, 9])
+        .unwrap_or_else(|e| panic!("{method:?} update: {e}"))
+        .model
+        .weight()
+        .as_slice()
+        .iter()
+        .map(|w| w.to_bits())
+        .collect()
+}
+
+#[test]
+fn first_layout_linear_snapshots_decode_into_one_view() {
+    for (label, bytes, closed_form) in [("both", V1_BOTH, true), ("opt-only", V1_OPT_ONLY, false)] {
+        let session = Session::from_snapshot_bytes(bytes)
+            .unwrap_or_else(|e| panic!("{label}: old layout failed to decode: {e}"));
+        let Session::Linear(engine) = &session else {
+            panic!("{label}: decoded a non-linear session");
+        };
+        let view = engine
+            .provenance()
+            .normal
+            .as_ref()
+            .unwrap_or_else(|| panic!("{label}: copies not folded into a view"));
+        assert_eq!(view.n, engine.dataset().num_samples(), "{label}");
+        assert_eq!(session.supports(Method::ClosedForm), closed_form, "{label}");
+
+        // The folded view serves the same updates the old layout did: its
+        // `XᵀY` is the one both copies held, bit for bit, and the
+        // closed-form `XᵀX` is the stored one.
+        for level in simd::available_levels() {
+            simd::with_level(level, || {
+                assert_eq!(
+                    weight_bits(&session, Method::PriuOpt),
+                    v1_priu_opt_bits(level),
+                    "{label}: PrIU-opt ({level})"
+                );
+                if closed_form {
+                    assert_eq!(
+                        weight_bits(&session, Method::ClosedForm),
+                        V1_CLOSED_FORM_BITS,
+                        "{label}: closed-form ({level})"
+                    );
+                }
+            });
+        }
+
+        // Re-encoding writes the current layout, which round-trips.
+        let current = session.to_snapshot_bytes();
+        assert_ne!(current[0], bytes[0], "{label}: layout tag not bumped");
+        let again = Session::from_snapshot_bytes(&current).unwrap();
+        assert_eq!(again.to_snapshot_bytes(), current, "{label}");
+
+        // A chained apply keeps working from the folded view.
+        let next = session.apply(Method::PriuOpt, &[0, 3]).unwrap().session;
+        assert_eq!(next.num_samples(), session.num_samples() - 2, "{label}");
+    }
+}
+
+#[test]
+fn corrupt_first_layout_snapshots_fail_typed_never_panic() {
+    for bytes in [V1_BOTH, V1_OPT_ONLY] {
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Session::from_snapshot_bytes(&bytes[..cut]),
+                    Err(priu_core::CoreError::Snapshot(_))
+                ),
+                "truncation at {cut} did not fail typed"
+            );
+        }
+        // Garbling any single byte either still decodes or fails typed.
+        for at in 0..bytes.len() {
+            let mut garbled = bytes.to_vec();
+            garbled[at] ^= 0xA5;
+            let decoded = std::panic::catch_unwind(|| Session::from_snapshot_bytes(&garbled));
+            assert!(decoded.is_ok(), "garbling byte {at} panicked the decoder");
+        }
+    }
+}

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use priu_core::baseline::closed_form::{closed_form_incremental_with, ClosedFormCapture};
+use priu_core::baseline::closed_form::{closed_form_delta_with, ClosedFormCapture};
 use priu_core::baseline::retrain::retrain_sparse_binary_logistic_with;
 use priu_core::trainer::linear::{train_linear_with, TrainedLinear};
 use priu_core::trainer::logistic::{train_binary_logistic_with, TrainedLogistic};
@@ -485,17 +485,18 @@ fn offline_factorization_allocations_are_per_call_constants() {
     // constant (the produced model), independent of the problem count.
     let data = regression_data();
     let capture = ClosedFormCapture::build(&data, 1e-3).unwrap();
+    let (normal, lambda) = (&capture.normal, capture.regularization);
     let removed = [3usize, 57, 200, 311];
     let mut ws = Workspace::sized_for(data.num_features(), removed.len(), 1);
     ws.reserve_decompositions(data.num_features());
-    closed_form_incremental_with(&data, &capture, &removed, &mut ws).unwrap(); // warm-up
+    closed_form_delta_with(&data, normal, lambda, &removed, None, &mut ws).unwrap(); // warm-up
     ws.reset_grow_events();
     let allocs_one = count_allocations(|| {
-        closed_form_incremental_with(&data, &capture, &removed, &mut ws).unwrap();
+        closed_form_delta_with(&data, normal, lambda, &removed, None, &mut ws).unwrap();
     });
     let allocs_four = count_allocations(|| {
         for _ in 0..4 {
-            closed_form_incremental_with(&data, &capture, &removed, &mut ws).unwrap();
+            closed_form_delta_with(&data, normal, lambda, &removed, None, &mut ws).unwrap();
         }
     });
     assert_eq!(

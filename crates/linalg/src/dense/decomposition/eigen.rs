@@ -14,9 +14,10 @@
 //! (`A = Q_t T Q_tᵀ`, `4n³/3` flops) followed by implicit-shift QL
 //! iteration on `(d, e)` with eigenvector back-accumulation into `Zᵀ`
 //! seeded with `Q_tᵀ` (`O(n²)` per sweep, `O(1)` sweeps per eigenvalue) —
-//! `O(n³)` *total*, where each Jacobi **sweep** costs `Θ(n³)`. The blocked
-//! path is bitwise identical to the plain-loop reference
-//! [`eigen_scalar_into`] for any `PRIU_THREADS`, per `PRIU_SIMD` level
+//! `O(n³)` *total*, where each Jacobi **sweep** costs `Θ(n³)`. The
+//! production path (one pool fork-join per call) is bitwise identical to
+//! the plain-loop reference [`eigen_scalar_into`] for any `PRIU_THREADS`,
+//! per `PRIU_SIMD` level
 //! (the shared-driver argument lives in the `tridiag` module docs).
 //! Eigenpairs agree with the Jacobi fallback *numerically* (both
 //! diagonalise the same matrix), never bitwise — the trees are unrelated.
@@ -184,7 +185,8 @@ pub struct EigenScratch {
     q: Matrix,
     /// Transposed eigenvector accumulator (row `i` = candidate vector `i`).
     zt: Matrix,
-    /// Rotation sequence of the current QL sweep.
+    /// Rotation sequence of the whole QL stage (about `n²` entries; grows
+    /// to the largest problem seen).
     rot: Vec<QlRotation>,
     /// Sort permutation.
     idx: Vec<usize>,
@@ -195,9 +197,11 @@ pub struct EigenScratch {
 }
 
 impl EigenScratch {
-    /// Pre-sizes every buffer for `n × n` inputs (so the first
-    /// factorisation is already allocation-free). Engines call this before
-    /// starting the offline timer.
+    /// Pre-sizes every buffer for `n × n` inputs. Engines call this before
+    /// starting the offline timer. Only the QL rotation log, whose length
+    /// depends on the matrix (about `n²` entries), may still grow on the
+    /// first factorisation; a scratch warmed on a problem that size is
+    /// allocation-free afterwards.
     pub fn reserve(&mut self, n: usize) {
         self.values.reserve(n);
         self.vectors.reshape_zeroed(n, n);
@@ -205,7 +209,6 @@ impl EigenScratch {
         self.e.reserve(n);
         self.q.reshape_zeroed(n, n);
         self.zt.reshape_zeroed(n, n);
-        self.rot.reserve(n);
         self.idx.reserve(n);
         self.tri.reserve(n);
         self.jacobi.reserve(n);
@@ -369,15 +372,15 @@ impl SymmetricEigen {
 /// allocation-free once the scratch is warm: eigenvalues land in
 /// [`EigenScratch::values`] (descending) and eigenvectors in
 /// [`EigenScratch::vectors`] (columns). Runs the solver selected by
-/// `PRIU_EIGEN` / [`with_eigen_method`] — the blocked pool-parallel
-/// tridiag + QL pipeline by default, Jacobi sweeps as the fallback.
+/// `PRIU_EIGEN` / [`with_eigen_method`] — the tridiag + QL pipeline (one
+/// pool fork-join per call) by default, Jacobi sweeps as the fallback.
 ///
 /// # Errors
 /// See [`SymmetricEigen::new`].
 pub fn eigen_into(a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
     validate_symmetric(a)?;
     match current_eigen_method() {
-        EigenMethod::TridiagQl => tridiag_ql_pipeline(a, scratch, true),
+        EigenMethod::TridiagQl => tridiag_ql_pipeline(a, scratch, false),
         EigenMethod::Jacobi => jacobi_into(
             a,
             &mut scratch.jacobi,
@@ -388,7 +391,8 @@ pub fn eigen_into(a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
 }
 
 /// The plain-loop reference for the default pipeline: sequential
-/// tridiagonalisation and QL rotation application, ignoring the method
+/// tridiagonalisation, per-reflector back-accumulation and per-sweep QL
+/// rotation application, ignoring the method
 /// selection (it *is* the tridiag + QL reference the parity suite compares
 /// [`eigen_into`] against bitwise).
 ///
@@ -396,7 +400,7 @@ pub fn eigen_into(a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
 /// See [`SymmetricEigen::new`].
 pub fn eigen_scalar_into(a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
     validate_symmetric(a)?;
-    tridiag_ql_pipeline(a, scratch, false)
+    tridiag_ql_pipeline(a, scratch, true)
 }
 
 fn validate_symmetric(a: &Matrix) -> Result<()> {
@@ -418,9 +422,10 @@ fn validate_symmetric(a: &Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Stage one + stage two + descending sort; `parallel` selects the
-/// chunk-parallel or the sequential passes (same computation tree).
-fn tridiag_ql_pipeline(a: &Matrix, scratch: &mut EigenScratch, parallel: bool) -> Result<()> {
+/// Stage one + stage two + descending sort; `reference` selects the
+/// sequential per-reflector / per-sweep passes instead of the one-pass
+/// column-chunked ones (same computation tree per element).
+fn tridiag_ql_pipeline(a: &Matrix, scratch: &mut EigenScratch, reference: bool) -> Result<()> {
     let n = a.nrows();
     let EigenScratch {
         values,
@@ -434,10 +439,10 @@ fn tridiag_ql_pipeline(a: &Matrix, scratch: &mut EigenScratch, parallel: bool) -
         tri,
         ..
     } = scratch;
-    if parallel {
-        tridiag_factor_into(a, q, d, e, tri)?;
-    } else {
+    if reference {
         tridiag_factor_scalar_into(a, q, d, e, tri)?;
+    } else {
+        tridiag_factor_into(a, q, d, e, tri)?;
     }
     // Seed Zᵀ with Q_tᵀ: row i of zt is the i-th basis column.
     zt.reshape_for_overwrite(n, n);
@@ -446,7 +451,7 @@ fn tridiag_ql_pipeline(a: &Matrix, scratch: &mut EigenScratch, parallel: bool) -
             zt[(i, j)] = q[(j, i)];
         }
     }
-    tql2_into(d, e, zt, rot, parallel)?;
+    tql2_into(d, e, zt, rot, !reference)?;
     sort_and_extract(d, zt, idx, values, vectors);
     Ok(())
 }

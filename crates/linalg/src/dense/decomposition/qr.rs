@@ -197,7 +197,7 @@ pub fn qr_factor_into(
 }
 
 /// How a reflector `(x, v, v_norm_sq, row0, col0, col1, dots)` is applied.
-pub(crate) type ApplyFn = fn(&mut Matrix, &[f64], f64, usize, usize, usize, &mut [f64]);
+type ApplyFn = fn(&mut Matrix, &[f64], f64, usize, usize, usize, &mut [f64]);
 
 /// One compact-WY panel: `nb` reflectors starting at column `k0`, with the
 /// aggregated triangular factor in rows `t_row0 ..` of `ts`.
@@ -560,9 +560,8 @@ fn qr_reflector_driver(
 /// Applies `H = I − 2 v vᵀ / (vᵀv)` to `x[row0.., col0..col1]` with the
 /// chunk-parallel two-pass scheme (dots over column chunks, update over row
 /// chunks). Per-element arithmetic and accumulation order are identical to
-/// the plain loops in [`apply_reflector_scalar`]. Shared with the
-/// tridiagonalisation module's Q back-accumulation.
-pub(crate) fn apply_reflector(
+/// the plain loops in [`apply_reflector_scalar`].
+fn apply_reflector(
     x: &mut Matrix,
     v: &[f64],
     v_norm_sq: f64,

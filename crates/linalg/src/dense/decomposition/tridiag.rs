@@ -14,47 +14,58 @@
 //! p = β·A·v,   w = p − (β·pᵀv/2)·v,   A ← A − v·wᵀ − w·vᵀ
 //! ```
 //!
-//! for `4n³/3` total flops. The matvec is chunk-parallel over rows with a
-//! shared per-row [`simd::dot`] microkernel; the rank-2 update is
-//! chunk-parallel over rows with two [`simd::fnma_scaled`] lanes per row.
-//! `Q` is back-accumulated by applying the stored reflectors in reverse to
-//! the identity through the same chunk-parallel reflector passes as QR.
+//! for `4n³/3` total flops. The matvec ([`simd::dot4`], four rows per
+//! call) and the rank-2 update (one fused [`simd::fnma2_scaled`] sweep per
+//! row) run inline on the calling thread: a step's trailing block is at
+//! most `n²` elements, and at every order up to 512 splitting it over the
+//! pool cost more in fork-join wake-ups (two per step) than it saved. `Q`
+//! is then back-accumulated inline from the stored reflectors; a column
+//! split of that pass is badly unbalanced (column `j` meets only
+//! reflectors `k < j`) and measured slower than one thread.
 //!
 //! # Stage two: implicit-shift QL
 //!
 //! [`tql2_into`] diagonalises the tridiagonal `(d, e)` pair with the
 //! EISPACK `tql2` schedule: per eigenvalue a Wilkinson-style shift, then a
 //! sequence of Givens rotations chasing the bulge. The `d`/`e` recurrence
-//! is inherently serial (and `O(n)` per sweep — negligible); the expensive
-//! part, applying each sweep's rotations to the eigenvector accumulator, is
-//! chunk-parallel over *column* ranges of `Zᵀ`: every chunk applies the
-//! whole rotation sequence to its disjoint column slice through the
-//! FMA-free [`simd::rotate_two`] kernel.
+//! is inherently serial (and `O(n)` per sweep — negligible) and never reads
+//! the eigenvector accumulator `Zᵀ`. So every sweep's rotations are only
+//! recorded, and the whole sequence is applied afterwards in **one** pool
+//! pass over column chunks of `Zᵀ` (`~n²` rotations at `O(n)` each — the
+//! pipeline's largest cost, and evenly spread over the columns). On the
+//! AVX2 level a 16-column block keeps the row that consecutive rotations
+//! share in registers.
+//!
+//! A decomposition therefore makes one fork-join in total, where the
+//! per-step, per-reflector and per-sweep passes made about `5n`.
 //!
 //! # Determinism
 //!
-//! Chunk boundaries depend only on the shape, every per-element chain
-//! advances in a chunk-independent order (ascending rows for the matvec
-//! dots, the fixed rotation sequence per column), and both entry points
-//! execute one shared driver differing only in chunked-vs-sequential
-//! passes — so [`tridiag_factor_into`] is **bitwise identical** to
+//! Every per-element chain advances in a fixed order (ascending rows for
+//! the matvec and reflector dots, the rotation sequence per column), and
+//! the QL chunk boundaries depend only on the shape. The reference entry
+//! points run element loops and apply each sweep as it finishes; the
+//! production passes use slice kernels with the same per-element ops and
+//! apply the recorded rotations per column chunk, which reorders only
+//! *which* element is processed when, never the operations an element
+//! sees. So
+//! [`tridiag_factor_into`] is **bitwise identical** to
 //! [`tridiag_factor_scalar_into`] for any `PRIU_THREADS`, per `PRIU_SIMD`
-//! level (the per-row dot and element ops dispatch on both paths alike).
-//! The QL stage's rotations are built from serial scalar arithmetic and
-//! applied with an FMA-free kernel, so its bits never depend on the level.
+//! level (the dot and element ops dispatch on both paths alike). The QL
+//! stage's rotations are built from serial scalar arithmetic and applied
+//! FMA-free, so its bits never depend on the level.
+
+use std::ops::Range;
 
 use crate::dense::matrix::Matrix;
 use crate::error::{LinalgError, Result};
-use crate::par::{self, Chunks};
+use crate::par::{self, Chunks, SendPtr};
 use crate::simd;
 
-use super::qr::{apply_reflector, apply_reflector_scalar, ApplyFn};
+use super::qr::apply_reflector_scalar;
 
-/// Minimum rows per chunk for the matvec / rank-2 passes (each row costs a
-/// full trailing-width sweep).
-const TRI_MIN_CHUNK_ROWS: usize = 64;
-/// Minimum columns per chunk for the QL rotation passes.
-const TRI_MIN_CHUNK_COLS: usize = 128;
+/// Minimum columns per chunk for the QL rotation pass.
+const TRI_MIN_CHUNK_COLS: usize = 64;
 /// Chunk-count cap (map-style, disjoint outputs).
 const TRI_MAX_CHUNKS: usize = 8;
 /// QL iteration cap per eigenvalue before declaring divergence.
@@ -92,19 +103,12 @@ impl TridiagScratch {
     }
 }
 
-/// How the trailing-block matvec `p[k1..n] = β · T[k1.., k1..] · v[k1..n]`
-/// is computed.
-type TriMatvecFn = fn(&Matrix, &[f64], usize, f64, &mut [f64]);
-/// How the symmetric rank-2 update `T ← T − v·wᵀ − w·vᵀ` (trailing block
-/// from `k1`) is applied.
-type TriRank2Fn = fn(&mut Matrix, &[f64], &[f64], usize);
-
-/// Blocked, pool-parallel Householder tridiagonalisation into caller-owned
-/// buffers: `q` becomes the orthogonal `n × n` factor, `d` the `n`
-/// diagonal and `e` the subdiagonal of `T` (sized `n` with `e[n−1]` as
-/// zero padding for the QL stage; the subdiagonal proper is `e[..n−1]`),
-/// such that `A = Q T Qᵀ`. Bitwise identical to
-/// [`tridiag_factor_scalar_into`] for any thread count.
+/// Householder tridiagonalisation into caller-owned buffers: `q` becomes
+/// the orthogonal `n × n` factor, `d` the `n` diagonal and `e` the
+/// subdiagonal of `T` (sized `n` with `e[n−1]` as zero padding for the QL
+/// stage; the subdiagonal proper is `e[..n−1]`), such that `A = Q T Qᵀ`.
+/// Runs inline on the calling thread (module docs); bitwise identical to
+/// [`tridiag_factor_scalar_into`].
 ///
 /// # Errors
 /// Returns [`LinalgError::InvalidArgument`] if the matrix is not square or
@@ -116,12 +120,13 @@ pub fn tridiag_factor_into(
     e: &mut Vec<f64>,
     scratch: &mut TridiagScratch,
 ) -> Result<()> {
-    tridiag_driver(a, q, d, e, scratch, tri_matvec, tri_rank2, apply_reflector)
+    tridiag_driver(a, q, d, e, scratch, false)
 }
 
 /// The plain-loop reference: the same driver as [`tridiag_factor_into`]
-/// with sequential matvec / rank-2 / reflector passes — used by the parity
-/// suite (bitwise) and the decomposition benches (scalar baseline).
+/// with element-loop rank-2 updates and one sequential reflector
+/// application per Householder vector — used by the parity suite (bitwise)
+/// and the decomposition benches (scalar baseline).
 ///
 /// # Errors
 /// See [`tridiag_factor_into`].
@@ -132,32 +137,20 @@ pub fn tridiag_factor_scalar_into(
     e: &mut Vec<f64>,
     scratch: &mut TridiagScratch,
 ) -> Result<()> {
-    tridiag_driver(
-        a,
-        q,
-        d,
-        e,
-        scratch,
-        tri_matvec_scalar,
-        tri_rank2_scalar,
-        apply_reflector_scalar,
-    )
+    tridiag_driver(a, q, d, e, scratch, true)
 }
 
-/// The shared factorisation driver, parameterised only over how the three
-/// heavy passes run (chunk-parallel vs plain loops); everything else — the
-/// reflector construction, the `β`/`κ` scalars, the `w` combination — is a
-/// single serial computation tree shared by both entry points.
-#[allow(clippy::too_many_arguments)]
+/// The shared factorisation driver, differing between the two entry
+/// points only in how the rank-2 update and the back-accumulation run;
+/// everything else — the reflector construction, the `β`/`κ` scalars, the
+/// matvec, the `w` combination — is a single serial computation tree.
 fn tridiag_driver(
     a: &Matrix,
     q: &mut Matrix,
     d: &mut Vec<f64>,
     e: &mut Vec<f64>,
     scratch: &mut TridiagScratch,
-    matvec: TriMatvecFn,
-    rank2: TriRank2Fn,
-    apply: ApplyFn,
+    reference: bool,
 ) -> Result<()> {
     if !a.is_square() {
         return Err(LinalgError::InvalidArgument(format!(
@@ -241,12 +234,16 @@ fn tridiag_driver(
         e[k] = alpha;
         let beta = 2.0 / v_norm_sq;
         let v = vs.row(k);
-        matvec(t, v, k1, beta, p);
+        tri_matvec(t, v, k1, beta, p);
         let kappa = 0.5 * beta * simd::dot(&p[k1..n], &v[k1..n]);
         for i in k1..n {
             w[i] = simd::fnma(p[i], kappa, v[i]);
         }
-        rank2(t, v, w, k1);
+        if reference {
+            tri_rank2_scalar(t, v, w, k1);
+        } else {
+            tri_rank2(t, v, w, k1);
+        }
     }
     if n >= 2 {
         d[n - 2] = t[(n - 2, n - 2)];
@@ -257,56 +254,51 @@ fn tridiag_driver(
     // Back-accumulate Q = H_0 (H_1 (… H_{n-3} I)): reflector k touches
     // rows k+1..n, and column j ≤ k of the partial product is still e_j
     // when it runs, so columns k+1..n cover every non-trivial dot.
-    for k in (0..n.saturating_sub(2)).rev() {
-        if vnorms[k] == 0.0 {
-            continue;
+    if reference {
+        for k in (0..n.saturating_sub(2)).rev() {
+            if vnorms[k] == 0.0 {
+                continue;
+            }
+            apply_reflector_scalar(q, vs.row(k), vnorms[k], k + 1, k + 1, n, dots);
         }
-        apply(q, vs.row(k), vnorms[k], k + 1, k + 1, n, dots);
+    } else {
+        back_accumulate(q, vs, vnorms, dots);
     }
     Ok(())
 }
 
-/// Chunk-parallel trailing matvec: `p[i] = β · Σ_j T[i][j]·v[j]` over the
-/// block `i, j ∈ k1..n`, rows chunked, every row's dot through the
-/// dispatched [`simd::dot`] microkernel (shared with the scalar path, so
-/// the lane structure is identical by construction).
+/// Trailing matvec: `p[i] = β · Σ_j T[i][j]·v[j]` over the block
+/// `i, j ∈ k1..n`, four rows at a time through [`simd::dot4`] (the rest
+/// through [`simd::dot`]) — both keep the one lane structure of
+/// [`simd::dot`] per row, so the grouping never changes bits. It runs
+/// inline: at every order up to 512 a pool split of the per-step passes
+/// costs more in wake-ups than it saves (DESIGN.md §4.4).
 fn tri_matvec(t: &Matrix, v: &[f64], k1: usize, beta: f64, p: &mut [f64]) {
     let n = t.nrows();
-    let chunks = Chunks::new(n - k1, TRI_MIN_CHUNK_ROWS, TRI_MAX_CHUNKS);
-    let out = &mut p[k1..n];
-    par::map_chunks(&chunks, 1, out, |range, region| {
-        for (slot, off) in region.iter_mut().zip(range) {
-            let i = k1 + off;
-            *slot = beta * simd::dot(&t.row(i)[k1..n], &v[k1..n]);
+    let x = &v[k1..n];
+    let row = |i: usize| &t.row(i)[k1..n];
+    let mut i = k1;
+    while i + 4 <= n {
+        let dots = simd::dot4(row(i), row(i + 1), row(i + 2), row(i + 3), x);
+        for (slot, dot) in p[i..i + 4].iter_mut().zip(dots) {
+            *slot = beta * dot;
         }
-    });
-}
-
-/// Sequential trailing matvec — same per-row microkernel, plain outer loop.
-fn tri_matvec_scalar(t: &Matrix, v: &[f64], k1: usize, beta: f64, p: &mut [f64]) {
-    let n = t.nrows();
-    #[allow(clippy::needless_range_loop)] // i indexes matrix rows and p alike
-    for i in k1..n {
-        p[i] = beta * simd::dot(&t.row(i)[k1..n], &v[k1..n]);
+        i += 4;
+    }
+    for (j, slot) in p.iter_mut().enumerate().take(n).skip(i) {
+        *slot = beta * simd::dot(row(j), x);
     }
 }
 
-/// Chunk-parallel symmetric rank-2 update `T[i][j] −= v_i·w_j + w_i·v_j`
-/// over the trailing block, row chunks, two fused lanes per row in fixed
-/// order (`w`-scaled first, then `v`-scaled).
+/// Symmetric rank-2 update `T[i][j] −= v_i·w_j + w_i·v_j` over the
+/// trailing block, one [`simd::fnma2_scaled`] sweep per row: the
+/// `w`-scaled `fnma` first, then the `v`-scaled one, per element. Inline
+/// for the same reason as [`tri_matvec`].
 fn tri_rank2(t: &mut Matrix, v: &[f64], w: &[f64], k1: usize) {
     let n = t.nrows();
-    let width = t.ncols();
-    let chunks = Chunks::new(n - k1, TRI_MIN_CHUNK_ROWS, TRI_MAX_CHUNKS);
-    let rows_below = &mut t.as_mut_slice()[k1 * width..];
-    par::map_chunks(&chunks, width, rows_below, |range, region| {
-        for (local, off) in range.enumerate() {
-            let i = k1 + off;
-            let row = &mut region[local * width + k1..local * width + n];
-            simd::fnma_scaled(row, &w[k1..n], v[i]);
-            simd::fnma_scaled(row, &v[k1..n], w[i]);
-        }
-    });
+    for i in k1..n {
+        simd::fnma2_scaled(&mut t.row_mut(i)[k1..n], &w[k1..n], v[i], &v[k1..n], w[i]);
+    }
 }
 
 /// Sequential rank-2 update — the same two lanes per row as element loops
@@ -320,6 +312,34 @@ fn tri_rank2_scalar(t: &mut Matrix, v: &[f64], w: &[f64], k1: usize) {
         }
         for j in k1..n {
             t[(i, j)] = simd::fnma(t[(i, j)], v[j], wi);
+        }
+    }
+}
+
+/// Back-accumulates `Q = H_0 (H_1 (… H_{n−3} I))` inline, one reflector at
+/// a time over whole row slices. Per element the operations are those of
+/// [`apply_reflector_scalar`] — the dot as an ascending-row dispatched
+/// multiply-add chain, the update as one dispatched `fnma` — so the result
+/// is bitwise the reference's. Splitting the columns over the pool does
+/// not pay here: column `j` only meets reflectors `k < j`, so equal column
+/// chunks carry very unequal work (DESIGN.md §4.4).
+fn back_accumulate(q: &mut Matrix, vs: &Matrix, vnorms: &[f64], dots: &mut [f64]) {
+    let n = q.nrows();
+    for k in (0..n.saturating_sub(2)).rev() {
+        if vnorms[k] == 0.0 {
+            continue;
+        }
+        let (k1, v) = (k + 1, vs.row(k));
+        let scales = &mut dots[k1..n];
+        scales.fill(0.0);
+        for (i, &vi) in v.iter().enumerate().skip(k1) {
+            simd::axpy(scales, vi, &q.row(i)[k1..n]);
+        }
+        for s in scales.iter_mut() {
+            *s = 2.0 * *s / vnorms[k];
+        }
+        for (i, &vi) in v.iter().enumerate().skip(k1) {
+            simd::fnma_scaled(&mut q.row_mut(i)[k1..n], scales, vi);
         }
     }
 }
@@ -342,10 +362,13 @@ pub(crate) struct QlRotation {
 /// the identity to diagonalise `T` alone). On exit `d` holds the
 /// (unsorted) eigenvalues and row `i` of `zt` the matching eigenvector.
 ///
-/// The `d`/`e` recurrence runs serially on both paths; `parallel` only
-/// selects whether each sweep's rotation sequence is applied to `zt` over
-/// chunked column ranges or in one sequential pass — element-wise
-/// identical either way, so the bits never depend on the choice.
+/// The `d`/`e` recurrence runs serially and never reads `zt`. With
+/// `deferred` set, every sweep's rotations are recorded into `rot` and the
+/// whole sequence is applied to `zt` afterwards in one column-chunked pass
+/// (one fork-join); without it each sweep's rotations are applied as the
+/// sweep finishes, sequentially (the reference). Each element of `zt` sees
+/// the same rotation sequence either way, so the bits never depend on the
+/// choice.
 ///
 /// # Errors
 /// Returns [`LinalgError::DidNotConverge`] if an eigenvalue fails to
@@ -355,9 +378,15 @@ pub(crate) fn tql2_into(
     e: &mut [f64],
     zt: &mut Matrix,
     rot: &mut Vec<QlRotation>,
-    parallel: bool,
+    deferred: bool,
 ) -> Result<()> {
     let n = d.len();
+    rot.clear();
+    if deferred {
+        // The log holds about n² rotations; reserving once spares the
+        // cold path the doubling copies (a warm log already has room).
+        rot.reserve(n * n);
+    }
     if n == 0 {
         return Ok(());
     }
@@ -393,7 +422,6 @@ pub(crate) fn tql2_into(
             let (mut s, mut c) = (1.0, 1.0);
             let mut shift = 0.0;
             let mut underflow = false;
-            rot.clear();
             // Chase the bulge from the bottom of the block up to l.
             for i in (l..mm).rev() {
                 let f = s * e[i];
@@ -416,7 +444,10 @@ pub(crate) fn tql2_into(
                 g = c * r - b;
                 rot.push(QlRotation { i, c, s });
             }
-            apply_ql_rotations(zt, rot, parallel);
+            if !deferred {
+                apply_ql_rotations_scalar(zt, rot);
+                rot.clear();
+            }
             if underflow {
                 continue;
             }
@@ -425,38 +456,133 @@ pub(crate) fn tql2_into(
             e[mm] = 0.0;
         }
     }
+    if deferred {
+        apply_ql_rotations(zt, rot);
+    }
     Ok(())
 }
 
-/// Applies a sweep's rotation sequence to the rows of `Zᵀ`: rotation
-/// `(i, c, s)` maps `(z_i, z_{i+1}) ← (c·z_i − s·z_{i+1}, s·z_i + c·z_{i+1})`
-/// element-wise. The parallel path chunks the columns — every chunk applies
-/// the full sequence to its disjoint slice, bitwise identical to the
-/// sequential pass because [`simd::rotate_two`] is element-wise and
-/// FMA-free.
-fn apply_ql_rotations(zt: &mut Matrix, rot: &[QlRotation], parallel: bool) {
+/// Applies a rotation sequence to the rows of `Zᵀ`: rotation `(i, c, s)`
+/// maps `(z_i, z_{i+1}) ← (c·z_i − s·z_{i+1}, s·z_i + c·z_{i+1})`
+/// element-wise, so every column evolves independently. Each column chunk
+/// applies the full sequence to its disjoint columns through
+/// [`rotate_columns`] — bitwise identical to the sequential
+/// [`simd::rotate_two`] pass, because both perform the same FMA-free
+/// operations on every element in sequence order.
+fn apply_ql_rotations(zt: &mut Matrix, rot: &[QlRotation]) {
     if rot.is_empty() {
         return;
     }
     let n = zt.ncols();
-    if parallel {
-        let chunks = Chunks::new(n, TRI_MIN_CHUNK_COLS, TRI_MAX_CHUNKS);
-        let ptr = par::SendPtr(zt.as_mut_slice().as_mut_ptr());
-        par::run_chunks(chunks.count(), |ci| {
-            let range = chunks.range(ci);
-            for qr in rot {
-                // SAFETY: chunk `ci` touches only columns `range` of the
-                // two rotated rows; ranges are disjoint across chunks.
-                let row_i = unsafe { ptr.slice(qr.i * n + range.start, range.len()) };
-                let row_j = unsafe { ptr.slice((qr.i + 1) * n + range.start, range.len()) };
-                simd::rotate_two(row_i, row_j, qr.c, qr.s);
-            }
-        });
-    } else {
-        for qr in rot {
-            let (upper, lower) = zt.as_mut_slice().split_at_mut((qr.i + 1) * n);
-            simd::rotate_two(&mut upper[qr.i * n..], &mut lower[..n], qr.c, qr.s);
+    let chunks = Chunks::new(n, TRI_MIN_CHUNK_COLS, TRI_MAX_CHUNKS);
+    let ptr = SendPtr(zt.as_mut_slice().as_mut_ptr());
+    par::run_chunks(chunks.count(), |ci| {
+        // SAFETY: `zt` is `n × n` (seeded square by the pipeline), every
+        // recorded rotation has `i + 1 < n` (the sweep's block ends below
+        // row `n`), chunk ranges lie in `0..n`, and chunk `ci` touches only
+        // its own columns — ranges are disjoint across chunks and `zt` is
+        // borrowed mutably for the whole pass.
+        unsafe { rotate_columns(ptr.get(), n, chunks.range(ci), rot) };
+    });
+}
+
+/// Applies `rot` in sequence to columns `cols` of the row-major `n × n`
+/// matrix at `base`. On the AVX2 level the columns go through
+/// [`rotate_block16_avx2`] in 16-wide blocks; the tail (and the portable
+/// level) uses [`simd::rotate_two`] per rotation. Both are FMA-free with
+/// the same three roundings per output, so the level never changes bits.
+///
+/// # Safety
+/// `base` must point to an `n × n` matrix, `cols` must lie in `0..n`, every
+/// rotation must satisfy `i + 1 < n`, and no other reference may access
+/// those columns for the duration of the call.
+unsafe fn rotate_columns(base: *mut f64, n: usize, cols: Range<usize>, rot: &[QlRotation]) {
+    #[cfg(target_arch = "x86_64")]
+    let c0 = if simd::current_level() == simd::SimdLevel::Avx2 {
+        let mut c0 = cols.start;
+        while c0 + 16 <= cols.end {
+            // The Avx2 level is only reachable after runtime detection
+            // proved AVX2 support; the block lies inside `cols`.
+            rotate_block16_avx2(base, n, c0, rot);
+            c0 += 16;
         }
+        c0
+    } else {
+        cols.start
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let c0 = cols.start;
+    if c0 < cols.end {
+        let width = cols.end - c0;
+        for qr in rot {
+            // Rows `i` and `i + 1` are distinct and in bounds, and the
+            // caller owns these columns exclusively.
+            let upper = std::slice::from_raw_parts_mut(base.add(qr.i * n + c0), width);
+            let lower = std::slice::from_raw_parts_mut(base.add((qr.i + 1) * n + c0), width);
+            simd::rotate_two(upper, lower, qr.c, qr.s);
+        }
+    }
+}
+
+/// Applies `rot` to the 16 columns starting at `c0`. A QL sweep chases its
+/// bulge upwards (rotation `i`, then `i − 1`, …), so the row the next
+/// rotation shares with this one stays in four registers instead of being
+/// stored and reloaded; any other transition writes it back first. Every
+/// element still receives exactly the rotation sequence, with the same
+/// FMA-free arithmetic as [`simd::rotate_two`].
+///
+/// # Safety
+/// As for [`rotate_columns`], with `c0 + 16 <= n`; the CPU must support
+/// AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rotate_block16_avx2(base: *mut f64, n: usize, c0: usize, rot: &[QlRotation]) {
+    use std::arch::x86_64::*;
+    let row = |r: usize| base.add(r * n + c0);
+    let mut carry = [_mm256_setzero_pd(); 4];
+    let mut carry_row = usize::MAX;
+    for qr in rot {
+        let lower = row(qr.i + 1);
+        if carry_row != qr.i + 1 {
+            if carry_row != usize::MAX {
+                let dst = row(carry_row);
+                for (j, y) in carry.iter().enumerate() {
+                    _mm256_storeu_pd(dst.add(4 * j), *y);
+                }
+            }
+            for (j, y) in carry.iter_mut().enumerate() {
+                *y = _mm256_loadu_pd(lower.add(4 * j));
+            }
+        }
+        let upper = row(qr.i);
+        let cv = _mm256_set1_pd(qr.c);
+        let sv = _mm256_set1_pd(qr.s);
+        for (j, y) in carry.iter_mut().enumerate() {
+            let a = _mm256_loadu_pd(upper.add(4 * j));
+            let b = *y;
+            _mm256_storeu_pd(
+                lower.add(4 * j),
+                _mm256_add_pd(_mm256_mul_pd(sv, a), _mm256_mul_pd(cv, b)),
+            );
+            *y = _mm256_sub_pd(_mm256_mul_pd(cv, a), _mm256_mul_pd(sv, b));
+        }
+        carry_row = qr.i;
+    }
+    if carry_row != usize::MAX {
+        let dst = row(carry_row);
+        for (j, y) in carry.iter().enumerate() {
+            _mm256_storeu_pd(dst.add(4 * j), *y);
+        }
+    }
+}
+
+/// The sequential reference of [`apply_ql_rotations`]: whole rows, in
+/// sequence order.
+fn apply_ql_rotations_scalar(zt: &mut Matrix, rot: &[QlRotation]) {
+    let n = zt.ncols();
+    for qr in rot {
+        let (upper, lower) = zt.as_mut_slice().split_at_mut((qr.i + 1) * n);
+        simd::rotate_two(&mut upper[qr.i * n..], &mut lower[..n], qr.c, qr.s);
     }
 }
 

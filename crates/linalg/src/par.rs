@@ -816,6 +816,12 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {
+    /// The raw pointer (for kernels that address their disjoint region
+    /// themselves).
+    pub(crate) fn get(&self) -> *mut f64 {
+        self.0
+    }
+
     /// The mutable sub-slice `[offset, offset + len)`.
     ///
     /// # Safety

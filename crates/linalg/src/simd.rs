@@ -383,6 +383,38 @@ pub fn fnma_scaled(out: &mut [f64], scales: &[f64], v: f64) {
     }
 }
 
+/// Two chained [`fnma_scaled`] passes fused into one sweep:
+/// `out[j] = fnma(fnma(out[j], a[j], x), b[j], y)` — per element exactly
+/// the operations (and roundings) of `fnma_scaled(out, a, x)` followed by
+/// `fnma_scaled(out, b, y)`, so fusing only saves memory traffic. The
+/// symmetric rank-2 update of the tridiagonalisation.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn fnma2_scaled(out: &mut [f64], a: &[f64], x: f64, b: &[f64], y: f64) {
+    assert!(
+        out.len() == a.len() && out.len() == b.len(),
+        "simd::fnma2_scaled requires equal lengths"
+    );
+    match current_level() {
+        SimdLevel::Portable => {
+            for ((o, &aj), &bj) in out.iter_mut().zip(a).zip(b) {
+                let t = *o - aj * x;
+                *o = t - bj * y;
+            }
+        }
+        SimdLevel::Avx2 => {
+            // SAFETY: see `dot`.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx2::fnma2_scaled(out, a, x, b, y)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
+        }
+    }
+}
+
 /// Jacobi rotation of two equal-length rows:
 /// `(x, y) ← (c·x − s·y, s·x + c·y)`.
 ///
@@ -664,6 +696,25 @@ mod avx2 {
         }
         for j in chunks * 4..len {
             out[j] = (-scales[j]).mul_add(v, out[j]);
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn fnma2_scaled(out: &mut [f64], a: &[f64], x: f64, b: &[f64], y: f64) {
+        let len = out.len();
+        let chunks = len / 4;
+        let xv = _mm256_set1_pd(x);
+        let yv = _mm256_set1_pd(y);
+        for i in 0..chunks {
+            let j = i * 4;
+            let o = _mm256_loadu_pd(out.as_ptr().add(j));
+            let t = _mm256_fnmadd_pd(_mm256_loadu_pd(a.as_ptr().add(j)), xv, o);
+            let t = _mm256_fnmadd_pd(_mm256_loadu_pd(b.as_ptr().add(j)), yv, t);
+            _mm256_storeu_pd(out.as_mut_ptr().add(j), t);
+        }
+        for j in chunks * 4..len {
+            let t = (-a[j]).mul_add(x, out[j]);
+            out[j] = (-b[j]).mul_add(y, t);
         }
     }
 

@@ -616,36 +616,94 @@ fn tridiag_reconstructs_with_orthogonal_q() {
     }
 }
 
-#[test]
-fn eigen_pipeline_scalar_blocked_and_pool_paths_are_bitwise_identical() {
-    // `eigen_scalar_into` runs the plain-loop tridiagonalisation and the
-    // serial QL rotation application; the production path chunks both
-    // through the pool. Same summation tree per SIMD level, same bits.
+/// Runs `eigen_into` under `PRIU_THREADS ∈ {1, 4}` and asserts it is
+/// bitwise `eigen_scalar_into` on the current SIMD level.
+fn assert_eigen_matches_reference(a: &Matrix, what: &str) {
     let mut blocked = EigenScratch::default();
     let mut reference = EigenScratch::default();
+    let level = simd::current_level();
+    eigen_scalar_into(a, &mut reference).unwrap();
+    for threads in [1usize, 4] {
+        par::with_threads(threads, || eigen_into(a, &mut blocked).unwrap());
+        assert_eq!(
+            blocked.values(),
+            reference.values(),
+            "eigenvalues blocked({threads}) vs scalar: {what} ({level})"
+        );
+        assert_eq!(
+            blocked.vectors(),
+            reference.vectors(),
+            "eigenvectors blocked({threads}) vs scalar: {what} ({level})"
+        );
+    }
+}
+
+#[test]
+fn eigen_pipeline_scalar_blocked_and_pool_paths_are_bitwise_identical() {
+    // `eigen_scalar_into` applies every reflector and every QL sweep as it
+    // comes, sequentially; the production path records them and applies
+    // each sequence in one column-chunked pass (64-column chunks, so one
+    // chunk below n = 128; 16-column register blocks on the Avx2 level).
+    // Sizes sit on both sides of both boundaries. Same per-element
+    // operations, same bits.
     for level in simd_levels() {
         simd::with_level(level, || {
-            for (case, &n) in [1usize, 2, 5, 31, 33, 64, 65, 127, 129, 256]
+            for (case, &n) in [1usize, 2, 5, 15, 16, 17, 31, 33, 64, 65, 127, 128, 129, 256]
                 .iter()
                 .enumerate()
             {
                 let a = random_symmetric(n, 0x140 + case as u64);
-                eigen_scalar_into(&a, &mut reference).unwrap();
-                for threads in [1usize, 4] {
-                    par::with_threads(threads, || eigen_into(&a, &mut blocked).unwrap());
-                    assert_eq!(
-                        blocked.values(),
-                        reference.values(),
-                        "eigenvalues blocked({threads}) vs scalar n={n} ({level})"
-                    );
-                    assert_eq!(
-                        blocked.vectors(),
-                        reference.vectors(),
-                        "eigenvectors blocked({threads}) vs scalar n={n} ({level})"
-                    );
-                }
+                assert_eigen_matches_reference(&a, &format!("n={n}"));
             }
         });
+    }
+}
+
+#[test]
+fn eigen_pipeline_is_bitwise_on_exact_zero_couplings_and_clusters() {
+    // Block-diagonal input: a dense block with a clustered spectrum (a
+    // repeated eigenvalue), an exactly diagonal block with repeated
+    // entries, and a second dense block. The reduction meets sub-columns
+    // that are already zero (skipped reflectors, exact-zero couplings), and
+    // QL deflates on those zeros and inside the clusters.
+    let mut qr_scratch = QrScratch::default();
+    let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    for (case, &n) in [40usize, 130].iter().enumerate() {
+        let (b1, b2) = (n / 3, n / 4);
+        let mut a = Matrix::zeros(n, n);
+        let mut place = |a: &mut Matrix, at: usize, size: usize, seed: u64| {
+            let m = random_matrix(size, size, seed);
+            qr_factor_into(&m, &mut q, &mut r, &mut qr_scratch).unwrap();
+            let spectrum: Vec<f64> = (0..size)
+                .map(|i| {
+                    if i < size / 2 {
+                        3.0
+                    } else {
+                        i as f64 / size as f64
+                    }
+                })
+                .collect();
+            for i in 0..size {
+                for j in 0..size {
+                    let mut acc = 0.0;
+                    for (k, &lambda) in spectrum.iter().enumerate() {
+                        acc += q[(i, k)] * lambda * q[(j, k)];
+                    }
+                    a[(at + i, at + j)] = acc;
+                }
+            }
+        };
+        place(&mut a, 0, b1, 0x1A0 + case as u64);
+        for i in b1..b1 + b2 {
+            a[(i, i)] = if i % 2 == 0 { 3.0 } else { -1.0 };
+        }
+        place(&mut a, b1 + b2, n - b1 - b2, 0x1B0 + case as u64);
+        let a = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+        for level in simd_levels() {
+            simd::with_level(level, || {
+                assert_eigen_matches_reference(&a, &format!("block-diagonal n={n}"));
+            });
+        }
     }
 }
 

@@ -132,6 +132,14 @@ fn elementwise_kernels_match_references_bitwise() {
                     assert_eq!(rank1[j], want, "fnma_scaled ({level})");
                 }
 
+                // fnma2_scaled: the two fnma_scaled passes, fused.
+                let mut fused2 = base.clone();
+                simd::fnma2_scaled(&mut fused2, &scales, 1.3, &src, -0.7);
+                let mut twice = base.clone();
+                simd::fnma_scaled(&mut twice, &scales, 1.3);
+                simd::fnma_scaled(&mut twice, &src, -0.7);
+                assert_eq!(fused2, twice, "fnma2_scaled len={len} ({level})");
+
                 // rotate_two: level-invariant three-rounding expressions.
                 let mut rp = base.clone();
                 let mut rr = src.clone();
