@@ -185,8 +185,8 @@ pub struct EigenScratch {
     q: Matrix,
     /// Transposed eigenvector accumulator (row `i` = candidate vector `i`).
     zt: Matrix,
-    /// Rotation sequence of the whole QL stage (about `n²` entries; grows
-    /// to the largest problem seen).
+    /// Rotation log of the QL stage (up to about `n²` entries, capped;
+    /// grows to the largest problem seen).
     rot: Vec<QlRotation>,
     /// Sort permutation.
     idx: Vec<usize>,
@@ -199,9 +199,9 @@ pub struct EigenScratch {
 impl EigenScratch {
     /// Pre-sizes every buffer for `n × n` inputs. Engines call this before
     /// starting the offline timer. Only the QL rotation log, whose length
-    /// depends on the matrix (about `n²` entries), may still grow on the
-    /// first factorisation; a scratch warmed on a problem that size is
-    /// allocation-free afterwards.
+    /// depends on the matrix (up to about `n²` entries, capped), may still
+    /// grow on the first factorisation; a scratch warmed on a problem that
+    /// size is allocation-free afterwards.
     pub fn reserve(&mut self, n: usize) {
         self.values.reserve(n);
         self.vectors.reshape_zeroed(n, n);

@@ -32,12 +32,14 @@
 //! the eigenvector accumulator `Zᵀ`. So every sweep's rotations are only
 //! recorded, and the whole sequence is applied afterwards in **one** pool
 //! pass over column chunks of `Zᵀ` (`~n²` rotations at `O(n)` each — the
-//! pipeline's largest cost, and evenly spread over the columns). On the
-//! AVX2 level a 16-column block keeps the row that consecutive rotations
-//! share in registers.
+//! pipeline's largest cost, and evenly spread over the columns). Above
+//! order ~500 the log is flushed every [`QL_LOG_CAP`] rotations, so its
+//! memory stays bounded. On the AVX2 level a 16-column block keeps the row
+//! that consecutive rotations share in registers.
 //!
-//! A decomposition therefore makes one fork-join in total, where the
-//! per-step, per-reflector and per-sweep passes made about `5n`.
+//! Up to order ~500 a decomposition therefore makes one fork-join in
+//! total, where the per-step, per-reflector and per-sweep passes made
+//! about `5n`.
 //!
 //! # Determinism
 //!
@@ -70,6 +72,10 @@ const TRI_MIN_CHUNK_COLS: usize = 64;
 const TRI_MAX_CHUNKS: usize = 8;
 /// QL iteration cap per eigenvalue before declaring divergence.
 const MAX_QL_ITERS: usize = 50;
+/// Rotations the deferred QL pass records before applying them (~6 MiB).
+/// A matrix of order up to ~500 (about `n²` rotations) takes one pass;
+/// larger ones take a few, so the log never grows with `n²`.
+const QL_LOG_CAP: usize = 1 << 18;
 
 /// Scratch buffers for [`tridiag_factor_into`], reusable across
 /// factorisations of any size (buffers grow to the largest problem seen and
@@ -365,8 +371,9 @@ pub(crate) struct QlRotation {
 /// The `d`/`e` recurrence runs serially and never reads `zt`. With
 /// `deferred` set, every sweep's rotations are recorded into `rot` and the
 /// whole sequence is applied to `zt` afterwards in one column-chunked pass
-/// (one fork-join); without it each sweep's rotations are applied as the
-/// sweep finishes, sequentially (the reference). Each element of `zt` sees
+/// (one fork-join; one per [`QL_LOG_CAP`] rotations for large `n`);
+/// without it each sweep's rotations are applied as the sweep finishes,
+/// sequentially (the reference). Each element of `zt` sees
 /// the same rotation sequence either way, so the bits never depend on the
 /// choice.
 ///
@@ -381,11 +388,14 @@ pub(crate) fn tql2_into(
     deferred: bool,
 ) -> Result<()> {
     let n = d.len();
+    // The deferred pass addresses rows `i + 1 < n` of `zt` through raw
+    // pointers, so the row count is a soundness condition, not a hint.
+    assert_eq!(zt.nrows(), n, "tql2: Zᵀ needs one row per eigenvalue");
     rot.clear();
     if deferred {
-        // The log holds about n² rotations; reserving once spares the
-        // cold path the doubling copies (a warm log already has room).
-        rot.reserve(n * n);
+        // Reserving once spares the cold path the doubling copies (a warm
+        // log already has room).
+        rot.reserve((n * n).min(QL_LOG_CAP));
     }
     if n == 0 {
         return Ok(());
@@ -447,6 +457,9 @@ pub(crate) fn tql2_into(
             if !deferred {
                 apply_ql_rotations_scalar(zt, rot);
                 rot.clear();
+            } else if rot.len() >= QL_LOG_CAP {
+                apply_ql_rotations(zt, rot);
+                rot.clear();
             }
             if underflow {
                 continue;
@@ -473,29 +486,29 @@ fn apply_ql_rotations(zt: &mut Matrix, rot: &[QlRotation]) {
     if rot.is_empty() {
         return;
     }
-    let n = zt.ncols();
-    let chunks = Chunks::new(n, TRI_MIN_CHUNK_COLS, TRI_MAX_CHUNKS);
+    let width = zt.ncols();
+    let chunks = Chunks::new(width, TRI_MIN_CHUNK_COLS, TRI_MAX_CHUNKS);
     let ptr = SendPtr(zt.as_mut_slice().as_mut_ptr());
     par::run_chunks(chunks.count(), |ci| {
-        // SAFETY: `zt` is `n × n` (seeded square by the pipeline), every
-        // recorded rotation has `i + 1 < n` (the sweep's block ends below
-        // row `n`), chunk ranges lie in `0..n`, and chunk `ci` touches only
-        // its own columns — ranges are disjoint across chunks and `zt` is
-        // borrowed mutably for the whole pass.
-        unsafe { rotate_columns(ptr.get(), n, chunks.range(ci), rot) };
+        // SAFETY: every recorded rotation has `i + 1 < zt.nrows()` (the
+        // sweep's block ends inside `d`, whose length `tql2_into` asserts
+        // equals the row count), chunk ranges lie in `0..width`, and chunk
+        // `ci` touches only its own columns — ranges are disjoint across
+        // chunks and `zt` is borrowed mutably for the whole pass.
+        unsafe { rotate_columns(ptr.get(), width, chunks.range(ci), rot) };
     });
 }
 
-/// Applies `rot` in sequence to columns `cols` of the row-major `n × n`
-/// matrix at `base`. On the AVX2 level the columns go through
+/// Applies `rot` in sequence to columns `cols` of the row-major matrix at
+/// `base` with `n` columns. On the AVX2 level the columns go through
 /// [`rotate_block16_avx2`] in 16-wide blocks; the tail (and the portable
 /// level) uses [`simd::rotate_two`] per rotation. Both are FMA-free with
 /// the same three roundings per output, so the level never changes bits.
 ///
 /// # Safety
-/// `base` must point to an `n × n` matrix, `cols` must lie in `0..n`, every
-/// rotation must satisfy `i + 1 < n`, and no other reference may access
-/// those columns for the duration of the call.
+/// `base` must point to a row-major matrix with `n` columns and more than
+/// `i + 1` rows for every rotation `i`, `cols` must lie in `0..n`, and no
+/// other reference may access those columns for the duration of the call.
 unsafe fn rotate_columns(base: *mut f64, n: usize, cols: Range<usize>, rot: &[QlRotation]) {
     #[cfg(target_arch = "x86_64")]
     let c0 = if simd::current_level() == simd::SimdLevel::Avx2 {
@@ -684,6 +697,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn deferred_ql_matches_per_sweep_application_across_log_flushes() {
+        // Order 600 records about 1.05·n² ≈ 380k rotations, more than
+        // QL_LOG_CAP, so the deferred pass flushes mid-iteration. Zᵀ only
+        // needs one row per eigenvalue; 21 columns keep the test cheap
+        // while still covering a 16-column block plus a tail.
+        let n = 600;
+        assert!(n * n > QL_LOG_CAP);
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let d0: Vec<f64> = (0..n).map(|_| next()).collect();
+        let mut e0: Vec<f64> = (0..n).map(|_| next()).collect();
+        e0[n - 1] = 0.0;
+        let z0 = Matrix::from_fn(n, 21, |_, _| next());
+        let mut rot = Vec::new();
+        let (mut d1, mut e1, mut z1) = (d0.clone(), e0.clone(), z0.clone());
+        tql2_into(&mut d1, &mut e1, &mut z1, &mut rot, false).unwrap();
+        let (mut d2, mut e2, mut z2) = (d0, e0, z0);
+        tql2_into(&mut d2, &mut e2, &mut z2, &mut rot, true).unwrap();
+        assert_eq!(d1, d2);
+        assert_eq!(z1, z2);
     }
 
     #[test]
