@@ -21,7 +21,7 @@ use crate::report::{FigureRow, RepeatedRow, Table3Row, Table4Row};
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentOptions {
     /// Scale factor applied to every spec's sample count and iteration count
-    /// (1.0 = the catalog defaults documented in `EXPERIMENTS.md`).
+    /// (1.0 = the `DatasetCatalog` defaults).
     pub scale: f64,
     /// Whether to run the INFL baseline where it is feasible.
     pub include_influence: bool,

@@ -74,7 +74,6 @@ pub mod metrics;
 pub mod model;
 pub mod objective;
 pub mod reference;
-pub mod session;
 pub mod snapshot;
 pub mod trainer;
 pub mod update;

@@ -2,11 +2,12 @@
 //! Table 2 of the paper.
 //!
 //! The sample counts and iteration counts are scaled down from the paper so
-//! the whole evaluation runs on a laptop-class machine (the scaling factors
-//! are recorded per experiment in `EXPERIMENTS.md`); feature counts, class
-//! counts, density and batch-size *ratios* follow the paper. Learning rates
-//! are re-tuned for the standardised synthetic analogues (the paper itself
-//! notes that its rates had to be adapted to the dirty-data setting).
+//! the whole evaluation runs on a laptop-class machine (each spec below
+//! records its scaled-down `n`; [`DatasetSpec::scaled`] shrinks it
+//! further); feature counts, class counts, density and batch-size *ratios*
+//! follow the paper. Learning rates are re-tuned for the standardised
+//! synthetic analogues (the paper itself notes that its rates had to be
+//! adapted to the dirty-data setting).
 
 use crate::dataset::{DenseDataset, SparseDataset};
 use crate::synthetic::classification::{

@@ -22,8 +22,9 @@ pub enum ServerError {
         got: usize,
     },
     /// A change request's appended rows are malformed or do not fit the
-    /// session (shape, label kind, or class range). Rejected at admission
-    /// so one bad add never fails a whole coalesced batch.
+    /// session (shape, non-finite values, label kind, or class range), or
+    /// a predict carried a non-finite feature. Rejected at admission so
+    /// one bad add never fails a whole coalesced batch.
     InvalidRows(String),
     /// The underlying deletion engine failed (invalid removal set,
     /// factorisation failure, divergence, ...). The session is left on its
@@ -55,7 +56,7 @@ impl fmt::Display for ServerError {
                 "feature count mismatch: session expects {expected}, request carried {got}"
             ),
             ServerError::InvalidRows(message) => {
-                write!(f, "invalid appended rows: {message}")
+                write!(f, "invalid rows: {message}")
             }
             ServerError::Engine(err) => write!(f, "deletion engine error: {err}"),
             ServerError::BatchFailed(message) => {

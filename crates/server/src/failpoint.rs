@@ -32,7 +32,7 @@
 //! | `snapshot-before-rename`| temp file complete + fsync'd, not yet renamed |
 //! | `snapshot-after-rename` | after the atomic rename, before the dir fsync |
 //! | `recovery-mid-redo`     | between two WAL records during recovery redo |
-//! | `group-leader-sync`     | as the elected group-commit leader, before its shared fsync |
+//! | `group-leader-sync`     | just before the fsync shared by an applier pass (or forced at `max_group` appends) |
 //! | `snapshot-handoff`      | after commit, before the snapshot job reaches the snapshot thread |
 //! | `checkpoint-mid-rewrite`| half-way through writing the checkpoint's rewritten log |
 //! | `checkpoint-before-rename` | rewritten log complete + fsync'd, not yet renamed |

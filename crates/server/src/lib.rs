@@ -6,10 +6,11 @@
 //!
 //! The pieces, each in its own module:
 //!
-//! * [`registry`] — named sessions with shared/exclusive access: predicts
-//!   run on immutable snapshots (shared), deletion batches hold a
-//!   per-session exclusive gate and commit by pointer swap, so a long
-//!   downdate never blocks a predict.
+//! * [`registry`] — named sessions: predicts run on immutable snapshots,
+//!   and the applier, the only writer, commits by pointer swap, so a long
+//!   downdate never blocks a predict. One pure transition
+//!   (`SlotState::resolve` / `advance`) serves the commit, the chain
+//!   speculation and recovery redo.
 //! * [`planner`] — admission + coalescing: N single-row deletion requests
 //!   fold into one batched downdate per session, gated by a time window
 //!   and a max batch size. The coalesced batch is *one* engine `apply`
@@ -23,11 +24,12 @@
 //! * [`protocol`] — a length-prefixed wire format over any `Read`/`Write`
 //!   transport, with a dedicated reader thread feeding a message queue
 //!   per connection.
-//! * [`server`] — wires the above to one applier thread; concurrent
-//!   session batches fan out over the shared `priu-linalg` worker pool.
+//! * [`server`] — wires the above to one applier thread; the engine
+//!   calls of a pass fan out per session over the shared `priu-linalg`
+//!   worker pool.
 //! * [`wal`] / [`snapshot`] / [`recovery`] — the durability layer: an
-//!   append-only CRC-checksummed WAL with *group commit* (concurrent
-//!   batches share one fsync; every ack still waits for it), atomic
+//!   append-only CRC-checksummed WAL with *group commit* (every batch of
+//!   an applier pass shares one fsync; every ack still waits for it), atomic
 //!   per-session snapshots cut on a dedicated background thread via
 //!   copy-on-write handoff of the committed session `Arc`, periodic WAL
 //!   checkpoints that rewrite the log down to the suffix not yet covered

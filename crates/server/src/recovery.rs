@@ -17,8 +17,8 @@
 //! Redo never re-derives anything timing-dependent: the record carries
 //! the *resolved* removal set (stable ids, retention expiry folded in)
 //! and the method the cost model chose. Translation back to row indices
-//! is a binary search against the recovered id map; commits replicate the
-//! registry's id/epoch/drift arithmetic exactly.
+//! is a binary search against the recovered id map; the bookkeeping is
+//! the live commit's own [`SlotState::advance`].
 //!
 //! A record whose apply fails is *skipped, deterministically*: the live
 //! server writes the WAL frame before running the engine, so a batch that
@@ -38,11 +38,11 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use priu_core::{DeletionEngine, Delta, DeltaRows};
+use priu_core::{DeletionEngine, Delta, DeltaRows, Method};
 
 use crate::error::Result;
 use crate::failpoint::fail_point;
-use crate::registry::DurableState;
+use crate::registry::SlotState;
 use crate::server::{dense_added, run_pinned, ServerConfig};
 use crate::snapshot::{ensure_store_dirs, list_sessions, load_latest, SkippedSnapshot};
 use crate::wal::{Wal, WalRecord};
@@ -94,7 +94,7 @@ pub struct RecoveryReport {
 /// the opened WAL (positioned after the valid prefix), and the report.
 #[derive(Debug)]
 pub(crate) struct Recovered {
-    pub sessions: Vec<(String, DurableState)>,
+    pub sessions: Vec<(String, SlotState)>,
     pub wal: Wal,
     pub report: RecoveryReport,
 }
@@ -175,19 +175,18 @@ pub(crate) fn recover(cfg: &ServerConfig, dir: &Path) -> Result<Recovered> {
     })
 }
 
-/// Redoes one WAL record onto a recovered slot state, replicating the
-/// live commit arithmetic (survivor ids, fresh ids from `next_id`, epoch
-/// bump, drift counter). `Err` skips the record without mutating state.
+/// Redoes one WAL record onto a recovered slot state: the engine call,
+/// then the same [`SlotState::advance`] the live commit runs. `Err` skips
+/// the record without mutating state.
 fn redo_record(
     cfg: &ServerConfig,
-    state: &mut DurableState,
+    state: &mut SlotState,
     record: &WalRecord,
 ) -> std::result::Result<(), String> {
     // The record stores the resolved removal set — every id was present
     // when the live batch ran, so every id must resolve here too. The
-    // ids are ascending (resolved from ascending indices), hence the
-    // translated indices are ascending and duplicate-free as `Delta`
-    // requires.
+    // decoder guarantees the ids ascend, hence so do the translated
+    // indices, as `Delta` requires.
     let mut rows = Vec::with_capacity(record.removed_ids.len());
     for &id in &record.removed_ids {
         match state.ids.binary_search(&id) {
@@ -205,32 +204,12 @@ fn redo_record(
     });
     let num_added = added.as_ref().map_or(0, |d| d.num_samples());
     let delta = Delta {
-        removed: rows.clone(),
+        removed: rows,
         added: added.map(DeltaRows::Dense),
     };
     let chained = run_pinned(cfg, || state.session.apply_delta(record.method, &delta))
         .map_err(|e| format!("apply failed (as it did live): {e}"))?;
-
-    let mut survivors = Vec::with_capacity(state.ids.len() - rows.len());
-    let mut next_removed = 0;
-    for (ix, &id) in state.ids.iter().enumerate() {
-        if next_removed < rows.len() && rows[next_removed] == ix {
-            next_removed += 1;
-        } else {
-            survivors.push(id);
-        }
-    }
-    for _ in 0..num_added {
-        survivors.push(state.next_id);
-        state.next_id += 1;
-    }
+    state.advance(&delta.removed, num_added, record.method == Method::Retrain);
     state.session = Arc::new(chained.session);
-    state.ids = survivors;
-    state.epoch += 1;
-    if record.method == priu_core::Method::Retrain {
-        state.removed_since_refit = 0;
-    } else {
-        state.removed_since_refit += rows.len();
-    }
     Ok(())
 }

@@ -1,165 +1,209 @@
-//! The session registry: named tenant × model sessions with per-session
-//! shared/exclusive access.
+//! The session registry: named tenant × model sessions, each holding one
+//! [`SlotState`] behind a read/write lock.
 //!
 //! # Locking model
 //!
-//! Each [`SessionSlot`] separates the *shared* path (predictions) from the
-//! *exclusive* path (deletion batches) the way a lock table grants
-//! shared/exclusive locks — but the shared grant is made O(1) by
-//! snapshotting:
-//!
 //! * **Predictions** take the slot's state lock in *read* mode only long
 //!   enough to clone the `Arc<Session>` pointer and the epoch, then compute
-//!   on that immutable snapshot lock-free. An in-flight deletion batch
-//!   therefore never blocks a prediction, no matter how long its downdate
-//!   runs.
-//! * **Deletion batches** hold the slot's `apply_gate` (the exclusive
-//!   grant — one batch per session at a time), run the expensive
-//!   [`DeletionEngine::apply`] on the snapshot *outside* the state lock,
-//!   and commit by swapping the `Arc` under a brief state *write* lock.
+//!   on that immutable snapshot lock-free. An in-flight batch never
+//!   blocks a prediction, no matter how long its engine call runs.
+//! * **Batches** are computed by the server's applier pass, the only
+//!   writer of slot state: it runs [`DeletionEngine::apply_delta`] on the
+//!   snapshot *outside* the lock and commits with one
+//!   [`SlotState::advance`] plus the `Arc` swap under a brief *write*
+//!   lock. A pass commits each session from exactly one task, so no
+//!   per-slot gate is needed.
 //!
 //! A predict observes either the pre-batch or the post-batch session —
-//! never a torn intermediate — because the only mutation is an atomic
-//! pointer swap under the write lock.
+//! never a torn intermediate.
 //!
-//! **Lock order** (deadlock freedom): registry map lock ≺ slot
-//! `apply_gate` ≺ slot state lock. The map lock is never held while
-//! acquiring a slot lock — callers clone the `Arc<SessionSlot>` out of the
-//! map first.
+//! **Lock order** (deadlock freedom): registry map lock ≺ slot state
+//! lock. The map lock is never held while acquiring a slot lock —
+//! callers clone the `Arc<SessionSlot>` out of the map first.
 //!
-//! [`DeletionEngine::apply`]: priu_core::DeletionEngine::apply
+//! # One transition
+//!
+//! [`SlotState::resolve`] and [`SlotState::advance`] are the whole
+//! bookkeeping of an update: id translation, retention expiry, survivor
+//! ids, fresh ids, epoch and drift. The live commit, the applier's chain
+//! speculation (on a scratch clone) and recovery redo all call them, so
+//! a speculated state is the committed state by construction.
+//!
+//! [`DeletionEngine::apply_delta`]: priu_core::DeletionEngine::apply_delta
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use priu_core::{DeletionEngine, Session};
 
 use crate::error::{Result, ServerError};
+use crate::planner::ReadyBatch;
 
-/// The per-slot state behind the read/write lock: the current session
-/// snapshot plus the bookkeeping the planner and scheduler introspect.
-#[derive(Debug)]
-struct SlotState {
+/// Everything that defines a slot: the current session snapshot plus the
+/// bookkeeping each committed batch advances. Snapshots persist exactly
+/// these fields, so a restored slot is bit-identical to the live one.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotState {
     /// The current session; replaced wholesale on batch commit.
-    session: Arc<Session>,
+    pub session: Arc<Session>,
     /// Stable row id of each current row, ascending (registration assigns
     /// `0..n`; survivors keep their ids across batches; appended rows get
     /// fresh ids from `next_id`). Requests address rows by stable id, so
     /// ids stay valid while current indices shift under coalesced
     /// deletions.
-    ids: Vec<u64>,
+    pub ids: Vec<u64>,
     /// The next stable id to assign. Strictly monotonic: every id ever
     /// handed out is `< next_id`, so a retired id is never reallocated —
     /// a delete request that races a sliding window can therefore never
     /// remove a *different* row than the one it named.
-    next_id: u64,
+    pub next_id: u64,
     /// Bumped once per committed batch; predictions report the epoch of
     /// the snapshot they used.
-    epoch: u64,
+    pub epoch: u64,
     /// Sample count at registration — the denominator of the drift ratio.
-    initial_samples: usize,
+    pub initial_samples: usize,
     /// Rows removed by incremental methods since the last full retrain
     /// (reset when a batch commits with `Method::Retrain`).
-    removed_since_refit: usize,
+    pub removed_since_refit: usize,
+}
+
+/// A batch resolved against a [`SlotState`].
+#[derive(Debug)]
+pub(crate) struct Resolution {
+    /// Removal row indices into the state, ascending and distinct:
+    /// requested ids still present plus retention expiry.
+    pub rows: Vec<usize>,
+    /// How many of `rows` the retention window expired.
+    pub expired: usize,
+    /// Per request `(distinct ids requested, ids present)`.
+    pub acks: Vec<(usize, usize)>,
+}
+
+impl SlotState {
+    /// The state of a freshly registered session: ids `0..n`, epoch 0.
+    pub(crate) fn new(session: Session) -> Self {
+        let n = session.num_samples();
+        Self {
+            session: Arc::new(session),
+            ids: (0..n as u64).collect(),
+            next_id: n as u64,
+            epoch: 0,
+            initial_samples: n,
+            removed_since_refit: 0,
+        }
+    }
+
+    /// The drift ratio after `removed` more incremental removals: rows
+    /// removed since the last refit over registration-time rows.
+    pub(crate) fn drift_after(&self, removed: usize) -> f64 {
+        if self.initial_samples == 0 {
+            0.0
+        } else {
+            (self.removed_since_refit + removed) as f64 / self.initial_samples as f64
+        }
+    }
+
+    /// Resolves a batch against this state: translates its union of
+    /// stable ids to row indices (ids already gone are stale), applies
+    /// its retention window, and counts what each request will see.
+    ///
+    /// The window is resolved against the pre-batch id list: if more
+    /// than `keep_last` rows would remain after the batch's deletions and
+    /// additions, the oldest pre-existing rows (lowest stable ids — the
+    /// map is ascending) not already deleted expire, never rows the batch
+    /// appends, clamped so at least one pre-existing row survives.
+    pub(crate) fn resolve(&self, batch: &ReadyBatch) -> Resolution {
+        let mut removal: BTreeSet<usize> = batch
+            .union
+            .iter()
+            .filter_map(|id| self.ids.binary_search(id).ok())
+            .collect();
+        let mut expired = 0;
+        if let Some(keep) = batch.keep_last {
+            let pre_survivors = self.ids.len() - removal.len();
+            let over = (pre_survivors + batch.num_added()).saturating_sub(keep as usize);
+            let to_expire = over.min(pre_survivors.saturating_sub(1));
+            let mut ix = 0;
+            while expired < to_expire {
+                if removal.insert(ix) {
+                    expired += 1;
+                }
+                ix += 1;
+            }
+        }
+        let acks = batch
+            .requests
+            .iter()
+            .map(|request| {
+                let distinct: BTreeSet<u64> = request.ids.iter().copied().collect();
+                let applied = distinct
+                    .iter()
+                    .filter(|id| self.ids.binary_search(id).is_ok())
+                    .count();
+                (distinct.len(), applied)
+            })
+            .collect();
+        Resolution {
+            rows: removal.into_iter().collect(),
+            expired,
+            acks,
+        }
+    }
+
+    /// Advances the bookkeeping past one committed batch: the rows at
+    /// `rows` (ascending indices) retire, `num_added` appended rows take
+    /// fresh ids after the survivors, the epoch bumps, and the drift
+    /// counter accumulates — or resets when `refit` (a full retrain
+    /// re-anchors the model on the survivors). The session itself is the
+    /// caller's to swap.
+    ///
+    /// # Panics
+    /// If a surviving id was never assigned: fresh ids come from the
+    /// strictly monotonic `next_id` counter, so every id must be below it
+    /// — the invariant that makes retired ids unreusable.
+    pub(crate) fn advance(&mut self, rows: &[usize], num_added: usize, refit: bool) {
+        let mut retiring = rows.iter().copied().peekable();
+        let mut ix = 0;
+        self.ids.retain(|_| {
+            let retire = retiring.next_if_eq(&ix).is_some();
+            ix += 1;
+            !retire
+        });
+        if let Some(&max) = self.ids.last() {
+            assert!(
+                max < self.next_id,
+                "stable id {max} was never assigned (next_id {})",
+                self.next_id
+            );
+        }
+        self.ids
+            .extend(self.next_id..self.next_id + num_added as u64);
+        self.next_id += num_added as u64;
+        self.epoch += 1;
+        self.removed_since_refit = if refit {
+            0
+        } else {
+            self.removed_since_refit + rows.len()
+        };
+    }
 }
 
 /// A registered session: the unit the registry hands out. See the module
-/// docs for the shared/exclusive locking model.
+/// docs for the locking model.
 #[derive(Debug)]
 pub struct SessionSlot {
     state: RwLock<SlotState>,
-    /// The exclusive grant: serialises deletion batches on this session.
-    apply_gate: Mutex<()>,
-}
-
-/// Everything a batch applier needs from a slot, read under one shared
-/// lock acquisition: the immutable session snapshot, the stable-id map,
-/// and the drift bookkeeping.
-#[derive(Debug, Clone)]
-pub(crate) struct ApplyView {
-    /// The session snapshot the batch will be computed on.
-    pub session: Arc<Session>,
-    /// Stable ids of the snapshot's rows (ascending).
-    pub ids: Vec<u64>,
-    /// The monotonic fresh-id counter — what the next committed append
-    /// will assign from. Chained (speculative) resolution needs it to
-    /// predict the ids a not-yet-committed batch will hand out.
-    pub next_id: u64,
-    /// Epoch of the snapshot.
-    pub epoch: u64,
-    /// Registration-time sample count.
-    pub initial_samples: usize,
-    /// Incrementally removed rows since the last full retrain.
-    pub removed_since_refit: usize,
-}
-
-/// Everything the durability layer must persist to reconstruct a slot
-/// bit-exactly: the session snapshot plus the registry bookkeeping a
-/// [`SessionSlot::commit`] mutates.
-#[derive(Debug, Clone)]
-pub(crate) struct DurableState {
-    /// The current session snapshot.
-    pub session: Arc<Session>,
-    /// Stable ids of the snapshot's rows (ascending).
-    pub ids: Vec<u64>,
-    /// The monotonic fresh-id counter (never rewinds, even when the tail
-    /// ids were retired — reallocating one would resurrect a deleted row).
-    pub next_id: u64,
-    /// Epoch of the snapshot.
-    pub epoch: u64,
-    /// Registration-time sample count (drift denominator).
-    pub initial_samples: usize,
-    /// Incrementally removed rows since the last full retrain.
-    pub removed_since_refit: usize,
 }
 
 impl SessionSlot {
-    fn new(session: Session) -> Self {
-        let n = session.num_samples();
-        Self {
-            state: RwLock::new(SlotState {
-                session: Arc::new(session),
-                ids: (0..n as u64).collect(),
-                next_id: n as u64,
-                epoch: 0,
-                initial_samples: n,
-                removed_since_refit: 0,
-            }),
-            apply_gate: Mutex::new(()),
-        }
-    }
-
-    /// Rebuilds a slot from persisted durable state (recovery path).
-    pub(crate) fn restore(state: DurableState) -> Self {
-        Self {
-            state: RwLock::new(SlotState {
-                session: state.session,
-                ids: state.ids,
-                next_id: state.next_id,
-                epoch: state.epoch,
-                initial_samples: state.initial_samples,
-                removed_since_refit: state.removed_since_refit,
-            }),
-            apply_gate: Mutex::new(()),
-        }
-    }
-
     fn read(&self) -> std::sync::RwLockReadGuard<'_, SlotState> {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Reads everything the durability layer persists, in one shared
-    /// acquisition — the snapshot writer calls this right after a commit.
-    pub(crate) fn durable_state(&self) -> DurableState {
-        let state = self.read();
-        DurableState {
-            session: state.session.clone(),
-            ids: state.ids.clone(),
-            next_id: state.next_id,
-            epoch: state.epoch,
-            initial_samples: state.initial_samples,
-            removed_since_refit: state.removed_since_refit,
-        }
+    /// A copy of the whole slot state in one shared acquisition — the
+    /// base of a chain's speculation and of every snapshot.
+    pub(crate) fn state(&self) -> SlotState {
+        self.read().clone()
     }
 
     /// The shared grant: the current session snapshot and its epoch. The
@@ -179,75 +223,22 @@ impl SessionSlot {
     /// fraction of the registration-time sample count — the accumulated
     /// drift the scheduler folds into its retrain decision.
     pub fn drift(&self) -> f64 {
-        let state = self.read();
-        if state.initial_samples == 0 {
-            0.0
-        } else {
-            state.removed_since_refit as f64 / state.initial_samples as f64
-        }
+        self.read().drift_after(0)
     }
 
-    /// Takes the exclusive grant for one deletion batch. Held across
-    /// compute + commit, so batches on one session never interleave.
-    pub(crate) fn begin_apply(&self) -> MutexGuard<'_, ()> {
-        self.apply_gate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Reads everything a batch applier needs in one shared acquisition.
-    pub(crate) fn apply_view(&self) -> ApplyView {
-        let state = self.read();
-        ApplyView {
-            session: state.session.clone(),
-            ids: state.ids.clone(),
-            next_id: state.next_id,
-            epoch: state.epoch,
-            initial_samples: state.initial_samples,
-            removed_since_refit: state.removed_since_refit,
-        }
-    }
-
-    /// Commits a batch: swaps in the successor session and the surviving
-    /// id map, assigns `added` fresh stable ids to the rows the batch
-    /// appended (indexed after the survivors), bumps the epoch and updates
-    /// the drift counter (`refit` resets it — a full retrain re-anchors
-    /// the model on the survivors). Returns the new epoch. Caller must
-    /// hold the `apply_gate`.
-    ///
-    /// # Panics
-    /// If `ids` contains an id the slot never assigned: fresh ids come
-    /// from the strictly monotonic `next_id` counter, so every committed
-    /// id must be below it — the invariant that makes retired ids
-    /// unreusable.
+    /// Commits a batch: one [`SlotState::advance`] on the live state and
+    /// the swap to the successor session, under one write lock. Returns
+    /// the new epoch.
     pub(crate) fn commit(
         &self,
         session: Arc<Session>,
-        mut ids: Vec<u64>,
-        removed: usize,
-        added: usize,
+        rows: &[usize],
+        num_added: usize,
         refit: bool,
     ) -> u64 {
         let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&max) = ids.last() {
-            assert!(
-                max < state.next_id,
-                "stable id {max} was never assigned (next_id {})",
-                state.next_id
-            );
-        }
-        for _ in 0..added {
-            ids.push(state.next_id);
-            state.next_id += 1;
-        }
+        state.advance(rows, num_added, refit);
         state.session = session;
-        state.ids = ids;
-        state.epoch += 1;
-        if refit {
-            state.removed_since_refit = 0;
-        } else {
-            state.removed_since_refit += removed;
-        }
         state.epoch
     }
 }
@@ -274,27 +265,18 @@ impl SessionRegistry {
     /// # Errors
     /// [`ServerError::SessionExists`] if the name is taken.
     pub fn register(&self, name: &str, session: Session) -> Result<Arc<SessionSlot>> {
-        let slot = Arc::new(SessionSlot::new(session));
-        let mut slots = self.lock();
-        if slots.contains_key(name) {
-            return Err(ServerError::SessionExists(name.to_string()));
-        }
-        slots.insert(name.to_string(), slot.clone());
-        Ok(slot)
+        self.register_state(name, SlotState::new(session))
     }
 
-    /// Registers a slot rebuilt from persisted durable state (recovery
-    /// path) — unlike [`SessionRegistry::register`], the id map, epoch and
-    /// drift counters come from the snapshot, not from scratch.
+    /// Registers a slot with the given state — a fresh one, or one
+    /// restored from a snapshot plus redo on recovery.
     ///
     /// # Errors
     /// [`ServerError::SessionExists`] if the name is taken.
-    pub(crate) fn register_restored(
-        &self,
-        name: &str,
-        state: DurableState,
-    ) -> Result<Arc<SessionSlot>> {
-        let slot = Arc::new(SessionSlot::restore(state));
+    pub(crate) fn register_state(&self, name: &str, state: SlotState) -> Result<Arc<SessionSlot>> {
+        let slot = Arc::new(SessionSlot {
+            state: RwLock::new(state),
+        });
         let mut slots = self.lock();
         if slots.contains_key(name) {
             return Err(ServerError::SessionExists(name.to_string()));
@@ -399,75 +381,67 @@ mod tests {
 
     #[test]
     fn slots_track_epoch_ids_and_drift_across_commits() {
+        let mut state = SlotState::new(session(50, 7));
+        assert_eq!(state.epoch, 0);
+        assert_eq!(state.drift_after(0), 0.0);
+        assert_eq!(state.ids, (0..50).collect::<Vec<u64>>());
+        assert_eq!(state.initial_samples, 50);
+
+        // Retire current rows {1, 3}: ids 1 and 3 drop out of the id map,
+        // drift accumulates.
+        state.advance(&[1, 3], 0, false);
+        assert_eq!(state.epoch, 1);
+        assert_eq!(state.ids.len(), 48);
+        assert!(!state.ids.contains(&1) && !state.ids.contains(&3));
+        assert!((state.drift_after(0) - 2.0 / 50.0).abs() < 1e-15);
+
+        // A refit resets the drift counter.
+        state.advance(&[0], 0, true);
+        assert_eq!(state.epoch, 2);
+        assert_eq!(state.drift_after(0), 0.0);
+
+        // The live commit is the same transition plus the session swap.
         let registry = SessionRegistry::new();
         let slot = registry.register("s", session(50, 7)).unwrap();
-        let (snap, epoch) = slot.snapshot();
-        assert_eq!(epoch, 0);
-        assert_eq!(slot.drift(), 0.0);
-        let view = slot.apply_view();
-        assert_eq!(view.ids, (0..50).collect::<Vec<u64>>());
-        assert_eq!(view.initial_samples, 50);
-
-        // Commit a fake batch removing current rows {1, 3}: ids 1 and 3
-        // drop out of the id map, drift accumulates.
-        let chained = {
-            use priu_core::{DeletionEngine, Method};
-            snap.apply(Method::Priu, &[1, 3]).unwrap()
-        };
-        let _gate = slot.begin_apply();
-        let ids: Vec<u64> = view
-            .ids
-            .iter()
-            .copied()
-            .filter(|&id| id != 1 && id != 3)
-            .collect();
-        let epoch = slot.commit(Arc::new(chained.session), ids, 2, 0, false);
-        assert_eq!(epoch, 1);
-        assert_eq!(slot.epoch(), 1);
-        assert_eq!(slot.apply_view().ids.len(), 48);
-        assert!((slot.drift() - 2.0 / 50.0).abs() < 1e-15);
-
-        // A refit commit resets the drift counter.
         let (snap, _) = slot.snapshot();
-        let epoch = slot.commit(snap, (0..48).collect(), 0, 0, true);
-        assert_eq!(epoch, 2);
-        assert_eq!(slot.drift(), 0.0);
+        assert_eq!(slot.commit(snap, &[1, 3], 0, false), 1);
+        assert_eq!(slot.epoch(), 1);
+        assert_eq!(slot.state().ids.len(), 48);
+        assert!((slot.drift() - 2.0 / 50.0).abs() < 1e-15);
     }
 
     #[test]
     fn retired_ids_are_never_reallocated() {
-        let registry = SessionRegistry::new();
-        let slot = registry.register("s", session(10, 3)).unwrap();
-        let (snap, _) = slot.snapshot();
+        let mut state = SlotState::new(session(10, 3));
 
-        // Retire ids {0, 1} and append 3 rows in the same commit: the
+        // Retire ids {0, 1} and append 3 rows in the same batch: the
         // fresh ids continue from the monotonic counter, skipping nothing
         // and reusing nothing.
-        let survivors: Vec<u64> = (2..10).collect();
-        slot.commit(snap.clone(), survivors, 2, 3, false);
-        let ids = slot.apply_view().ids;
-        assert_eq!(ids, (2..13).collect::<Vec<u64>>());
-        assert!(!ids.contains(&0) && !ids.contains(&1));
+        state.advance(&[0, 1], 3, false);
+        assert_eq!(state.ids, (2..13).collect::<Vec<u64>>());
+        assert_eq!(state.next_id, 13);
 
-        // Retire an appended row and append again: still no reuse — the
-        // next fresh id is 13 even though 0, 1 and 10 are free.
-        let survivors: Vec<u64> = ids.into_iter().filter(|&id| id != 10).collect();
-        slot.commit(snap, survivors, 1, 1, false);
-        let ids = slot.apply_view().ids;
-        assert_eq!(*ids.last().unwrap(), 13);
-        assert!(!ids.contains(&10));
+        // Retire an appended row (id 10 sits at row 8) and append again:
+        // still no reuse — the next fresh id is 13 even though 0, 1 and
+        // 10 are free.
+        state.advance(&[8], 1, false);
+        assert_eq!(*state.ids.last().unwrap(), 13);
         // Every id ever retired stays retired.
         for retired in [0, 1, 10] {
-            assert!(!ids.contains(&retired));
+            assert!(!state.ids.contains(&retired));
         }
     }
 
     #[test]
     #[should_panic(expected = "never assigned")]
     fn committing_an_unassigned_id_panics() {
+        // Only a corrupt state can hold an id at or past `next_id`; the
+        // commit refuses to build on it.
+        let mut state = SlotState::new(session(10, 4));
+        state.ids = vec![0, 99];
         let registry = SessionRegistry::new();
-        let slot = registry.register("s", session(10, 4)).unwrap();
+        let slot = registry.register_state("s", state).unwrap();
         let (snap, _) = slot.snapshot();
-        slot.commit(snap, vec![0, 99], 0, 0, false);
+        slot.commit(snap, &[], 0, false);
     }
 }

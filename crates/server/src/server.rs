@@ -8,10 +8,10 @@
 //!   sliding-window ticks — receiving a [`DeleteTicket`].
 //! * The **applier thread** sleeps on the planner condvar until a batch
 //!   deadline (or a flush/shutdown poke), takes every ready batch, and
-//!   applies them. When several sessions are ready at once the batches
-//!   fan out over the shared worker pool via [`par::run_tasks`] — the
-//!   per-session `apply_gate` keeps correctness, the pool gives
-//!   cross-session parallelism.
+//!   applies them in one pass: it resolves and WAL-appends every batch
+//!   serially, fsyncs once, then fans the engine calls, commits and acks
+//!   out per session over the shared worker pool via [`par::run_tasks`].
+//!   It is the only writer of slot state (see `apply_pass`).
 //! * **Connections** ([`Server::serve_connection`]) each get a dedicated
 //!   protocol reader thread plus a responder thread that resolves
 //!   change tickets in admission order.
@@ -39,7 +39,7 @@
 //!
 //! [`DeletionEngine::apply_delta`]: priu_core::DeletionEngine::apply_delta
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,7 +66,7 @@ use crate::protocol::{
     Request, Response, ResponseEnvelope,
 };
 use crate::recovery::{recover, RecoveryReport};
-use crate::registry::{SessionRegistry, SessionSlot};
+use crate::registry::{Resolution, SessionRegistry, SessionSlot};
 use crate::scheduler::{CostModel, SchedulerConfig};
 use crate::snapshot::{SnapshotJob, SnapshotService};
 use crate::wal::{GroupCommitConfig, GroupWal, WalRecord, WalStats};
@@ -82,14 +82,14 @@ pub struct DurabilityConfig {
     /// WAL suffix redo to at most `snapshot_every - 1` records per
     /// session.
     pub snapshot_every: u64,
-    /// Group-commit tuning: how many batches may share one WAL fsync and
-    /// how long a leader holds the group open. `max_group: 1` restores
-    /// one-fsync-per-batch.
+    /// Group-commit tuning: how many WAL frames one fsync may cover. An
+    /// applier pass normally shares one fsync across every batch it
+    /// appends; `max_group: 1` makes every append fsync on its own.
     pub group: GroupCommitConfig,
     /// WAL compaction threshold: after each background snapshot lands,
     /// the log is checkpointed (rewritten down to the snapshot coverage
-    /// frontier) once at least this many bytes were appended since the
-    /// previous checkpoint. Bounds log size for long-lived servers.
+    /// frontier) once it holds at least this many bytes of delta frames
+    /// not yet compacted away. Bounds log size for long-lived servers.
     pub checkpoint_bytes: u64,
 }
 
@@ -154,10 +154,8 @@ pub struct SessionStats {
 }
 
 /// The live durability state: the group-commit WAL plus the background
-/// snapshot service. The WAL's internal mutex serialises appends across
-/// sessions (batches fan out over the pool), which is also what assigns
-/// the global LSN order; fsyncs are amortised across whatever appended
-/// since the last one.
+/// snapshot service. The applier appends every frame from one thread,
+/// which assigns the global LSN order, and fsyncs once per pass.
 struct Durability {
     snapshot_every: u64,
     wal: Arc<GroupWal>,
@@ -203,6 +201,7 @@ impl Inner {
                 got: features.len(),
             });
         }
+        check_finite("feature", features)?;
         Ok(predict_on(model, features, epoch))
     }
 
@@ -289,10 +288,21 @@ fn predict_on(model: &Model, features: &[f64], epoch: u64) -> Prediction {
     }
 }
 
+/// Rejects NaN and infinite values: one would poison every model it
+/// reached, and the WAL would replay the poison on every restart.
+fn check_finite(what: &str, values: &[f64]) -> Result<()> {
+    match values.iter().find(|v| !v.is_finite()) {
+        Some(bad) => Err(ServerError::InvalidRows(format!(
+            "{what} {bad} is not finite"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Admission-time validation of appended rows against the session they
-/// target: shape, feature width, and label kind/range. Rejecting here
-/// keeps a malformed add from failing the coalesced batch it would have
-/// been folded into.
+/// target: shape, feature width, finiteness, and label kind/range.
+/// Rejecting here keeps a malformed add from failing the coalesced batch
+/// it would have been folded into, and keeps it out of the WAL.
 fn validate_added_rows(session: &Session, rows: &AddedRows) -> Result<()> {
     if rows.features.len() != rows.num_features * rows.labels.len() {
         return Err(ServerError::InvalidRows(format!(
@@ -317,8 +327,10 @@ fn validate_added_rows(session: &Session, rows: &AddedRows) -> Result<()> {
             got: rows.num_features,
         });
     }
+    check_finite("feature", &rows.features)?;
     match session.task() {
-        TaskKind::Regression => {}
+        TaskKind::Regression => check_finite("label", &rows.labels)?,
+        // NaN and ±inf fail both class-domain checks below.
         TaskKind::BinaryClassification => {
             if let Some(&bad) = rows.labels.iter().find(|&&l| l != 1.0 && l != -1.0) {
                 return Err(ServerError::InvalidRows(format!(
@@ -398,13 +410,13 @@ pub(crate) fn run_pinned<R>(cfg: &ServerConfig, f: impl FnOnce() -> R) -> R {
 }
 
 /// One resolved batch of a chain, as phase 3 needs it. Nothing
-/// proportional to the session's row count is stored per step — survivor
-/// lists are recomputed at commit time from the slot's live ids — so a
-/// long chain costs memory proportional to its deltas, not its models.
+/// proportional to the session's row count is stored per step — the
+/// commit advances the slot's live ids — so a long chain costs memory
+/// proportional to its deltas, not its models.
 enum ChainStep {
     /// The batch changes nothing (every id already gone, nothing
     /// appended, no retention bite) — acknowledged in chain order, after
-    /// the group fsync, because its resolution assumed the preceding
+    /// the pass fsync, because its resolution assumed the preceding
     /// batches applied.
     Noop {
         /// Epoch to report: the predicted committed epoch at this point.
@@ -414,7 +426,7 @@ enum ChainStep {
     },
     /// A real delta to apply and commit.
     Apply {
-        /// Removal row indices into the batch's pre-state, sorted.
+        /// Removal row indices into the batch's pre-state, ascending.
         rows: Vec<usize>,
         /// Appended rows, flat `(width, features, labels)`.
         added: Option<(usize, Vec<f64>, Vec<f64>)>,
@@ -422,8 +434,6 @@ enum ChainStep {
         method: Method,
         /// Retention-expired row count (already folded into `rows`).
         expired: usize,
-        /// Pre-batch sample count (cost-model observation denominator).
-        pre_samples: usize,
         /// The LSN the batch's WAL record got, if durable.
         wal_lsn: Option<u64>,
         /// Per request `(requested, applied)` against the pre-state.
@@ -431,216 +441,91 @@ enum ChainStep {
     },
 }
 
-/// Applies a *chain* of ready batches for one session end to end. A
-/// chain is the maximal run of same-session batches one planner pass
-/// produced — always length 1 with coalescing on; with coalescing off a
-/// drained backlog arrives as one chain of single-request batches. The
-/// chain takes the session's apply gate once and pipelines the
-/// durability boundary in three phases:
+/// A chain of same-session batches and what phase 1 resolved for it.
+struct ChainPlan {
+    batches: Vec<ReadyBatch>,
+    slot: Arc<SessionSlot>,
+    cost: Option<Arc<Mutex<CostModel>>>,
+    steps: Vec<ChainStep>,
+}
+
+fn fail_batch(batch: &ReadyBatch, message: &str) {
+    for request in &batch.requests {
+        let _ = request
+            .reply
+            .send(Err(ServerError::BatchFailed(message.to_string())));
+    }
+}
+
+/// Applies every batch one planner pass made ready. Same-session batches
+/// arrive adjacent (`take_ready` emits in session order) and form a
+/// *chain* — always length 1 with coalescing on; with coalescing off a
+/// drained backlog is one chain of single-request batches. The pass
+/// moves the durability boundary once for all of them:
 ///
-/// 1. **Resolve + append.** Each batch is resolved *speculatively*
-///    against the predicted outcome of the previous one: id translation,
-///    retention expiry, drift, and the method decision are pure
-///    arithmetic over `{ids, next_id, epoch, removed_since_refit}` plus
-///    the capture metadata, every input of which the commit path derives
-///    deterministically — so the prediction is exact, not heuristic. The
-///    batch's WAL frame is appended (unsynced) carrying the previous
-///    record's LSN as `prev_lsn`.
-/// 2. **One group fsync** covers every frame the chain appended (other
-///    chains' frames may share it too — see [`GroupWal::sync_through`]).
-/// 3. **Apply + commit + ack**, per batch in order: the engine call, the
-///    registry commit, the periodic snapshot handoff to the snapshot
-///    thread, and the replies — exactly the single-batch sequence.
+/// 1. **Resolve + append**, serially, chain by chain. Each batch is
+///    resolved against the previous one's outcome, which
+///    [`SlotState::advance`](crate::registry::SlotState::advance) on a
+///    scratch clone of the slot state
+///    computes — the very transition the commit runs, so the prediction
+///    is exact. The cost model decides the method and the batch's WAL
+///    frame is appended (unsynced), carrying the previous record of its
+///    chain as `prev_lsn`.
+/// 2. **One fsync** ([`GroupWal::sync_through`]) covers every frame the
+///    pass appended, across all sessions.
+/// 3. **Apply + commit + ack** fan out per chain over the worker pool;
+///    within a chain, batches go in order: the engine call, the slot
+///    commit, the periodic snapshot handoff, the replies.
 ///
-/// Per batch the durability contract is unchanged — gate → resolve →
-/// decide → append → fsync → apply → commit → ack — but k batches share
-/// one fsync instead of paying k. If an apply fails mid-chain, every
-/// *downstream* batch fails with it (their resolutions assumed it
-/// applied) and recovery skips their WAL records the same way via the
-/// `prev_lsn` dependency.
-fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
-    let reply_all_err = |batch: &ReadyBatch, message: &str| {
-        for request in &batch.requests {
-            let _ = request
-                .reply
-                .send(Err(ServerError::BatchFailed(message.to_string())));
+/// Per batch the durability contract is unchanged — resolve → decide →
+/// append → fsync → apply → commit → ack — but a pass pays one fsync
+/// instead of one per batch. The applier is the only writer of slot
+/// state, and a pass commits each session from one task, so no per-slot
+/// lock is held across the engine call. If an append or the fsync
+/// fails, nothing in the pass applies or acks. If an apply fails
+/// mid-chain, every *downstream* batch of that chain fails with it
+/// (their resolutions assumed it applied) and recovery skips their WAL
+/// records the same way via the `prev_lsn` dependency.
+fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
+    let mut chains: Vec<Vec<ReadyBatch>> = Vec::new();
+    for batch in ready {
+        match chains.last_mut() {
+            Some(chain) if chain[0].session == batch.session => chain.push(batch),
+            _ => chains.push(vec![batch]),
         }
-    };
-    let session_name = chain[0].session.clone();
-    let slot: Arc<SessionSlot> = match inner.registry.get(&session_name) {
-        Ok(slot) => slot,
-        Err(err) => {
-            // Session dropped between admission and batching.
-            let message = err.to_string();
-            for batch in &chain {
-                reply_all_err(batch, &message);
-            }
-            return;
-        }
-    };
-
-    // Exclusive grant first, *then* read the view: a batch folded while a
-    // previous batch of the same session was in flight must see the
-    // committed state, not the pre-batch snapshot.
-    let _gate = slot.begin_apply();
-    let view = slot.apply_view();
-    let cost = inner.cost_model(&session_name);
-
-    // --- Phase 1: speculative resolve + WAL append -----------------------
-    let base_session = view.session;
-    let mut spec_ids = view.ids;
-    let mut spec_next_id = view.next_id;
-    let mut spec_epoch = view.epoch;
-    let mut spec_removed = view.removed_since_refit;
-    let initial_samples = view.initial_samples;
-    // The capture metadata the scheduler reads is constant across a
-    // chain except for the sample count, which the speculation tracks.
-    let mut base_snapshot: Option<CaptureSnapshot> = None;
-
-    let mut steps: Vec<ChainStep> = Vec::with_capacity(chain.len());
-    let mut last_lsn: Option<u64> = None;
-    let mut last_seq: Option<u64> = None;
-    let mut broken: Option<String> = None;
-
-    for batch in &chain {
-        // Translate stable ids → predicted row indices. The set keeps the
-        // removal indices sorted and deduplicated against retention
-        // expiry.
-        let mut removal: BTreeSet<usize> = BTreeSet::new();
-        for &id in &batch.union {
-            if let Ok(ix) = spec_ids.binary_search(&id) {
-                removal.insert(ix);
-            }
-        }
-        let num_added = batch.num_added();
-
-        // Resolve the retention window against the pre-batch id list:
-        // expire the oldest pre-existing rows (lowest stable ids — the id
-        // map is ascending) not already deleted, never same-batch
-        // additions, clamped so at least one pre-existing row survives.
-        let mut expired = 0usize;
-        if let Some(keep) = batch.keep_last {
-            let pre_survivors = spec_ids.len() - removal.len();
-            let over = (pre_survivors + num_added).saturating_sub(keep as usize);
-            let to_expire = over.min(pre_survivors.saturating_sub(1));
-            let mut ix = 0;
-            while expired < to_expire {
-                if removal.insert(ix) {
-                    expired += 1;
-                }
-                ix += 1;
-            }
-        }
-        let rows: Vec<usize> = removal.into_iter().collect();
-
-        let acks: Vec<(usize, usize)> = batch
-            .requests
-            .iter()
-            .map(|request| {
-                let distinct: BTreeSet<u64> = request.ids.iter().copied().collect();
-                let applied = distinct
-                    .iter()
-                    .filter(|id| spec_ids.binary_search(id).is_ok())
-                    .count();
-                (distinct.len(), applied)
-            })
-            .collect();
-
-        if rows.is_empty() && num_added == 0 {
-            steps.push(ChainStep::Noop {
-                epoch: spec_epoch,
-                acks,
-            });
-            continue;
-        }
-
-        let snapshot = {
-            let mut snapshot = base_snapshot
-                .get_or_insert_with(|| base_session.capture_snapshot())
-                .clone();
-            snapshot.num_samples = spec_ids.len();
-            snapshot
-        };
-        let drift_after = if initial_samples == 0 {
-            0.0
-        } else {
-            (spec_removed + rows.len()) as f64 / initial_samples as f64
-        };
-        let method = match &cost {
-            Some(model) => model
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .decide_delta(&snapshot, rows.len(), num_added, drift_after),
-            None => Method::Retrain,
-        };
-        let added_flat = concat_added(batch);
-
-        // Durability boundary: the resolved removal set (stable ids after
-        // retention expiry) and the chosen method — both timing-dependent
-        // and hence recorded rather than re-derived — go to the WAL now;
-        // the shared fsync follows in phase 2, before anything applies or
-        // acks.
-        let mut wal_lsn = None;
-        if let Some(durability) = &inner.durability {
-            let mut record = WalRecord {
-                lsn: 0,
-                prev_lsn: last_lsn,
-                session: session_name.clone(),
-                method,
-                removed_ids: rows.iter().map(|&ix| spec_ids[ix]).collect(),
-                keep_last: batch.keep_last,
-                added: added_flat.clone(),
-            };
-            match durability.wal.append(&mut record) {
-                Ok(seq) => {
-                    wal_lsn = Some(record.lsn);
-                    last_lsn = Some(record.lsn);
-                    last_seq = Some(seq);
-                }
-                Err(err) => {
-                    // The log is broken: earlier appends can never fsync,
-                    // later resolutions would depend on this one. Fail
-                    // the whole chain below.
-                    broken = Some(err.to_string());
-                    break;
-                }
-            }
-        }
-
-        // Predict the commit: survivors keep their ids, appended rows
-        // take fresh ids, epoch bumps, drift accumulates (or resets on a
-        // retrain) — the exact arithmetic `SessionSlot::commit` runs.
-        let pre_samples = spec_ids.len();
-        let refit = method == Method::Retrain;
-        let mut survivors = Vec::with_capacity(spec_ids.len() - rows.len());
-        let mut next_removed = 0;
-        for (ix, &id) in spec_ids.iter().enumerate() {
-            if next_removed < rows.len() && rows[next_removed] == ix {
-                next_removed += 1;
-            } else {
-                survivors.push(id);
-            }
-        }
-        spec_ids = survivors;
-        for _ in 0..num_added {
-            spec_ids.push(spec_next_id);
-            spec_next_id += 1;
-        }
-        spec_epoch += 1;
-        spec_removed = if refit { 0 } else { spec_removed + rows.len() };
-
-        steps.push(ChainStep::Apply {
-            rows,
-            added: added_flat,
-            method,
-            expired,
-            pre_samples,
-            wal_lsn,
-            acks,
-        });
     }
 
-    // --- Phase 2: one group fsync for the whole chain --------------------
+    // --- Phase 1: resolve + append, serially ----------------------------
+    let mut plans = Vec::with_capacity(chains.len());
+    let mut last_seq = None;
+    let mut broken: Option<String> = None;
+    for batches in chains {
+        let slot = match inner.registry.get(&batches[0].session) {
+            Ok(slot) => slot,
+            Err(err) => {
+                // Session dropped between admission and batching.
+                for batch in &batches {
+                    fail_batch(batch, &err.to_string());
+                }
+                continue;
+            }
+        };
+        let mut plan = ChainPlan {
+            cost: inner.cost_model(&batches[0].session),
+            batches,
+            slot,
+            steps: Vec::new(),
+        };
+        if broken.is_none() {
+            if let Err(err) = resolve_chain(inner, &mut plan, &mut last_seq) {
+                // The log is broken: earlier appends can never fsync.
+                broken = Some(err.to_string());
+            }
+        }
+        plans.push(plan);
+    }
+
+    // --- Phase 2: one fsync for the whole pass --------------------------
     if broken.is_none() {
         if let (Some(durability), Some(seq)) = (&inner.durability, last_seq) {
             if let Err(err) = durability.wal.sync_through(seq) {
@@ -649,22 +534,120 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
         }
     }
     if let Some(message) = broken {
-        // Nothing was acknowledged; the session state is untouched.
+        // Nothing was acknowledged; every session state is untouched.
         let message = format!("durability failure: {message}");
-        for batch in &chain {
-            reply_all_err(batch, &message);
+        for batch in plans.iter().flat_map(|plan| &plan.batches) {
+            fail_batch(batch, &message);
         }
         return;
     }
 
-    // --- Phase 3: apply + commit + ack, in chain order -------------------
-    let mut current_session = base_session;
+    // --- Phase 3: apply + commit + ack, fanned out per chain ------------
+    // A single chain runs inline on the applier, free to use the pool.
+    par::run_tasks(
+        plans
+            .into_iter()
+            .map(|plan| move || commit_chain(inner, plan))
+            .collect(),
+    );
+}
+
+/// Phase 1 for one chain: resolves each batch against a scratch clone of
+/// the slot state, decides its method, appends its WAL frame and advances
+/// the clone.
+///
+/// # Errors
+/// The WAL append failure; the log is broken from then on.
+fn resolve_chain(inner: &Inner, plan: &mut ChainPlan, last_seq: &mut Option<u64>) -> Result<()> {
+    let mut spec = plan.slot.state();
+    // The capture metadata the scheduler reads is constant across a
+    // chain except for the sample count, which the speculation tracks.
+    let mut capture: Option<CaptureSnapshot> = None;
+    let mut prev_lsn = None;
+    for batch in &plan.batches {
+        let Resolution {
+            rows,
+            expired,
+            acks,
+        } = spec.resolve(batch);
+        let num_added = batch.num_added();
+        if rows.is_empty() && num_added == 0 {
+            plan.steps.push(ChainStep::Noop {
+                epoch: spec.epoch,
+                acks,
+            });
+            continue;
+        }
+        let method = match &plan.cost {
+            Some(model) => {
+                let mut snapshot = capture
+                    .get_or_insert_with(|| spec.session.capture_snapshot())
+                    .clone();
+                snapshot.num_samples = spec.ids.len();
+                model
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .decide_delta(
+                        &snapshot,
+                        rows.len(),
+                        num_added,
+                        spec.drift_after(rows.len()),
+                    )
+            }
+            None => Method::Retrain,
+        };
+        let added = concat_added(batch);
+
+        // Durability boundary: the resolved removal set (stable ids after
+        // retention expiry) and the chosen method — both timing-dependent
+        // and hence recorded rather than re-derived — go to the WAL now;
+        // the pass fsync follows in phase 2, before anything applies or
+        // acks.
+        let mut wal_lsn = None;
+        if let Some(durability) = &inner.durability {
+            let mut record = WalRecord {
+                lsn: 0,
+                prev_lsn,
+                session: batch.session.clone(),
+                method,
+                removed_ids: rows.iter().map(|&ix| spec.ids[ix]).collect(),
+                keep_last: batch.keep_last,
+                added: added.clone(),
+            };
+            *last_seq = Some(durability.wal.append(&mut record)?);
+            wal_lsn = Some(record.lsn);
+            prev_lsn = wal_lsn;
+        }
+
+        spec.advance(&rows, num_added, method == Method::Retrain);
+        plan.steps.push(ChainStep::Apply {
+            rows,
+            added,
+            method,
+            expired,
+            wal_lsn,
+            acks,
+        });
+    }
+    Ok(())
+}
+
+/// Phase 3 for one chain: applies, commits and acknowledges each step in
+/// order, after the pass fsync made all of them durable.
+fn commit_chain(inner: &Inner, plan: ChainPlan) {
+    let ChainPlan {
+        batches,
+        slot,
+        cost,
+        steps,
+    } = plan;
+    let session_name = &batches[0].session;
     let mut chain_failed: Option<String> = None;
-    for (step, batch) in steps.into_iter().zip(chain.iter()) {
+    for (step, batch) in steps.into_iter().zip(&batches) {
         if let Some(message) = &chain_failed {
             // This batch's resolution assumed the failed batch applied —
             // even a "nothing to do" resolution — so it fails with it.
-            reply_all_err(batch, message);
+            fail_batch(batch, message);
             continue;
         }
         match step {
@@ -688,24 +671,24 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                 added,
                 method,
                 expired,
-                pre_samples,
                 wal_lsn,
                 acks,
             } => {
+                // The live pre-batch state: this task is the slot's only
+                // writer.
+                let session = slot.snapshot().0;
                 let num_added = batch.num_added();
                 // The one engine call the batch reduces to: the union
                 // delta, additions concatenated in FIFO admission order.
                 let delta = Delta {
-                    removed: rows.clone(),
+                    removed: rows,
                     added: added
                         .map(|(width, features, labels)| {
-                            dense_added(current_session.task(), width, features, labels)
+                            dense_added(session.task(), width, features, labels)
                         })
                         .map(DeltaRows::Dense),
                 };
-                let outcome =
-                    run_pinned(&inner.cfg, || current_session.apply_delta(method, &delta));
-                let chained = match outcome {
+                let chained = match run_pinned(&inner.cfg, || session.apply_delta(method, &delta)) {
                     Ok(chained) => chained,
                     Err(err) => {
                         // The pre-batch state stays committed; everything
@@ -713,9 +696,9 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                         // now never exist.
                         let message = format!(
                             "{method:?} removing {} and adding {num_added} rows: {err}",
-                            rows.len()
+                            delta.removed.len()
                         );
-                        reply_all_err(batch, &message);
+                        fail_batch(batch, &message);
                         chain_failed =
                             Some(format!("a preceding batch of the chain failed: {message}"));
                         continue;
@@ -729,23 +712,9 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                 let refit = method == Method::Retrain;
                 let refit_offline =
                     refit.then(|| chained.session.capture_snapshot().training_seconds);
-                // Survivors from the slot's *live* ids (equal to the
-                // phase-1 prediction — the chain holds the gate, so only
-                // our own commits advanced the slot).
-                let pre_ids = slot.apply_view().ids;
-                let mut survivors = Vec::with_capacity(pre_ids.len() - rows.len());
-                let mut next_removed = 0;
-                for (ix, &id) in pre_ids.iter().enumerate() {
-                    if next_removed < rows.len() && rows[next_removed] == ix {
-                        next_removed += 1;
-                    } else {
-                        survivors.push(id);
-                    }
-                }
                 fail_point("apply-before-commit");
-                let successor = Arc::new(chained.session);
-                current_session = Arc::clone(&successor);
-                let epoch = slot.commit(successor, survivors, rows.len(), num_added, refit);
+                let epoch =
+                    slot.commit(Arc::new(chained.session), &delta.removed, num_added, refit);
                 // Periodic snapshot: a copy-on-write handoff of the
                 // committed state to the snapshot thread — the Arc-swap
                 // commit already produced an immutable post-batch model,
@@ -758,7 +727,7 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                         let job = SnapshotJob {
                             session: session_name.clone(),
                             covered_lsn: lsn + 1,
-                            state: slot.durable_state(),
+                            state: slot.state(),
                             reply: None,
                         };
                         if let Err(err) = durability.snapshots.enqueue(job) {
@@ -771,7 +740,13 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                 fail_point("before-ack");
                 if let Some(model) = &cost {
                     let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
-                    model.observe_delta(method, rows.len(), num_added, pre_samples, seconds);
+                    model.observe_delta(
+                        method,
+                        delta.removed.len(),
+                        num_added,
+                        session.num_samples(),
+                        seconds,
+                    );
                     if let Some(offline) = refit_offline {
                         model.observe_offline(offline);
                     }
@@ -783,7 +758,7 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
                         stale: requested - applied,
                         added: request.num_added(),
                         expired,
-                        batch_rows: rows.len(),
+                        batch_rows: delta.removed.len(),
                         method: Some(method),
                         seconds,
                         epoch,
@@ -794,7 +769,7 @@ fn apply_chain(inner: &Inner, chain: Vec<ReadyBatch>) {
     }
 }
 
-fn applier_loop(inner: &Arc<Inner>) {
+fn applier_loop(inner: &Inner) {
     loop {
         let ready: Vec<ReadyBatch> = {
             let mut planner = inner.planner();
@@ -828,31 +803,7 @@ fn applier_loop(inner: &Arc<Inner>) {
             }
         };
         // Planner lock released: applying never blocks admission.
-        // Same-session batches arrive adjacent (take_ready emits in
-        // session order), so maximal same-session runs become chains that
-        // share one group fsync; distinct sessions fan out over the pool.
-        let mut chains: Vec<Vec<ReadyBatch>> = Vec::new();
-        for batch in ready {
-            match chains.last_mut() {
-                Some(chain) if chain[0].session == batch.session => chain.push(batch),
-                _ => chains.push(vec![batch]),
-            }
-        }
-        if chains.len() == 1 {
-            for chain in chains {
-                apply_chain(inner, chain);
-            }
-        } else {
-            par::run_tasks(
-                chains
-                    .into_iter()
-                    .map(|chain| {
-                        let inner = Arc::clone(inner);
-                        move || apply_chain(&inner, chain)
-                    })
-                    .collect(),
-            );
-        }
+        apply_pass(inner, ready);
     }
 }
 
@@ -908,7 +859,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
         for (name, state) in restored {
-            inner.registry.register_restored(&name, state)?;
+            inner.registry.register_state(&name, state)?;
             inner
                 .cost
                 .lock()
@@ -956,7 +907,7 @@ impl Server {
             // baseline rides the snapshot thread like every other
             // snapshot, blocking until it is durable.
             let covered_lsn = durability.wal.next_lsn();
-            let state = slot.durable_state();
+            let state = slot.state();
             if let Err(err) = durability
                 .snapshots
                 .write_baseline(name, covered_lsn, state)
@@ -980,7 +931,8 @@ impl Server {
     /// an in-flight deletion batch.
     ///
     /// # Errors
-    /// [`ServerError::UnknownSession`], [`ServerError::FeatureMismatch`].
+    /// [`ServerError::UnknownSession`], [`ServerError::FeatureMismatch`],
+    /// [`ServerError::InvalidRows`] for a non-finite feature.
     pub fn predict(&self, session: &str, features: &[f64]) -> Result<Prediction> {
         self.inner.predict(session, features)
     }
@@ -1360,4 +1312,275 @@ fn send_response<W: Write>(writer: &Mutex<W>, id: u64, response: Response) -> st
     let payload = encode_response(&ResponseEnvelope { id, response });
     let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
     write_frame(&mut *writer, &payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recovery::WAL_FILE;
+    use crate::registry::SlotState;
+    use crate::wal::scan_wal;
+    use priu_core::{SessionBuilder, TrainerConfig};
+    use priu_data::catalog::Hyperparameters;
+    use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+    use priu_rng::Rng64;
+
+    const WIDTH: usize = 3;
+
+    fn fixture(n: usize, seed: u64) -> Session {
+        let data = generate_regression(&RegressionConfig {
+            num_samples: n,
+            num_features: WIDTH,
+            seed,
+            ..Default::default()
+        });
+        let hyper = Hyperparameters {
+            batch_size: 8,
+            num_iterations: 6,
+            learning_rate: 0.05,
+            regularization: 0.05,
+        };
+        SessionBuilder::dense(data, TrainerConfig::from_hyper(hyper))
+            .seed(seed)
+            .opt_capture(false)
+            .fit()
+            .unwrap()
+    }
+
+    fn tempdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("priu-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A durable server whose batches form on flush only (coalescing on)
+    /// or one per request (off), snapshotting only at registration so a
+    /// restart redoes every record.
+    fn durable(dir: &std::path::Path, coalesce: bool) -> ServerConfig {
+        let mut durability = DurabilityConfig::new(dir);
+        durability.snapshot_every = u64::MAX;
+        ServerConfig {
+            planner: PlannerConfig {
+                window: Duration::from_secs(3600),
+                max_batch: 1 << 20,
+                coalesce,
+            },
+            scheduler: SchedulerConfig {
+                retrain_drift: 0.15,
+                ..SchedulerConfig::default()
+            },
+            durability: Some(durability),
+            ..ServerConfig::default()
+        }
+    }
+
+    /// The slot bookkeeping the three transition paths must agree on.
+    fn bookkeeping(state: &SlotState) -> (Vec<u64>, u64, u64, usize, usize) {
+        (
+            state.ids.clone(),
+            state.next_id,
+            state.epoch,
+            state.initial_samples,
+            state.removed_since_refit,
+        )
+    }
+
+    enum Op {
+        Delete(Vec<u64>),
+        Add(AddedRows),
+        Tick(Option<AddedRows>, u64),
+    }
+
+    /// One to `max` random rows.
+    fn rows(rng: &mut Rng64, max: usize) -> AddedRows {
+        let count = 1 + rng.index(max);
+        AddedRows {
+            num_features: WIDTH,
+            features: (0..count * WIDTH).map(|_| rng.uniform(-1.0, 1.0)).collect(),
+            labels: (0..count).map(|_| rng.uniform(-1.0, 1.0)).collect(),
+        }
+    }
+
+    /// A random stream over an `n`-row session: deletes naming live,
+    /// retired, never-assigned and duplicate ids, adds, and retention
+    /// ticks. Removals stay within a budget so every batch applies.
+    fn stream(rng: &mut Rng64, n: usize) -> Vec<Op> {
+        let mut horizon = n;
+        let mut budget = n / 3;
+        (0..3 + rng.index(6))
+            .map(|_| match rng.index(4) {
+                0 | 1 if budget >= 4 => {
+                    let mut ids: Vec<u64> = (0..1 + rng.index(3))
+                        .map(|_| rng.index(horizon + 3) as u64)
+                        .collect();
+                    if rng.index(3) == 0 {
+                        ids.push(ids[0]);
+                    }
+                    budget -= ids.len();
+                    Op::Delete(ids)
+                }
+                3 => {
+                    let added = (rng.index(2) == 0).then(|| rows(rng, 2));
+                    horizon += added.as_ref().map_or(0, AddedRows::num_rows);
+                    Op::Tick(added, (2 * n / 3 + rng.index(n / 3 + 4)) as u64)
+                }
+                _ => {
+                    let added = rows(rng, 3);
+                    horizon += added.num_rows();
+                    Op::Add(added)
+                }
+            })
+            .collect()
+    }
+
+    /// Live commits, speculative chains and recovery redo are three
+    /// routes through one transition; over seeded random streams they
+    /// must land on the same ids, `next_id`, epoch and drift.
+    #[test]
+    fn transition_paths_agree_over_seeded_streams() {
+        const STREAMS: u64 = 200;
+        let dir = tempdir("transition");
+        let server = Server::start(durable(&dir, false)).unwrap();
+        let mut bases = Vec::new();
+        let mut streams = Vec::new();
+        for seed in 0..STREAMS {
+            let mut rng = Rng64::from_seed(seed);
+            let n = 18 + rng.index(12);
+            let name = format!("s{seed:03}");
+            server.register_session(&name, fixture(n, seed)).unwrap();
+            bases.push(server.inner.registry.get(&name).unwrap().state());
+            streams.push(stream(&mut rng, n));
+        }
+
+        // Live: uncoalesced, so the applier groups each backlog into
+        // chains of whatever length timing produces.
+        let mut tickets = Vec::new();
+        for (seed, ops) in streams.iter().enumerate() {
+            let name = format!("s{seed:03}");
+            for op in ops {
+                tickets.push(match op {
+                    Op::Delete(ids) => server.delete(&name, ids),
+                    Op::Add(added) => server.add(&name, added.clone()),
+                    Op::Tick(added, keep) => server.tick(&name, added.clone(), *keep),
+                });
+            }
+        }
+        for ticket in tickets {
+            ticket.unwrap().wait().unwrap();
+        }
+        let live: Vec<SlotState> = (0..STREAMS)
+            .map(|seed| {
+                server
+                    .inner
+                    .registry
+                    .get(&format!("s{seed:03}"))
+                    .unwrap()
+                    .state()
+            })
+            .collect();
+        server.shutdown();
+        drop(server);
+
+        // Speculation: each whole stream as one chain on a scratch clone,
+        // taking every method from the record the live batch logged.
+        let records = scan_wal(&dir.join(WAL_FILE)).unwrap().records;
+        let mut methods = std::collections::BTreeSet::new();
+        for (seed, (ops, base)) in streams.into_iter().zip(bases).enumerate() {
+            let name = format!("s{seed:03}");
+            let mut logged = records.iter().filter(|r| r.session == name);
+            let mut planner = PlannerState::default();
+            for op in ops {
+                let _ = match op {
+                    Op::Delete(ids) => planner.enqueue_change(&name, ids, None, None),
+                    Op::Add(added) => planner.enqueue_change(&name, Vec::new(), Some(added), None),
+                    Op::Tick(added, keep) => {
+                        planner.enqueue_change(&name, Vec::new(), added, Some(keep))
+                    }
+                };
+            }
+            let batches = planner.take_ready(Instant::now(), &durable(&dir, false).planner);
+            let mut spec = base;
+            for batch in &batches {
+                let resolution = spec.resolve(batch);
+                if resolution.rows.is_empty() && batch.num_added() == 0 {
+                    continue;
+                }
+                let record = logged.next().expect("a live record per effective batch");
+                let removed: Vec<u64> = resolution.rows.iter().map(|&ix| spec.ids[ix]).collect();
+                assert_eq!(record.removed_ids, removed, "{name}: resolution diverged");
+                methods.insert(record.method);
+                spec.advance(
+                    &resolution.rows,
+                    batch.num_added(),
+                    record.method == Method::Retrain,
+                );
+            }
+            assert!(logged.next().is_none(), "{name}: live logged more batches");
+            assert_eq!(
+                bookkeeping(&spec),
+                bookkeeping(&live[seed]),
+                "{name}: speculation"
+            );
+        }
+        assert!(
+            methods.contains(&Method::Retrain),
+            "no stream refit: {methods:?}"
+        );
+        assert!(methods.len() > 1, "only one method exercised: {methods:?}");
+
+        // Redo: a restart replays every record onto the baselines.
+        let restarted = Server::start(durable(&dir, false)).unwrap();
+        let report = restarted.recovery_report().unwrap();
+        assert!(report.sessions.iter().all(|s| s.skipped.is_empty()));
+        for (seed, live) in live.iter().enumerate() {
+            let name = format!("s{seed:03}");
+            let redone = restarted.inner.registry.get(&name).unwrap().state();
+            assert_eq!(bookkeeping(&redone), bookkeeping(live), "{name}: redo");
+            assert_eq!(
+                redone.session.model().flatten(),
+                live.session.model().flatten(),
+                "{name}: redo model"
+            );
+        }
+        restarted.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Batches of several sessions that one applier pass takes share one
+    /// fsync: frames grow by one per session, fsyncs by one in total.
+    #[test]
+    fn one_applier_pass_fsyncs_once_across_sessions() {
+        const SESSIONS: u64 = 4;
+        let dir = tempdir("cross-session");
+        let server = Server::start(durable(&dir, true)).unwrap();
+        let names: Vec<String> = (0..SESSIONS).map(|i| format!("x{i}")).collect();
+        for (seed, name) in (0..).zip(&names) {
+            server.register_session(name, fixture(24, seed)).unwrap();
+        }
+        let before = server.durability_stats().unwrap();
+        // Nothing is ready until flushed (an hour-long window); flushing
+        // every session under one planner lock hands the applier all of
+        // them in its next pass.
+        let tickets: Vec<DeleteTicket> = (0..)
+            .zip(&names)
+            .map(|(id, name)| server.delete(name, &[id]).unwrap())
+            .collect();
+        {
+            let mut planner = server.inner.planner();
+            for name in &names {
+                planner.flush(name);
+            }
+        }
+        server.inner.work.notify_all();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().applied, 1);
+        }
+        let after = server.durability_stats().unwrap();
+        assert_eq!(after.frames - before.frames, SESSIONS);
+        assert_eq!(after.fsyncs - before.fsyncs, 1, "one fsync for the pass");
+        assert_eq!(after.max_group, SESSIONS);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -47,7 +47,7 @@ use priu_core::{DeletionEngine, Session};
 
 use crate::error::{Result, ServerError};
 use crate::failpoint::fail_point;
-use crate::registry::DurableState;
+use crate::registry::SlotState;
 use crate::wal::{crc32, read_file, sync_parent_dir, GroupWal};
 
 /// Identifies a file as a PrIU session snapshot, version 1.
@@ -59,7 +59,7 @@ pub(crate) struct LoadedSnapshot {
     /// Every WAL record with `lsn < covered_lsn` is folded in already.
     pub covered_lsn: u64,
     /// The slot state to restore.
-    pub state: DurableState,
+    pub state: SlotState,
 }
 
 /// A snapshot file that existed but could not be used — recovery reports
@@ -117,7 +117,7 @@ fn parse_snapshot_name(file_name: &str) -> Option<(String, u64)> {
 
 // --- writing --------------------------------------------------------------
 
-fn encode_snapshot(covered_lsn: u64, state: &DurableState) -> Vec<u8> {
+fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u64(covered_lsn);
     w.u64(state.epoch);
@@ -157,6 +157,14 @@ fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String
     }
     let blob = r.take(blob_len, "session blob").map_err(fail)?;
     let session = Session::from_snapshot_bytes(blob).map_err(fail)?;
+    // Redo and resolution binary-search the map, so it must be strictly
+    // ascending as well as below the fresh-id counter.
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+        return Err(format!(
+            "stable ids not strictly ascending: {} then {}",
+            pair[0], pair[1]
+        ));
+    }
     if let Some(&max) = ids.last() {
         if max >= next_id {
             return Err(format!("stable id {max} is not below next_id {next_id}"));
@@ -171,7 +179,7 @@ fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String
     }
     Ok(LoadedSnapshot {
         covered_lsn,
-        state: DurableState {
+        state: SlotState {
             session: Arc::new(session),
             ids,
             next_id,
@@ -193,7 +201,7 @@ pub(crate) fn write_snapshot(
     dir: &Path,
     session: &str,
     covered_lsn: u64,
-    state: &DurableState,
+    state: &SlotState,
 ) -> Result<PathBuf> {
     let snap_dir = snapshot_dir(dir);
     std::fs::create_dir_all(&snap_dir)
@@ -419,7 +427,7 @@ pub(crate) struct SnapshotJob {
     /// produced this state).
     pub covered_lsn: u64,
     /// The full durable state to serialize.
-    pub state: DurableState,
+    pub state: SlotState,
     /// Registration baselines block on the write — the registration is
     /// not acknowledged until the baseline is durable. Periodic snapshots
     /// are fire-and-forget (`None`): the WAL already makes their batches
@@ -561,7 +569,7 @@ impl SnapshotService {
         &self,
         session: &str,
         covered_lsn: u64,
-        state: DurableState,
+        state: SlotState,
     ) -> Result<PathBuf> {
         let (tx, rx) = channel();
         self.enqueue(SnapshotJob {
@@ -618,7 +626,7 @@ mod tests {
     use priu_data::catalog::Hyperparameters;
     use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 
-    fn state(n: usize, seed: u64, epoch: u64) -> DurableState {
+    fn state(n: usize, seed: u64, epoch: u64) -> SlotState {
         let data = generate_regression(&RegressionConfig {
             num_samples: n,
             num_features: 4,
@@ -635,7 +643,7 @@ mod tests {
             .seed(1)
             .fit()
             .unwrap();
-        DurableState {
+        SlotState {
             session: Arc::new(session),
             ids: (5..5 + n as u64).collect(),
             next_id: 5 + n as u64,
@@ -710,6 +718,23 @@ mod tests {
         let (loaded, skips) = load_latest(&dir, "s").unwrap();
         assert!(loaded.is_none());
         assert_eq!(skips.len(), 2);
+    }
+
+    #[test]
+    fn non_ascending_stable_ids_skip_the_snapshot() {
+        let dir = tempdir("snap-unsorted");
+        for (session, bad) in [("swapped", [9, 7]), ("repeated", [7, 7])] {
+            // A valid epoch, then a CRC-valid newer one whose id map is
+            // out of order or repeats an id.
+            write_snapshot(&dir, session, 5, &state(20, 4, 1)).unwrap();
+            let mut unsorted = state(20, 4, 2);
+            unsorted.ids[3..5].copy_from_slice(&bad);
+            write_snapshot(&dir, session, 9, &unsorted).unwrap();
+            let (loaded, skips) = load_latest(&dir, session).unwrap();
+            assert_eq!(loaded.unwrap().state.epoch, 1, "{session}: no fallback");
+            assert_eq!(skips.len(), 1);
+            assert!(skips[0].reason.contains("strictly ascending"), "{skips:?}");
+        }
     }
 
     #[test]

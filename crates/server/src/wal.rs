@@ -3,7 +3,7 @@
 //!
 //! An append-only file of length-prefixed, CRC-checksummed frames. A
 //! batch is acknowledged on the wire only after its frame is fsync'd
-//! (see `server::apply_chain` — WAL append → group fsync → engine apply
+//! (the server's applier pass runs WAL append → one fsync → engine apply
 //! → registry commit → ack), so an acknowledged deletion can always be
 //! redone after a crash.
 //!
@@ -35,18 +35,17 @@
 //!
 //! # Group commit
 //!
-//! [`GroupWal`] wraps the log for the applier path: concurrently (or
-//! consecutively) resolved batches are **appended as individual frames
-//! but share one fsync**. [`GroupWal::append`] writes the frame and
-//! returns a commit sequence number; [`GroupWal::sync_through`] blocks
-//! until that sequence is durable, electing the first waiter as the
-//! *leader* that fsyncs on behalf of everything appended so far (capped
-//! at [`GroupCommitConfig::max_group`]) while followers wait on the
-//! condvar. At `max_group == 1` this degenerates to the one-fsync-per-
-//! batch behaviour the durability layer shipped with. An append or fsync
-//! failure marks the log **broken** — sticky, because a failed
-//! `write_all` may leave a partial frame that later frames would land
-//! behind — and every subsequent operation fails fast.
+//! [`GroupWal`] wraps the log for the applier, its single writer: every
+//! batch an applier pass resolves is **appended as its own frame, and
+//! the pass shares one fsync**. [`GroupWal::append`] writes the frame and
+//! returns a commit sequence number; [`GroupWal::sync_through`] fsyncs
+//! once if that sequence is not yet durable. Both run under one plain
+//! mutex, which also excludes the checkpoint rewrite. An append that
+//! leaves [`GroupCommitConfig::max_group`] frames unsynced fsyncs on the
+//! spot, so no fsync ever covers more; at `max_group == 1` every append
+//! fsyncs. An append or fsync failure marks the log **broken** — sticky,
+//! because a failed `write_all` may leave a partial frame that later
+//! frames would land behind — and every subsequent operation fails fast.
 //!
 //! # Checkpoints
 //!
@@ -87,8 +86,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use priu_core::snapshot::{SnapshotReader, SnapshotWriter};
 use priu_core::Method;
@@ -330,7 +328,12 @@ fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
     let n = r.len(8, "removed ids").map_err(fail)?;
     let mut removed_ids = Vec::with_capacity(n);
     for _ in 0..n {
-        removed_ids.push(r.u64("removed id").map_err(fail)?);
+        let id = r.u64("removed id").map_err(fail)?;
+        // Redo walks the set as ascending row indices.
+        if removed_ids.last().is_some_and(|&prev| prev >= id) {
+            return Err(format!("removed ids not strictly ascending at {id}"));
+        }
+        removed_ids.push(id);
     }
     let keep_last = if r.bool("keep_last flag").map_err(fail)? {
         Some(r.u64("keep_last").map_err(fail)?)
@@ -568,49 +571,21 @@ impl Wal {
         self.next_lsn = lsn + 1;
         Ok((lsn, frame.len() as u64))
     }
-
-    /// Appends one record and makes it durable: frame write, fsync, LSN
-    /// assignment — with the `wal-after-append` / `wal-before-fsync` /
-    /// `wal-after-fsync` crash points between the steps. Returns the
-    /// record's LSN. (The applier path uses [`GroupWal`] instead, which
-    /// shares the fsync across a group.)
-    ///
-    /// # Errors
-    /// [`ServerError::Durability`] on I/O failure; the caller must then
-    /// fail the batch (nothing was acknowledged).
-    pub fn append_sync(&mut self, record: &mut WalRecord) -> Result<u64> {
-        let (lsn, _) = self.append(record)?;
-        fail_point("wal-before-fsync");
-        self.file.sync_data().map_err(|e| {
-            ServerError::Durability(format!("syncing WAL {}: {e}", self.path.display()))
-        })?;
-        fail_point("wal-after-fsync");
-        Ok(lsn)
-    }
 }
 
 // --- group commit ---------------------------------------------------------
 
-/// Group-commit tuning: how many frames one fsync may cover and how long
-/// a leader may hold the group open waiting for more appends.
+/// Group-commit tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitConfig {
-    /// Maximum frames a single fsync may cover. `1` degenerates to one
-    /// fsync per batch (the pre-group-commit behaviour).
+    /// Maximum frames a single fsync may cover, enforced at append time.
+    /// `1` makes every append fsync on its own.
     pub max_group: usize,
-    /// How long an elected leader waits for the group to fill before
-    /// fsyncing what it has. `ZERO` (the default) syncs immediately —
-    /// grouping then comes purely from appends that arrived while the
-    /// previous fsync was in flight, which never delays a lone batch.
-    pub max_hold: Duration,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> Self {
-        Self {
-            max_group: 64,
-            max_hold: Duration::ZERO,
-        }
+        Self { max_group: 64 }
     }
 }
 
@@ -619,7 +594,7 @@ impl Default for GroupCommitConfig {
 /// group size = `frames / fsyncs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// WAL fsyncs issued (group leaders + checkpoint rewrites excluded).
+    /// WAL fsyncs issued (checkpoint rewrites excluded).
     pub fsyncs: u64,
     /// Delta frames appended.
     pub frames: u64,
@@ -639,24 +614,48 @@ struct GroupState {
     appended_seq: u64,
     /// Highest sequence known durable.
     synced_seq: u64,
-    /// Whether a leader fsync is in flight.
-    syncing: bool,
     /// Sticky failure: a failed append may have left a partial frame, a
     /// failed fsync an indeterminate prefix — nothing after either can
     /// be trusted durable, so the log refuses further work.
     broken: Option<String>,
     stats: WalStats,
-    /// Bytes appended since the last checkpoint (compaction trigger).
-    bytes_since_checkpoint: u64,
+    /// Delta-frame bytes in the log: appended since the last checkpoint
+    /// or kept by it (compaction trigger).
+    uncompacted_bytes: u64,
 }
 
-/// The group-commit front of the WAL: shared appends, one fsync per
+impl GroupState {
+    fn check(&self) -> Result<()> {
+        match &self.broken {
+            Some(broken) => Err(ServerError::Durability(broken.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Fsyncs every frame appended so far as one group.
+    fn sync(&mut self) -> Result<()> {
+        fail_point("group-leader-sync");
+        fail_point("wal-before-fsync");
+        if let Err(e) = self.wal.file.sync_data() {
+            let message = format!("syncing WAL {}: {e}", self.wal.path.display());
+            self.broken = Some(message.clone());
+            return Err(ServerError::Durability(message));
+        }
+        fail_point("wal-after-fsync");
+        let group = self.appended_seq - self.synced_seq;
+        self.synced_seq = self.appended_seq;
+        self.stats.fsyncs += 1;
+        self.stats.max_group = self.stats.max_group.max(group);
+        Ok(())
+    }
+}
+
+/// The group-commit front of the WAL: one writer appends, one fsync per
 /// group, checkpoint compaction. See the module docs.
 #[derive(Debug)]
 pub struct GroupWal {
-    cfg: GroupCommitConfig,
+    max_group: u64,
     state: Mutex<GroupState>,
-    cv: Condvar,
 }
 
 impl GroupWal {
@@ -664,20 +663,15 @@ impl GroupWal {
     /// first, then hands the log over for serving).
     pub fn new(wal: Wal, cfg: GroupCommitConfig) -> Self {
         Self {
-            cfg: GroupCommitConfig {
-                max_group: cfg.max_group.max(1),
-                max_hold: cfg.max_hold,
-            },
+            max_group: cfg.max_group.max(1) as u64,
             state: Mutex::new(GroupState {
                 wal,
                 appended_seq: 0,
                 synced_seq: 0,
-                syncing: false,
                 broken: None,
                 stats: WalStats::default(),
-                bytes_since_checkpoint: 0,
+                uncompacted_bytes: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -704,122 +698,48 @@ impl GroupWal {
         self.lock().stats
     }
 
-    /// Appends one record without syncing, returning the commit sequence
-    /// number to pass to [`GroupWal::sync_through`]. The record's LSN is
-    /// assigned (and `record.lsn` set) under the same lock that orders
-    /// the frames, so LSN order equals file order.
+    /// Appends one record, returning the commit sequence number to pass
+    /// to [`GroupWal::sync_through`]. The record's LSN is assigned (and
+    /// `record.lsn` set) under the same lock that orders the frames, so
+    /// LSN order equals file order. If the append leaves `max_group`
+    /// frames unsynced, it fsyncs them before returning.
     ///
     /// # Errors
     /// [`ServerError::Durability`] on I/O failure or a previously broken
     /// log. An append failure breaks the log (partial frame).
     pub fn append(&self, record: &mut WalRecord) -> Result<u64> {
         let mut state = self.lock();
-        if let Some(broken) = &state.broken {
-            return Err(ServerError::Durability(broken.clone()));
+        state.check()?;
+        let (_, bytes) = state.wal.append(record).inspect_err(|err| {
+            state.broken = Some(err.to_string());
+        })?;
+        state.appended_seq += 1;
+        state.stats.frames += 1;
+        state.stats.bytes += bytes;
+        state.uncompacted_bytes += bytes;
+        if state.appended_seq - state.synced_seq >= self.max_group {
+            state.sync()?;
         }
-        match state.wal.append(record) {
-            Ok((_, bytes)) => {
-                state.appended_seq += 1;
-                state.stats.frames += 1;
-                state.stats.bytes += bytes;
-                state.bytes_since_checkpoint += bytes;
-                Ok(state.appended_seq)
-            }
-            Err(err) => {
-                state.broken = Some(err.to_string());
-                self.cv.notify_all();
-                Err(err)
-            }
-        }
+        Ok(state.appended_seq)
     }
 
-    /// Blocks until every append up to `seq` is durable. The first
-    /// waiter that finds no fsync in flight becomes the *leader*: it
-    /// fsyncs once on behalf of everything appended so far (capped at
-    /// `max_group`, optionally holding `max_hold` for the group to
-    /// fill), then wakes the followers — which is what amortises the
-    /// fsync across the group while every ack still waits for *its* frame
-    /// to be durable.
+    /// Makes every append up to `seq` durable: one fsync covering all
+    /// unsynced frames, or nothing if `seq` already is. The applier calls
+    /// this once per pass, after appending every batch it resolved.
     ///
     /// # Errors
     /// [`ServerError::Durability`] if the fsync failed or the log is
     /// broken; the caller must fail the batch (it was never durable).
     pub fn sync_through(&self, seq: u64) -> Result<()> {
         let mut state = self.lock();
-        loop {
-            if let Some(broken) = &state.broken {
-                return Err(ServerError::Durability(broken.clone()));
-            }
-            if state.synced_seq >= seq {
-                return Ok(());
-            }
-            if state.syncing {
-                state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            // Leader election: fsync on behalf of the group.
-            if self.cfg.max_hold > Duration::ZERO {
-                let deadline = Instant::now() + self.cfg.max_hold;
-                while state.broken.is_none()
-                    && !state.syncing
-                    && state.appended_seq - state.synced_seq < self.cfg.max_group as u64
-                {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    state = self
-                        .cv
-                        .wait_timeout(state, left)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                if state.broken.is_some() || state.syncing || state.synced_seq >= seq {
-                    continue; // re-evaluate from the top
-                }
-            }
-            state.syncing = true;
-            let through = state
-                .appended_seq
-                .min(state.synced_seq + self.cfg.max_group as u64);
-            let group = through - state.synced_seq;
-            let file = state.wal.file.try_clone();
-            drop(state);
-
-            let outcome = match file {
-                Ok(file) => {
-                    fail_point("group-leader-sync");
-                    fail_point("wal-before-fsync");
-                    match file.sync_data() {
-                        Ok(()) => {
-                            fail_point("wal-after-fsync");
-                            Ok(())
-                        }
-                        Err(e) => Err(format!("syncing WAL: {e}")),
-                    }
-                }
-                Err(e) => Err(format!("cloning WAL handle for group fsync: {e}")),
-            };
-
-            state = self.lock();
-            state.syncing = false;
-            match outcome {
-                Ok(()) => {
-                    // A concurrent checkpoint may have advanced synced_seq
-                    // past `through` already; never move it backwards.
-                    state.synced_seq = state.synced_seq.max(through);
-                    state.stats.fsyncs += 1;
-                    state.stats.max_group = state.stats.max_group.max(group);
-                }
-                Err(message) => state.broken = Some(message),
-            }
-            self.cv.notify_all();
+        state.check()?;
+        if state.synced_seq >= seq {
+            return Ok(());
         }
+        state.sync()
     }
 
-    /// Appends one record and waits for its group fsync — the
-    /// single-record convenience the non-chained paths use. Returns the
-    /// record's LSN.
+    /// Appends one record and makes it durable. Returns the record's LSN.
     ///
     /// # Errors
     /// As [`GroupWal::append`] / [`GroupWal::sync_through`].
@@ -829,13 +749,14 @@ impl GroupWal {
         Ok(record.lsn)
     }
 
-    /// Compacts the log if at least `threshold` bytes were appended since
-    /// the last checkpoint: rewrites every record at or past its
-    /// session's floor (unknown sessions keep everything) into a new log
-    /// headed by a checkpoint frame, fsyncs it, atomically renames it
-    /// over the old one, and resumes appending there. Returns whether a
-    /// checkpoint ran. Runs on the snapshot thread; appends and group
-    /// fsyncs are excluded for the duration by the log mutex.
+    /// Compacts the log if it holds at least `threshold` bytes of delta
+    /// frames (appended since the last checkpoint, or kept by it):
+    /// rewrites every record at or past its session's floor (unknown
+    /// sessions keep everything) into a new log headed by a checkpoint
+    /// frame, fsyncs it, atomically renames it over the old one, and
+    /// resumes appending there. Returns whether a
+    /// checkpoint ran. Runs on the snapshot thread; appends and fsyncs
+    /// are excluded for the duration by the log mutex.
     ///
     /// Crash points: `checkpoint-mid-rewrite` (torn temp file, old log
     /// intact), `checkpoint-before-rename` (complete temp, old log
@@ -848,16 +769,8 @@ impl GroupWal {
     /// after it break the log (the handle no longer matches the file).
     pub fn checkpoint_if_due(&self, threshold: u64, floors: &[(String, u64)]) -> Result<bool> {
         let mut state = self.lock();
-        if state.broken.is_some() || state.bytes_since_checkpoint < threshold {
+        if state.broken.is_some() || state.uncompacted_bytes < threshold {
             return Ok(false);
-        }
-        // Let an in-flight leader finish: its cloned fd targets the file
-        // the rewrite is about to replace.
-        while state.syncing {
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-            if state.broken.is_some() {
-                return Ok(false);
-            }
         }
 
         let path = state.wal.path.clone();
@@ -876,6 +789,7 @@ impl GroupWal {
         };
         let mut rewritten = Vec::new();
         push_frame(&mut rewritten, &encode_checkpoint(&checkpoint));
+        let head = rewritten.len();
         for record in scan
             .records
             .iter()
@@ -921,7 +835,6 @@ impl GroupWal {
         // any failure from here on breaks the log.
         let mut fatal = |message: String| -> ServerError {
             state.broken = Some(message.clone());
-            self.cv.notify_all();
             ServerError::Durability(message)
         };
         if let Err(err) = sync_parent_dir(&path) {
@@ -944,9 +857,11 @@ impl GroupWal {
         // The rewrite was fully fsync'd before the rename, so everything
         // appended (synced or not) is now durable.
         state.synced_seq = state.appended_seq;
-        state.bytes_since_checkpoint = 0;
+        // Frames the floors kept still count: a snapshot that lagged the
+        // appends may cover them at its own checkpoint, with nothing new
+        // appended in between.
+        state.uncompacted_bytes = (rewritten.len() - head) as u64;
         state.stats.checkpoints += 1;
-        self.cv.notify_all();
         Ok(true)
     }
 }
@@ -1018,7 +933,7 @@ mod tests {
             if i > 2 {
                 r.prev_lsn = Some(i - 1);
             }
-            let lsn = wal.append_sync(&mut r).unwrap();
+            let (lsn, _) = wal.append(&mut r).unwrap();
             assert_eq!(lsn, i); // LSN is assigned by the log, not the caller
         }
         drop(wal);
@@ -1048,7 +963,7 @@ mod tests {
         let path = dir.join("deltas.wal");
         let (mut wal, _) = Wal::open(&path).unwrap();
         for _ in 0..3 {
-            wal.append_sync(&mut record(0, "s")).unwrap();
+            wal.append(&mut record(0, "s")).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
@@ -1089,7 +1004,7 @@ mod tests {
         // Reopening truncates the corrupt tail and appends cleanly after.
         let (mut wal, _) = Wal::open(&path).unwrap();
         assert_eq!(wal.next_lsn(), 2);
-        wal.append_sync(&mut record(0, "s")).unwrap();
+        wal.append(&mut record(0, "s")).unwrap();
         drop(wal);
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 3);
@@ -1108,6 +1023,30 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert!(scan.records.is_empty());
         assert!(matches!(scan.tail, Some(WalTail::OversizedFrame { .. })));
+    }
+
+    #[test]
+    fn non_ascending_removed_ids_are_a_bad_payload() {
+        let dir = tempdir("wal-unsorted");
+        let path = dir.join("deltas.wal");
+        for bad in [vec![5, 3], vec![3, 3]] {
+            // A valid frame, then one whose CRC holds but whose removal
+            // set is out of order (the encoder writes whatever it gets).
+            let mut bytes = Vec::new();
+            push_frame(&mut bytes, &encode_record(&record(0, "s")));
+            let mut unsorted = record(1, "s");
+            unsorted.removed_ids = bad;
+            push_frame(&mut bytes, &encode_record(&unsorted));
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_wal(&path).unwrap();
+            assert_eq!(scan.records.len(), 1);
+            match scan.tail {
+                Some(WalTail::BadPayload { reason, .. }) => {
+                    assert!(reason.contains("strictly ascending"), "{reason}")
+                }
+                other => panic!("expected a bad payload, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1142,16 +1081,12 @@ mod tests {
         // max_group = 1 degenerates to one fsync per frame.
         let dir = tempdir("wal-group-1");
         let path = dir.join("deltas.wal");
-        let cfg = GroupCommitConfig {
-            max_group: 1,
-            ..GroupCommitConfig::default()
-        };
-        let (wal, _) = GroupWal::open(&path, cfg).unwrap();
-        let mut last = 0;
-        for _ in 0..3 {
-            last = wal.append(&mut record(0, "s")).unwrap();
+        let (wal, _) = GroupWal::open(&path, GroupCommitConfig { max_group: 1 }).unwrap();
+        for seq in 1..=3 {
+            assert_eq!(wal.append(&mut record(0, "s")).unwrap(), seq);
+            assert_eq!(wal.stats().fsyncs, seq, "every append fsyncs");
         }
-        wal.sync_through(last).unwrap();
+        wal.sync_through(3).unwrap();
         let stats = wal.stats();
         assert_eq!(stats.frames, 3);
         assert_eq!(stats.fsyncs, 3, "a group of 1 per fsync");

@@ -44,7 +44,7 @@ use priu_data::synthetic::classification::{generate_binary_classification, Class
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_server::{
     scan_wal, AddedRows, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig, Server,
-    ServerConfig, FAILPOINT_ENV, WAL_FILE,
+    ServerConfig, ServerError, FAILPOINT_ENV, WAL_FILE,
 };
 
 const N: usize = 200;
@@ -438,7 +438,7 @@ fn crash_at_every_fail_point_recovers_the_acked_prefix() {
         "snapshot-mid-write:3",     // wave 1, lin: torn periodic snapshot tmp
         "snapshot-before-rename:3", // complete tmp, never renamed
         "snapshot-after-rename:4",  // wave 1, log: renamed, dir fsync pending
-        "group-leader-sync:3",      // wave 1, lin: elected leader, fsync pending
+        "group-leader-sync:3",      // a pass fsync pending, frames appended
         "snapshot-handoff:2",       // wave 1, log: committed, snapshot job never enqueued
     ];
     for point in points {
@@ -825,5 +825,52 @@ fn torn_and_corrupt_snapshots_fall_back_to_older_epochs() {
         );
     }
     server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Poison never reaches the log: a non-finite add or tick fails at
+/// admission with a typed error, appends no WAL frame, bumps no epoch,
+/// and a restart serves exactly the pre-add model.
+#[test]
+fn non_finite_adds_are_rejected_before_the_wal() {
+    let dir = tempdir("non-finite");
+    let spec = &SPECS[0];
+    let server = Server::start(durable(&dir, 2)).expect("durable server");
+    server
+        .register_session(spec.name, fixture(spec))
+        .expect("register");
+    for ticket in drive_wave(&server, spec, 0) {
+        ticket.wait().expect("wave 0");
+    }
+    let frames = server.durability_stats().expect("durable").frames;
+    let (bits, epoch) = model_bits(&server, spec.name);
+
+    let clean = added(spec, 3, 1);
+    let mut nan_feature = clean.clone();
+    nan_feature.features[4] = f64::NAN;
+    let mut inf_label = clean.clone();
+    inf_label.labels[2] = f64::INFINITY;
+    for rows in [nan_feature.clone(), inf_label] {
+        assert!(matches!(
+            server.add(spec.name, rows),
+            Err(ServerError::InvalidRows(_))
+        ));
+    }
+    assert!(matches!(
+        server.tick(spec.name, Some(nan_feature), 10),
+        Err(ServerError::InvalidRows(_))
+    ));
+    assert!(matches!(
+        server.predict(spec.name, &[f64::NAN; 5]),
+        Err(ServerError::InvalidRows(_))
+    ));
+    server.flush(spec.name).expect("flush");
+    assert_eq!(server.durability_stats().expect("durable").frames, frames);
+    assert_eq!(model_bits(&server, spec.name), (bits.clone(), epoch));
+    server.shutdown();
+
+    let restarted = Server::start(durable(&dir, 2)).expect("restart");
+    assert_eq!(model_bits(&restarted, spec.name), (bits, epoch));
+    restarted.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

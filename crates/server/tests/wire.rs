@@ -430,3 +430,59 @@ fn undecodable_bytes_get_one_error_frame_and_a_hangup() {
     connection.join();
     server.shutdown();
 }
+
+/// Non-finite values never get past admission on the wire: a NaN or
+/// infinite add, tick or predict answers `Error` and nothing commits.
+#[test]
+fn non_finite_wire_requests_answer_errors() {
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    server.register_session("m", session()).unwrap();
+    let ((mut client_w, mut client_r), (server_w, server_r)) = duplex();
+    let connection = server.serve_connection(server_r, server_w);
+
+    let requests = [
+        Request::Add {
+            session: "m".into(),
+            num_features: 4,
+            features: vec![0.5, f64::NAN, 0.25, 1.0],
+            labels: vec![0.3],
+        },
+        Request::Add {
+            session: "m".into(),
+            num_features: 4,
+            features: vec![0.5, 0.75, 0.25, 1.0],
+            labels: vec![f64::INFINITY],
+        },
+        Request::Tick {
+            session: "m".into(),
+            num_features: 4,
+            features: vec![f64::NEG_INFINITY, 0.75, 0.25, 1.0],
+            labels: vec![0.3],
+            keep_last: 10,
+        },
+        Request::Predict {
+            session: "m".into(),
+            features: vec![0.5, 0.75, f64::NAN, 1.0],
+        },
+    ];
+    let count = requests.len();
+    for (id, request) in requests.into_iter().enumerate() {
+        let payload = encode_request(&RequestEnvelope {
+            id: id as u64,
+            request,
+        });
+        write_frame(&mut client_w, &payload).unwrap();
+    }
+    for _ in 0..count {
+        let payload = read_frame(&mut client_r).unwrap().expect("open stream");
+        match decode_response(&payload).unwrap().response {
+            Response::Error { message } => assert!(message.contains("not finite"), "{message}"),
+            other => panic!("want Error, got {other:?}"),
+        }
+    }
+    drop(client_w);
+    connection.join();
+    assert_eq!(server.stats("m").unwrap().epoch, 0, "nothing committed");
+    assert_eq!(server.stats("m").unwrap().pending, 0, "nothing admitted");
+    server.shutdown();
+}

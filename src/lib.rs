@@ -16,8 +16,9 @@
 //!   (`SessionBuilder` / `DeletionEngine` / `Method`) every session kind is
 //!   programmed through — including chained deletions via `apply`.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment-by-experiment reproduction notes.
+//! See `examples/quickstart.rs` for a five-minute tour, `DESIGN.md` for the
+//! design notes, and the `reproduce` binary in `priu-bench` for the
+//! experiment-by-experiment reproduction.
 
 pub use priu_core as core;
 pub use priu_data as data;
