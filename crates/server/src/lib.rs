@@ -52,6 +52,9 @@ pub mod server;
 pub mod snapshot;
 pub mod wal;
 
+#[cfg(test)]
+mod codec_tests;
+
 pub use error::{Result, ServerError};
 pub use failpoint::{fail_point, FAILPOINT_ENV};
 pub use planner::{AddedRows, BatchReply, DeleteTicket, PlannerConfig};

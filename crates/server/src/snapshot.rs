@@ -117,6 +117,17 @@ fn parse_snapshot_name(file_name: &str) -> Option<(String, u64)> {
 
 // --- writing --------------------------------------------------------------
 
+/// The whole snapshot file: magic, payload length, CRC, payload.
+pub(crate) fn snapshot_file_bytes(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
+    let payload = encode_snapshot(covered_lsn, state);
+    let mut bytes = Vec::with_capacity(16 + payload.len());
+    bytes.extend_from_slice(SNAPSHOT_MAGIC);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
 fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u64(covered_lsn);
@@ -135,7 +146,7 @@ fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     bytes
 }
 
-fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String> {
+pub(crate) fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String> {
     let fail = |e: priu_core::CoreError| e.to_string();
     let mut r = SnapshotReader::new(payload);
     let covered_lsn = r.u64("covered_lsn").map_err(fail)?;
@@ -206,12 +217,7 @@ pub(crate) fn write_snapshot(
     let snap_dir = snapshot_dir(dir);
     std::fs::create_dir_all(&snap_dir)
         .map_err(|e| ServerError::Durability(format!("creating {}: {e}", snap_dir.display())))?;
-    let payload = encode_snapshot(covered_lsn, state);
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let bytes = snapshot_file_bytes(covered_lsn, state);
 
     let final_path = snapshot_path(dir, session, state.epoch);
     let tmp_path = final_path.with_extension("snap.tmp");
@@ -318,31 +324,33 @@ pub(crate) fn list_sessions(dir: &Path) -> Result<Vec<String>> {
 }
 
 fn load_snapshot_file(path: &Path) -> Result<std::result::Result<LoadedSnapshot, String>> {
-    let Some(bytes) = read_file(path)? else {
-        return Ok(Err("file vanished while loading".to_string()));
-    };
+    Ok(match read_file(path)? {
+        Some(bytes) => parse_snapshot_file(&bytes),
+        None => Err("file vanished while loading".to_string()),
+    })
+}
+
+/// Checks a snapshot file's magic, length and CRC, then decodes it.
+pub(crate) fn parse_snapshot_file(bytes: &[u8]) -> std::result::Result<LoadedSnapshot, String> {
     if bytes.len() < 16 {
-        return Ok(Err(format!(
-            "{} bytes is too short for a header",
-            bytes.len()
-        )));
+        return Err(format!("{} bytes is too short for a header", bytes.len()));
     }
     if &bytes[..8] != SNAPSHOT_MAGIC {
-        return Ok(Err("bad magic".to_string()));
+        return Err("bad magic".to_string());
     }
     let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
     if bytes.len() - 16 != len {
-        return Ok(Err(format!(
+        return Err(format!(
             "header claims {len} payload bytes, file has {}",
             bytes.len() - 16
-        )));
+        ));
     }
     let payload = &bytes[16..];
     if crc32(payload) != crc {
-        return Ok(Err("checksum mismatch".to_string()));
+        return Err("checksum mismatch".to_string());
     }
-    Ok(decode_snapshot(payload))
+    decode_snapshot(payload)
 }
 
 /// Loads the newest usable snapshot of `session`, skipping (and

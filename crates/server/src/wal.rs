@@ -266,7 +266,7 @@ fn read_name(r: &mut SnapshotReader, what: &'static str) -> std::result::Result<
     String::from_utf8(name).map_err(|_| format!("{what} not UTF-8"))
 }
 
-fn encode_record(record: &WalRecord) -> Vec<u8> {
+pub(crate) fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u8(KIND_DELTA);
     w.u64(record.lsn);
@@ -307,7 +307,7 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
+pub(crate) fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
     let fail = |e: priu_core::CoreError| e.to_string();
     let mut r = SnapshotReader::new(payload);
     let kind = r.u8("frame kind").map_err(fail)?;
@@ -378,7 +378,7 @@ fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
     })
 }
 
-fn encode_checkpoint(cp: &CheckpointRecord) -> Vec<u8> {
+pub(crate) fn encode_checkpoint(cp: &CheckpointRecord) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u8(KIND_CHECKPOINT);
     w.u64(cp.next_lsn);
@@ -390,7 +390,7 @@ fn encode_checkpoint(cp: &CheckpointRecord) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_checkpoint(payload: &[u8]) -> std::result::Result<CheckpointRecord, String> {
+pub(crate) fn decode_checkpoint(payload: &[u8]) -> std::result::Result<CheckpointRecord, String> {
     let fail = |e: priu_core::CoreError| e.to_string();
     let mut r = SnapshotReader::new(payload);
     let kind = r.u8("frame kind").map_err(fail)?;
@@ -410,7 +410,7 @@ fn decode_checkpoint(payload: &[u8]) -> std::result::Result<CheckpointRecord, St
 }
 
 /// Appends one `[len][crc][payload]` frame to a byte buffer.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -418,7 +418,7 @@ fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
 
 // --- scanning -------------------------------------------------------------
 
-fn scan_bytes(bytes: &[u8]) -> WalScan {
+pub(crate) fn scan_bytes(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut checkpoint = None;
     let mut at = 0usize;
