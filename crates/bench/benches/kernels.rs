@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the linear-algebra substrate kernels that dominate
 //! PrIU's training and update phases: matrix-vector products, weighted Gram
-//! accumulation, truncated eigendecompositions, Jacobi eigendecomposition and
-//! sparse matrix-vector products.
+//! accumulation, truncated eigendecompositions, the symmetric
+//! eigendecomposition and sparse matrix-vector products.
 //!
 //! The `(n, m)` grid compares three variants per hot kernel so regressions
 //! (and the speedup of this performance layer) stay visible:
@@ -26,16 +26,17 @@
 //! and four threads, and the `qr_per_reflector*` rows keep the pre-WY QR
 //! driver visible next to the compact-WY `qr_blocked*` rows.
 //!
-//! The `eigen_grid` group is the offline-phase shoot-out: the Jacobi
-//! fallback vs the default two-stage tridiag + QL pipeline at 64–512.
+//! The `eigen_grid` group is the offline-phase shoot-out: the scalar
+//! row-cyclic Jacobi solver vs the two-stage tridiag + QL pipeline at
+//! 64–512.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::{
-    cholesky_factor_into, qr_factor_into, qr_factor_per_reflector_into, with_eigen_method,
-    EigenMethod, EigenScratch, GramFactor, QrScratch, TruncationMethod,
+    cholesky_factor_into, qr_factor_into, qr_factor_per_reflector_into, EigenScratch, GramFactor,
+    QrScratch, TruncationMethod,
 };
 use priu_linalg::par;
 use priu_linalg::sparse::CooBuilder;
@@ -507,7 +508,7 @@ fn bench_decomp_grid(c: &mut Criterion) {
     group.finish();
 }
 
-/// The offline-phase shoot-out: the Jacobi fallback vs the default
+/// The offline-phase shoot-out: the scalar row-cyclic Jacobi solver vs the
 /// tridiag + QL pipeline on the same symmetric inputs, up to the 512×512
 /// acceptance shape (Jacobi is Θ(n³) *per sweep* there — that is the point).
 const EIGEN_GRID_SIZES: [usize; 4] = [64, 128, 256, 512];
@@ -524,29 +525,19 @@ fn bench_eigen_grid(c: &mut Criterion) {
         let shape = format!("{n}x{n}");
 
         group.bench_function(BenchmarkId::new("jacobi1", &shape), |bench| {
-            bench.iter(|| {
-                with_eigen_method(EigenMethod::Jacobi, || {
-                    par::with_threads(1, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
-                    })
-                })
-            })
+            bench.iter(|| scalar::jacobi_eigen(black_box(&sym)))
         });
         group.bench_function(BenchmarkId::new("tridiag_ql1", &shape), |bench| {
             bench.iter(|| {
-                with_eigen_method(EigenMethod::TridiagQl, || {
-                    par::with_threads(1, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
-                    })
+                par::with_threads(1, || {
+                    SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
                 })
             })
         });
         group.bench_function(BenchmarkId::new("tridiag_ql4", &shape), |bench| {
             bench.iter(|| {
-                with_eigen_method(EigenMethod::TridiagQl, || {
-                    par::with_threads(4, || {
-                        SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
-                    })
+                par::with_threads(4, || {
+                    SymmetricEigen::new_with(black_box(&sym), &mut scratch).unwrap()
                 })
             })
         });
@@ -724,7 +715,8 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // Jacobi eigendecomposition (PrIU-opt offline step).
+    // Symmetric eigendecomposition (PrIU-opt offline step). The id predates
+    // the tridiag + QL pipeline; it is kept so earlier runs stay comparable.
     let sym = {
         let base = random_matrix(54, 54, 4);
         base.gram()

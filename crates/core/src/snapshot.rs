@@ -1,6 +1,7 @@
-//! Bit-exact serialization of sessions for durability snapshots.
+//! Bit-exact serialization of sessions for durability snapshots, and the
+//! byte codec the server's wire protocol and WAL share.
 //!
-//! The server's durability layer (PR 9) persists whole sessions — dataset,
+//! The server's durability layer persists whole sessions — dataset,
 //! trained model, captured provenance, closed-form views — and must restore
 //! them *bitwise identical*: recovery redoes WAL deltas through the same
 //! `apply_delta` replay as the live path, so any rounding introduced by the
@@ -10,12 +11,22 @@
 //! dominated by the dense provenance caches, and a transparent format keeps
 //! the corruption story simple (the WAL layer checksums the whole blob).
 //!
+//! [`SnapshotWriter`] / [`SnapshotReader`] are the one codec of the
+//! workspace: session snapshots, the server's snapshot files, WAL frames
+//! and wire messages all encode through them. Strings travel as a `u32`
+//! byte length plus UTF-8, flags as one strict 0/1 byte, optional values
+//! as a flag followed by the value, and runs of `f64`/`u64` as their
+//! elements after a count the caller writes (`u64` here and in the WAL,
+//! `u32` on the wire).
+//!
 //! Layout discipline: each composite type has a `put_*` / `get_*` pair in
 //! this module when its fields are public, while the engine structs (private
-//! fields) implement their halves in their own modules via
-//! [`SnapshotWriter`] / [`SnapshotReader`]. A one-byte tag disambiguates
-//! every enum. Decode failures surface as [`CoreError::Snapshot`] — a typed
-//! error the recovery path can log and skip, never a panic.
+//! fields) implement their halves in their own modules. A one-byte tag
+//! disambiguates every enum. Decode failures are a typed [`CodecError`],
+//! which surfaces here as [`CoreError::Snapshot`] — an error the recovery
+//! path can log and skip, never a panic.
+
+use std::fmt;
 
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, Labels, SparseDataset};
@@ -35,7 +46,50 @@ use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::{Model, ModelKind};
 use crate::trainer::sparse::SparseLogisticProvenance;
 
-/// Append-only byte sink for snapshot encoding.
+/// Why bytes failed to decode. Every variant but `TrailingBytes` carries
+/// its rendered message; callers map the variant onto their own error
+/// ([`CoreError::Snapshot`] here, the wire protocol's typed error in the
+/// server).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// The bytes end inside a field, or a length prefix claims more bytes
+    /// than remain.
+    Truncated(String),
+    /// A tag or flag byte outside its domain.
+    BadTag(u8, String),
+    /// A string field is not valid UTF-8.
+    BadUtf8(String),
+    /// Bytes remain after a complete value.
+    TrailingBytes(usize),
+    /// A decoded value breaks an invariant of its type.
+    Invalid(String),
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Truncated(msg)
+            | CodecError::BadTag(_, msg)
+            | CodecError::BadUtf8(msg)
+            | CodecError::Invalid(msg) => f.write_str(msg),
+            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+impl From<CodecError> for CoreError {
+    fn from(err: CodecError) -> Self {
+        CoreError::Snapshot(format!("snapshot truncated or corrupt: {err}"))
+    }
+}
+
+fn corrupt(what: &str) -> CoreError {
+    CodecError::Invalid(what.to_string()).into()
+}
+
+/// Append-only byte sink.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
@@ -50,6 +104,11 @@ impl SnapshotWriter {
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Appends raw bytes (a nested blob with its own codec).
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a raw byte.
@@ -67,9 +126,17 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `usize` as a `u64`.
+    /// Appends a `usize` as a `u64` (also the `u64` count prefix).
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+
+    /// Appends a `u32` count prefix.
+    ///
+    /// # Panics
+    /// If `n` exceeds `u32::MAX`.
+    pub fn len32(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("count fits its u32 prefix"));
     }
 
     /// Appends an `f64` by its bit pattern (lossless, NaN-preserving).
@@ -81,18 +148,48 @@ impl SnapshotWriter {
     pub fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
+
+    /// Appends a flag, then the value through `put` when present.
+    pub fn option<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
+        }
+    }
+
+    /// Appends a string: `u32` byte length, then the UTF-8 bytes.
+    pub fn str(&mut self, s: &str) {
+        self.len32(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    /// Appends the bit patterns of a run of `f64`s (no count).
+    pub fn f64s(&mut self, v: &[f64]) {
+        self.buf.reserve(8 * v.len());
+        for &x in v {
+            self.f64(x);
+        }
+    }
+
+    /// Appends a run of `u64`s (no count).
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.buf.reserve(8 * v.len());
+        for &x in v {
+            self.u64(x);
+        }
+    }
 }
 
-/// Bounds-checked cursor over snapshot bytes.
+/// Bounds-checked cursor over encoded bytes. `what` names the field in
+/// error messages.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
-fn corrupt(what: &str) -> CoreError {
-    CoreError::Snapshot(format!("snapshot truncated or corrupt: {what}"))
-}
+/// Result of a [`SnapshotReader`] read.
+pub type CodecResult<T> = std::result::Result<T, CodecError>;
 
 impl<'a> SnapshotReader<'a> {
     /// A reader over the full byte slice.
@@ -108,71 +205,129 @@ impl<'a> SnapshotReader<'a> {
     /// Consumes the next `n` raw bytes (a nested blob with its own codec).
     ///
     /// # Errors
-    /// [`CoreError::Snapshot`] if fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).ok_or_else(|| corrupt(what))?;
-        let slice = self.bytes.get(self.at..end).ok_or_else(|| corrupt(what))?;
-        self.at = end;
+    /// [`CodecError::Truncated`] if fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize, what: &str) -> CodecResult<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(CodecError::Truncated(what.to_string()));
+        }
+        let slice = &self.bytes[self.at..self.at + n];
+        self.at += n;
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self, what: &str) -> CodecResult<[u8; N]> {
+        Ok(self
+            .take(N, what)?
+            .try_into()
+            .expect("take returns N bytes"))
+    }
+
     /// Reads a raw byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8> {
+    pub fn u8(&mut self, what: &str) -> CodecResult<u8> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
+    pub fn u32(&mut self, what: &str) -> CodecResult<u32> {
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
+    pub fn u64(&mut self, what: &str) -> CodecResult<u64> {
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a `u64` and narrows it to `usize`.
-    pub fn usize(&mut self, what: &str) -> Result<usize> {
-        usize::try_from(self.u64(what)?).map_err(|_| corrupt(what))
+    pub fn usize(&mut self, what: &str) -> CodecResult<usize> {
+        usize::try_from(self.u64(what)?).map_err(|_| CodecError::Invalid(what.to_string()))
     }
 
     /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
+    pub fn f64(&mut self, what: &str) -> CodecResult<f64> {
+        self.u64(what).map(f64::from_bits)
     }
 
     /// Reads a bool byte (strictly 0 or 1).
-    pub fn bool(&mut self, what: &str) -> Result<bool> {
+    pub fn bool(&mut self, what: &str) -> CodecResult<bool> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(corrupt(&format!("{what}: bad bool byte {other}"))),
+            other => Err(CodecError::BadTag(
+                other,
+                format!("{what}: bad bool byte {other}"),
+            )),
         }
     }
 
-    /// Reads a length prefix that must be coverable by the remaining bytes
-    /// at `elem_bytes` each — rejects lying prefixes before any allocation.
-    pub fn len(&mut self, elem_bytes: usize, what: &str) -> Result<usize> {
-        let n = self.usize(what)?;
-        let need = n.checked_mul(elem_bytes).ok_or_else(|| corrupt(what))?;
-        if need > self.remaining() {
-            return Err(corrupt(&format!(
-                "{what}: length {n} exceeds remaining bytes"
-            )));
+    /// Reads a flag, then the value through `get` when it is set.
+    pub fn option<T, E: From<CodecError>>(
+        &mut self,
+        what: &str,
+        get: impl FnOnce(&mut Self) -> std::result::Result<T, E>,
+    ) -> std::result::Result<Option<T>, E> {
+        if self.bool(what)? {
+            get(self).map(Some)
+        } else {
+            Ok(None)
         }
-        Ok(n)
+    }
+
+    /// Reads a string: `u32` byte length, then UTF-8 bytes.
+    pub fn str(&mut self, what: &str) -> CodecResult<String> {
+        let len = self.u32(what)? as usize;
+        let bytes = self.take(len, what)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| CodecError::BadUtf8(format!("{what} not UTF-8")))
+    }
+
+    /// Reads a `u64` count prefix that must be coverable by the remaining
+    /// bytes at `elem_bytes` each — rejects lying prefixes before any
+    /// allocation.
+    pub fn len(&mut self, elem_bytes: usize, what: &str) -> CodecResult<usize> {
+        let n = self.usize(what)?;
+        self.check_len(n, elem_bytes, what)
+    }
+
+    /// Like [`Self::len`], for a `u32` count prefix.
+    pub fn len32(&mut self, elem_bytes: usize, what: &str) -> CodecResult<usize> {
+        let n = self.u32(what)? as usize;
+        self.check_len(n, elem_bytes, what)
+    }
+
+    fn check_len(&self, n: usize, elem_bytes: usize, what: &str) -> CodecResult<usize> {
+        match n.checked_mul(elem_bytes) {
+            Some(need) if need <= self.remaining() => Ok(n),
+            Some(_) => Err(CodecError::Truncated(format!(
+                "{what}: length {n} exceeds remaining bytes"
+            ))),
+            None => Err(CodecError::Truncated(what.to_string())),
+        }
+    }
+
+    /// Reads a run of `n` `f64` bit patterns, checking that the bytes are
+    /// there before allocating.
+    pub fn f64s(&mut self, n: usize, what: &str) -> CodecResult<Vec<f64>> {
+        Ok(self.words(n, what)?.map(f64::from_bits).collect())
+    }
+
+    /// Reads a run of `n` `u64`s, checking that the bytes are there before
+    /// allocating.
+    pub fn u64s(&mut self, n: usize, what: &str) -> CodecResult<Vec<u64>> {
+        Ok(self.words(n, what)?.collect())
+    }
+
+    fn words(&mut self, n: usize, what: &str) -> CodecResult<impl Iterator<Item = u64> + 'a> {
+        let bytes = self.take(self.check_len(n, 8, what)? * 8, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))))
     }
 
     /// Fails unless every byte has been consumed.
-    pub fn finish(self) -> Result<()> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(corrupt(&format!("{} trailing bytes", self.remaining())))
+    pub fn finish(self) -> CodecResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::TrailingBytes(n)),
         }
     }
 }
@@ -182,28 +337,20 @@ impl<'a> SnapshotReader<'a> {
 /// Encodes a vector (length + bit patterns).
 pub fn put_vector(w: &mut SnapshotWriter, v: &Vector) {
     w.usize(v.len());
-    for &x in v.as_slice() {
-        w.f64(x);
-    }
+    w.f64s(v.as_slice());
 }
 
 /// Decodes a vector.
 pub fn get_vector(r: &mut SnapshotReader<'_>, what: &str) -> Result<Vector> {
-    let n = r.len(8, what)?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(r.f64(what)?);
-    }
-    Ok(Vector::from_vec(data))
+    let n = r.usize(what)?;
+    Ok(Vector::from_vec(r.f64s(n, what)?))
 }
 
 /// Encodes a dense matrix (shape + row-major bit patterns).
 pub fn put_matrix(w: &mut SnapshotWriter, m: &Matrix) {
     w.usize(m.nrows());
     w.usize(m.ncols());
-    for &x in m.as_slice() {
-        w.f64(x);
-    }
+    w.f64s(m.as_slice());
 }
 
 /// Decodes a dense matrix.
@@ -211,14 +358,7 @@ pub fn get_matrix(r: &mut SnapshotReader<'_>, what: &str) -> Result<Matrix> {
     let rows = r.usize(what)?;
     let cols = r.usize(what)?;
     let total = rows.checked_mul(cols).ok_or_else(|| corrupt(what))?;
-    if total.checked_mul(8).ok_or_else(|| corrupt(what))? > r.remaining() {
-        return Err(corrupt(&format!("{what}: matrix larger than payload")));
-    }
-    let mut data = Vec::with_capacity(total);
-    for _ in 0..total {
-        data.push(r.f64(what)?);
-    }
-    Ok(Matrix::from_vec(rows, cols, data)?)
+    Ok(Matrix::from_vec(rows, cols, r.f64s(total, what)?)?)
 }
 
 fn put_usize_slice(w: &mut SnapshotWriter, s: &[usize]) {
@@ -229,12 +369,11 @@ fn put_usize_slice(w: &mut SnapshotWriter, s: &[usize]) {
 }
 
 fn get_usize_vec(r: &mut SnapshotReader<'_>, what: &str) -> Result<Vec<usize>> {
-    let n = r.len(8, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.usize(what)?);
-    }
-    Ok(out)
+    let n = r.usize(what)?;
+    r.u64s(n, what)?
+        .into_iter()
+        .map(|x| usize::try_from(x).map_err(|_| corrupt(what)))
+        .collect()
 }
 
 fn put_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
@@ -247,11 +386,8 @@ fn put_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
 
 fn get_pairs(r: &mut SnapshotReader<'_>, what: &str) -> Result<Vec<(f64, f64)>> {
     let n = r.len(16, what)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.f64(what)?, r.f64(what)?));
-    }
-    Ok(out)
+    let flat = r.f64s(2 * n, what)?;
+    Ok(flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
 }
 
 // --- datasets -------------------------------------------------------------
@@ -329,9 +465,7 @@ pub fn put_csr(w: &mut SnapshotWriter, m: &CsrMatrix) {
     put_usize_slice(w, m.row_ptr());
     put_usize_slice(w, m.col_idx());
     w.usize(m.values().len());
-    for &x in m.values() {
-        w.f64(x);
-    }
+    w.f64s(m.values());
 }
 
 /// Decodes a CSR matrix, revalidating its structural invariants.
@@ -340,11 +474,8 @@ pub fn get_csr(r: &mut SnapshotReader<'_>, what: &str) -> Result<CsrMatrix> {
     let cols = r.usize(what)?;
     let row_ptr = get_usize_vec(r, what)?;
     let col_idx = get_usize_vec(r, what)?;
-    let n = r.len(8, what)?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(r.f64(what)?);
-    }
+    let n = r.usize(what)?;
+    let values = r.f64s(n, what)?;
     Ok(CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values)?)
 }
 
@@ -481,16 +612,12 @@ pub fn put_schedule(w: &mut SnapshotWriter, s: &BatchSchedule) {
     w.usize(s.batch_size());
     w.usize(s.num_iterations());
     w.u64(s.seed());
-    match s.explicit_batches() {
-        None => w.bool(false),
-        Some(batches) => {
-            w.bool(true);
-            w.usize(batches.len());
-            for b in batches {
-                put_usize_slice(w, b);
-            }
+    w.option(s.explicit_batches(), |w, batches| {
+        w.usize(batches.len());
+        for b in batches {
+            put_usize_slice(w, b);
         }
-    }
+    });
 }
 
 /// Decodes a mini-batch schedule.
@@ -499,16 +626,12 @@ pub fn get_schedule(r: &mut SnapshotReader<'_>, what: &str) -> Result<BatchSched
     let batch_size = r.usize(what)?;
     let num_iterations = r.usize(what)?;
     let seed = r.u64(what)?;
-    let explicit = if r.bool(what)? {
+    let explicit = r.option(what, |r| {
         let n = r.len(8, what)?;
-        let mut batches = Vec::with_capacity(n);
-        for _ in 0..n {
-            batches.push(get_usize_vec(r, what)?);
-        }
-        Some(batches)
-    } else {
-        None
-    };
+        (0..n)
+            .map(|_| get_usize_vec(r, what))
+            .collect::<Result<_>>()
+    })?;
     if num_samples == 0 || batch_size == 0 {
         return Err(corrupt(&format!("{what}: empty schedule")));
     }
@@ -558,9 +681,7 @@ pub fn put_gram_cache(w: &mut SnapshotWriter, g: &GramCache) {
             put_truncated(w, base);
             put_matrix(w, rows);
             w.usize(coefficients.len());
-            for &c in coefficients {
-                w.f64(c);
-            }
+            w.f64s(coefficients);
         }
     }
 }
@@ -573,11 +694,8 @@ pub fn get_gram_cache(r: &mut SnapshotReader<'_>, what: &str) -> Result<GramCach
         GRAM_DEFLATED => {
             let base = get_truncated(r, what)?;
             let rows = get_matrix(r, what)?;
-            let n = r.len(8, what)?;
-            let mut coefficients = Vec::with_capacity(n);
-            for _ in 0..n {
-                coefficients.push(r.f64(what)?);
-            }
+            let n = r.usize(what)?;
+            let coefficients = r.f64s(n, what)?;
             if coefficients.len() != rows.nrows() {
                 return Err(corrupt(&format!("{what}: deflation row/coeff mismatch")));
             }
@@ -639,33 +757,15 @@ pub fn put_linear_provenance(w: &mut SnapshotWriter, p: &LinearProvenance) {
         put_vector(w, &it.xy);
         w.usize(it.batch_size);
     }
-    match &p.normal {
-        None => w.bool(false),
-        Some(normal) => {
-            w.bool(true);
-            put_normal_equations(w, normal);
-        }
-    }
-    match &p.opt {
-        None => w.bool(false),
-        Some(opt) => {
-            w.bool(true);
-            put_eigen(w, &opt.eigen);
-        }
-    }
+    w.option(p.normal.as_ref(), put_normal_equations);
+    w.option(p.opt.as_ref(), |w, opt| put_eigen(w, &opt.eigen));
 }
 
 /// Decodes the full linear-regression provenance (layout 2).
 pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
     let mut provenance = get_linear_iterations(r, what)?;
-    if r.bool(what)? {
-        provenance.normal = Some(get_normal_equations(r, what)?);
-    }
-    if r.bool(what)? {
-        provenance.opt = Some(LinearOptCapture {
-            eigen: get_eigen(r, what)?,
-        });
-    }
+    provenance.normal = r.option(what, |r| get_normal_equations(r, what))?;
+    provenance.opt = r.option(what, |r| get_linear_opt(r, what))?;
     Ok(provenance)
 }
 
@@ -680,12 +780,16 @@ pub fn get_linear_provenance_v1(
     let mut provenance = get_linear_iterations(r, what)?;
     let mut xty = None;
     if r.bool(what)? {
-        provenance.opt = Some(LinearOptCapture {
-            eigen: get_eigen(r, what)?,
-        });
+        provenance.opt = Some(get_linear_opt(r, what)?);
         xty = Some(get_vector(r, what)?);
     }
     Ok((provenance, xty))
+}
+
+fn get_linear_opt(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearOptCapture> {
+    Ok(LinearOptCapture {
+        eigen: get_eigen(r, what)?,
+    })
 }
 
 /// The layout-independent head of linear provenance: schedule, rates,
@@ -731,20 +835,16 @@ pub fn put_logistic_provenance(w: &mut SnapshotWriter, p: &LogisticProvenance) {
         }
         w.usize(it.batch_size);
     }
-    match &p.opt {
-        None => w.bool(false),
-        Some(opt) => {
-            w.bool(true);
-            w.usize(opt.switch_iteration);
-            put_model(w, &opt.model_at_switch);
-            w.usize(opt.classes.len());
-            for c in &opt.classes {
-                put_eigen(w, &c.eigen);
-                put_vector(w, &c.d_star);
-                put_pairs(w, &c.coefficients);
-            }
+    w.option(p.opt.as_ref(), |w, opt| {
+        w.usize(opt.switch_iteration);
+        put_model(w, &opt.model_at_switch);
+        w.usize(opt.classes.len());
+        for c in &opt.classes {
+            put_eigen(w, &c.eigen);
+            put_vector(w, &c.d_star);
+            put_pairs(w, &c.coefficients);
         }
-    }
+    });
 }
 
 /// Decodes the full logistic-regression provenance.
@@ -773,7 +873,7 @@ pub fn get_logistic_provenance(
             batch_size: r.usize(what)?,
         });
     }
-    let opt = if r.bool(what)? {
+    let opt = r.option(what, |r| {
         let switch_iteration = r.usize(what)?;
         let model_at_switch = get_model(r, what)?;
         let num_classes = r.len(1, what)?;
@@ -785,14 +885,12 @@ pub fn get_logistic_provenance(
                 coefficients: get_pairs(r, what)?,
             });
         }
-        Some(LogisticOptCapture {
+        Ok::<_, CoreError>(LogisticOptCapture {
             switch_iteration,
             model_at_switch,
             classes,
         })
-    } else {
-        None
-    };
+    })?;
     Ok(LogisticProvenance {
         schedule,
         learning_rate,
@@ -862,6 +960,11 @@ mod tests {
         w.f64(f64::NAN);
         w.bool(true);
         put_vector(&mut w, &Vector::from_vec(vec![1.5, -2.25, 1e-308]));
+        w.str("πρ/iu");
+        w.option(Some(9u64), SnapshotWriter::u64);
+        w.option(None::<u64>, SnapshotWriter::u64);
+        w.len32(2);
+        w.u64s(&[u64::MAX, 0]);
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
         assert_eq!(r.u8("t").unwrap(), 7);
@@ -872,6 +975,11 @@ mod tests {
         assert!(r.bool("t").unwrap());
         let v = get_vector(&mut r, "t").unwrap();
         assert_eq!(v.as_slice(), &[1.5, -2.25, 1e-308]);
+        assert_eq!(r.str("t").unwrap(), "πρ/iu");
+        assert_eq!(r.option("t", |r| r.u64("t")), Ok(Some(9)));
+        assert_eq!(r.option("t", |r| r.u64("t")), Ok(None));
+        let n = r.len32(8, "t").unwrap();
+        assert_eq!(r.u64s(n, "t").unwrap(), [u64::MAX, 0]);
         r.finish().unwrap();
     }
 
@@ -897,6 +1005,22 @@ mod tests {
         // Unknown enum tags decode to errors.
         let mut r = SnapshotReader::new(&[9u8]);
         assert!(get_labels(&mut r, "labels").is_err());
+        // Each primitive failure has its own typed variant, and the core
+        // error keeps the rendered message.
+        let mut r = SnapshotReader::new(&[2, 1, 0, 0, 0, 0xff, 0]);
+        assert!(matches!(r.bool("flag"), Err(CodecError::BadTag(2, _))));
+        assert!(matches!(r.str("name"), Err(CodecError::BadUtf8(_))));
+        assert_eq!(r.finish(), Err(CodecError::TrailingBytes(1)));
+        let mut r = SnapshotReader::new(&[0xff; 4]);
+        let err = r.len32(8, "ids").unwrap_err();
+        assert!(matches!(err, CodecError::Truncated(_)));
+        assert_eq!(
+            CoreError::from(err),
+            CoreError::Snapshot(
+                "snapshot truncated or corrupt: ids: length 4294967295 exceeds remaining bytes"
+                    .into()
+            )
+        );
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct Workspace {
     /// their Cholesky factors).
     pub(crate) mm0: Matrix,
     pub(crate) mm1: Matrix,
-    /// Symmetric eigendecomposition scratch — tridiag + QL pipeline plus
-    /// the Jacobi fallback (PrIU-opt offline captures).
+    /// Symmetric eigendecomposition scratch for the PrIU-opt offline
+    /// captures.
     pub(crate) eig: EigenScratch,
     grow_events: usize,
 }

@@ -1,12 +1,9 @@
-//! Symmetric eigendecomposition: two-stage tridiagonalisation + QL by
-//! default, cyclic Jacobi as a fallback.
+//! Symmetric eigendecomposition: two-stage tridiagonalisation + QL.
 //!
 //! PrIU-opt (§5.2) relies on an *offline* eigendecomposition of the Gram
 //! matrix `M = X^T X` (`M = Q diag(c) Q^T`), followed by an *online*
 //! incremental eigenvalue update after a deletion: `c'_i = (Q^T M' Q)_{ii}`
 //! (Eq. 18, citing Ning et al.). Both pieces live in this module.
-//!
-//! # The default pipeline: tridiag + implicit-shift QL
 //!
 //! [`eigen_into`] (and [`SymmetricEigen::new`] / [`new_with`] on top of it)
 //! runs the classic two-stage dense symmetric eigensolver from
@@ -14,161 +11,26 @@
 //! (`A = Q_t T Q_tᵀ`, `4n³/3` flops) followed by implicit-shift QL
 //! iteration on `(d, e)` with eigenvector back-accumulation into `Zᵀ`
 //! seeded with `Q_tᵀ` (`O(n²)` per sweep, `O(1)` sweeps per eigenvalue) —
-//! `O(n³)` *total*, where each Jacobi **sweep** costs `Θ(n³)`. The
-//! production path (one pool fork-join per call) is bitwise identical to
-//! the plain-loop reference [`eigen_scalar_into`] for any `PRIU_THREADS`,
-//! per `PRIU_SIMD` level
-//! (the shared-driver argument lives in the `tridiag` module docs).
-//! Eigenpairs agree with the Jacobi fallback *numerically* (both
-//! diagonalise the same matrix), never bitwise — the trees are unrelated.
-//!
-//! ## Method selection
-//!
-//! `PRIU_EIGEN` picks the solver process-wide: unset / `auto` / `tridiag` /
-//! `ql` select the two-stage pipeline, `jacobi` the sweep solver below
-//! (kept as a numerically independent cross-check and escape hatch);
-//! anything else panics at first use. Tests and benches pin a method in
-//! scope with [`with_eigen_method`], which overrides the environment on the
-//! current thread.
+//! `O(n³)` in total. The production path (one pool fork-join per call) is
+//! bitwise identical to the plain-loop reference [`eigen_scalar_into`] for
+//! any `PRIU_THREADS`, per `PRIU_SIMD` level (the shared-driver argument
+//! lives in the `tridiag` module docs). The `decomp_parity` suite also
+//! checks the eigenpairs numerically against a test-only round-robin
+//! Jacobi solver, an algorithm that shares no code with this one.
 //!
 //! [`new_with`]: SymmetricEigen::new_with
-//!
-//! # The Jacobi fallback: blocked, pool-parallel sweeps
-//!
-//! The sweep is *round-robin cyclic*: each sweep runs `N − 1` rounds of the
-//! tournament (circle-method) schedule, every round pairing all indices into
-//! `N/2` **disjoint** rotation pairs (`N` is `n` rounded up to even; pairs
-//! touching the padding index are skipped). Per round the rotation angles
-//! are computed from the round-start matrix, then applied in three
-//! element-independent passes — row pairs of `M`, column pairs of `M`, row
-//! pairs of the transposed accumulator `Qᵀ` — each chunked over the pair
-//! list through [`crate::par`] with shape-only chunk boundaries.
-//!
-//! The schedule (referenced by the `decomp_parity` reference
-//! implementation): in round `t ∈ 0..N−1` the pairs are `{N−1, t}` and
-//! `{(t+k) mod (N−1), (t+N−1−k) mod (N−1)}` for `k ∈ 1..N/2`; each pair is
-//! normalised to `p < r`. Every unordered pair occurs exactly once per
-//! sweep.
-//!
-//! **Determinism.** Pair disjointness makes every pass a pure element-wise
-//! map (each matrix entry is written by exactly one pair), so the result is
-//! **bitwise identical for any `PRIU_THREADS`** and for the serial execution
-//! of the same schedule. Note the *rotation order* differs from the previous
-//! sequential row-cyclic implementation, so eigenpairs agree with it
-//! numerically (to convergence tolerance), not bitwise — the bitwise
-//! guarantee is over thread counts and executions of this schedule.
-
-use std::cell::Cell;
-use std::sync::OnceLock;
 
 use crate::dense::matrix::Matrix;
 use crate::dense::vector::Vector;
 use crate::error::{LinalgError, Result};
-use crate::par::{self, Chunks, SendPtr};
 
 use super::tridiag::{
     tql2_into, tridiag_factor_into, tridiag_factor_scalar_into, QlRotation, TridiagScratch,
 };
 
-/// Which symmetric eigensolver [`eigen_into`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EigenMethod {
-    /// Blocked Householder tridiagonalisation + implicit-shift QL (default).
-    TridiagQl,
-    /// Round-robin cyclic Jacobi sweeps (the `PRIU_EIGEN=jacobi` fallback).
-    Jacobi,
-}
-
-fn env_eigen_method() -> EigenMethod {
-    static METHOD: OnceLock<EigenMethod> = OnceLock::new();
-    *METHOD.get_or_init(|| match std::env::var("PRIU_EIGEN") {
-        Err(_) => EigenMethod::TridiagQl,
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "" | "auto" | "tridiag" | "ql" => EigenMethod::TridiagQl,
-            "jacobi" => EigenMethod::Jacobi,
-            other => panic!("PRIU_EIGEN must be one of auto|tridiag|ql|jacobi, got {other:?}"),
-        },
-    })
-}
-
-thread_local! {
-    static METHOD_OVERRIDE: Cell<Option<EigenMethod>> = const { Cell::new(None) };
-}
-
-/// The eigensolver [`eigen_into`] will use on this thread: the innermost
-/// [`with_eigen_method`] override, else the `PRIU_EIGEN` selection.
-pub fn current_eigen_method() -> EigenMethod {
-    METHOD_OVERRIDE
-        .with(|m| m.get())
-        .unwrap_or_else(env_eigen_method)
-}
-
-/// Runs `f` with the eigensolver pinned to `method` on the current thread
-/// (restored afterwards, panic-safe via the drop guard). Tests and benches
-/// use this to exercise a specific solver regardless of `PRIU_EIGEN`.
-pub fn with_eigen_method<R>(method: EigenMethod, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<EigenMethod>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            METHOD_OVERRIDE.with(|m| m.set(self.0));
-        }
-    }
-    let _guard = Restore(METHOD_OVERRIDE.with(|m| m.replace(Some(method))));
-    f()
-}
-
-/// Minimum rotation pairs per chunk: a pair's application costs `~6n`
-/// fused operations across the three passes, so chunks of at least this
-/// many pairs keep the pool hand-off amortised; rounds with fewer than
-/// `2 ×` this many pairs (n < 32) run inline on the calling thread.
-const EIG_MIN_CHUNK_PAIRS: usize = 8;
-/// Chunk-count cap for the rotation passes (map-style, disjoint pairs).
-const EIG_MAX_CHUNKS: usize = 8;
-/// Sweep budget; Jacobi converges in well under this for symmetric input.
-const MAX_SWEEPS: usize = 100;
-
-/// One tournament pair's rotation for the current round. `apply == false`
-/// marks padding pairs and below-threshold off-diagonals (identity
-/// rotations are *skipped*, not applied — `x − 0·y` is not always bitwise
-/// `x`).
-#[derive(Debug, Clone, Copy, Default)]
-struct PairRotation {
-    p: usize,
-    r: usize,
-    c: f64,
-    s: f64,
-    apply: bool,
-}
-
-/// Reusable scratch for the Jacobi fallback: the working copy of the
-/// matrix, the transposed eigenvector accumulator, the per-round rotation
-/// list and the sort buffers. Buffers grow to the largest problem seen; a
-/// warm scratch makes repeated factorisations allocation-free.
-#[derive(Debug, Default, Clone)]
-pub struct JacobiScratch {
-    m: Matrix,
-    qt: Matrix,
-    rot: Vec<PairRotation>,
-    diag: Vec<f64>,
-    idx: Vec<usize>,
-}
-
-impl JacobiScratch {
-    /// Pre-sizes every buffer for `n × n` inputs (so the first
-    /// factorisation is already allocation-free apart from its returned
-    /// eigenpairs). Engines call this before starting the offline timer.
-    pub fn reserve(&mut self, n: usize) {
-        self.m.reshape_zeroed(n, n);
-        self.qt.reshape_zeroed(n, n);
-        self.rot.reserve(n.div_ceil(2));
-        self.diag.reserve(n);
-        self.idx.reserve(n);
-    }
-}
-
 /// Reusable scratch — and warm output storage — for [`eigen_into`]: the
-/// tridiag/QL pipeline buffers, the Jacobi fallback scratch, and the
-/// eigenpair storage the results land in. Buffers grow to the largest
+/// tridiag/QL pipeline buffers and the eigenpair storage the results land
+/// in. Buffers grow to the largest
 /// problem seen; a warm scratch makes [`eigen_into`] fully allocation-free
 /// (asserted with a counting allocator in `zero_alloc`).
 #[derive(Debug, Default, Clone)]
@@ -192,8 +54,6 @@ pub struct EigenScratch {
     idx: Vec<usize>,
     /// Stage-one scratch.
     tri: TridiagScratch,
-    /// Fallback solver scratch (untouched on the tridiag path).
-    jacobi: JacobiScratch,
 }
 
 impl EigenScratch {
@@ -211,7 +71,6 @@ impl EigenScratch {
         self.zt.reshape_zeroed(n, n);
         self.idx.reserve(n);
         self.tri.reserve(n);
-        self.jacobi.reserve(n);
     }
 
     /// Eigenvalues of the last [`eigen_into`] call, descending.
@@ -239,9 +98,7 @@ pub struct SymmetricEigen {
 
 impl SymmetricEigen {
     /// Computes the eigendecomposition of a symmetric matrix with the
-    /// solver selected by `PRIU_EIGEN` / [`with_eigen_method`] (module
-    /// docs): two-stage tridiagonalisation + QL by default, cyclic Jacobi
-    /// as the fallback.
+    /// two-stage tridiagonalisation + QL pipeline (module docs).
     ///
     /// The strictly upper triangle is trusted; small asymmetries (up to
     /// `1e-8 * max_abs`) are tolerated and symmetrised away.
@@ -371,30 +228,20 @@ impl SymmetricEigen {
 /// Symmetric eigendecomposition into caller-owned scratch, fully
 /// allocation-free once the scratch is warm: eigenvalues land in
 /// [`EigenScratch::values`] (descending) and eigenvectors in
-/// [`EigenScratch::vectors`] (columns). Runs the solver selected by
-/// `PRIU_EIGEN` / [`with_eigen_method`] — the tridiag + QL pipeline (one
-/// pool fork-join per call) by default, Jacobi sweeps as the fallback.
+/// [`EigenScratch::vectors`] (columns). Runs the tridiag + QL pipeline
+/// with one pool fork-join per call.
 ///
 /// # Errors
 /// See [`SymmetricEigen::new`].
 pub fn eigen_into(a: &Matrix, scratch: &mut EigenScratch) -> Result<()> {
     validate_symmetric(a)?;
-    match current_eigen_method() {
-        EigenMethod::TridiagQl => tridiag_ql_pipeline(a, scratch, false),
-        EigenMethod::Jacobi => jacobi_into(
-            a,
-            &mut scratch.jacobi,
-            &mut scratch.values,
-            &mut scratch.vectors,
-        ),
-    }
+    tridiag_ql_pipeline(a, scratch, false)
 }
 
-/// The plain-loop reference for the default pipeline: sequential
+/// The plain-loop reference for [`eigen_into`]: sequential
 /// tridiagonalisation, per-reflector back-accumulation and per-sweep QL
-/// rotation application, ignoring the method
-/// selection (it *is* the tridiag + QL reference the parity suite compares
-/// [`eigen_into`] against bitwise).
+/// rotation application. The parity suite compares [`eigen_into`] against
+/// it bitwise.
 ///
 /// # Errors
 /// See [`SymmetricEigen::new`].
@@ -437,7 +284,6 @@ fn tridiag_ql_pipeline(a: &Matrix, scratch: &mut EigenScratch, reference: bool) 
         rot,
         idx,
         tri,
-        ..
     } = scratch;
     if reference {
         tridiag_factor_scalar_into(a, q, d, e, tri)?;
@@ -480,219 +326,12 @@ fn sort_and_extract(
     }
 }
 
-/// The Jacobi fallback solver (module docs): round-robin cyclic sweeps
-/// writing the sorted eigenpairs into the caller's storage. Kept as a
-/// numerically independent cross-check of the default pipeline and as the
-/// `PRIU_EIGEN=jacobi` escape hatch.
-fn jacobi_into(
-    a: &Matrix,
-    scratch: &mut JacobiScratch,
-    values: &mut Vec<f64>,
-    vectors: &mut Matrix,
-) -> Result<()> {
-    let n = a.nrows();
-    let scale = a.max_abs().max(1.0);
-    if n == 0 {
-        values.clear();
-        vectors.reshape_zeroed(0, 0);
-        return Ok(());
-    }
-
-    // Work on a symmetrised copy; accumulate Q transposed (rotations
-    // then combine two contiguous rows in every pass).
-    let m = &mut scratch.m;
-    m.reshape_zeroed(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            m[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
-        }
-    }
-    let qt = &mut scratch.qt;
-    qt.reshape_zeroed(n, n);
-    for i in 0..n {
-        qt[(i, i)] = 1.0;
-    }
-
-    let tol = 1e-14 * scale;
-    let skip_tol = tol * 1e-2;
-    let big_n = n + (n & 1); // padded to even for the tournament
-    let mut converged = false;
-    for _sweep in 0..MAX_SWEEPS {
-        if off_diagonal_norm(m) <= tol {
-            converged = true;
-            break;
-        }
-        for t in 0..big_n.saturating_sub(1) {
-            build_round_rotations(m, n, big_n, t, skip_tol, &mut scratch.rot);
-            rotate_row_pairs(m, &scratch.rot);
-            rotate_column_pairs(m, &scratch.rot);
-            rotate_row_pairs(qt, &scratch.rot);
-        }
-    }
-    if !converged {
-        // One final check: Jacobi nearly always converges in well under
-        // the sweep budget; treat leftover off-diagonal mass as failure.
-        if off_diagonal_norm(m) > 1e-8 * scale {
-            return Err(LinalgError::DidNotConverge {
-                op: "SymmetricEigen::new",
-                iterations: MAX_SWEEPS,
-            });
-        }
-    }
-
-    // Collect eigenvalues and sort descending, permuting eigenvectors.
-    let diag = &mut scratch.diag;
-    diag.clear();
-    diag.extend((0..n).map(|i| m[(i, i)]));
-    sort_and_extract(diag, qt, &mut scratch.idx, values, vectors);
-    Ok(())
-}
-
-/// Frobenius norm of the strictly upper triangle, accumulated row-major
-/// ascending (fixed order — part of the deterministic tree).
-fn off_diagonal_norm(m: &Matrix) -> f64 {
-    let n = m.nrows();
-    let mut off = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            off += m[(i, j)] * m[(i, j)];
-        }
-    }
-    off.sqrt()
-}
-
-/// Fills `rot` with round `t` of the tournament schedule (module docs) and
-/// each pair's Jacobi rotation computed from the round-start matrix.
-fn build_round_rotations(
-    m: &Matrix,
-    n: usize,
-    big_n: usize,
-    t: usize,
-    skip_tol: f64,
-    rot: &mut Vec<PairRotation>,
-) {
-    rot.clear();
-    let last = big_n - 1;
-    for k in 0..big_n / 2 {
-        let (a, b) = if k == 0 {
-            (last, t % last)
-        } else {
-            ((t + k) % last, (t + last - k) % last)
-        };
-        let (p, r) = (a.min(b), a.max(b));
-        let mut entry = PairRotation {
-            p,
-            r,
-            ..PairRotation::default()
-        };
-        if r < n {
-            let apr = m[(p, r)];
-            if apr.abs() > skip_tol {
-                let app = m[(p, p)];
-                let arr = m[(r, r)];
-                // The Jacobi rotation annihilating m[p][r].
-                let theta = (arr - app) / (2.0 * apr);
-                let tan = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                entry.c = 1.0 / (1.0 + tan * tan).sqrt();
-                entry.s = tan * entry.c;
-                entry.apply = true;
-            }
-        }
-        rot.push(entry);
-    }
-}
-
-/// Combines two equal-length rows: `(x, y) ← (c·x − s·y, s·x + c·y)` via
-/// the dispatched rotation microkernel. [`crate::simd::rotate_two`] is
-/// deliberately FMA-free, so rotation bits are identical on every
-/// `PRIU_SIMD` level — the independent plain-loop reference in
-/// `decomp_parity` stays valid without dispatching.
-fn rotate_two_rows(row_p: &mut [f64], row_r: &mut [f64], c: f64, s: f64) {
-    crate::simd::rotate_two(row_p, row_r, c, s);
-}
-
-/// Applies every rotation of the round to its two *rows* of `mat`
-/// (`Jᵀ · mat`), chunk-parallel over the pair list. Pairs are disjoint, so
-/// every row is written by exactly one pair — an element-wise map, bitwise
-/// identical for any chunk-to-thread assignment.
-fn rotate_row_pairs(mat: &mut Matrix, rot: &[PairRotation]) {
-    let n = mat.ncols();
-    let chunks = Chunks::new(rot.len(), EIG_MIN_CHUNK_PAIRS, EIG_MAX_CHUNKS);
-    let ptr = SendPtr(mat.as_mut_slice().as_mut_ptr());
-    par::run_chunks(chunks.count(), |ci| {
-        for pr in &rot[chunks.range(ci)] {
-            if !pr.apply {
-                continue;
-            }
-            // SAFETY: tournament pairs are disjoint within a round, so rows
-            // `p` and `r` are touched by this pair only.
-            let row_p = unsafe { ptr.slice(pr.p * n, n) };
-            let row_r = unsafe { ptr.slice(pr.r * n, n) };
-            rotate_two_rows(row_p, row_r, pr.c, pr.s);
-        }
-    });
-}
-
-/// Applies every rotation of the round to its two *columns* of `mat`
-/// (`mat · J`), chunk-parallel over the pair list (disjoint columns).
-fn rotate_column_pairs(mat: &mut Matrix, rot: &[PairRotation]) {
-    let n = mat.nrows();
-    let width = mat.ncols();
-    let chunks = Chunks::new(rot.len(), EIG_MIN_CHUNK_PAIRS, EIG_MAX_CHUNKS);
-    let ptr = SendPtr(mat.as_mut_slice().as_mut_ptr());
-    par::run_chunks(chunks.count(), |ci| {
-        for pr in &rot[chunks.range(ci)] {
-            if !pr.apply {
-                continue;
-            }
-            for k in 0..n {
-                // SAFETY: disjoint pairs — columns `p` and `r` belong to
-                // this pair only; one element of each per row `k`.
-                let xp = unsafe { &mut ptr.slice(k * width + pr.p, 1)[0] };
-                let xr = unsafe { &mut ptr.slice(k * width + pr.r, 1)[0] };
-                let a = *xp;
-                let b = *xr;
-                *xp = pr.c * a - pr.s * b;
-                *xr = pr.s * a + pr.c * b;
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn symmetric() -> Matrix {
         Matrix::from_vec(3, 3, vec![4.0, 1.0, -2.0, 1.0, 2.0, 0.0, -2.0, 0.0, 3.0]).unwrap()
-    }
-
-    #[test]
-    fn tournament_schedule_covers_every_pair_exactly_once() {
-        for n in [2usize, 3, 5, 8, 33] {
-            let big_n = n + (n & 1);
-            let mut seen = std::collections::HashSet::new();
-            let dummy = Matrix::identity(n);
-            let mut rot = Vec::new();
-            for t in 0..big_n - 1 {
-                let mut this_round = std::collections::HashSet::new();
-                build_round_rotations(&dummy, n, big_n, t, 0.0, &mut rot);
-                for pr in &rot {
-                    assert!(pr.p < pr.r, "pairs are normalised");
-                    // Disjointness within the round.
-                    assert!(this_round.insert(pr.p), "index {} reused (n={n})", pr.p);
-                    assert!(this_round.insert(pr.r), "index {} reused (n={n})", pr.r);
-                    if pr.r < n {
-                        assert!(seen.insert((pr.p, pr.r)), "pair repeated (n={n})");
-                    }
-                }
-            }
-            assert_eq!(seen.len(), n * (n - 1) / 2, "n={n}");
-        }
     }
 
     #[test]

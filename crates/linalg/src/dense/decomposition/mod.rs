@@ -7,11 +7,10 @@
 //! * [`qr`] — compact-WY blocked Householder QR and modified Gram-Schmidt
 //!   orthonormalisation; the building block of the randomized range finder.
 //! * [`tridiag`] — blocked Householder tridiagonalisation `A = Q T Qᵀ` and
-//!   implicit-shift QL iteration; stage one and two of the default
-//!   symmetric eigensolver.
-//! * [`eigen`] — symmetric eigendecomposition: two-stage tridiag + QL by
-//!   default, round-robin cyclic Jacobi as the `PRIU_EIGEN=jacobi`
-//!   fallback; the offline step of PrIU-opt (Eq. 17) and the basis for the
+//!   implicit-shift QL iteration; stage one and two of the symmetric
+//!   eigensolver.
+//! * [`eigen`] — symmetric eigendecomposition by two-stage tridiag + QL;
+//!   the offline step of PrIU-opt (Eq. 17) and the basis for the
 //!   incremental eigenvalue update (Eq. 18).
 //! * [`truncated`] — exact and randomized truncated eigendecompositions of
 //!   Gram forms `X^T diag(w) X`; the "SVD over the intermediate results"
@@ -22,7 +21,7 @@
 //! `_into` / `_with` entry points writing into caller-owned buffers
 //! ([`cholesky_factor_into`] / [`cholesky_solve_into`],
 //! [`qr_factor_into`] + [`QrScratch`],
-//! [`SymmetricEigen::new_with`] + [`JacobiScratch`]) so the PrIU-opt
+//! [`eigen_into`] + [`EigenScratch`]) so the PrIU-opt
 //! capture and closed-form baseline paths stay allocation-free once warm.
 //! Every factorisation is bitwise reproducible for any `PRIU_THREADS`
 //! (asserted by the `decomp_parity` torture suite).
@@ -38,10 +37,7 @@ pub use cholesky::{
     cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, cholesky_update_into,
     cholesky_update_rank_k_into, cholesky_update_scalar_into, Cholesky,
 };
-pub use eigen::{
-    eigen_into, eigen_scalar_into, with_eigen_method, EigenMethod, EigenScratch, JacobiScratch,
-    SymmetricEigen,
-};
+pub use eigen::{eigen_into, eigen_scalar_into, EigenScratch, SymmetricEigen};
 pub use lu::Lu;
 pub use qr::{
     qr_factor_into, qr_factor_per_reflector_into, qr_factor_scalar_into, Qr, QrScratch, QR_NB,

@@ -13,8 +13,8 @@
 //! * [`sparse::CsrMatrix`] — compressed sparse rows with `spmv` /
 //!   `transpose_spmv`, used for the RCV1-style sparse workloads (§5.3).
 //! * [`decomposition`] — Cholesky, LU (partial pivoting), Householder QR,
-//!   symmetric Jacobi eigendecomposition, and randomized / exact truncated
-//!   eigendecompositions of Gram forms. The truncated factorisations are the
+//!   symmetric eigendecomposition (tridiagonalisation + QL), and randomized
+//!   / exact truncated eigendecompositions of Gram forms. The truncated factorisations are the
 //!   "SVD over the intermediate results" used by PrIU (§5.1, §5.3); the
 //!   symmetric eigendecomposition plus the incremental eigenvalue update is
 //!   what PrIU-opt builds on (§5.2, Eq. 17–18).

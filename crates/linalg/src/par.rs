@@ -729,10 +729,9 @@ where
 /// `out[range.start * width..range.end * width]`). Single-chunk
 /// decompositions run inline on the calling thread; empty ones do nothing.
 /// The contiguous-region map kernels touch [`SendPtr`] only here, so their
-/// disjointness argument lives here once; the Jacobi eigen rotation passes
-/// (`dense::decomposition::eigen`) additionally use [`SendPtr`] directly
-/// for their scattered row/column pairs, with their own disjointness
-/// invariant (tournament pairs) argued at those sites.
+/// disjointness argument lives here once; kernels with scattered regions
+/// (the QR WY panel, the QL rotation pass) use [`SendPtr`] directly and
+/// argue their own disjointness at those sites.
 pub(crate) fn map_chunks<D, F>(chunks: &D, width: usize, out: &mut [f64], fill: F)
 where
     D: RangeDecomp + Sync,

@@ -2,7 +2,7 @@
 //!
 //! Every hot inner loop of the dense and sparse kernels — dot products,
 //! 4-row fused matvec dots, `axpy`, the fused GD step `scale_add`, the QR
-//! reflector update, the Jacobi rotation pass, and the CSR gather/scatter
+//! reflector update, the plane-rotation pass, and the CSR gather/scatter
 //! loops — funnels through this module. Each microkernel has two
 //! implementations selected once per call:
 //!
@@ -415,13 +415,13 @@ pub fn fnma2_scaled(out: &mut [f64], a: &[f64], x: f64, b: &[f64], y: f64) {
     }
 }
 
-/// Jacobi rotation of two equal-length rows:
+/// Plane rotation of two equal-length rows:
 /// `(x, y) ← (c·x − s·y, s·x + c·y)`.
 ///
 /// Deliberately **FMA-free on every level**: each output element performs
 /// the same three roundings (two multiplies, one add/sub) whether
 /// vectorised or not, so rotation results are bitwise identical *across
-/// levels* — the eigen path's independent plain-loop reference stays valid
+/// levels* — the QL and Cholesky-update plain-loop references stay valid
 /// without dispatching.
 pub fn rotate_two(row_p: &mut [f64], row_r: &mut [f64], c: f64, s: f64) {
     assert_eq!(

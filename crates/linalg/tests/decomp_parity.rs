@@ -6,11 +6,11 @@
 //! * **bitwise equality of the scalar, blocked and pool paths** — the
 //!   plain-loop scalar references produce the *same bits* as the blocked
 //!   kernels, under `PRIU_THREADS ∈ {1, 4}` pinned per call via
-//!   `par::with_threads` (for the Jacobi fallback the scalar reference is an
-//!   independent plain-loop reimplementation of the documented round-robin
-//!   schedule — same tree, zero shared code with the chunked production
-//!   path; the default tridiag + QL pipeline checks `eigen_scalar_into`
-//!   against the pool path, and the Jacobi fallback numerically);
+//!   `par::with_threads` (the tridiag + QL eigen pipeline checks
+//!   `eigen_scalar_into` against the pool path);
+//! * **numerical agreement with an independent eigensolver** — a
+//!   test-only round-robin Jacobi solver that shares no code with the
+//!   tridiag + QL pipeline;
 //! * **edge cases** — 1×1, panel/chunk-boundary sizes, ill-conditioned
 //!   inputs (typed error or finite factor, never a NaN factor), and
 //!   non-SPD rejection with the failing pivot index on every path.
@@ -24,8 +24,8 @@ use priu_linalg::decomposition::{
     cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, cholesky_update_into,
     cholesky_update_rank_k_into, cholesky_update_scalar_into, eigen_into, eigen_scalar_into,
     qr_factor_into, qr_factor_per_reflector_into, qr_factor_scalar_into, tridiag_factor_into,
-    tridiag_factor_scalar_into, with_eigen_method, Cholesky, EigenMethod, EigenScratch, Qr,
-    QrScratch, SymmetricEigen, TridiagScratch, QR_WY_MIN_COLS,
+    tridiag_factor_scalar_into, Cholesky, EigenScratch, Qr, QrScratch, SymmetricEigen,
+    TridiagScratch, QR_WY_MIN_COLS,
 };
 use priu_linalg::{par, simd, LinalgError, Matrix, Vector};
 use priu_rng::Rng64;
@@ -320,16 +320,12 @@ fn qr_reconstructs_with_orthonormal_q_and_triangular_r() {
 // Eigen
 // ---------------------------------------------------------------------------
 
-/// Sizes straddling the 8-pair chunk minimum (multi-chunk from n = 32) —
-/// kept ≤ 192 because every Jacobi factorisation is Θ(n³) *per sweep* and
-/// the suite runs each case on three paths.
-const EIGEN_SIZES: [usize; 7] = [1, 2, 5, 31, 33, 64, 192];
-
-/// Independent plain-loop reimplementation of the documented round-robin
-/// Jacobi tree (module docs of `priu_linalg::decomposition::eigen`): same
-/// schedule, rotation formulas, thresholds and sort — zero shared code with
-/// the chunked production path. Bitwise agreement here proves the chunk /
-/// pool machinery never alters the computation tree.
+/// An independent plain-loop eigensolver: round-robin cyclic Jacobi sweeps
+/// (tournament schedule — in round `t` of `N − 1`, `N` being `n` rounded
+/// up to even, the pairs are `{N−1, t}` and `{(t+k) mod (N−1),
+/// (t+N−1−k) mod (N−1)}`), eigenvalues sorted descending. It shares no
+/// code with the tridiag + QL pipeline, so agreement with it is a
+/// numerical cross-check of that pipeline.
 fn reference_round_robin_eigen(a: &Matrix) -> (Vec<f64>, Matrix) {
     let n = a.nrows();
     let scale = a.max_abs().max(1.0);
@@ -414,46 +410,9 @@ fn reference_round_robin_eigen(a: &Matrix) -> (Vec<f64>, Matrix) {
 }
 
 #[test]
-fn eigen_scalar_blocked_and_pool_paths_are_bitwise_identical() {
-    // The rotation microkernel is deliberately FMA-free, so the plain-loop
-    // reference (computed once, outside any level override) must match the
-    // production path bitwise on *every* SIMD level — eigenpairs are
-    // level-invariant, not merely level-consistent. Pinned to the Jacobi
-    // fallback: the reference reimplements the round-robin schedule, not the
-    // (default) tridiag + QL pipeline, which has its own parity suite below.
-    let mut scratch = EigenScratch::default();
-    with_eigen_method(EigenMethod::Jacobi, || {
-        for (case, &n) in EIGEN_SIZES.iter().enumerate() {
-            let a = random_symmetric(n, 0xB0 + case as u64);
-            let (ref_values, ref_vectors) = reference_round_robin_eigen(&a);
-            for level in simd_levels() {
-                simd::with_level(level, || {
-                    for threads in [1usize, 4] {
-                        let eig = par::with_threads(threads, || {
-                            SymmetricEigen::new_with(&a, &mut scratch)
-                        })
-                        .unwrap();
-                        assert_eq!(
-                            eig.values.as_slice(),
-                            &ref_values[..],
-                            "eigenvalues blocked({threads}) vs scalar reference n={n} ({level})"
-                        );
-                        assert_eq!(
-                            eig.vectors, ref_vectors,
-                            "eigenvectors blocked({threads}) vs scalar reference n={n} ({level})"
-                        );
-                    }
-                });
-            }
-        }
-    });
-}
-
-#[test]
 fn eigen_reconstructs_with_orthonormal_vectors() {
     // Includes a 256 case (pool path at scale) checked for the spectral
-    // properties only — the O(n³)-per-sweep reference would dominate the
-    // suite's runtime there.
+    // properties only.
     let mut scratch = EigenScratch::default();
     for (case, &n) in [5usize, 33, 64, 192, 256].iter().enumerate() {
         let a = random_symmetric(n, 0xD0 + case as u64);
@@ -506,21 +465,23 @@ fn decompositions_compose_under_nested_parallel_sections() {
     let sym = random_symmetric(40, 0xF1);
     let mut scalar = Matrix::zeros(0, 0);
     cholesky_factor_scalar_into(&a, &mut scalar).unwrap();
-    let (ref_values, _) = reference_round_robin_eigen(&sym);
+    let (jacobi_values, _) = reference_round_robin_eigen(&sym);
     par::with_threads(4, || {
         let mut l = Matrix::zeros(0, 0);
         cholesky_factor_into(&a, &mut l).unwrap();
         assert_eq!(l, scalar);
-        let eig = with_eigen_method(EigenMethod::Jacobi, || SymmetricEigen::new(&sym)).unwrap();
-        assert_eq!(eig.values.as_slice(), &ref_values[..]);
-        // The default tridiag + QL pipeline nests the same way: inside the
-        // override it still matches its own scalar reference bitwise.
+        // The eigen pipeline nests the same way: inside the override it
+        // still matches its own scalar reference bitwise, and the
+        // independent Jacobi solver numerically.
         let mut pooled = EigenScratch::default();
         let mut reference = EigenScratch::default();
         eigen_into(&sym, &mut pooled).unwrap();
         eigen_scalar_into(&sym, &mut reference).unwrap();
         assert_eq!(pooled.values(), reference.values());
         assert_eq!(pooled.vectors(), reference.vectors());
+        for (got, want) in pooled.values().iter().zip(&jacobi_values) {
+            assert!((got - want).abs() < 1e-10 * 40.0, "{got} vs Jacobi {want}");
+        }
     });
 }
 
@@ -717,14 +678,9 @@ fn eigen_pipeline_agrees_with_jacobi_numerically() {
     for (case, &n) in [2usize, 5, 31, 64, 127, 192].iter().enumerate() {
         let a = random_symmetric(n, 0x160 + case as u64);
         eigen_into(&a, &mut pipeline).unwrap();
-        let jacobi = with_eigen_method(EigenMethod::Jacobi, || SymmetricEigen::new(&a)).unwrap();
+        let (jacobi_values, _) = reference_round_robin_eigen(&a);
         let tol = 1e-10 * (n as f64).max(1.0);
-        for (i, (got, want)) in pipeline
-            .values()
-            .iter()
-            .zip(jacobi.values.as_slice())
-            .enumerate()
-        {
+        for (i, (got, want)) in pipeline.values().iter().zip(&jacobi_values).enumerate() {
             assert!(
                 (got - want).abs() < tol,
                 "eigenvalue {i} n={n}: tridiag+QL {got} vs Jacobi {want}"

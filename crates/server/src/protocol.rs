@@ -3,12 +3,16 @@
 //! # Framing
 //!
 //! Every message is one frame: a little-endian `u32` payload length
-//! followed by that many payload bytes. Inside a payload all integers are
-//! little-endian, `f64`s travel as their IEEE-754 bit pattern
-//! ([`f64::to_bits`], little-endian — bit-exact across the wire), strings
-//! as a `u32` byte length plus UTF-8 bytes, and vectors as a `u32` element
-//! count plus the elements. The first payload byte after the 8-byte
-//! request/response id is a message tag.
+//! followed by that many payload bytes, at most [`MAX_FRAME_BYTES`] of
+//! them ([`write_frame`] refuses a larger payload, [`read_frame`] a larger
+//! prefix). Payloads encode through the workspace's one byte codec,
+//! `priu_core::snapshot`'s `SnapshotWriter` / `SnapshotReader`, which the
+//! WAL and snapshots use too: integers are little-endian, `f64`s travel as
+//! their IEEE-754 bit pattern (bit-exact across the wire), strings as a
+//! `u32` byte length plus UTF-8 bytes, flags as one strict 0/1 byte, and
+//! vectors as a `u32` element count plus the elements. The first payload
+//! byte after the 8-byte request/response id is a message tag. Codec
+//! errors map onto [`ProtocolError`] variants.
 //!
 //! The protocol is transport-agnostic over `Read`/`Write`: a
 //! `TcpStream`, a Unix socket, or the in-memory [`pipe`] from this module
@@ -27,7 +31,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::{fmt, io, thread};
 
+use priu_core::snapshot::{CodecError, CodecResult, SnapshotReader, SnapshotWriter};
 use priu_core::Method;
+
+use crate::wal::method_index;
 
 /// Frames larger than this are rejected while decoding the length prefix
 /// (corrupt or hostile peer, not a real message).
@@ -48,6 +55,8 @@ pub enum ProtocolError {
     BadUtf8,
     /// Payload bytes were left over after a complete message.
     TrailingBytes(usize),
+    /// A field decoded but broke an invariant of its type.
+    Invalid(String),
 }
 
 impl fmt::Display for ProtocolError {
@@ -66,6 +75,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after a complete message")
             }
+            ProtocolError::Invalid(what) => write!(f, "invalid field: {what}"),
         }
     }
 }
@@ -75,6 +85,18 @@ impl std::error::Error for ProtocolError {}
 impl From<io::Error> for ProtocolError {
     fn from(err: io::Error) -> Self {
         ProtocolError::Io(err)
+    }
+}
+
+impl From<CodecError> for ProtocolError {
+    fn from(err: CodecError) -> Self {
+        match err {
+            CodecError::Truncated(_) => ProtocolError::Truncated,
+            CodecError::BadTag(tag, _) => ProtocolError::BadTag(tag),
+            CodecError::BadUtf8(_) => ProtocolError::BadUtf8,
+            CodecError::TrailingBytes(n) => ProtocolError::TrailingBytes(n),
+            CodecError::Invalid(what) => ProtocolError::Invalid(what),
+        }
     }
 }
 
@@ -286,9 +308,23 @@ pub struct ResponseEnvelope {
 /// Writes one length-prefixed frame.
 ///
 /// # Errors
-/// Propagates transport errors.
+/// [`io::ErrorKind::InvalidInput`], with nothing written, if the payload
+/// exceeds [`MAX_FRAME_BYTES`] (the peer's [`read_frame`] would reject it
+/// and drop the connection); otherwise transport errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a {} byte payload exceeds the {MAX_FRAME_BYTES} byte frame cap",
+                    payload.len()
+                ),
+            )
+        })?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -361,59 +397,47 @@ const TAG_APPLIED: u8 = 106;
 const TAG_RECOVERY_STATUS: u8 = 107;
 const TAG_DURABILITY_STATS_REPLY: u8 = 108;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// `method + 1` as a byte, 0 for `None`, using [`Method::ALL`] positions.
-fn put_method(out: &mut Vec<u8>, method: Option<Method>) {
-    let code = method
-        .and_then(|m| Method::ALL.iter().position(|&x| x == m))
-        .map_or(0, |ix| ix as u8 + 1);
-    out.push(code);
+fn put_method(w: &mut SnapshotWriter, method: Option<Method>) {
+    w.u8(method.map_or(0, |m| method_index(m) + 1));
+}
+
+fn get_method(r: &mut SnapshotReader<'_>) -> CodecResult<Option<Method>> {
+    let code = r.u8("method")?;
+    match code.checked_sub(1) {
+        None => Ok(None),
+        Some(ix) => Method::ALL
+            .get(usize::from(ix))
+            .copied()
+            .map(Some)
+            .ok_or_else(|| CodecError::BadTag(code, format!("bad method code {code}"))),
+    }
 }
 
 /// Encodes a request envelope into a frame payload.
 pub fn encode_request(env: &RequestEnvelope) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, env.id);
+    let mut w = SnapshotWriter::new();
+    w.u64(env.id);
     match &env.request {
         Request::Predict { session, features } => {
-            out.push(TAG_PREDICT);
-            put_str(&mut out, session);
-            put_u32(&mut out, features.len() as u32);
-            for &x in features {
-                put_f64(&mut out, x);
-            }
+            w.u8(TAG_PREDICT);
+            w.str(session);
+            w.len32(features.len());
+            w.f64s(features);
         }
         Request::Delete { session, ids } => {
-            out.push(TAG_DELETE);
-            put_str(&mut out, session);
-            put_u32(&mut out, ids.len() as u32);
-            for &id in ids {
-                put_u64(&mut out, id);
-            }
+            w.u8(TAG_DELETE);
+            w.str(session);
+            w.len32(ids.len());
+            w.u64s(ids);
         }
         Request::Flush { session } => {
-            out.push(TAG_FLUSH);
-            put_str(&mut out, session);
+            w.u8(TAG_FLUSH);
+            w.str(session);
         }
         Request::Stats { session } => {
-            out.push(TAG_STATS);
-            put_str(&mut out, session);
+            w.u8(TAG_STATS);
+            w.str(session);
         }
         Request::Add {
             session,
@@ -421,9 +445,9 @@ pub fn encode_request(env: &RequestEnvelope) -> Vec<u8> {
             features,
             labels,
         } => {
-            out.push(TAG_ADD);
-            put_str(&mut out, session);
-            put_added_rows(&mut out, *num_features, features, labels);
+            w.u8(TAG_ADD);
+            w.str(session);
+            put_added_rows(&mut w, *num_features, features, labels);
         }
         Request::Tick {
             session,
@@ -432,50 +456,58 @@ pub fn encode_request(env: &RequestEnvelope) -> Vec<u8> {
             labels,
             keep_last,
         } => {
-            out.push(TAG_TICK);
-            put_str(&mut out, session);
-            put_added_rows(&mut out, *num_features, features, labels);
-            put_u64(&mut out, *keep_last);
+            w.u8(TAG_TICK);
+            w.str(session);
+            put_added_rows(&mut w, *num_features, features, labels);
+            w.u64(*keep_last);
         }
-        Request::Recovery => out.push(TAG_RECOVERY),
-        Request::DurabilityStats => out.push(TAG_DURABILITY_STATS),
+        Request::Recovery => w.u8(TAG_RECOVERY),
+        Request::DurabilityStats => w.u8(TAG_DURABILITY_STATS),
     }
-    out
+    w.into_bytes()
 }
 
 /// Encodes an appended-rows block: feature width, row count, row-major
 /// features, then one label per row.
-fn put_added_rows(out: &mut Vec<u8>, num_features: u32, features: &[f64], labels: &[f64]) {
-    put_u32(out, num_features);
-    put_u32(out, labels.len() as u32);
-    for &x in features {
-        put_f64(out, x);
-    }
-    for &y in labels {
-        put_f64(out, y);
-    }
+fn put_added_rows(w: &mut SnapshotWriter, num_features: u32, features: &[f64], labels: &[f64]) {
+    w.u32(num_features);
+    w.len32(labels.len());
+    w.f64s(features);
+    w.f64s(labels);
+}
+
+/// Decodes the body of an appended-rows block whose feature width and row
+/// count the caller has read (`u32`s on the wire, `u64`s in the WAL):
+/// `num_rows × num_features` row-major features, then one label per row.
+/// Both runs are checked against the remaining bytes before allocation.
+pub(crate) fn get_added_rows(
+    r: &mut SnapshotReader<'_>,
+    num_features: usize,
+    num_rows: usize,
+) -> CodecResult<(Vec<f64>, Vec<f64>)> {
+    let total = num_rows
+        .checked_mul(num_features)
+        .ok_or_else(|| CodecError::Truncated("added rows overflow".to_string()))?;
+    Ok((
+        r.f64s(total, "added features")?,
+        r.f64s(num_rows, "added labels")?,
+    ))
 }
 
 /// Encodes a response envelope into a frame payload.
 pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, env.id);
+    let mut w = SnapshotWriter::new();
+    w.u64(env.id);
     match &env.response {
         Response::Predicted {
             value,
             class,
             epoch,
         } => {
-            out.push(TAG_PREDICTED);
-            put_f64(&mut out, *value);
-            match class {
-                Some(c) => {
-                    out.push(1);
-                    put_u64(&mut out, *c);
-                }
-                None => out.push(0),
-            }
-            put_u64(&mut out, *epoch);
+            w.u8(TAG_PREDICTED);
+            w.f64(*value);
+            w.option(*class, SnapshotWriter::u64);
+            w.u64(*epoch);
         }
         Response::Deleted {
             requested,
@@ -486,14 +518,11 @@ pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
             seconds,
             epoch,
         } => {
-            out.push(TAG_DELETED);
-            put_u64(&mut out, *requested);
-            put_u64(&mut out, *applied);
-            put_u64(&mut out, *stale);
-            put_u64(&mut out, *batch_rows);
-            put_method(&mut out, *method);
-            put_f64(&mut out, *seconds);
-            put_u64(&mut out, *epoch);
+            w.u8(TAG_DELETED);
+            w.u64s(&[*requested, *applied, *stale, *batch_rows]);
+            put_method(&mut w, *method);
+            w.f64(*seconds);
+            w.u64(*epoch);
         }
         Response::Applied {
             added,
@@ -503,15 +532,13 @@ pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
             seconds,
             epoch,
         } => {
-            out.push(TAG_APPLIED);
-            put_u64(&mut out, *added);
-            put_u64(&mut out, *expired);
-            put_u64(&mut out, *batch_rows);
-            put_method(&mut out, *method);
-            put_f64(&mut out, *seconds);
-            put_u64(&mut out, *epoch);
+            w.u8(TAG_APPLIED);
+            w.u64s(&[*added, *expired, *batch_rows]);
+            put_method(&mut w, *method);
+            w.f64(*seconds);
+            w.u64(*epoch);
         }
-        Response::Flushed => out.push(TAG_FLUSHED),
+        Response::Flushed => w.u8(TAG_FLUSHED),
         Response::Stats {
             epoch,
             num_samples,
@@ -520,16 +547,14 @@ pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
             pending,
             decisions,
         } => {
-            out.push(TAG_STATS_REPLY);
-            put_u64(&mut out, *epoch);
-            put_u64(&mut out, *num_samples);
-            put_u64(&mut out, *num_features);
-            put_f64(&mut out, *drift);
-            put_u64(&mut out, *pending);
-            put_u32(&mut out, decisions.len() as u32);
+            w.u8(TAG_STATS_REPLY);
+            w.u64s(&[*epoch, *num_samples, *num_features]);
+            w.f64(*drift);
+            w.u64(*pending);
+            w.len32(decisions.len());
             for &(method, count) in decisions {
-                put_method(&mut out, Some(method));
-                put_u64(&mut out, count);
+                put_method(&mut w, Some(method));
+                w.u64(count);
             }
         }
         Response::RecoveryStatus {
@@ -540,24 +565,15 @@ pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
             orphan_records,
             sessions,
         } => {
-            out.push(TAG_RECOVERY_STATUS);
-            out.push(u8::from(*durable));
-            put_u64(&mut out, *wal_records);
-            match wal_tail {
-                Some(tail) => {
-                    out.push(1);
-                    put_str(&mut out, tail);
-                }
-                None => out.push(0),
-            }
-            put_u64(&mut out, *snapshot_skips);
-            put_u64(&mut out, *orphan_records);
-            put_u32(&mut out, sessions.len() as u32);
+            w.u8(TAG_RECOVERY_STATUS);
+            w.bool(*durable);
+            w.u64(*wal_records);
+            w.option(wal_tail.as_deref(), SnapshotWriter::str);
+            w.u64s(&[*snapshot_skips, *orphan_records]);
+            w.len32(sessions.len());
             for s in sessions {
-                put_str(&mut out, &s.session);
-                put_u64(&mut out, s.redone);
-                put_u64(&mut out, s.skipped);
-                put_u64(&mut out, s.final_epoch);
+                w.str(&s.session);
+                w.u64s(&[s.redone, s.skipped, s.final_epoch]);
             }
         }
         Response::DurabilityStats {
@@ -568,109 +584,16 @@ pub fn encode_response(env: &ResponseEnvelope) -> Vec<u8> {
             max_group,
             checkpoints,
         } => {
-            out.push(TAG_DURABILITY_STATS_REPLY);
-            out.push(u8::from(*durable));
-            put_u64(&mut out, *fsyncs);
-            put_u64(&mut out, *wal_frames);
-            put_u64(&mut out, *wal_bytes);
-            put_u64(&mut out, *max_group);
-            put_u64(&mut out, *checkpoints);
+            w.u8(TAG_DURABILITY_STATS_REPLY);
+            w.bool(*durable);
+            w.u64s(&[*fsyncs, *wal_frames, *wal_bytes, *max_group, *checkpoints]);
         }
         Response::Error { message } => {
-            out.push(TAG_ERROR);
-            put_str(&mut out, message);
+            w.u8(TAG_ERROR);
+            w.str(message);
         }
     }
-    out
-}
-
-struct PayloadReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self.at.checked_add(n).ok_or(ProtocolError::Truncated)?;
-        let slice = self
-            .bytes
-            .get(self.at..end)
-            .ok_or(ProtocolError::Truncated)?;
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, ProtocolError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
-    }
-
-    /// Decodes an appended-rows block (see [`put_added_rows`]). The
-    /// feature count is validated against the payload length by `take`:
-    /// a lying prefix truncates.
-    #[allow(clippy::type_complexity)]
-    fn added_rows(&mut self) -> Result<(u32, Vec<f64>, Vec<f64>), ProtocolError> {
-        let num_features = self.u32()?;
-        let num_rows = self.u32()? as usize;
-        let total = num_rows
-            .checked_mul(num_features as usize)
-            .ok_or(ProtocolError::Truncated)?;
-        let mut features = Vec::with_capacity(total.min(1 << 16));
-        for _ in 0..total {
-            features.push(self.f64()?);
-        }
-        let mut labels = Vec::with_capacity(num_rows.min(1 << 16));
-        for _ in 0..num_rows {
-            labels.push(self.f64()?);
-        }
-        Ok((num_features, features, labels))
-    }
-
-    fn method(&mut self) -> Result<Option<Method>, ProtocolError> {
-        let code = self.u8()?;
-        if code == 0 {
-            return Ok(None);
-        }
-        Method::ALL
-            .get(code as usize - 1)
-            .copied()
-            .map(Some)
-            .ok_or(ProtocolError::BadTag(code))
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        let left = self.bytes.len() - self.at;
-        if left == 0 {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes(left))
-        }
-    }
+    w.into_bytes()
 }
 
 /// Decodes a frame payload into a request envelope.
@@ -679,49 +602,51 @@ impl<'a> PayloadReader<'a> {
 /// Truncated/oversized fields, unknown tags, invalid UTF-8, trailing
 /// bytes.
 pub fn decode_request(payload: &[u8]) -> Result<RequestEnvelope, ProtocolError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let tag = r.u8()?;
-    let request = match tag {
+    let mut r = SnapshotReader::new(payload);
+    let id = r.u64("id")?;
+    let request = match r.u8("tag")? {
         TAG_PREDICT => {
-            let session = r.str()?;
-            let n = r.u32()? as usize;
-            let mut features = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                features.push(r.f64()?);
+            let session = r.str("session")?;
+            let n = r.u32("feature count")? as usize;
+            Request::Predict {
+                session,
+                features: r.f64s(n, "features")?,
             }
-            Request::Predict { session, features }
         }
         TAG_DELETE => {
-            let session = r.str()?;
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ids.push(r.u64()?);
-            }
-            Request::Delete { session, ids }
-        }
-        TAG_FLUSH => Request::Flush { session: r.str()? },
-        TAG_STATS => Request::Stats { session: r.str()? },
-        TAG_ADD => {
-            let session = r.str()?;
-            let (num_features, features, labels) = r.added_rows()?;
-            Request::Add {
+            let session = r.str("session")?;
+            let n = r.u32("id count")? as usize;
+            Request::Delete {
                 session,
-                num_features,
-                features,
-                labels,
+                ids: r.u64s(n, "ids")?,
             }
         }
-        TAG_TICK => {
-            let session = r.str()?;
-            let (num_features, features, labels) = r.added_rows()?;
-            Request::Tick {
-                session,
-                num_features,
-                features,
-                labels,
-                keep_last: r.u64()?,
+        TAG_FLUSH => Request::Flush {
+            session: r.str("session")?,
+        },
+        TAG_STATS => Request::Stats {
+            session: r.str("session")?,
+        },
+        tag @ (TAG_ADD | TAG_TICK) => {
+            let session = r.str("session")?;
+            let num_features = r.u32("num_features")?;
+            let num_rows = r.u32("num_rows")? as usize;
+            let (features, labels) = get_added_rows(&mut r, num_features as usize, num_rows)?;
+            if tag == TAG_ADD {
+                Request::Add {
+                    session,
+                    num_features,
+                    features,
+                    labels,
+                }
+            } else {
+                Request::Tick {
+                    session,
+                    num_features,
+                    features,
+                    labels,
+                    keep_last: r.u64("keep_last")?,
+                }
             }
         }
         TAG_RECOVERY => Request::Recovery,
@@ -735,94 +660,82 @@ pub fn decode_request(payload: &[u8]) -> Result<RequestEnvelope, ProtocolError> 
 /// Decodes a frame payload into a response envelope.
 ///
 /// # Errors
-/// Same failure modes as [`decode_request`].
+/// Same failure modes as [`decode_request`], plus a flag byte other than
+/// 0 or 1 ([`ProtocolError::BadTag`]).
 pub fn decode_response(payload: &[u8]) -> Result<ResponseEnvelope, ProtocolError> {
-    let mut r = PayloadReader::new(payload);
-    let id = r.u64()?;
-    let tag = r.u8()?;
-    let response = match tag {
-        TAG_PREDICTED => {
-            let value = r.f64()?;
-            let class = if r.u8()? == 1 { Some(r.u64()?) } else { None };
-            Response::Predicted {
-                value,
-                class,
-                epoch: r.u64()?,
-            }
-        }
+    let mut r = SnapshotReader::new(payload);
+    let id = r.u64("id")?;
+    let response = match r.u8("tag")? {
+        TAG_PREDICTED => Response::Predicted {
+            value: r.f64("value")?,
+            class: r.option("class flag", |r| r.u64("class"))?,
+            epoch: r.u64("epoch")?,
+        },
         TAG_DELETED => Response::Deleted {
-            requested: r.u64()?,
-            applied: r.u64()?,
-            stale: r.u64()?,
-            batch_rows: r.u64()?,
-            method: r.method()?,
-            seconds: r.f64()?,
-            epoch: r.u64()?,
+            requested: r.u64("requested")?,
+            applied: r.u64("applied")?,
+            stale: r.u64("stale")?,
+            batch_rows: r.u64("batch_rows")?,
+            method: get_method(&mut r)?,
+            seconds: r.f64("seconds")?,
+            epoch: r.u64("epoch")?,
         },
         TAG_APPLIED => Response::Applied {
-            added: r.u64()?,
-            expired: r.u64()?,
-            batch_rows: r.u64()?,
-            method: r.method()?,
-            seconds: r.f64()?,
-            epoch: r.u64()?,
+            added: r.u64("added")?,
+            expired: r.u64("expired")?,
+            batch_rows: r.u64("batch_rows")?,
+            method: get_method(&mut r)?,
+            seconds: r.f64("seconds")?,
+            epoch: r.u64("epoch")?,
         },
         TAG_FLUSHED => Response::Flushed,
-        TAG_STATS_REPLY => {
-            let epoch = r.u64()?;
-            let num_samples = r.u64()?;
-            let num_features = r.u64()?;
-            let drift = r.f64()?;
-            let pending = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut decisions = Vec::with_capacity(n.min(Method::ALL.len()));
-            for _ in 0..n {
-                let method = r.method()?.ok_or(ProtocolError::BadTag(0))?;
-                decisions.push((method, r.u64()?));
-            }
-            Response::Stats {
-                epoch,
-                num_samples,
-                num_features,
-                drift,
-                pending,
-                decisions,
-            }
-        }
-        TAG_RECOVERY_STATUS => {
-            let durable = r.u8()? == 1;
-            let wal_records = r.u64()?;
-            let wal_tail = if r.u8()? == 1 { Some(r.str()?) } else { None };
-            let snapshot_skips = r.u64()?;
-            let orphan_records = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut sessions = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                sessions.push(RecoverySessionStatus {
-                    session: r.str()?,
-                    redone: r.u64()?,
-                    skipped: r.u64()?,
-                    final_epoch: r.u64()?,
-                });
-            }
-            Response::RecoveryStatus {
-                durable,
-                wal_records,
-                wal_tail,
-                snapshot_skips,
-                orphan_records,
-                sessions,
-            }
-        }
-        TAG_DURABILITY_STATS_REPLY => Response::DurabilityStats {
-            durable: r.u8()? == 1,
-            fsyncs: r.u64()?,
-            wal_frames: r.u64()?,
-            wal_bytes: r.u64()?,
-            max_group: r.u64()?,
-            checkpoints: r.u64()?,
+        TAG_STATS_REPLY => Response::Stats {
+            epoch: r.u64("epoch")?,
+            num_samples: r.u64("num_samples")?,
+            num_features: r.u64("num_features")?,
+            drift: r.f64("drift")?,
+            pending: r.u64("pending")?,
+            decisions: {
+                let n = r.len32(9, "decisions")?;
+                (0..n)
+                    .map(|_| {
+                        let method = get_method(&mut r)?.ok_or(ProtocolError::BadTag(0))?;
+                        Ok((method, r.u64("decision count")?))
+                    })
+                    .collect::<Result<_, ProtocolError>>()?
+            },
         },
-        TAG_ERROR => Response::Error { message: r.str()? },
+        TAG_RECOVERY_STATUS => Response::RecoveryStatus {
+            durable: r.bool("durable")?,
+            wal_records: r.u64("wal_records")?,
+            wal_tail: r.option("wal_tail flag", |r| r.str("wal_tail"))?,
+            snapshot_skips: r.u64("snapshot_skips")?,
+            orphan_records: r.u64("orphan_records")?,
+            sessions: {
+                let n = r.len32(28, "sessions")?;
+                (0..n)
+                    .map(|_| {
+                        Ok(RecoverySessionStatus {
+                            session: r.str("session")?,
+                            redone: r.u64("redone")?,
+                            skipped: r.u64("skipped")?,
+                            final_epoch: r.u64("final_epoch")?,
+                        })
+                    })
+                    .collect::<CodecResult<_>>()?
+            },
+        },
+        TAG_DURABILITY_STATS_REPLY => Response::DurabilityStats {
+            durable: r.bool("durable")?,
+            fsyncs: r.u64("fsyncs")?,
+            wal_frames: r.u64("wal_frames")?,
+            wal_bytes: r.u64("wal_bytes")?,
+            max_group: r.u64("max_group")?,
+            checkpoints: r.u64("checkpoints")?,
+        },
+        TAG_ERROR => Response::Error {
+            message: r.str("message")?,
+        },
         other => return Err(ProtocolError::BadTag(other)),
     };
     r.finish()?;
@@ -1188,6 +1101,46 @@ mod tests {
     }
 
     #[test]
+    fn flag_bytes_other_than_zero_or_one_are_rejected() {
+        let encode = |response| encode_response(&ResponseEnvelope { id: 1, response });
+        let durability = encode(Response::DurabilityStats {
+            durable: true,
+            fsyncs: 1,
+            wal_frames: 1,
+            wal_bytes: 1,
+            max_group: 1,
+            checkpoints: 0,
+        });
+        let predicted = encode(Response::Predicted {
+            value: 1.0,
+            class: Some(3),
+            epoch: 2,
+        });
+        let recovery = encode(Response::RecoveryStatus {
+            durable: true,
+            wal_records: 0,
+            wal_tail: None,
+            snapshot_skips: 0,
+            orphan_records: 0,
+            sessions: vec![],
+        });
+        // Layout: id(8) tag(1), then the flag under test.
+        for (mut payload, at, byte) in [
+            (durability, 9, 7),
+            (predicted, 8 + 1 + 8, 2),
+            (recovery.clone(), 9, 0xff),
+            (recovery, 8 + 1 + 1 + 8, 5),
+        ] {
+            payload[at] = byte;
+            let got = decode_response(&payload);
+            assert!(
+                matches!(got, Err(ProtocolError::BadTag(b)) if b == byte),
+                "flag {byte} at {at}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
     fn malformed_added_rows_are_rejected() {
         let good = encode_request(&RequestEnvelope {
             id: 9,
@@ -1264,6 +1217,20 @@ mod tests {
             read_frame(&mut cursor),
             Err(ProtocolError::FrameTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn write_frame_refuses_payloads_over_the_readers_cap() {
+        let mut payload = vec![7u8; MAX_FRAME_BYTES as usize + 1];
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "nothing is written");
+        // A payload at the cap goes through and reads back.
+        payload.pop();
+        write_frame(&mut wire, &payload).unwrap();
+        let read = read_frame(&mut io::Cursor::new(wire)).unwrap().unwrap();
+        assert_eq!(read.len(), payload.len());
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!           u64 session blob len + Session::to_snapshot_bytes
 //! ```
 //!
+//! The payload encodes through `priu_core::snapshot`'s `SnapshotWriter` /
+//! `SnapshotReader`, the codec of the session blob, the WAL and the wire.
+//!
 //! Session names contain `/` (tenant × model), so the filename carries the
 //! name hex-encoded; the zero-padded epoch makes lexicographic order equal
 //! epoch order.
@@ -43,7 +46,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use priu_core::snapshot::{SnapshotReader, SnapshotWriter};
-use priu_core::{DeletionEngine, Session};
+use priu_core::{CoreError, DeletionEngine, Session};
 
 use crate::error::{Result, ServerError};
 use crate::failpoint::fail_point;
@@ -136,57 +139,51 @@ fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     w.usize(state.initial_samples);
     w.usize(state.removed_since_refit);
     w.usize(state.ids.len());
-    for &id in &state.ids {
-        w.u64(id);
-    }
+    w.u64s(&state.ids);
     let blob = state.session.to_snapshot_bytes();
     w.usize(blob.len());
-    let mut bytes = w.into_bytes();
-    bytes.extend_from_slice(&blob);
-    bytes
+    w.bytes(&blob);
+    w.into_bytes()
 }
 
-pub(crate) fn decode_snapshot(payload: &[u8]) -> std::result::Result<LoadedSnapshot, String> {
-    let fail = |e: priu_core::CoreError| e.to_string();
+pub(crate) fn decode_snapshot(payload: &[u8]) -> priu_core::Result<LoadedSnapshot> {
     let mut r = SnapshotReader::new(payload);
-    let covered_lsn = r.u64("covered_lsn").map_err(fail)?;
-    let epoch = r.u64("epoch").map_err(fail)?;
-    let next_id = r.u64("next_id").map_err(fail)?;
-    let initial_samples = r.usize("initial_samples").map_err(fail)?;
-    let removed_since_refit = r.usize("removed_since_refit").map_err(fail)?;
-    let n = r.len(8, "stable ids").map_err(fail)?;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(r.u64("stable id").map_err(fail)?);
-    }
-    let blob_len = r.usize("session blob length").map_err(fail)?;
+    let covered_lsn = r.u64("covered_lsn")?;
+    let epoch = r.u64("epoch")?;
+    let next_id = r.u64("next_id")?;
+    let initial_samples = r.usize("initial_samples")?;
+    let removed_since_refit = r.usize("removed_since_refit")?;
+    let n = r.usize("stable id count")?;
+    let ids = r.u64s(n, "stable ids")?;
+    let blob_len = r.usize("session blob length")?;
     if blob_len != r.remaining() {
-        return Err(format!(
+        return Err(CoreError::Snapshot(format!(
             "session blob length {blob_len} does not match remaining {} bytes",
             r.remaining()
-        ));
+        )));
     }
-    let blob = r.take(blob_len, "session blob").map_err(fail)?;
-    let session = Session::from_snapshot_bytes(blob).map_err(fail)?;
+    let session = Session::from_snapshot_bytes(r.take(blob_len, "session blob")?)?;
     // Redo and resolution binary-search the map, so it must be strictly
     // ascending as well as below the fresh-id counter.
     if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
-        return Err(format!(
+        return Err(CoreError::Snapshot(format!(
             "stable ids not strictly ascending: {} then {}",
             pair[0], pair[1]
-        ));
+        )));
     }
     if let Some(&max) = ids.last() {
         if max >= next_id {
-            return Err(format!("stable id {max} is not below next_id {next_id}"));
+            return Err(CoreError::Snapshot(format!(
+                "stable id {max} is not below next_id {next_id}"
+            )));
         }
     }
     if ids.len() != session.num_samples() {
-        return Err(format!(
+        return Err(CoreError::Snapshot(format!(
             "{} stable ids for a session of {} rows",
             ids.len(),
             session.num_samples()
-        ));
+        )));
     }
     Ok(LoadedSnapshot {
         covered_lsn,
@@ -350,7 +347,7 @@ pub(crate) fn parse_snapshot_file(bytes: &[u8]) -> std::result::Result<LoadedSna
     if crc32(payload) != crc {
         return Err("checksum mismatch".to_string());
     }
-    decode_snapshot(payload)
+    decode_snapshot(payload).map_err(|e| e.to_string())
 }
 
 /// Loads the newest usable snapshot of `session`, skipping (and

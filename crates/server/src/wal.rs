@@ -28,10 +28,14 @@
 //!               u32 session-name len + bytes, u64 floor LSN
 //! ```
 //!
-//! All integers little-endian; all `f64`s as [`f64::to_bits`] so redo
-//! reconstructs the exact added block the live path applied. The CRC
-//! (CRC-32/IEEE, hand-rolled table — no dependencies) covers the payload
-//! only: a torn length prefix already fails the length check.
+//! Payloads encode through `priu_core::snapshot`'s `SnapshotWriter` /
+//! `SnapshotReader`, the one codec the wire protocol and snapshots use
+//! too: integers little-endian, flags strict 0/1 bytes, and `f64`s as
+//! [`f64::to_bits`] so redo reconstructs the exact added block the live
+//! path applied. The added block decodes through the same length-checked
+//! helper as the wire's, behind `u64` counts where the wire has `u32`s.
+//! The CRC (CRC-32/IEEE, hand-rolled table — no dependencies) covers the
+//! payload only: a torn length prefix already fails the length check.
 //!
 //! # Group commit
 //!
@@ -88,11 +92,12 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use priu_core::snapshot::{SnapshotReader, SnapshotWriter};
+use priu_core::snapshot::{CodecError, CodecResult, SnapshotReader, SnapshotWriter};
 use priu_core::Method;
 
 use crate::error::{Result, ServerError};
 use crate::failpoint::fail_point;
+use crate::protocol::get_added_rows;
 
 /// Frames larger than this are rejected as corrupt (a length prefix of
 /// garbage bytes would otherwise ask for gigabytes).
@@ -238,135 +243,75 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --- record codec ---------------------------------------------------------
 
-fn method_index(method: Method) -> u8 {
+/// A method's position in [`Method::ALL`]: its code in WAL records (the
+/// wire sends the position plus one, with 0 for "no method").
+pub(crate) fn method_index(method: Method) -> u8 {
     Method::ALL
         .iter()
         .position(|&m| m == method)
         .expect("every method is in Method::ALL") as u8
 }
 
-fn write_name(w: &mut SnapshotWriter, name: &str) {
-    let bytes = name.as_bytes();
-    w.u32(bytes.len() as u32);
-    for &b in bytes {
-        w.u8(b);
+/// Reads a frame's kind byte, failing typed unless it is `want`.
+fn expect_kind(r: &mut SnapshotReader<'_>, want: u8) -> CodecResult<()> {
+    match r.u8("frame kind")? {
+        kind if kind == want => Ok(()),
+        kind => Err(CodecError::BadTag(
+            kind,
+            format!("unknown frame kind {kind}"),
+        )),
     }
-}
-
-fn read_name(r: &mut SnapshotReader, what: &'static str) -> std::result::Result<String, String> {
-    let fail = |e: priu_core::CoreError| e.to_string();
-    let len = r.u32(what).map_err(fail)? as usize;
-    if len > r.remaining() {
-        return Err(format!("{what} longer than payload"));
-    }
-    let mut name = Vec::with_capacity(len);
-    for _ in 0..len {
-        name.push(r.u8(what).map_err(fail)?);
-    }
-    String::from_utf8(name).map_err(|_| format!("{what} not UTF-8"))
 }
 
 pub(crate) fn encode_record(record: &WalRecord) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     w.u8(KIND_DELTA);
     w.u64(record.lsn);
-    match record.prev_lsn {
-        None => w.bool(false),
-        Some(prev) => {
-            w.bool(true);
-            w.u64(prev);
-        }
-    }
-    write_name(&mut w, &record.session);
+    w.option(record.prev_lsn, SnapshotWriter::u64);
+    w.str(&record.session);
     w.u8(method_index(record.method));
     w.usize(record.removed_ids.len());
-    for &id in &record.removed_ids {
-        w.u64(id);
-    }
-    match record.keep_last {
-        None => w.bool(false),
-        Some(keep) => {
-            w.bool(true);
-            w.u64(keep);
-        }
-    }
-    match &record.added {
-        None => w.bool(false),
-        Some((num_features, features, labels)) => {
-            w.bool(true);
+    w.u64s(&record.removed_ids);
+    w.option(record.keep_last, SnapshotWriter::u64);
+    w.option(
+        record.added.as_ref(),
+        |w, (num_features, features, labels)| {
             w.usize(*num_features);
             w.usize(labels.len());
-            for &x in features {
-                w.f64(x);
-            }
-            for &y in labels {
-                w.f64(y);
-            }
-        }
-    }
+            w.f64s(features);
+            w.f64s(labels);
+        },
+    );
     w.into_bytes()
 }
 
-pub(crate) fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, String> {
-    let fail = |e: priu_core::CoreError| e.to_string();
+pub(crate) fn decode_record(payload: &[u8]) -> CodecResult<WalRecord> {
     let mut r = SnapshotReader::new(payload);
-    let kind = r.u8("frame kind").map_err(fail)?;
-    if kind != KIND_DELTA {
-        return Err(format!("expected delta frame, got kind {kind}"));
-    }
-    let lsn = r.u64("lsn").map_err(fail)?;
-    let prev_lsn = if r.bool("prev_lsn flag").map_err(fail)? {
-        Some(r.u64("prev_lsn").map_err(fail)?)
-    } else {
-        None
-    };
-    let session = read_name(&mut r, "session name")?;
-    let method_ix = r.u8("method").map_err(fail)? as usize;
+    expect_kind(&mut r, KIND_DELTA)?;
+    let lsn = r.u64("lsn")?;
+    let prev_lsn = r.option("prev_lsn flag", |r| r.u64("prev_lsn"))?;
+    let session = r.str("session name")?;
+    let ix = r.u8("method")?;
     let method = *Method::ALL
-        .get(method_ix)
-        .ok_or_else(|| format!("bad method index {method_ix}"))?;
-    let n = r.len(8, "removed ids").map_err(fail)?;
-    let mut removed_ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.u64("removed id").map_err(fail)?;
-        // Redo walks the set as ascending row indices.
-        if removed_ids.last().is_some_and(|&prev| prev >= id) {
-            return Err(format!("removed ids not strictly ascending at {id}"));
-        }
-        removed_ids.push(id);
+        .get(usize::from(ix))
+        .ok_or_else(|| CodecError::BadTag(ix, format!("bad method index {ix}")))?;
+    let n = r.usize("removed id count")?;
+    let removed_ids = r.u64s(n, "removed ids")?;
+    // Redo walks the set as ascending row indices.
+    if let Some(pair) = removed_ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+        return Err(CodecError::Invalid(format!(
+            "removed ids not strictly ascending at {}",
+            pair[1]
+        )));
     }
-    let keep_last = if r.bool("keep_last flag").map_err(fail)? {
-        Some(r.u64("keep_last").map_err(fail)?)
-    } else {
-        None
-    };
-    let added = if r.bool("added flag").map_err(fail)? {
-        let num_features = r.usize("num_features").map_err(fail)?;
-        let num_rows = r.usize("num_rows").map_err(fail)?;
-        let total = num_rows
-            .checked_mul(num_features)
-            .ok_or_else(|| "added block overflows".to_string())?;
-        if total
-            .checked_add(num_rows)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| "added block overflows".to_string())?
-            > r.remaining()
-        {
-            return Err("added block larger than payload".to_string());
-        }
-        let mut features = Vec::with_capacity(total);
-        for _ in 0..total {
-            features.push(r.f64("added features").map_err(fail)?);
-        }
-        let mut labels = Vec::with_capacity(num_rows);
-        for _ in 0..num_rows {
-            labels.push(r.f64("added labels").map_err(fail)?);
-        }
-        Some((num_features, features, labels))
-    } else {
-        None
-    };
-    r.finish().map_err(fail)?;
+    let keep_last = r.option("keep_last flag", |r| r.u64("keep_last"))?;
+    let added = r.option("added flag", |r| {
+        let num_features = r.usize("num_features")?;
+        let num_rows = r.usize("num_rows")?;
+        let (features, labels) = get_added_rows(r, num_features, num_rows)?;
+        Ok::<_, CodecError>((num_features, features, labels))
+    })?;
+    r.finish()?;
     Ok(WalRecord {
         lsn,
         prev_lsn,
@@ -384,28 +329,21 @@ pub(crate) fn encode_checkpoint(cp: &CheckpointRecord) -> Vec<u8> {
     w.u64(cp.next_lsn);
     w.usize(cp.floors.len());
     for (session, floor) in &cp.floors {
-        write_name(&mut w, session);
+        w.str(session);
         w.u64(*floor);
     }
     w.into_bytes()
 }
 
-pub(crate) fn decode_checkpoint(payload: &[u8]) -> std::result::Result<CheckpointRecord, String> {
-    let fail = |e: priu_core::CoreError| e.to_string();
+pub(crate) fn decode_checkpoint(payload: &[u8]) -> CodecResult<CheckpointRecord> {
     let mut r = SnapshotReader::new(payload);
-    let kind = r.u8("frame kind").map_err(fail)?;
-    if kind != KIND_CHECKPOINT {
-        return Err(format!("expected checkpoint frame, got kind {kind}"));
-    }
-    let next_lsn = r.u64("checkpoint next_lsn").map_err(fail)?;
-    let n = r.len(12, "checkpoint floors").map_err(fail)?;
-    let mut floors = Vec::with_capacity(n);
-    for _ in 0..n {
-        let session = read_name(&mut r, "floor session name")?;
-        let floor = r.u64("floor lsn").map_err(fail)?;
-        floors.push((session, floor));
-    }
-    r.finish().map_err(fail)?;
+    expect_kind(&mut r, KIND_CHECKPOINT)?;
+    let next_lsn = r.u64("checkpoint next_lsn")?;
+    let n = r.len(12, "checkpoint floors")?;
+    let floors = (0..n)
+        .map(|_| Ok((r.str("floor session name")?, r.u64("floor lsn")?)))
+        .collect::<CodecResult<_>>()?;
+    r.finish()?;
     Ok(CheckpointRecord { next_lsn, floors })
 }
 
@@ -448,15 +386,13 @@ pub(crate) fn scan_bytes(bytes: &[u8]) -> WalScan {
             break;
         }
         let decoded = match payload.first() {
-            Some(&KIND_DELTA) => decode_record(payload).map(|r| records.push(r)),
             Some(&KIND_CHECKPOINT) => decode_checkpoint(payload).map(|c| checkpoint = Some(c)),
-            Some(&k) => Err(format!("unknown frame kind {k}")),
-            None => Err("empty frame payload".to_string()),
+            _ => decode_record(payload).map(|r| records.push(r)),
         };
-        if let Err(reason) = decoded {
+        if let Err(err) = decoded {
             tail = Some(WalTail::BadPayload {
                 at: at as u64,
-                reason,
+                reason: err.to_string(),
             });
             break;
         }
