@@ -8,7 +8,8 @@
 //! shows that no byte on disk or on the wire changed. The snapshot's
 //! session trains on integer-valued data at the portable SIMD level on one
 //! thread, without the eigen capture, so its bits depend on no host CPU
-//! feature or libm routine.
+//! feature or libm routine; only its measured training time differs
+//! between fits.
 
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ const REQUESTS: &[u8] = include_bytes!("../tests/fixtures/requests.frames");
 const RESPONSES: &[u8] = include_bytes!("../tests/fixtures/responses.frames");
 /// A WAL file: the [`wal_checkpoint`] frame, then every [`wal_records`] frame.
 const WAL: &[u8] = include_bytes!("../tests/fixtures/wal.log");
-/// A snapshot file of [`snapshot_state`] covering [`COVERED_LSN`].
+/// A snapshot file of one [`snapshot_state`] fit covering [`COVERED_LSN`].
 const SNAPSHOT: &[u8] = include_bytes!("../tests/fixtures/session.snap");
 
 const COVERED_LSN: u64 = 43;
