@@ -22,24 +22,67 @@
 //!   chained deltas (the paper's Figure 4 scenario, generalised to sliding
 //!   windows) as a first-class API. The deletion-only `update`/`apply`
 //!   signatures remain as thin wrappers over a removal-only delta.
+//!
+//! Every family is one [`Engine`] and shares one delta pipeline, written
+//! here: validate the added rows → run the method's model update → split
+//! the survivors → zero the removed samples' tokens in each cached
+//! per-iteration expression (§4.1) → restrict the schedule → run the
+//! appended explicit-batch GD steps → extend the schedule and dataset →
+//! assemble the successor. The family modules (`linear`, `logistic`,
+//! `sparse`) supply only what differs, through a sealed family trait: the
+//! fit, the per-method model function, how one cache drops removed batch
+//! members, one GD step, and the successor's extra captures.
 
 mod linear;
 mod logistic;
 mod sparse;
 
-pub use linear::LinearEngine;
-pub use logistic::LogisticEngine;
-pub use sparse::SparseLogisticEngine;
-
+use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use priu_data::dataset::{DenseDataset, SparseDataset, TaskKind};
+use priu_data::minibatch::BatchSchedule;
+use priu_linalg::Vector;
 
+use crate::capture::{
+    LinearIterationCache, LinearProvenance, LogisticIterationCache, LogisticProvenance,
+    ProvenanceMemory,
+};
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::Model;
-use crate::update::normalize_removed;
+use crate::trainer::sparse::SparseLogisticProvenance;
+use crate::update::{normalize_removed, removed_positions};
+use crate::workspace::Workspace;
+
+use family::{Captured, Family, Rows};
+
+/// A linear-regression session: dataset + trained model + captured
+/// provenance, including one normal-equations view shared by the
+/// closed-form baseline and PrIU-opt.
+///
+/// Linear provenance shrinks *exactly* under [`DeletionEngine::apply`] —
+/// Gram caches and the normal-equations view are downdated by the removed
+/// samples' contributions, and the PrIU-opt eigenbasis is recomputed from
+/// the downdated view — so a chained linear session keeps its full method
+/// set.
+pub type LinearEngine = Engine<linear::Linear>;
+
+/// A dense logistic-regression session (binary or multinomial, following
+/// the dataset's labels).
+///
+/// Under [`DeletionEngine::apply`] the per-iteration caches shrink exactly
+/// (the stored `(a, b')` coefficients identify each removed sample's
+/// contribution); the PrIU-opt capture is dropped, because its frozen
+/// linearisation point refers to the pre-deletion trajectory — the successor
+/// supports plain PrIU, retraining and INFL.
+pub type LogisticEngine = Engine<logistic::Logistic>;
+
+/// A sparse binary logistic-regression session (RCV1-style workloads). The
+/// sparse path captures only the per-iteration linearisation coefficients
+/// (§5.3), so the supported methods are PrIU and retraining.
+pub type SparseLogisticEngine = Engine<sparse::SparseLogistic>;
 
 /// The registry of deletion-update methods, using the paper's naming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -439,6 +482,417 @@ pub(crate) fn split_survivors(
     Ok((removed, survivors))
 }
 
+/// A fitted session of one model family: dataset + trained model + captured
+/// provenance. [`LinearEngine`], [`LogisticEngine`] and
+/// [`SparseLogisticEngine`] are its instances; all of them answer deltas
+/// through the one pipeline behind [`DeletionEngine::update_delta`] and
+/// [`DeletionEngine::apply_delta`].
+#[derive(Debug, Clone)]
+pub struct Engine<F: Family> {
+    dataset: F::Data,
+    config: TrainerConfig,
+    model: Model,
+    provenance: F::Provenance,
+    family: F,
+    training_time: Duration,
+}
+
+/// The traits behind [`Engine`]. They are public inside a private module,
+/// so nothing outside this crate can name or implement them.
+mod family {
+    use super::*;
+
+    /// What differs between model families; everything else is the shared
+    /// pipeline on [`Engine`].
+    pub trait Family: Clone + Debug + Default {
+        /// The training rows (dense or sparse).
+        type Data: Rows;
+        /// One iteration's cached provenance expression.
+        type Cache: Clone + Debug;
+        /// Everything the offline phase captured.
+        type Provenance: Captured<Self::Cache>;
+        /// The session kind named in storage-mismatch errors.
+        const SESSION: &'static str;
+        /// The label kind added rows must carry, for label mismatches.
+        const LABELS: &'static str;
+
+        /// Trains the initial model and captures provenance.
+        fn fit(self, dataset: Self::Data, config: TrainerConfig) -> Result<Engine<Self>>;
+
+        /// The methods the session's captures support, in registry order.
+        fn supported_methods(e: &Engine<Self>) -> Vec<Method>;
+
+        /// The method's timed model update for the removal set. A method
+        /// that folds the added rows itself (closed form) counts them in
+        /// the outcome; the pipeline then leaves its model alone.
+        fn update(
+            e: &Engine<Self>,
+            method: Method,
+            removed: &[usize],
+            added: Option<&Self::Data>,
+        ) -> Result<UpdateOutcome>;
+
+        /// Drops the batch members at `positions` of `batch` from one
+        /// iteration's cache.
+        fn propagate(
+            e: &Engine<Self>,
+            cache: &Self::Cache,
+            batch: &[usize],
+            positions: &[usize],
+        ) -> Result<Self::Cache>;
+
+        /// One exact GD step over the batch staged in `ws.batch` of
+        /// `added`, capturing the iteration's cache when asked.
+        fn step(
+            e: &Engine<Self>,
+            added: &Self::Data,
+            weights: &mut [Vector],
+            capture: bool,
+            ws: &mut Workspace,
+        ) -> Result<Option<Self::Cache>>;
+
+        /// Adds the captures the family keeps beyond the caches to the
+        /// successor's provenance. Runs before the appended steps, so a
+        /// failing refresh is reported before a divergence.
+        fn successor_captures(
+            _e: &Engine<Self>,
+            _removed: &[usize],
+            _added: Option<&Self::Data>,
+            _successor: &mut Self::Provenance,
+        ) -> Result<()> {
+            Ok(())
+        }
+
+        /// Wraps an engine of this family as a [`Session`].
+        fn into_session(e: Engine<Self>) -> Session;
+
+        /// Deflation rows a cache carries beyond its batch (workspace
+        /// sizing for chained sessions).
+        fn deflation_rows(_cache: &Self::Cache) -> usize {
+            0
+        }
+    }
+
+    /// The parts every family's provenance shares.
+    pub trait Captured<C>: ProvenanceMemory + Clone + Debug {
+        /// The mini-batch schedule.
+        fn schedule(&self) -> &BatchSchedule;
+        /// One cache per scheduled iteration.
+        fn caches(&self) -> &[C];
+        /// The schedule and caches, to grow them by appended iterations.
+        fn parts_mut(&mut self) -> (&mut BatchSchedule, &mut Vec<C>);
+        /// The successor's provenance: the same hyperparameters and
+        /// initial model around a new schedule and caches, without extra
+        /// captures.
+        fn successor(&self, schedule: BatchSchedule, caches: Vec<C>) -> Self;
+    }
+
+    /// Implements [`Captured`] for a provenance whose caches are `$caches`
+    /// and whose extra captures are the `Option` fields `$extra`.
+    macro_rules! captured {
+        ($provenance:ty, $caches:ident: $cache:ty $(, $extra:ident)*) => {
+            impl Captured<$cache> for $provenance {
+                fn schedule(&self) -> &BatchSchedule {
+                    &self.schedule
+                }
+                fn caches(&self) -> &[$cache] {
+                    &self.$caches
+                }
+                fn parts_mut(&mut self) -> (&mut BatchSchedule, &mut Vec<$cache>) {
+                    (&mut self.schedule, &mut self.$caches)
+                }
+                fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
+                    Self {
+                        schedule,
+                        learning_rate: self.learning_rate,
+                        regularization: self.regularization,
+                        initial_model: self.initial_model.clone(),
+                        $caches: caches,
+                        $($extra: None,)*
+                    }
+                }
+            }
+        };
+    }
+    captured!(LinearProvenance, iterations: LinearIterationCache, normal, opt);
+    // The logistic PrIU-opt capture's frozen linearisation point belongs to
+    // the pre-delta trajectory, so successors drop it rather than keep it
+    // stale.
+    captured!(LogisticProvenance, iterations: LogisticIterationCache, opt);
+    captured!(SparseLogisticProvenance, coefficients: Vec<(f64, f64)>);
+
+    /// Training rows, dense or sparse.
+    pub trait Rows: Clone + Debug + Sized {
+        /// The rows of this storage in a delta, if it has this storage.
+        fn of(rows: &DeltaRows) -> Option<&Self>;
+        /// Number of rows.
+        fn num_samples(&self) -> usize;
+        /// Number of features.
+        fn num_features(&self) -> usize;
+        /// The task the labels imply.
+        fn task(&self) -> TaskKind;
+        /// The given rows, in order.
+        fn select(&self, rows: &[usize]) -> Result<Self>;
+        /// Appends `rows` in place.
+        fn append(&mut self, rows: &Self) -> Result<()>;
+    }
+
+    /// Implements [`Rows`] by forwarding to the dataset's own methods.
+    macro_rules! rows {
+        ($data:ident, $variant:ident, |$d:ident, $rows:ident| $select:expr) => {
+            impl Rows for $data {
+                fn of(rows: &DeltaRows) -> Option<&Self> {
+                    match rows {
+                        DeltaRows::$variant(rows) => Some(rows),
+                        _ => None,
+                    }
+                }
+                fn num_samples(&self) -> usize {
+                    $data::num_samples(self)
+                }
+                fn num_features(&self) -> usize {
+                    $data::num_features(self)
+                }
+                fn task(&self) -> TaskKind {
+                    $data::task(self)
+                }
+                fn select(&self, $rows: &[usize]) -> Result<Self> {
+                    let $d = self;
+                    $select
+                }
+                fn append(&mut self, rows: &Self) -> Result<()> {
+                    Ok($data::append(self, rows)?)
+                }
+            }
+        };
+    }
+    rows!(DenseDataset, Dense, |d, rows| Ok(d.select(rows)));
+    rows!(SparseDataset, Sparse, |d, rows| Ok(d.select(rows)?));
+}
+
+impl<F: Family> Engine<F> {
+    /// Trains the initial model and captures provenance (the offline
+    /// phase) with the family's default captures: for linear regression
+    /// that includes the closed-form views; for dense logistic regression
+    /// binary vs multinomial follows the labels.
+    ///
+    /// # Errors
+    /// Propagates training failures (label mismatch, divergence).
+    pub fn fit(dataset: F::Data, config: TrainerConfig) -> Result<Self> {
+        F::default().fit(dataset, config)
+    }
+
+    /// The training dataset this session currently covers.
+    pub fn dataset(&self) -> &F::Data {
+        &self.dataset
+    }
+
+    /// The captured provenance.
+    pub fn provenance(&self) -> &F::Provenance {
+        &self.provenance
+    }
+
+    /// A workspace pre-sized for this session's replay loops (called before
+    /// the update timer starts, so the timed region never allocates buffers).
+    fn sized_workspace(&self, num_removed: usize) -> Workspace {
+        let batch_size = self.provenance.schedule().batch_size();
+        let mut ws = Workspace::sized_for(
+            self.dataset.num_features(),
+            batch_size.max(num_removed),
+            self.model.weights().len(),
+        );
+        // Chained sessions carry deflation corrections whose row count can
+        // exceed both the batch size and the feature count.
+        let caches = self.provenance.caches().iter();
+        ws.reserve_gram_scratch(caches.map(F::deflation_rows).max().unwrap_or(0));
+        ws
+    }
+
+    /// Times `replay` over a workspace sized (for `rows` removed rows)
+    /// before the timer starts, so the timed region measures pure replay
+    /// work.
+    fn timed_replay(
+        &self,
+        method: Method,
+        num_removed: usize,
+        rows: usize,
+        replay: impl FnOnce(&mut Workspace) -> Result<Model>,
+    ) -> Result<UpdateOutcome> {
+        let mut ws = self.sized_workspace(rows);
+        timed_update(method, num_removed, 0, || replay(&mut ws))
+    }
+
+    /// Validates a delta's added rows against this session: same storage,
+    /// matching feature width, the session's label kind (and class count).
+    /// Returns `None` for deltas that add nothing (including an explicitly
+    /// empty block).
+    fn validate_added<'a>(&self, delta: &'a Delta) -> Result<Option<&'a F::Data>> {
+        let Some(rows) = &delta.added else {
+            return Ok(None);
+        };
+        let Some(rows) = F::Data::of(rows) else {
+            let storage = match rows {
+                DeltaRows::Dense(_) => "dense",
+                DeltaRows::Sparse(_) => "sparse",
+            };
+            return Err(CoreError::InvalidConfig(format!(
+                "{storage} rows cannot be added to a {} session",
+                F::SESSION
+            )));
+        };
+        if rows.num_features() != self.dataset.num_features() {
+            return Err(CoreError::InvalidConfig(format!(
+                "added rows have {} features, the session has {}",
+                rows.num_features(),
+                self.dataset.num_features()
+            )));
+        }
+        if rows.task() != self.dataset.task() {
+            return Err(CoreError::LabelMismatch {
+                expected: F::LABELS,
+            });
+        }
+        Ok((rows.num_samples() > 0).then_some(rows))
+    }
+
+    /// Runs the appended explicit-batch GD steps over `added`, chunked by
+    /// the schedule's batch size and warm-started from the outcome's model.
+    /// With `captures`, one cache per appended batch is collected (the
+    /// apply path) — linearised around the trajectory the steps take;
+    /// without, a warm workspace makes the steps allocation-free. The
+    /// outcome takes the stepped model unless its method already folded
+    /// the rows in.
+    fn addition_steps(
+        &self,
+        added: &F::Data,
+        outcome: &mut UpdateOutcome,
+        mut captures: Option<&mut Vec<F::Cache>>,
+    ) -> Result<()> {
+        let folded = outcome.num_added > 0;
+        if folded && captures.is_none() {
+            return Ok(());
+        }
+        let schedule = self.provenance.schedule();
+        let mut ws = self.sized_workspace(0);
+        let start = Instant::now();
+        let mut weights = outcome.model.weights().to_vec();
+        for batch in appended_batches(0, added.num_samples(), schedule.batch_size()) {
+            ws.batch.clear();
+            ws.batch.extend_from_slice(&batch);
+            let cache = F::step(self, added, &mut weights, captures.is_some(), &mut ws)?;
+            if let (Some(caps), Some(cache)) = (captures.as_deref_mut(), cache) {
+                caps.push(cache);
+            }
+        }
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(CoreError::Diverged {
+                iteration: schedule.num_iterations(),
+            });
+        }
+        if !folded {
+            outcome.model = Model::new(outcome.model.kind(), weights)?;
+            outcome.duration += start.elapsed();
+            outcome.num_added = added.num_samples();
+        }
+        Ok(())
+    }
+}
+
+impl<F: Family> DeletionEngine for Engine<F> {
+    fn task(&self) -> TaskKind {
+        self.dataset.task()
+    }
+
+    fn num_samples(&self) -> usize {
+        self.dataset.num_samples()
+    }
+
+    fn model(&self) -> &Model {
+        &self.model
+    }
+
+    fn training_time(&self) -> Duration {
+        self.training_time
+    }
+
+    fn provenance_bytes(&self) -> usize {
+        self.provenance.provenance_bytes()
+    }
+
+    fn supported_methods(&self) -> Vec<Method> {
+        F::supported_methods(self)
+    }
+
+    fn update_delta(&self, method: Method, delta: &Delta) -> Result<UpdateOutcome> {
+        let added = self.validate_added(delta)?;
+        let mut outcome = F::update(self, method, &delta.removed, added)?;
+        if let Some(added) = added {
+            self.addition_steps(added, &mut outcome, None)?;
+        }
+        Ok(outcome)
+    }
+
+    fn apply_delta(&self, method: Method, delta: &Delta) -> Result<ChainedUpdate> {
+        let added = self.validate_added(delta)?;
+        let mut outcome = F::update(self, method, &delta.removed, added)?;
+        let (removed, survivors) = split_survivors(self.num_samples(), &delta.removed)?;
+
+        // Deletion propagation (§4.1): drop the removed samples' tokens from
+        // every cached iteration they appear in. The batches are
+        // materialised once and reused to restrict the schedule.
+        let schedule = self.provenance.schedule();
+        let caches = self.provenance.caches();
+        let mut batches = Vec::with_capacity(caches.len());
+        let mut kept = Vec::with_capacity(caches.len());
+        for (t, cache) in caches.iter().enumerate() {
+            let batch = schedule.batch(t);
+            let positions = removed_positions(&batch, &removed);
+            kept.push(if positions.is_empty() {
+                cache.clone()
+            } else {
+                F::propagate(self, cache, &batch, &positions)?
+            });
+            batches.push(batch);
+        }
+        let restricted = schedule.restrict_from(&removed, batches);
+        let mut provenance = self.provenance.successor(restricted, kept);
+        F::successor_captures(self, &removed, added, &mut provenance)?;
+        let mut dataset = self.dataset.select(&survivors)?;
+
+        if let Some(added) = added {
+            // The addition steps run once: the successor's appended caches
+            // and the returned model come from the same trajectory. The
+            // schedule grows by the same chunking (`appended_batches`) the
+            // steps took, shifted to the successor's row space, so
+            // retraining the successor replays the identical steps over the
+            // identical rows.
+            let k = added.num_samples();
+            let mut appended = Vec::new();
+            self.addition_steps(added, &mut outcome, Some(&mut appended))?;
+            let (grown, caches) = provenance.parts_mut();
+            *grown = grown.extend_with(
+                appended_batches(survivors.len(), k, schedule.batch_size()),
+                k,
+            );
+            caches.extend(appended);
+            dataset.append(added)?;
+        }
+
+        let successor = Engine {
+            dataset,
+            config: self.config,
+            model: outcome.model.clone(),
+            provenance,
+            family: self.family.clone(),
+            training_time: self.training_time,
+        };
+        Ok(ChainedUpdate {
+            outcome,
+            session: F::into_session(successor),
+        })
+    }
+}
+
 /// A fitted session of any model family, programmable through
 /// [`DeletionEngine`]. Produced by [`SessionBuilder::fit`] and by
 /// [`DeletionEngine::apply`].
@@ -696,26 +1150,21 @@ impl SessionBuilder {
     /// Training failures (label mismatch, divergence) are reported as usual;
     /// sparse datasets with non-binary labels are a label mismatch.
     pub fn fit(self) -> Result<Session> {
-        match self.data {
-            BuilderData::Dense(dataset) => match dataset.task() {
-                TaskKind::Regression => Ok(Session::Linear(LinearEngine::fit_with(
-                    dataset,
-                    self.config,
-                    self.closed_form,
-                )?)),
-                TaskKind::BinaryClassification | TaskKind::MulticlassClassification { .. } => Ok(
-                    Session::Logistic(LogisticEngine::fit(dataset, self.config)?),
-                ),
-            },
-            BuilderData::Sparse(dataset) => match dataset.task() {
-                TaskKind::BinaryClassification => Ok(Session::SparseLogistic(
-                    SparseLogisticEngine::fit(dataset, self.config)?,
-                )),
-                _ => Err(CoreError::LabelMismatch {
-                    expected: "binary (+1/-1) labels for sparse logistic regression",
-                }),
-            },
-        }
+        Ok(match self.data {
+            BuilderData::Dense(dataset) if dataset.task() == TaskKind::Regression => {
+                let family = linear::Linear {
+                    closed_form: self.closed_form,
+                };
+                Session::Linear(family.fit(dataset, self.config)?)
+            }
+            BuilderData::Dense(dataset) => {
+                Session::Logistic(LogisticEngine::fit(dataset, self.config)?)
+            }
+            // The sparse trainer rejects non-binary labels itself.
+            BuilderData::Sparse(dataset) => {
+                Session::SparseLogistic(SparseLogisticEngine::fit(dataset, self.config)?)
+            }
+        })
     }
 }
 
@@ -765,6 +1214,58 @@ mod tests {
         SessionBuilder::dense(data, TrainerConfig::from_hyper(h))
             .fit()
             .unwrap()
+    }
+
+    fn multinomial_session() -> Session {
+        let data = generate_multiclass_classification(&ClassificationConfig {
+            num_samples: 400,
+            num_features: 8,
+            num_classes: 3,
+            separation: 3.0,
+            seed: 12,
+            ..Default::default()
+        });
+        let mut h = hyper();
+        h.learning_rate = 0.3;
+        SessionBuilder::dense(data, TrainerConfig::from_hyper(h))
+            .fit()
+            .unwrap()
+    }
+
+    fn multinomial_added_rows(num_rows: usize, seed: u64) -> DenseDataset {
+        generate_multiclass_classification(&ClassificationConfig {
+            num_samples: num_rows,
+            num_features: 8,
+            num_classes: 3,
+            separation: 3.0,
+            seed,
+            ..Default::default()
+        })
+    }
+
+    fn sparse_session() -> Session {
+        let data = generate_sparse_binary(&SparseConfig {
+            num_samples: 300,
+            num_features: 200,
+            nnz_per_row: 15,
+            informative_fraction: 0.2,
+            seed: 9,
+        });
+        let mut h = hyper();
+        h.learning_rate = 0.3;
+        SessionBuilder::sparse(data, TrainerConfig::from_hyper(h))
+            .fit()
+            .unwrap()
+    }
+
+    fn sparse_added_rows(num_rows: usize, seed: u64) -> SparseDataset {
+        generate_sparse_binary(&SparseConfig {
+            num_samples: num_rows,
+            num_features: 200,
+            nnz_per_row: 15,
+            informative_fraction: 0.2,
+            seed,
+        })
     }
 
     #[test]
@@ -1103,28 +1604,22 @@ mod tests {
         let chained = logistic.apply_delta(Method::Priu, &delta).unwrap();
         assert_eq!(updated.model, chained.outcome.model);
 
-        let sparse = {
-            let data = generate_sparse_binary(&SparseConfig {
-                num_samples: 300,
-                num_features: 200,
-                nnz_per_row: 15,
-                informative_fraction: 0.2,
-                seed: 9,
-            });
-            let mut h = hyper();
-            h.learning_rate = 0.3;
-            SessionBuilder::sparse(data, TrainerConfig::from_hyper(h))
-                .fit()
-                .unwrap()
-        };
-        let added = generate_sparse_binary(&SparseConfig {
-            num_samples: 23,
-            num_features: 200,
-            nnz_per_row: 15,
-            informative_fraction: 0.2,
-            seed: 23,
-        });
-        let delta = Delta::mixed(&[3, 17, 40], DeltaRows::Sparse(added));
+        let multinomial = multinomial_session();
+        let delta = Delta::mixed(
+            &[3, 17, 40],
+            DeltaRows::Dense(multinomial_added_rows(23, 24)),
+        );
+        for method in [Method::Priu, Method::PriuOpt] {
+            let updated = multinomial.update_delta(method, &delta).unwrap();
+            let chained = multinomial.apply_delta(method, &delta).unwrap();
+            assert_eq!(
+                updated.model, chained.outcome.model,
+                "multinomial {method}: update_delta and apply_delta disagree"
+            );
+        }
+
+        let sparse = sparse_session();
+        let delta = Delta::mixed(&[3, 17, 40], DeltaRows::Sparse(sparse_added_rows(23, 23)));
         let updated = sparse.update_delta(Method::Priu, &delta).unwrap();
         let chained = sparse.apply_delta(Method::Priu, &delta).unwrap();
         assert_eq!(updated.model, chained.outcome.model);
@@ -1168,6 +1663,31 @@ mod tests {
             "similarity {}",
             cmp.cosine_similarity
         );
+
+        let others = [
+            (
+                "multinomial",
+                multinomial_session(),
+                DeltaRows::Dense(multinomial_added_rows(37, 33)),
+            ),
+            (
+                "sparse",
+                sparse_session(),
+                DeltaRows::Sparse(sparse_added_rows(37, 34)),
+            ),
+        ];
+        for (label, session, added) in others {
+            let chained = session
+                .apply_delta(Method::Priu, &Delta::mixed(&[5, 6, 7], added))
+                .unwrap();
+            let retrained = chained.session.update(Method::Retrain, &[]).unwrap();
+            let cmp = compare_models(&retrained.model, chained.session.model()).unwrap();
+            assert!(
+                cmp.cosine_similarity > 0.999,
+                "{label}: similarity {}",
+                cmp.cosine_similarity
+            );
+        }
     }
 
     #[test]
@@ -1288,19 +1808,7 @@ mod tests {
 
     #[test]
     fn multinomial_sessions_fit_through_the_builder() {
-        let data = generate_multiclass_classification(&ClassificationConfig {
-            num_samples: 400,
-            num_features: 8,
-            num_classes: 3,
-            separation: 3.0,
-            seed: 12,
-            ..Default::default()
-        });
-        let mut h = hyper();
-        h.learning_rate = 0.3;
-        let session = SessionBuilder::dense(data, TrainerConfig::from_hyper(h))
-            .fit()
-            .unwrap();
+        let session = multinomial_session();
         assert_eq!(
             session.task(),
             TaskKind::MulticlassClassification { num_classes: 3 }

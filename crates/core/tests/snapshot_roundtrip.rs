@@ -230,7 +230,16 @@ fn post_delta_successors_round_trip_bitwise() {
     for (label, session, method) in fixtures() {
         let removed: Vec<usize> = vec![2, 3, 17, 40];
         let added = match &session {
-            Session::SparseLogistic(_) => None, // server adds are dense-only
+            // The server adds dense rows only; the engine takes sparse ones.
+            Session::SparseLogistic(_) => {
+                Some(DeltaRows::Sparse(generate_sparse_binary(&SparseConfig {
+                    num_samples: 3,
+                    num_features: 300,
+                    nnz_per_row: 12,
+                    informative_fraction: 0.2,
+                    seed: 52,
+                })))
+            }
             _ => {
                 let width = session.model().num_features();
                 let k = 3;
