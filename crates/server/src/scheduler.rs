@@ -138,18 +138,13 @@ impl CostModel {
         }
     }
 
-    /// Estimated seconds for removing `k` rows from an `n`-row session
-    /// with `method`. `Influence` estimates infinite: exact-deletion
-    /// service, never scheduled.
-    pub fn estimate(&self, method: Method, k: usize, n: usize) -> f64 {
-        self.estimate_delta(method, k, 0, n)
-    }
-
     /// Estimated seconds for a bidirectional delta — remove `k` rows and
-    /// append `added` — on an `n`-row session. The iterative methods pay
-    /// `add_row` per appended row (extra GD iterations on the extended
-    /// schedule); the closed-form update folds additions into its flat
-    /// rank-k refactor; a retrain replays `n - k + added` samples.
+    /// append `added` — on an `n`-row session with `method`. The iterative
+    /// methods pay `add_row` per appended row (extra GD iterations on the
+    /// extended schedule); the closed-form update folds additions into its
+    /// flat rank-k refactor; a retrain replays `n - k + added` samples.
+    /// `Influence` estimates infinite: exact-deletion service, never
+    /// scheduled.
     pub fn estimate_delta(&self, method: Method, k: usize, added: usize, n: usize) -> f64 {
         let (k, a) = (k as f64, added as f64);
         match method {
@@ -163,22 +158,16 @@ impl CostModel {
         }
     }
 
-    /// Picks the method for a batch removing `k` rows from the session
-    /// described by `snapshot`, where committing the batch incrementally
-    /// would leave the session at drift ratio `drift_after`.
+    /// Picks the method for a batch that removes `k` rows from the session
+    /// described by `snapshot` and appends `added`, where committing the
+    /// batch incrementally would leave the session at drift ratio
+    /// `drift_after`. The per-added-row terms shift the comparison
+    /// (add-heavy batches favor the flat closed-form update on sessions
+    /// that support it).
     ///
     /// Precedence: `force_method` (if supported) ≻ forced retrain on
     /// drift ≻ cheapest estimate among supported candidates. Records the
     /// decision in the histogram.
-    pub fn decide(&mut self, snapshot: &CaptureSnapshot, k: usize, drift_after: f64) -> Method {
-        self.decide_delta(snapshot, k, 0, drift_after)
-    }
-
-    /// Picks the method for a bidirectional batch: remove `k` rows, append
-    /// `added`. Identical to [`CostModel::decide`] when `added == 0`;
-    /// otherwise the per-added-row terms shift the comparison (add-heavy
-    /// batches favor the flat closed-form update on sessions that
-    /// support it).
     pub fn decide_delta(
         &mut self,
         snapshot: &CaptureSnapshot,
@@ -210,15 +199,9 @@ impl CostModel {
     }
 
     /// Feeds a measured batch back into the model: `method` removed `k`
-    /// rows from an `n`-row session in `seconds`. The method's dominant
-    /// coefficient moves toward the observation by EMA.
-    pub fn observe(&mut self, method: Method, k: usize, n: usize, seconds: f64) {
-        self.observe_delta(method, k, 0, n, seconds);
-    }
-
-    /// Feeds a measured bidirectional batch back into the model: `method`
-    /// removed `k` rows and appended `added` on an `n`-row session in
-    /// `seconds`. For the iterative methods a mixed observation is split
+    /// rows and appended `added` on an `n`-row session in `seconds`. The
+    /// method's dominant coefficient moves toward the observation by EMA;
+    /// for the iterative methods a mixed observation is split
     /// between the per-removed-row and per-added-row coefficients in
     /// proportion to their current estimates, so both converge under a
     /// mixed workload.
@@ -332,18 +315,18 @@ mod tests {
         let mut model = CostModel::new(SchedulerConfig::default());
         let all = snapshot(100_000, Method::ALL.to_vec());
         // Small batch on a big session: per-row PrIU-opt wins.
-        assert_eq!(model.decide(&all, 2, 0.0), Method::PriuOpt);
+        assert_eq!(model.decide_delta(&all, 2, 0, 0.0), Method::PriuOpt);
         // Huge batch: the flat closed-form downdate undercuts per-row work.
-        assert_eq!(model.decide(&all, 10_000, 0.1), Method::ClosedForm);
+        assert_eq!(model.decide_delta(&all, 10_000, 0, 0.1), Method::ClosedForm);
         // Without closed form or PrIU-opt, PrIU carries the batch.
         let iter_only = snapshot(
             100_000,
             vec![Method::Retrain, Method::Priu, Method::Influence],
         );
-        assert_eq!(model.decide(&iter_only, 2, 0.0), Method::Priu);
+        assert_eq!(model.decide_delta(&iter_only, 2, 0, 0.0), Method::Priu);
         // Tiny surviving set: retraining 10 rows beats downdating 1000.
         let tiny = snapshot(1_010, vec![Method::Retrain, Method::Priu]);
-        assert_eq!(model.decide(&tiny, 1_000, 0.0), Method::Retrain);
+        assert_eq!(model.decide_delta(&tiny, 1_000, 0, 0.0), Method::Retrain);
         assert_eq!(count(&model, Method::Influence), 0);
     }
 
@@ -354,9 +337,9 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let all = snapshot(10_000, Method::ALL.to_vec());
-        assert_eq!(model.decide(&all, 3, 0.24), Method::PriuOpt);
-        assert_eq!(model.decide(&all, 3, 0.25), Method::Retrain);
-        assert_eq!(model.decide(&all, 3, 0.40), Method::Retrain);
+        assert_eq!(model.decide_delta(&all, 3, 0, 0.24), Method::PriuOpt);
+        assert_eq!(model.decide_delta(&all, 3, 0, 0.25), Method::Retrain);
+        assert_eq!(model.decide_delta(&all, 3, 0, 0.40), Method::Retrain);
         assert_eq!(count(&model, Method::Retrain), 2);
     }
 
@@ -367,18 +350,18 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let all = snapshot(50_000, Method::ALL.to_vec());
-        assert_eq!(model.decide(&all, 4, 0.0), Method::PriuOpt);
+        assert_eq!(model.decide_delta(&all, 4, 0, 0.0), Method::PriuOpt);
         // Observe PrIU-opt being catastrophically slow and PrIU fast.
-        model.observe(Method::PriuOpt, 4, 50_000, 4.0);
-        model.observe(Method::Priu, 4, 50_000, 4.0e-6);
-        assert_eq!(model.decide(&all, 4, 0.0), Method::Priu);
-        assert!((model.estimate(Method::PriuOpt, 1, 50_000) - 1.0).abs() < 1e-12);
+        model.observe_delta(Method::PriuOpt, 4, 0, 50_000, 4.0);
+        model.observe_delta(Method::Priu, 4, 0, 50_000, 4.0e-6);
+        assert_eq!(model.decide_delta(&all, 4, 0, 0.0), Method::Priu);
+        assert!((model.estimate_delta(Method::PriuOpt, 1, 0, 50_000) - 1.0).abs() < 1e-12);
         // Degenerate observations are ignored.
-        let before = model.estimate(Method::Priu, 1, 50_000);
-        model.observe(Method::Priu, 0, 50_000, 1.0);
-        model.observe(Method::Priu, 4, 50_000, f64::NAN);
-        model.observe(Method::Priu, 4, 50_000, -1.0);
-        assert_eq!(model.estimate(Method::Priu, 1, 50_000), before);
+        let before = model.estimate_delta(Method::Priu, 1, 0, 50_000);
+        model.observe_delta(Method::Priu, 0, 0, 50_000, 1.0);
+        model.observe_delta(Method::Priu, 4, 0, 50_000, f64::NAN);
+        model.observe_delta(Method::Priu, 4, 0, 50_000, -1.0);
+        assert_eq!(model.estimate_delta(Method::Priu, 1, 0, 50_000), before);
     }
 
     #[test]
@@ -388,10 +371,10 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let all = snapshot(10_000, Method::ALL.to_vec());
-        assert_eq!(model.decide(&all, 1, 0.0), Method::ClosedForm);
+        assert_eq!(model.decide_delta(&all, 1, 0, 0.0), Method::ClosedForm);
         // Sessions lacking the pinned method fall back to the cost model.
         let logistic = snapshot(10_000, vec![Method::Retrain, Method::Priu, Method::PriuOpt]);
-        assert_eq!(model.decide(&logistic, 1, 0.0), Method::PriuOpt);
+        assert_eq!(model.decide_delta(&logistic, 1, 0, 0.0), Method::PriuOpt);
     }
 
     #[test]
@@ -413,8 +396,8 @@ mod tests {
         let s = snapshot(3_000, vec![Method::ClosedForm, Method::Retrain]);
         for _ in 0..8 {
             // 30 survivors: retrain = 30·5e-6 + offline, closed form = 4e-4.
-            old_model.decide(&s, 2_970, 0.0);
-            new_model.decide(&s, 2_970, 0.0);
+            old_model.decide_delta(&s, 2_970, 0, 0.0);
+            new_model.decide_delta(&s, 2_970, 0, 0.0);
         }
         assert_eq!(count(&old_model, Method::Retrain), 0);
         assert_eq!(count(&old_model, Method::ClosedForm), 8);
@@ -430,20 +413,26 @@ mod tests {
         });
         let n = 1_000;
         let k = 990;
-        let base = model.estimate(Method::Retrain, k, n);
+        let base = model.estimate_delta(Method::Retrain, k, 0, n);
         // An observed refit an order of magnitude cheaper moves the estimate
         // by exactly the offline delta.
         model.observe_offline(2.0e-5);
-        let refined = model.estimate(Method::Retrain, k, n);
+        let refined = model.estimate_delta(Method::Retrain, k, 0, n);
         assert!((base - refined - (2.0e-4 - 2.0e-5)).abs() < 1e-12);
         // A retrain observation attributes only the non-offline remainder to
         // the per-sample coefficient.
-        model.observe(Method::Retrain, k, n, 2.0e-5 + 10.0 * 3.0e-6);
-        assert!((model.estimate(Method::Retrain, k, n) - (2.0e-5 + 10.0 * 3.0e-6)).abs() < 1e-12);
+        model.observe_delta(Method::Retrain, k, 0, n, 2.0e-5 + 10.0 * 3.0e-6);
+        assert!(
+            (model.estimate_delta(Method::Retrain, k, 0, n) - (2.0e-5 + 10.0 * 3.0e-6)).abs()
+                < 1e-12
+        );
         // Degenerate observations are ignored.
         model.observe_offline(f64::NAN);
         model.observe_offline(-1.0);
-        assert!((model.estimate(Method::Retrain, k, n) - (2.0e-5 + 10.0 * 3.0e-6)).abs() < 1e-12);
+        assert!(
+            (model.estimate_delta(Method::Retrain, k, 0, n) - (2.0e-5 + 10.0 * 3.0e-6)).abs()
+                < 1e-12
+        );
     }
 
     #[test]
@@ -464,7 +453,7 @@ mod tests {
         ] {
             assert_eq!(
                 model.estimate_delta(method, 7, 0, 100_000),
-                model.estimate(method, 7, 100_000)
+                model.estimate_delta(method, 7, 0, 100_000)
             );
         }
         // The closed-form estimate is flat in the addition count; the
@@ -472,11 +461,11 @@ mod tests {
         // rank-k closed-form update.
         assert_eq!(
             model.estimate_delta(Method::ClosedForm, 2, 5_000, 100_000),
-            model.estimate(Method::ClosedForm, 2, 100_000)
+            model.estimate_delta(Method::ClosedForm, 2, 0, 100_000)
         );
         assert!(
             model.estimate_delta(Method::PriuOpt, 2, 5_000, 100_000)
-                > model.estimate(Method::PriuOpt, 2, 100_000)
+                > model.estimate_delta(Method::PriuOpt, 2, 0, 100_000)
         );
         assert_eq!(model.decide_delta(&all, 2, 5_000, 0.0), Method::ClosedForm);
     }
@@ -517,11 +506,14 @@ mod tests {
     #[test]
     fn influence_is_never_scheduled() {
         let mut model = CostModel::new(SchedulerConfig::default());
-        assert_eq!(model.estimate(Method::Influence, 1, 100), f64::INFINITY);
+        assert_eq!(
+            model.estimate_delta(Method::Influence, 1, 0, 100),
+            f64::INFINITY
+        );
         // Even when it is the only "cheap" method listed, retrain wins.
         let infl = snapshot(100, vec![Method::Retrain, Method::Influence]);
         for k in [1, 10, 50] {
-            assert_eq!(model.decide(&infl, k, 0.0), Method::Retrain);
+            assert_eq!(model.decide_delta(&infl, k, 0, 0.0), Method::Retrain);
         }
     }
 }
