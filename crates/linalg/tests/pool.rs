@@ -4,6 +4,8 @@
 //! process, so the assertions about worker counts and shutdown cannot race
 //! against other tests submitting jobs to the same global pool.
 
+use std::sync::{Condvar, Mutex};
+
 use priu_linalg::{par, Matrix};
 use priu_rng::Rng64;
 
@@ -228,16 +230,28 @@ fn pool_lifecycle() {
     // Calling shutdown from inside a pool task is rejected with the typed
     // error instead of self-join deadlocking. Tasks may also run inline on
     // the submitter (which is allowed to shut down), so only tasks that
-    // landed on actual pool workers assert the rejection.
+    // landed on actual pool workers assert the rejection. A submitter-run
+    // task waits on a latch until some worker-run task has started: once
+    // the submitter's shutdown succeeds it joins the workers and every
+    // remaining task runs inline, so without the latch no task might ever
+    // reach a worker.
+    let worker_started = (Mutex::new(false), Condvar::new());
     let verdicts = par::with_threads(4, || {
         par::run_tasks(
             (0..8)
                 .map(|_| {
                     || {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
                         let on_worker = std::thread::current()
                             .name()
                             .is_some_and(|name| name == "priu-par-worker");
+                        let (started, latch) = &worker_started;
+                        if on_worker {
+                            *started.lock().unwrap() = true;
+                            latch.notify_all();
+                        } else {
+                            let guard = started.lock().unwrap();
+                            drop(latch.wait_while(guard, |started| !*started).unwrap());
+                        }
                         (on_worker, par::try_shutdown_pool())
                     }
                 })
