@@ -17,6 +17,7 @@ use priu_linalg::{Matrix, Vector};
 use crate::config::Compression;
 use crate::error::{CoreError, Result};
 use crate::model::Model;
+use crate::trainer::sparse::SparseLogisticProvenance;
 
 /// A cached Gram-form intermediate `Σ_i c_i x_i x_i^T`, either dense or in
 /// the truncated `P Vᵀ` form of Eq. 14 / Eq. 20.
@@ -448,6 +449,13 @@ impl ProvenanceMemory for LogisticProvenance {
                 + o.model_at_switch.num_parameters() * 8
         });
         per_iter + opt
+    }
+}
+
+impl ProvenanceMemory for SparseLogisticProvenance {
+    /// Coefficients only: the sparse path caches no Gram forms.
+    fn provenance_bytes(&self) -> usize {
+        self.coefficients.iter().map(|c| c.len() * 16).sum()
     }
 }
 

@@ -10,7 +10,6 @@ use priu_data::dataset::SparseDataset;
 use priu_linalg::Vector;
 
 use crate::baseline::retrain::retrain_sparse_binary_logistic_with;
-use crate::capture::ProvenanceMemory;
 use crate::config::TrainerConfig;
 use crate::engine::{
     DeletionEngine, Engine, Family, Method, Session, SparseLogisticEngine, UpdateOutcome,
@@ -59,12 +58,6 @@ impl SparseLogisticEngine {
             family: SparseLogistic,
             training_time: Duration::from_nanos(r.u64("sparse training time")?),
         })
-    }
-}
-
-impl ProvenanceMemory for SparseLogisticProvenance {
-    fn provenance_bytes(&self) -> usize {
-        SparseLogisticProvenance::provenance_bytes(self)
     }
 }
 

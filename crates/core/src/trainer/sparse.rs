@@ -33,13 +33,6 @@ pub struct SparseLogisticProvenance {
     pub coefficients: Vec<Vec<(f64, f64)>>,
 }
 
-impl SparseLogisticProvenance {
-    /// Bytes of cached provenance (coefficients only; Q8 accounting).
-    pub fn provenance_bytes(&self) -> usize {
-        self.coefficients.iter().map(|c| c.len() * 16).sum()
-    }
-}
-
 /// Runs one exact sparse binary-logistic mb-SGD step on the batch staged in
 /// `ws.batch` (gather margins, scatter gradient — the batched CSR kernels),
 /// mutating `w` in place. The single definition of the step: the trainer
@@ -175,6 +168,7 @@ pub fn train_sparse_binary_logistic_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::ProvenanceMemory;
     use crate::metrics::sparse_classification_accuracy;
     use priu_data::catalog::Hyperparameters;
     use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
