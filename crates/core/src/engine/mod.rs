@@ -508,7 +508,7 @@ mod family {
         /// The training rows (dense or sparse).
         type Data: Rows;
         /// One iteration's cached provenance expression.
-        type Cache: Clone + Debug;
+        type Cache: Clone;
         /// Everything the offline phase captured.
         type Provenance: Captured<Self::Cache>;
         /// The session kind named in storage-mismatch errors.
@@ -566,8 +566,8 @@ mod family {
         /// Wraps an engine of this family as a [`Session`].
         fn into_session(e: Engine<Self>) -> Session;
 
-        /// Deflation rows a cache carries beyond its batch (workspace
-        /// sizing for chained sessions).
+        /// The deflation rows a cache's Gram forms carry (chained sessions
+        /// size the replay workspace by the largest).
         fn deflation_rows(_cache: &Self::Cache) -> usize {
             0
         }
