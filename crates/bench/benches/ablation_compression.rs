@@ -1,7 +1,8 @@
 //! Ablation bench: how the compression strategy used for the per-iteration
 //! Gram caches (none / exact truncated / randomized truncated) affects the
 //! PrIU update time on a dataset with a medium feature space (the Heartbeat
-//! analogue). This is the design choice DESIGN.md §2.3 calls out.
+//! analogue). The strategies are documented on `Compression` in
+//! `crates/core/src/config.rs`.
 
 use std::time::Duration;
 

@@ -29,6 +29,10 @@
 //! The `eigen_grid` group is the offline-phase shoot-out: the scalar
 //! row-cyclic Jacobi solver vs the two-stage tridiag + QL pipeline at
 //! 64–512.
+//!
+//! The `eigen_update` group prices the PrIU-opt successor's two routes at
+//! m = 318: the exact `eigen_into`, one rank-one update, and the `matmul`
+//! that dominates the update.
 
 use std::time::Duration;
 
@@ -545,6 +549,57 @@ fn bench_eigen_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// The successor eigenbasis at the `clean-linear` shape: the 318×318 Gram
+/// of a 2000×318 matrix with every fifth row scaled ×10. `eigen_into` is
+/// the exact re-decomposition, `eigen_update_rank1` one rank-one downdate
+/// of its pairs by a scaled row (what a single-row delete costs), and
+/// `matmul` the update's dominant `V·U` product at that size.
+fn bench_eigen_update(c: &mut Criterion) {
+    use priu_linalg::decomposition::{eigen_into, eigen_update_into, EigenUpdateScratch};
+
+    let mut group = c.benchmark_group("eigen_update");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_secs(2));
+
+    let mut rows = random_matrix(2000, 318, 35);
+    for i in (0..2000).step_by(5) {
+        for v in rows.row_mut(i) {
+            *v *= 10.0;
+        }
+    }
+    let gram = rows.gram();
+    let mut scratch = EigenScratch::default();
+    let eig = SymmetricEigen::new_with(&gram, &mut scratch).unwrap();
+    let mut update = EigenUpdateScratch::default();
+    let mut product = Matrix::zeros(0, 0);
+
+    group.bench_function(BenchmarkId::new("eigen_into", "318"), |bench| {
+        bench.iter(|| eigen_into(black_box(&gram), &mut scratch).unwrap())
+    });
+    group.bench_function(BenchmarkId::new("eigen_update_rank1", "318"), |bench| {
+        bench.iter(|| {
+            let values = eig.values.as_slice();
+            eigen_update_into(
+                values,
+                &eig.vectors,
+                black_box(rows.row(5)),
+                -1.0,
+                &mut update,
+            )
+            .unwrap()
+        })
+    });
+    group.bench_function(BenchmarkId::new("matmul", "318"), |bench| {
+        bench.iter(|| {
+            eig.vectors
+                .matmul_into(black_box(&eig.vectors), &mut product)
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
 /// The SIMD microkernel grid: every dot/axpy-class kernel at the
 /// acceptance shapes, pinned to one thread, compared across `PRIU_SIMD`
 /// levels — `portable` is the unrolled 4-lane scalar path, `avx2` the
@@ -751,6 +806,7 @@ criterion_group!(
     bench_sparse_grid,
     bench_decomp_grid,
     bench_eigen_grid,
+    bench_eigen_update,
     bench_simd_grid,
     bench_kernels
 );

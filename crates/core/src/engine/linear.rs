@@ -1,15 +1,19 @@
 //! The linear-regression family (Eq. 13/14). A cache holds one batch's
 //! Gram matrix `Σ x_i x_iᵀ` and moment vector `Σ x_i y_i`; dropping a
 //! removed sample deflates the Gram form and subtracts its moment. The
-//! successor downdates the normal-equations view by the removed rows, grows
-//! it by the added ones, and refreshes the PrIU-opt eigenbasis from it.
+//! successor downdates the normal-equations view by the removed rows and
+//! grows it by the added ones. Its PrIU-opt eigenbasis follows by exact
+//! rank-one updates of the parent's pairs for a delta of at most
+//! [`RANK_ONE_BREAK_EVEN`] rows, else by a fresh decomposition of the view.
 //! Closed-form folds both delta directions into that view and solves once.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use priu_data::dataset::DenseDataset;
-use priu_linalg::decomposition::eigen::{EigenScratch, SymmetricEigen};
+use priu_linalg::decomposition::eigen::{
+    eigen_update_into, EigenScratch, EigenUpdateScratch, SymmetricEigen,
+};
 use priu_linalg::{Matrix, Vector};
 
 use crate::baseline::closed_form::closed_form_delta_with;
@@ -36,12 +40,77 @@ thread_local! {
     /// Eigen buffers reused by every successor refresh on this thread (the
     /// server's applier), so a chained apply factorises on warm scratch.
     static REFRESH_SCRATCH: RefCell<EigenScratch> = RefCell::new(EigenScratch::default());
+    /// Rank-one update buffers, likewise reused across successors.
+    static UPDATE_SCRATCH: RefCell<EigenUpdateScratch> =
+        RefCell::new(EigenUpdateScratch::default());
 }
+
+/// Largest delta (removed plus added rows) whose successor eigenbasis is
+/// carried forward by rank-one updates rather than re-decomposed. At
+/// m = 318 one update costs about a sixth of the exact pipeline (DESIGN
+/// §4.5 has the measurement); the choice depends only on the delta's shape,
+/// so a live apply and its WAL redo take the same path.
+const RANK_ONE_BREAK_EVEN: usize = 5;
+
+/// Largest relative residual ([`EigenUpdateScratch::probe_residual`]) an
+/// updated eigenbasis may show against the maintained `XᵀX` before the
+/// exact decomposition replaces it. Fresh decompositions sit near 1e-15
+/// and hundreds of chained updates near 1e-13 (DESIGN §4.5).
+const PROBE_TOLERANCE: f64 = 1e-11;
 
 /// The successor's PrIU-opt eigenbasis: an exact eigendecomposition of the
 /// maintained `XᵀX`, on this thread's warm scratch.
 fn refresh_eigen(xtx: &Matrix) -> Result<SymmetricEigen> {
     REFRESH_SCRATCH.with_borrow_mut(|scratch| Ok(SymmetricEigen::new_with(xtx, scratch)?))
+}
+
+/// The successor's PrIU-opt eigenbasis for a delta that added `added` and
+/// removed `removed` rows: the parent's pairs carried across one rank-one
+/// update per added row and one downdate per removed row, when the delta
+/// has 1 to [`RANK_ONE_BREAK_EVEN`] rows, every row is finite and the
+/// result passes the residual probe against `xtx` (the successor's
+/// maintained view); otherwise [`refresh_eigen`].
+fn successor_eigen(
+    parent: &SymmetricEigen,
+    removed: &Matrix,
+    added: Option<&Matrix>,
+    xtx: &Matrix,
+) -> Result<SymmetricEigen> {
+    let grown = added
+        .into_iter()
+        .flat_map(|a| (0..a.nrows()).map(|i| (a.row(i), 1.0)));
+    let shrunk = (0..removed.nrows()).map(|i| (removed.row(i), -1.0));
+    let rows: Vec<(&[f64], f64)> = grown.chain(shrunk).collect();
+    let finite = rows.iter().all(|(x, _)| x.iter().all(|v| v.is_finite()));
+    if rows.len() <= RANK_ONE_BREAK_EVEN && finite {
+        let updated = UPDATE_SCRATCH.with_borrow_mut(|scratch| {
+            rank_one_chain(parent, &rows, scratch, xtx)
+                .then(|| SymmetricEigen::from_update(scratch))
+        });
+        if let Some(eigen) = updated {
+            return Ok(eigen);
+        }
+    }
+    refresh_eigen(xtx)
+}
+
+/// Runs `rows` through `scratch` as a chain of rank-one updates starting
+/// at `parent`: whether there was a row, every link succeeded and the
+/// result passed the residual probe.
+fn rank_one_chain(
+    parent: &SymmetricEigen,
+    rows: &[(&[f64], f64)],
+    scratch: &mut EigenUpdateScratch,
+    xtx: &Matrix,
+) -> bool {
+    let Some((&(x, rho), rest)) = rows.split_first() else {
+        return false;
+    };
+    eigen_update_into(parent.values.as_slice(), &parent.vectors, x, rho, scratch).is_ok()
+        && rest.iter().all(|&(x, rho)| scratch.update(x, rho).is_ok())
+        && scratch
+            .probe_residual(xtx)
+            .is_ok_and(|residual| residual <= PROBE_TOLERANCE)
 }
 
 /// The linear-regression family marker of [`LinearEngine`].
@@ -315,18 +384,23 @@ impl Family for Linear {
         successor: &mut LinearProvenance,
     ) -> Result<()> {
         // The normal-equations view downdates by the removed block and
-        // grows by the added one (rank-k, O((|Δ| + |A|)·m²)); the PrIU-opt
-        // eigenbasis is then one exact eigendecomposition of the maintained
-        // `XᵀX` (O(m³), independent of n). Neither is charged to the
-        // outcome's duration. (The appended caches are trajectory-free —
-        // Gram + moment of the batch rows — so they hold for closed form
-        // too, whose model is the view solve.)
+        // grows by the added one (rank-k, O((|Δ| + |A|)·m²)). The PrIU-opt
+        // eigenbasis follows it: a delta of at most RANK_ONE_BREAK_EVEN
+        // finite rows carries the parent's pairs across one rank-one
+        // secular update per row (O(m²) plus one V·U product each), checked
+        // by a residual probe against the new view; a larger delta, a
+        // non-finite row or a failed probe re-decomposes the view exactly
+        // (O(m³), independent of n). Neither is charged to the outcome's
+        // duration. (The appended caches are trajectory-free — Gram +
+        // moment of the batch rows — so they hold for closed form too,
+        // whose model is the view solve.)
         if let Some(view) = &e.provenance.normal {
+            let removed = e.dataset.select(removed);
             let mut view = view.clone();
-            view.apply_delta(&e.dataset.select(removed), added)?;
-            if e.provenance.opt.is_some() {
+            view.apply_delta(&removed, added)?;
+            if let Some(opt) = &e.provenance.opt {
                 successor.opt = Some(LinearOptCapture {
-                    eigen: refresh_eigen(&view.xtx)?,
+                    eigen: successor_eigen(&opt.eigen, &removed.x, added.map(|a| &a.x), &view.xtx)?,
                 });
             }
             successor.normal = Some(view);
@@ -340,5 +414,139 @@ impl Family for Linear {
 
     fn deflation_rows(cache: &LinearIterationCache) -> usize {
         cache.gram.deflation_rows()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Delta, DeltaRows};
+    use crate::metrics::compare_models;
+    use priu_data::catalog::Hyperparameters;
+    use priu_data::dirty::inject_dirty_samples;
+    use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+    use priu_linalg::decomposition::eigen::eigen_into;
+
+    /// A 400 × 64 regression with a fifth of its rows scaled ×10, fitted
+    /// with both the PrIU-opt and the closed-form captures; and its dirty
+    /// rows.
+    fn dirty_session() -> (LinearEngine, Vec<usize>) {
+        let clean = generate_regression(&RegressionConfig {
+            num_samples: 400,
+            num_features: 64,
+            seed: 16,
+            ..Default::default()
+        });
+        let injection = inject_dirty_samples(&clean, 0.2, 10.0, 17);
+        let config = TrainerConfig::from_hyper(Hyperparameters {
+            batch_size: 100,
+            num_iterations: 20,
+            learning_rate: 0.001,
+            regularization: 0.01,
+        });
+        let engine = LinearEngine::fit(injection.dirty_dataset, config).unwrap();
+        (engine, injection.dirty_indices)
+    }
+
+    fn linear(session: Session) -> LinearEngine {
+        match session {
+            Session::Linear(engine) => engine,
+            _ => unreachable!("a linear session stays linear"),
+        }
+    }
+
+    fn eigen(engine: &LinearEngine) -> &SymmetricEigen {
+        &engine.provenance.opt.as_ref().unwrap().eigen
+    }
+
+    /// The exact pipeline on the engine's maintained view.
+    fn exact(engine: &LinearEngine) -> SymmetricEigen {
+        let xtx = &engine.provenance.normal.as_ref().unwrap().xtx;
+        let mut scratch = EigenScratch::default();
+        eigen_into(xtx, &mut scratch).unwrap();
+        SymmetricEigen {
+            values: Vector::from_vec(scratch.values().to_vec()),
+            vectors: scratch.vectors().clone(),
+        }
+    }
+
+    /// Checks the successor's eigenpairs against the exact pipeline and its
+    /// PrIU-opt model against the one the exact basis gives.
+    fn assert_matches_exact(engine: &LinearEngine, probe_row: usize, what: &str) {
+        let reference = exact(engine);
+        let carried = eigen(engine);
+        let scale = reference.values[0].abs();
+        let worst = (0..reference.values.len())
+            .map(|i| (carried.values[i] - reference.values[i]).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            worst <= 1e-10 * scale,
+            "{what}: eigenvalues off by {worst:e}"
+        );
+        let xtx = &engine.provenance.normal.as_ref().unwrap().xtx;
+        let rebuilt = (&carried.reconstruct() - xtx).frobenius_norm() / xtx.frobenius_norm();
+        assert!(
+            rebuilt <= 1e-10,
+            "{what}: reconstruction off by {rebuilt:e}"
+        );
+
+        let mut exact_engine = engine.clone();
+        exact_engine.provenance.opt = Some(LinearOptCapture { eigen: reference });
+        let carried_model = engine.update(Method::PriuOpt, &[probe_row]).unwrap().model;
+        let exact_model = exact_engine
+            .update(Method::PriuOpt, &[probe_row])
+            .unwrap()
+            .model;
+        let cosine = compare_models(&exact_model, &carried_model)
+            .unwrap()
+            .cosine_similarity;
+        assert!(cosine >= 1.0 - 1e-9, "{what}: PrIU-opt cosine {cosine}");
+    }
+
+    #[test]
+    fn rank_one_successors_track_the_exact_eigenbasis() {
+        let (mut engine, dirty) = dirty_session();
+        // 100 single-row deletes of dirty rows, each named by its position
+        // in the current session (earlier deletes shift the later rows).
+        for (step, &row) in dirty.iter().take(100).enumerate() {
+            let position = row - step;
+            let next = engine.apply_delta(Method::PriuOpt, &Delta::removal(&[position]));
+            engine = linear(next.unwrap().session);
+            assert_matches_exact(&engine, 0, &format!("delete {step}"));
+        }
+        // Then one mixed delta of three rows: two removed, one added.
+        let added = engine.dataset.select(&[5]);
+        let delta = Delta::mixed(&[1, 2], DeltaRows::Dense(added));
+        engine = linear(engine.apply_delta(Method::PriuOpt, &delta).unwrap().session);
+        assert_matches_exact(&engine, 0, "mixed delta");
+    }
+
+    #[test]
+    fn a_perturbed_parent_basis_takes_the_exact_path() {
+        let (engine, dirty) = dirty_session();
+        let delta = Delta::removal(&[dirty[0]]);
+        let bits = |e: &SymmetricEigen| {
+            e.values
+                .iter()
+                .chain(e.vectors.as_slice())
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        // The healthy parent carries its basis across: the result is not
+        // the exact pipeline's bits.
+        let carried = linear(engine.apply_delta(Method::PriuOpt, &delta).unwrap().session);
+        assert_ne!(bits(eigen(&carried)), bits(&exact(&carried)));
+        // A parent whose stored eigenvalue drifted by 1e-6 (relative)
+        // trips the residual probe, and the successor re-decomposes.
+        let mut perturbed = engine.clone();
+        let opt = perturbed.provenance.opt.as_mut().unwrap();
+        opt.eigen.values[0] *= 1.0 + 1e-6;
+        let successor = linear(
+            perturbed
+                .apply_delta(Method::PriuOpt, &delta)
+                .unwrap()
+                .session,
+        );
+        assert_eq!(bits(eigen(&successor)), bits(&exact(&successor)));
     }
 }

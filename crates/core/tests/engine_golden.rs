@@ -19,6 +19,11 @@
 //! so the one fixture holds for every `PRIU_THREADS`. The committed test
 //! only compares: `fixtures/engine_golden.txt` was written by running
 //! [`render`] on the engine code that predates the shared delta pipeline.
+//! Seven linear lines — every step-0 snapshot digest and PrIU-opt's step-1
+//! model and digest — were re-captured when deltas of at most five rows
+//! began carrying the PrIU-opt eigenbasis by rank-one updates (the 5-row
+//! step 0 takes that path; its successor's eigenpairs differ from a fresh
+//! decomposition in the last bits).
 
 use priu_core::{DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder, TrainerConfig};
 use priu_data::catalog::Hyperparameters;

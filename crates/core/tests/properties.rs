@@ -5,7 +5,9 @@
 //! must respect the Theorem 4 bound.
 //!
 //! A chained linear session must also keep its normal-equations view exact
-//! and its PrIU-opt eigenbasis a fresh eigendecomposition of that view.
+//! and its PrIU-opt eigenbasis an eigendecomposition of that view: bitwise
+//! the path its delta selects, and within working precision of a fresh
+//! decomposition.
 //!
 //! Sessions are driven through the unified `DeletionEngine` API; removal
 //! sets are drawn from the workspace's deterministic RNG (one seed per
@@ -21,7 +23,7 @@ use priu_core::TrainerConfig;
 use priu_data::catalog::Hyperparameters;
 use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
-use priu_linalg::decomposition::SymmetricEigen;
+use priu_linalg::decomposition::{eigen_update_into, EigenUpdateScratch, SymmetricEigen};
 use priu_rng::Rng64;
 
 const N: usize = 160;
@@ -193,8 +195,12 @@ fn chained_priu_opt_applies_keep_the_normal_equations_exact() {
     // ~30 PrIU-opt applies mixing removals with appended rows. After every
     // apply the maintained view must equal the view rebuilt from the
     // successor's rows, and the successor's eigenpairs must be *bitwise*
-    // the eigendecomposition of the maintained `XᵀX` — a basis carried
-    // forward instead of refreshed would fail the second check.
+    // the path the delta selects — the parent's pairs carried across one
+    // exact rank-one update per added row, then one downdate per removed
+    // row, for deltas of one to five rows; the eigendecomposition of the
+    // maintained `XᵀX` otherwise — and agree with a fresh decomposition to
+    // working precision. A basis carried forward approximately (Eq. 18's
+    // diagonals) would fail the last check.
     const M: usize = 40;
     let lambda = 0.05;
     let data = generate_regression(&RegressionConfig {
@@ -232,6 +238,25 @@ fn chained_priu_opt_applies_keep_the_normal_equations_exact() {
             DeltaRows::Dense(extra.select(&rows))
         });
         let delta = Delta { removed, added };
+        let Session::Linear(parent) = &session else {
+            panic!("a linear session stays linear");
+        };
+        let parent_eigen = parent
+            .provenance()
+            .opt
+            .as_ref()
+            .expect("opt capture")
+            .eigen
+            .clone();
+        let mut removed_rows = delta.removed.clone();
+        removed_rows.sort_unstable();
+        removed_rows.dedup();
+        let removed_rows = parent.dataset().x.select_rows(&removed_rows);
+        let mut rows: Vec<(Vec<f64>, f64)> = Vec::new();
+        if let Some(DeltaRows::Dense(added)) = &delta.added {
+            rows.extend((0..added.num_samples()).map(|i| (added.x.row(i).to_vec(), 1.0)));
+        }
+        rows.extend((0..removed_rows.nrows()).map(|i| (removed_rows.row(i).to_vec(), -1.0)));
         session = session
             .apply_delta(Method::PriuOpt, &delta)
             .unwrap_or_else(|e| panic!("step {step}: {e}"))
@@ -253,8 +278,37 @@ fn chained_priu_opt_applies_keep_the_normal_equations_exact() {
 
         let eigen = &provenance.opt.as_ref().expect("opt capture").eigen;
         let fresh = SymmetricEigen::new(&normal.xtx).unwrap();
-        assert_eq!(eigen.values, fresh.values, "step {step}: eigenvalues");
-        assert_eq!(eigen.vectors, fresh.vectors, "step {step}: eigenvectors");
+        let expected = if (1..=5).contains(&rows.len()) {
+            let mut scratch = EigenUpdateScratch::default();
+            let (first, rest) = rows.split_first().unwrap();
+            let values = parent_eigen.values.as_slice();
+            eigen_update_into(
+                values,
+                &parent_eigen.vectors,
+                &first.0,
+                first.1,
+                &mut scratch,
+            )
+            .unwrap();
+            for (x, rho) in rest {
+                scratch.update(x, *rho).unwrap();
+            }
+            SymmetricEigen::from_update(&scratch)
+        } else {
+            fresh.clone()
+        };
+        assert_eq!(eigen.values, expected.values, "step {step}: eigenvalues");
+        assert_eq!(eigen.vectors, expected.vectors, "step {step}: eigenvectors");
+        let values_err = relative_max_error(eigen.values.as_slice(), fresh.values.as_slice());
+        let rebuilt_err = relative_max_error(eigen.reconstruct().as_slice(), normal.xtx.as_slice());
+        assert!(
+            values_err < 1e-12,
+            "step {step}: eigenvalue error {values_err}"
+        );
+        assert!(
+            rebuilt_err < 1e-12,
+            "step {step}: reconstruction error {rebuilt_err}"
+        );
     }
 }
 

@@ -30,8 +30,8 @@ use priu_data::synthetic::classification::{generate_binary_classification, Class
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
 use priu_linalg::decomposition::{
-    cholesky_factor_into, cholesky_solve_into, eigen_into, qr_factor_into, EigenScratch, QrScratch,
-    SymmetricEigen,
+    cholesky_factor_into, cholesky_solve_into, eigen_into, eigen_update_into, qr_factor_into,
+    EigenScratch, EigenUpdateScratch, QrScratch, SymmetricEigen,
 };
 use priu_linalg::Matrix;
 
@@ -462,6 +462,38 @@ fn offline_factorization_allocations_are_per_call_constants() {
         assert!(
             allocs <= 4,
             "warm eigendecomposition should allocate only its stored \
+             eigenpairs, saw {allocs} allocations"
+        );
+
+        // The rank-one update behind small PrIU-opt successors: warm, the
+        // `_into` entry point and a chained link allocate nothing, and the
+        // owning wrapper allocates only the returned pairs.
+        let eig = SymmetricEigen::new(&spd).unwrap();
+        let row = base.row(7).to_vec();
+        let mut update_scratch = EigenUpdateScratch::default();
+        let values = eig.values.as_slice();
+        eigen_update_into(values, &eig.vectors, &row, -1.0, &mut update_scratch).unwrap(); // warm-up
+        update_scratch.update(&row, 1.0).unwrap();
+        update_scratch.probe_residual(&spd).unwrap();
+        let allocs = count_allocations(|| {
+            eigen_update_into(values, &eig.vectors, &row, -1.0, &mut update_scratch).unwrap();
+            update_scratch.update(&row, 1.0).unwrap();
+            update_scratch.probe_residual(&spd).unwrap();
+        });
+        assert_eq!(
+            allocs, 0,
+            "warm rank-one eigen update allocated {allocs} times — deflation, \
+             secular roots and V·U must run inside EigenUpdateScratch"
+        );
+        eig.rank_one_update_with(&row, -1.0, &mut update_scratch)
+            .unwrap(); // warm-up
+        let allocs = count_allocations(|| {
+            eig.rank_one_update_with(&row, -1.0, &mut update_scratch)
+                .unwrap();
+        });
+        assert!(
+            allocs <= 4,
+            "warm rank-one eigen update should allocate only its returned \
              eigenpairs, saw {allocs} allocations"
         );
     });

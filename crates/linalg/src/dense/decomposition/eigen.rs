@@ -1,4 +1,5 @@
-//! Symmetric eigendecomposition: two-stage tridiagonalisation + QL.
+//! Symmetric eigendecomposition: two-stage tridiagonalisation + QL, and
+//! exact rank-one updates of an existing decomposition.
 //!
 //! PrIU-opt (§5.2) relies on an *offline* eigendecomposition of the Gram
 //! matrix `M = X^T X` (`M = Q diag(c) Q^T`), followed by an *online*
@@ -18,12 +19,23 @@
 //! checks the eigenpairs numerically against a test-only round-robin
 //! Jacobi solver, an algorithm that shares no code with this one.
 //!
+//! A decomposition that already exists can instead be carried across a
+//! rank-one change `A ± x xᵀ` exactly: [`eigen_update_into`] (and
+//! [`SymmetricEigen::rank_one_update_with`]) deflates, solves the secular
+//! equation and forms one `V·U` product — `O(m²)` plus that product
+//! instead of a fresh `O(m³)` pipeline (see [`super::eigen_update`]). Its
+//! output keeps this module's contract: values descending, orthonormal
+//! columns, bitwise reproducible for any `PRIU_THREADS` per `PRIU_SIMD`
+//! level. The `eigen_update` suite checks it against [`eigen_into`] of the
+//! updated matrix. The PrIU-opt successor uses it for small deltas.
+//!
 //! [`new_with`]: SymmetricEigen::new_with
 
 use crate::dense::matrix::Matrix;
 use crate::dense::vector::Vector;
 use crate::error::{LinalgError, Result};
 
+pub use super::eigen_update::{eigen_update_into, EigenUpdateScratch};
 use super::tridiag::{
     tql2_into, tridiag_factor_into, tridiag_factor_scalar_into, QlRotation, TridiagScratch,
 };
@@ -131,6 +143,33 @@ impl SymmetricEigen {
             values: Vector::from_vec(scratch.values.clone()),
             vectors: scratch.vectors.clone(),
         })
+    }
+
+    /// The eigenpairs of `A + rho·x xᵀ`, where `A` is the matrix these
+    /// pairs decompose, by one exact rank-one update
+    /// ([`eigen_update_into`]) on caller-owned scratch: with a warm
+    /// [`EigenUpdateScratch`] the only allocations are the returned
+    /// eigenvalue vector and eigenvector matrix.
+    ///
+    /// # Errors
+    /// See [`eigen_update_into`].
+    pub fn rank_one_update_with(
+        &self,
+        x: &[f64],
+        rho: f64,
+        scratch: &mut EigenUpdateScratch,
+    ) -> Result<Self> {
+        eigen_update_into(self.values.as_slice(), &self.vectors, x, rho, scratch)?;
+        Ok(Self::from_update(scratch))
+    }
+
+    /// A copy of the pairs an [`EigenUpdateScratch`] holds (the returned
+    /// pairs of an update chain).
+    pub fn from_update(scratch: &EigenUpdateScratch) -> Self {
+        Self {
+            values: Vector::from_vec(scratch.values().to_vec()),
+            vectors: scratch.vectors().clone(),
+        }
     }
 
     /// Reconstructs `Q diag(values) Q^T` (mainly for testing / diagnostics).

@@ -12,6 +12,9 @@
 //! * [`eigen`] — symmetric eigendecomposition by two-stage tridiag + QL;
 //!   the offline step of PrIU-opt (Eq. 17) and the basis for the
 //!   incremental eigenvalue update (Eq. 18).
+//! * [`eigen_update`] — exact rank-one updates `A ± x xᵀ` of an
+//!   eigendecomposition by deflation and secular roots; how a successor
+//!   carries the PrIU-opt eigenbasis across a small delta.
 //! * [`truncated`] — exact and randomized truncated eigendecompositions of
 //!   Gram forms `X^T diag(w) X`; the "SVD over the intermediate results"
 //!   compression of §5.1 / §5.3.
@@ -28,6 +31,7 @@
 
 pub mod cholesky;
 pub mod eigen;
+pub mod eigen_update;
 pub mod lu;
 pub mod qr;
 pub mod tridiag;
@@ -37,7 +41,10 @@ pub use cholesky::{
     cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, cholesky_update_into,
     cholesky_update_rank_k_into, cholesky_update_scalar_into, Cholesky,
 };
-pub use eigen::{eigen_into, eigen_scalar_into, EigenScratch, SymmetricEigen};
+pub use eigen::{
+    eigen_into, eigen_scalar_into, eigen_update_into, EigenScratch, EigenUpdateScratch,
+    SymmetricEigen,
+};
 pub use lu::Lu;
 pub use qr::{
     qr_factor_into, qr_factor_per_reflector_into, qr_factor_scalar_into, Qr, QrScratch, QR_NB,

@@ -451,8 +451,9 @@ impl Matrix {
 
     /// Matrix-matrix product into a caller-owned matrix, which is reshaped
     /// to `nrows x other.ncols()` reusing its allocation. Row-parallel
-    /// (each output row is produced by exactly one chunk), i-k-j inner
-    /// order; bitwise identical for any thread count.
+    /// (each output row is produced by exactly one chunk) with a
+    /// register-blocked micro-kernel that keeps each element's i-k-j
+    /// `axpy` chain; bitwise identical for any thread count.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] if inner dimensions differ.
@@ -607,20 +608,20 @@ fn transpose_matvec_rows(a: &Matrix, rows: Range<usize>, x: &[f64], out: &mut [f
     }
 }
 
-/// `out` rows `rows` of `a * b`, i-k-j order with an unrolled j-loop.
-/// `out_block` holds `rows.len() * b.ncols()` values, pre-zeroed.
+/// `out` rows `rows` of `a * b` through the register-blocked
+/// [`crate::simd::gemm_acc`], whose per-element chain is the i-k-j
+/// `axpy` order (zero `a[i][k]` skipped). `out_block` holds
+/// `rows.len() * b.ncols()` values, pre-zeroed.
 fn matmul_rows(a: &Matrix, b: &Matrix, rows: Range<usize>, out_block: &mut [f64]) {
-    let width = b.cols;
-    for (local, i) in rows.enumerate() {
-        let a_row = a.row(i);
-        let out_row = &mut out_block[local * width..(local + 1) * width];
-        for (k, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            axpy_slices(out_row, aik, b.row(k));
-        }
-    }
+    let inner = a.cols;
+    crate::simd::gemm_acc(
+        rows.len(),
+        inner,
+        b.cols,
+        &a.data[rows.start * inner..rows.end * inner],
+        &b.data,
+        out_block,
+    );
 }
 
 /// Accumulates the upper triangle of `Σ_{i ∈ rows} w_i x_i x_iᵀ` into the

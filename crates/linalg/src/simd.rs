@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD microkernels with bitwise scalar parity.
 //!
 //! Every hot inner loop of the dense and sparse kernels — dot products,
-//! 4-row fused matvec dots, `axpy`, the fused GD step `scale_add`, the QR
-//! reflector update, the plane-rotation pass, and the CSR gather/scatter
-//! loops — funnels through this module. Each microkernel has two
-//! implementations selected once per call:
+//! 4-row fused matvec dots, `axpy`, the matrix product `gemm_acc`, the
+//! fused GD step `scale_add`, the QR reflector update, the plane-rotation
+//! pass, and the CSR gather/scatter loops — funnels through this module.
+//! Each microkernel has two implementations selected once per call:
 //!
 //! * **portable** — plain Rust with the historical lane structure (4-wide
 //!   accumulators, mul-then-add rounding). This is the only path on
@@ -324,6 +324,80 @@ pub fn axpy(out: &mut [f64], alpha: f64, src: &[f64]) {
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
+        }
+    }
+}
+
+/// Rows of `a` per register tile of [`gemm_acc`] on the Avx2 level
+/// (each row's 8-column tile lives in two 4-lane registers).
+#[cfg(target_arch = "x86_64")]
+const GEMM_MR: usize = 6;
+
+/// Matrix product `out += a · b` over row-major storage: `a` is
+/// `rows × inner`, `b` is `inner × cols`, `out` is `rows × cols`.
+///
+/// Every output element sees exactly the chain of the i-k-j kernel that
+/// calls [`axpy`] once per nonzero `a[i][k]`: `acc ← acc + a[i][k]·b[k][j]`
+/// for `k` ascending, the same per-level multiply-add, and no term at all
+/// where `a[i][k] == 0` (so `±inf`/`NaN` in `b` behind a zero of `a`, and
+/// the sign of a zero accumulator, survive as they did). The Avx2 level
+/// keeps `6 × 8` output tiles in registers across the whole `k` loop;
+/// that changes which elements share registers, never an element's
+/// operation sequence, so the bits equal the i-k-j kernel's on every
+/// level.
+///
+/// # Panics
+/// Panics if a slice length disagrees with the shape.
+pub fn gemm_acc(rows: usize, inner: usize, cols: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    assert_eq!(
+        a.len(),
+        rows * inner,
+        "simd::gemm_acc: a is not rows × inner"
+    );
+    assert_eq!(
+        b.len(),
+        inner * cols,
+        "simd::gemm_acc: b is not inner × cols"
+    );
+    assert_eq!(
+        out.len(),
+        rows * cols,
+        "simd::gemm_acc: out is not rows × cols"
+    );
+    match current_level() {
+        SimdLevel::Portable => gemm_acc_portable(rows, inner, cols, a, b, out),
+        SimdLevel::Avx2 => {
+            // SAFETY: see `dot`; the lengths were checked above.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                avx2::gemm_acc(rows, inner, cols, a, b, out)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("SimdLevel::Avx2 is unreachable off x86_64")
+        }
+    }
+}
+
+/// The portable level keeps the plain i-k-j loop: the compiler vectorises
+/// its contiguous `axpy` rows better than a register-blocked tile built
+/// from arrays.
+fn gemm_acc_portable(
+    rows: usize,
+    inner: usize,
+    cols: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+) {
+    for i in 0..rows {
+        let out_row = &mut out[i * cols..(i + 1) * cols];
+        for (k, &aik) in a[i * inner..(i + 1) * inner].iter().enumerate() {
+            if aik == 0.0 {
+                continue;
+            }
+            for (o, s) in out_row.iter_mut().zip(&b[k * cols..(k + 1) * cols]) {
+                *o += aik * s;
+            }
         }
     }
 }
@@ -660,6 +734,128 @@ mod avx2 {
         }
         for j in chunks * 4..len {
             out[j] = alpha.mul_add(src[j], out[j]);
+        }
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2 and FMA, and `a`, `b` and `out` hold
+    /// `rows × inner`, `inner × cols` and `rows × cols` values.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm_acc(
+        rows: usize,
+        inner: usize,
+        cols: usize,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+    ) {
+        const MR: usize = super::GEMM_MR;
+        let mut i = 0;
+        while i + MR <= rows {
+            let (a_block, out_block) = (
+                &a[i * inner..(i + MR) * inner],
+                &mut out[i * cols..(i + MR) * cols],
+            );
+            gemm_rows::<MR>(a_block, inner, cols, b, out_block);
+            i += MR;
+        }
+        while i < rows {
+            let (a_block, out_block) = (
+                &a[i * inner..(i + 1) * inner],
+                &mut out[i * cols..(i + 1) * cols],
+            );
+            gemm_rows::<1>(a_block, inner, cols, b, out_block);
+            i += 1;
+        }
+    }
+
+    /// Rows `a_block` (`MR × inner`) of `gemm_acc` into `out_block`
+    /// (`MR × cols`): 8-column tiles, one 4-column tile, then single
+    /// columns through `mul_add`. A block without zeros takes the tile
+    /// instantiations that compile the zero test out.
+    ///
+    /// # Safety
+    /// As `gemm_acc`, for `MR` rows.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_rows<const MR: usize>(
+        a_block: &[f64],
+        inner: usize,
+        cols: usize,
+        b: &[f64],
+        out_block: &mut [f64],
+    ) {
+        let dense = !a_block.contains(&0.0);
+        let mut j = 0;
+        while j + 8 <= cols {
+            if dense {
+                gemm_tile::<MR, 2, true>(a_block, inner, cols, b, out_block, j);
+            } else {
+                gemm_tile::<MR, 2, false>(a_block, inner, cols, b, out_block, j);
+            }
+            j += 8;
+        }
+        if j + 4 <= cols {
+            if dense {
+                gemm_tile::<MR, 1, true>(a_block, inner, cols, b, out_block, j);
+            } else {
+                gemm_tile::<MR, 1, false>(a_block, inner, cols, b, out_block, j);
+            }
+            j += 4;
+        }
+        for j in j..cols {
+            for r in 0..MR {
+                let mut acc = out_block[r * cols + j];
+                for k in 0..inner {
+                    let x = a_block[r * inner + k];
+                    if x != 0.0 {
+                        acc = x.mul_add(b[k * cols + j], acc);
+                    }
+                }
+                out_block[r * cols + j] = acc;
+            }
+        }
+    }
+
+    /// One `MR × 4W` tile at column `j`, held in `MR·W` registers across
+    /// the whole `k` loop. `DENSE` promises `a_block` holds no zero.
+    ///
+    /// # Safety
+    /// As `gemm_rows`, and `j + 4·W ≤ cols`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_tile<const MR: usize, const W: usize, const DENSE: bool>(
+        a_block: &[f64],
+        inner: usize,
+        cols: usize,
+        b: &[f64],
+        out_block: &mut [f64],
+        j: usize,
+    ) {
+        let (ap, bp, op) = (a_block.as_ptr(), b.as_ptr(), out_block.as_mut_ptr());
+        let mut acc = [[_mm256_setzero_pd(); W]; MR];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            for (w, slot) in acc_row.iter_mut().enumerate() {
+                *slot = _mm256_loadu_pd(op.add(r * cols + j + 4 * w));
+            }
+        }
+        for k in 0..inner {
+            let mut bk = [_mm256_setzero_pd(); W];
+            for (w, slot) in bk.iter_mut().enumerate() {
+                *slot = _mm256_loadu_pd(bp.add(k * cols + j + 4 * w));
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let x = *ap.add(r * inner + k);
+                if DENSE || x != 0.0 {
+                    let xv = _mm256_set1_pd(x);
+                    for (slot, &bw) in acc_row.iter_mut().zip(&bk) {
+                        *slot = _mm256_fmadd_pd(xv, bw, *slot);
+                    }
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            for (w, &slot) in acc_row.iter().enumerate() {
+                _mm256_storeu_pd(op.add(r * cols + j + 4 * w), slot);
+            }
         }
     }
 

@@ -72,6 +72,23 @@ mod reference {
         out
     }
 
+    /// The i-k-j kernel `Matrix::matmul_into` ran before its register
+    /// blocking: one `simd::axpy` of row `k` of `b` per nonzero `a[i][k]`,
+    /// into a zeroed output row. Its bits are the blocked kernel's contract
+    /// on every SIMD level.
+    pub fn matmul_ikj(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.nrows(), b.ncols());
+        for i in 0..a.nrows() {
+            for (k, &aik) in a.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                priu_linalg::simd::axpy(out.row_mut(i), aik, b.row(k));
+            }
+        }
+        out
+    }
+
     pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.nrows(), b.ncols());
         for i in 0..a.nrows() {
@@ -185,6 +202,77 @@ fn results_are_bitwise_identical_across_thread_counts() {
             assert_eq!(serial.1, parallel.1, "transpose_matvec {n}x{m} ({level})");
             assert_eq!(serial.2, parallel.2, "weighted_gram {n}x{m} ({level})");
             assert_eq!(serial.3, parallel.3, "matmul {n}x{m} ({level})");
+        }
+        // The square shape of the PrIU-opt eigenbasis update's `V·U`.
+        let a = random_matrix(318, 318, 0xC8);
+        let b = random_matrix(318, 318, 0xC9);
+        let run = |threads| {
+            simd::with_level(level, || {
+                par::with_threads(threads, || a.matmul(&b).unwrap())
+            })
+        };
+        assert_eq!(run(1), run(4), "matmul 318x318 ({level})");
+    }
+}
+
+/// `A` with zeros (about a quarter of them `-0.0`) scattered over it, and
+/// `B` with `±inf` / `NaN` in rows where some row of `A` holds a zero.
+fn zero_riddled_operands(n: usize, k: usize, c: usize, seed: u64) -> (Matrix, Matrix) {
+    let mut rng = Rng64::from_seed(seed);
+    let mut a = random_matrix(n, k, seed ^ 1);
+    let mut b = random_matrix(k, c, seed ^ 2);
+    for i in 0..n {
+        for kk in 0..k {
+            match rng.index(8) {
+                0 => a[(i, kk)] = 0.0,
+                1 if rng.index(4) == 0 => a[(i, kk)] = -0.0,
+                _ => {}
+            }
+        }
+    }
+    // Zero out one column of `A` entirely, so its row of `B` may hold
+    // non-finite values without poisoning any product.
+    let hidden = k / 2;
+    for i in 0..n {
+        a[(i, hidden)] = if i % 3 == 0 { -0.0 } else { 0.0 };
+    }
+    for j in 0..c {
+        b[(hidden, j)] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+    }
+    (a, b)
+}
+
+#[test]
+fn matmul_matches_the_ikj_axpy_kernel_bitwise() {
+    // Shapes whose rows, inner dimension and columns straddle the 6 × 8
+    // register block (and one exact multiple), including the 318 square.
+    let shapes = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (6, 8, 8),
+        (5, 9, 13),
+        (7, 3, 12),
+        (13, 17, 21),
+        (66, 31, 45),
+        (259, 11, 30),
+        (318, 318, 318),
+    ];
+    for level in simd_levels() {
+        for (case, &(n, k, c)) in shapes.iter().enumerate() {
+            let (a, b) = zero_riddled_operands(n, k, c, 0x6E0 + case as u64);
+            let (blocked, reference) = simd::with_level(level, || {
+                (a.matmul(&b).unwrap(), reference::matmul_ikj(&a, &b))
+            });
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&blocked),
+                bits(&reference),
+                "matmul {n}x{k}x{c} ({level})"
+            );
+            assert!(
+                blocked.as_slice().iter().all(|v| v.is_finite()),
+                "zero-skip lost ({level})"
+            );
         }
     }
 }

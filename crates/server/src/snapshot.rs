@@ -529,8 +529,9 @@ impl SnapshotService {
                 (None, Ok(_)) => {}
             }
             // The snapshot set just advanced: see whether the WAL has
-            // accumulated enough to be worth compacting against it.
-            if wrote {
+            // accumulated enough to be worth compacting against it (the
+            // floors re-read every retained snapshot, so only when due).
+            if wrote && wal.checkpoint_due(checkpoint_bytes) {
                 match coverage_floors(dir) {
                     Ok(floors) => {
                         if let Err(err) = wal.checkpoint_if_due(checkpoint_bytes, &floors) {

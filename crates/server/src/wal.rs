@@ -212,11 +212,14 @@ pub struct WalScan {
 
 // --- CRC-32 (IEEE 802.3, reflected) ---------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+/// Slicing-by-8 tables: `tables[0]` is the classic bytewise table and
+/// `tables[k][i]` the CRC of byte `i` followed by `k` zero bytes, so eight
+/// input bytes fold into the running CRC with eight independent lookups.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, entry) in tables[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -227,16 +230,36 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *entry = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
+        tables
     })
 }
 
-/// CRC-32 (IEEE) of a byte slice.
+/// CRC-32 (IEEE) of a byte slice. Eight bytes per step (slicing-by-8);
+/// the value is the bytewise algorithm's.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = crc32_tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -685,6 +708,15 @@ impl GroupWal {
         Ok(record.lsn)
     }
 
+    /// Whether [`GroupWal::checkpoint_if_due`] would compact the log now:
+    /// it holds at least `threshold` bytes of delta frames and is not
+    /// broken. Lets the snapshot thread skip computing coverage floors
+    /// (which re-reads every retained snapshot) when no checkpoint is due.
+    pub fn checkpoint_due(&self, threshold: u64) -> bool {
+        let state = self.lock();
+        state.broken.is_none() && state.uncompacted_bytes >= threshold
+    }
+
     /// Compacts the log if it holds at least `threshold` bytes of delta
     /// frames (appended since the last checkpoint, or kept by it):
     /// rewrites every record at or past its session's floor (unknown
@@ -854,6 +886,26 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_algorithm_at_every_length() {
+        let bytewise = |bytes: &[u8]| {
+            let t = &crc32_tables()[0];
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let bytes: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..bytes.len() {
+                assert_eq!(crc32(&bytes[start..end]), bytewise(&bytes[start..end]));
+            }
+        }
     }
 
     #[test]
@@ -1044,6 +1096,7 @@ mod tests {
         // Floors: a's snapshots cover LSN < 6, b's cover LSN < 3; session
         // a keeps {6}, b keeps {3, 5, 7}.
         let floors = vec![("a".to_string(), 6), ("b".to_string(), 3)];
+        assert!(wal.checkpoint_due(1) && !wal.checkpoint_due(1 << 30));
         assert!(wal.checkpoint_if_due(1, &floors).unwrap());
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(after < before, "compaction shrank the log");
@@ -1056,6 +1109,7 @@ mod tests {
         assert_eq!(checkpoint.floors, floors);
 
         // Below-threshold appends don't re-checkpoint.
+        assert!(!wal.checkpoint_due(1 << 30));
         assert!(!wal.checkpoint_if_due(1 << 30, &floors).unwrap());
 
         // Appending continues the LSN sequence on the rewritten log.
