@@ -381,8 +381,8 @@ impl Family for Linear {
         e: &LinearEngine,
         removed: &[usize],
         added: Option<&DenseDataset>,
-        successor: &mut LinearProvenance,
-    ) -> Result<()> {
+        successor: &mut LinearEngine,
+    ) {
         // The normal-equations view downdates by the removed block and
         // grows by the added one (rank-k, O((|Δ| + |A|)·m²)). The PrIU-opt
         // eigenbasis follows it: a delta of at most RANK_ONE_BREAK_EVEN
@@ -393,19 +393,24 @@ impl Family for Linear {
         // (O(m³), independent of n). Neither is charged to the outcome's
         // duration. (The appended caches are trajectory-free — Gram +
         // moment of the batch rows — so they hold for closed form too,
-        // whose model is the view solve.)
-        if let Some(view) = &e.provenance.normal {
-            let removed = e.dataset.select(removed);
-            let mut view = view.clone();
-            view.apply_delta(&removed, added)?;
-            if let Some(opt) = &e.provenance.opt {
-                successor.opt = Some(LinearOptCapture {
-                    eigen: successor_eigen(&opt.eigen, &removed.x, added.map(|a| &a.x), &view.xtx)?,
-                });
-            }
-            successor.normal = Some(view);
+        // whose model is the view solve.) A capture that cannot be rebuilt
+        // is dropped: a view that does not fold takes closed form and
+        // PrIU-opt with it (stage validated the rows, so it always folds);
+        // a decomposition that does not converge takes PrIU-opt.
+        let Some(view) = &e.provenance.normal else {
+            return;
+        };
+        let removed = e.dataset.select(removed);
+        let mut view = view.clone();
+        if view.apply_delta(&removed, added).is_err() {
+            successor.family.closed_form = false;
+            return;
         }
-        Ok(())
+        if let Some(opt) = &e.provenance.opt {
+            let eigen = successor_eigen(&opt.eigen, &removed.x, added.map(|a| &a.x), &view.xtx);
+            successor.provenance.opt = eigen.ok().map(|eigen| LinearOptCapture { eigen });
+        }
+        successor.provenance.normal = Some(view);
     }
 
     fn into_session(e: LinearEngine) -> Session {
@@ -548,5 +553,30 @@ mod tests {
                 .session,
         );
         assert_eq!(bits(eigen(&successor)), bits(&exact(&successor)));
+    }
+
+    #[test]
+    fn a_successor_refresh_that_fails_drops_only_the_opt_capture() {
+        // A parent view poisoned by one NaN: staging a PrIU delete never
+        // reads it, but the successor's eigenbasis cannot be rebuilt from
+        // it. Finishing still succeeds and leaves PrIU-opt out.
+        let (mut engine, dirty) = dirty_session();
+        engine.provenance.normal.as_mut().unwrap().xtx[(0, 0)] = f64::NAN;
+        let delta = Delta::removal(&[dirty[0]]);
+        let staged = engine.stage_delta(Method::Priu, &delta).unwrap();
+        let model = staged.outcome().model.clone();
+        let successor = linear(staged.finish().session);
+        assert!(successor.provenance.opt.is_none());
+        assert!(successor.provenance.normal.is_some());
+        assert_eq!(
+            successor.supported_methods(),
+            vec![
+                Method::Retrain,
+                Method::Priu,
+                Method::ClosedForm,
+                Method::Influence
+            ]
+        );
+        assert_eq!(successor.model.flatten(), model.flatten());
     }
 }

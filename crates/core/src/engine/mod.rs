@@ -24,14 +24,18 @@
 //!   signatures remain as thin wrappers over a removal-only delta.
 //!
 //! Every family is one [`Engine`] and shares one delta pipeline, written
-//! here: validate the added rows → run the method's model update → split
-//! the survivors → zero the removed samples' tokens in each cached
-//! per-iteration expression (§4.1) → restrict the schedule → run the
-//! appended explicit-batch GD steps → extend the schedule and dataset →
-//! assemble the successor. The family modules (`linear`, `logistic`,
-//! `sparse`) supply only what differs, through a sealed family trait: the
-//! fit, the per-method model function, how one cache drops removed batch
-//! members, one GD step, and the successor's extra captures.
+//! here, in two phases. [`Session::stage_delta`] is fallible and yields the
+//! post-batch model: validate the added rows → run the method's model
+//! update → split the survivors → zero the removed samples' tokens in each
+//! cached per-iteration expression they appear in (§4.1) → run the
+//! appended explicit-batch GD steps. [`StagedDelta::finish`] cannot fail and
+//! builds the successor: carry the untouched caches → restrict and extend
+//! the schedule → select and extend the dataset → the family's extra
+//! captures. `apply_delta` is one followed by the other. The family
+//! modules (`linear`, `logistic`, `sparse`) supply only what differs,
+//! through a sealed family trait: the fit, the per-method model function,
+//! how one cache drops removed batch members, one GD step, and the
+//! successor's extra captures.
 
 mod linear;
 mod logistic;
@@ -53,7 +57,7 @@ use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::Model;
 use crate::trainer::sparse::SparseLogisticProvenance;
-use crate::update::{normalize_removed, removed_positions};
+use crate::update::{normalize_removed, removed_positions_into};
 use crate::workspace::Workspace;
 
 use family::{Captured, Family, Rows};
@@ -350,14 +354,19 @@ pub trait DeletionEngine {
     /// scenario of the paper's Figure 4, generalised to sliding windows.
     ///
     /// Captures that cannot be adjusted exactly are dropped rather than left
-    /// stale (currently only the logistic PrIU-opt capture, whose frozen
-    /// linearisation point is no longer meaningful); `supported_methods` on
+    /// stale (the logistic PrIU-opt capture, whose frozen linearisation
+    /// point is no longer meaningful, and a linear PrIU-opt eigenbasis
+    /// whose re-decomposition does not converge); `supported_methods` on
     /// the successor reflects what survived.
+    ///
+    /// On a [`Session`] this is [`Session::stage_delta`] followed by
+    /// [`StagedDelta::finish`]; every error comes from the first.
     ///
     /// # Errors
     /// Everything `update_delta` reports, plus
     /// [`CoreError::InvalidRemoval`] when the removal would leave no
-    /// pre-existing training samples.
+    /// pre-existing training samples, and [`CoreError::Diverged`] when
+    /// the appended steps leave a non-finite model.
     fn apply_delta(&self, method: Method, delta: &Delta) -> Result<ChainedUpdate>;
 
     /// Runs one timed online update for a deletion-only request — a thin
@@ -552,15 +561,15 @@ mod family {
         ) -> Result<Option<Self::Cache>>;
 
         /// Adds the captures the family keeps beyond the caches to the
-        /// successor's provenance. Runs before the appended steps, so a
-        /// failing refresh is reported before a divergence.
+        /// successor. Runs in [`Staged::finish`], after the delta is
+        /// staged, so it cannot fail: a capture it cannot rebuild is left
+        /// out of the successor, deterministically.
         fn successor_captures(
             _e: &Engine<Self>,
             _removed: &[usize],
             _added: Option<&Self::Data>,
-            _successor: &mut Self::Provenance,
-        ) -> Result<()> {
-            Ok(())
+            _successor: &mut Engine<Self>,
+        ) {
         }
 
         /// Wraps an engine of this family as a [`Session`].
@@ -579,8 +588,6 @@ mod family {
         fn schedule(&self) -> &BatchSchedule;
         /// One cache per scheduled iteration.
         fn caches(&self) -> &[C];
-        /// The schedule and caches, to grow them by appended iterations.
-        fn parts_mut(&mut self) -> (&mut BatchSchedule, &mut Vec<C>);
         /// The successor's provenance: the same hyperparameters and
         /// initial model around a new schedule and caches, without extra
         /// captures.
@@ -597,9 +604,6 @@ mod family {
                 }
                 fn caches(&self) -> &[$cache] {
                     &self.$caches
-                }
-                fn parts_mut(&mut self) -> (&mut BatchSchedule, &mut Vec<$cache>) {
-                    (&mut self.schedule, &mut self.$caches)
                 }
                 fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
                     Self {
@@ -632,9 +636,17 @@ mod family {
         /// The task the labels imply.
         fn task(&self) -> TaskKind;
         /// The given rows, in order.
-        fn select(&self, rows: &[usize]) -> Result<Self>;
+        ///
+        /// # Panics
+        /// If an index is out of range; the pipeline passes only indices
+        /// [`split_survivors`] derived from the session's own row count.
+        fn select(&self, rows: &[usize]) -> Self;
         /// Appends `rows` in place.
-        fn append(&mut self, rows: &Self) -> Result<()>;
+        ///
+        /// # Panics
+        /// If the widths or label kinds differ; the pipeline appends only
+        /// rows `validate_added` accepted.
+        fn append(&mut self, rows: &Self);
     }
 
     /// Implements [`Rows`] by forwarding to the dataset's own methods.
@@ -656,18 +668,20 @@ mod family {
                 fn task(&self) -> TaskKind {
                     $data::task(self)
                 }
-                fn select(&self, $rows: &[usize]) -> Result<Self> {
+                fn select(&self, $rows: &[usize]) -> Self {
                     let $d = self;
                     $select
                 }
-                fn append(&mut self, rows: &Self) -> Result<()> {
-                    Ok($data::append(self, rows)?)
+                fn append(&mut self, rows: &Self) {
+                    $data::append(self, rows).expect("appended rows were validated");
                 }
             }
         };
     }
-    rows!(DenseDataset, Dense, |d, rows| Ok(d.select(rows)));
-    rows!(SparseDataset, Sparse, |d, rows| Ok(d.select(rows)?));
+    rows!(DenseDataset, Dense, |d, rows| d.select(rows));
+    rows!(SparseDataset, Sparse, |d, rows| d
+        .select(rows)
+        .expect("survivor indices are in range"));
 }
 
 impl<F: Family> Engine<F> {
@@ -833,63 +847,135 @@ impl<F: Family> DeletionEngine for Engine<F> {
     }
 
     fn apply_delta(&self, method: Method, delta: &Delta) -> Result<ChainedUpdate> {
+        Ok(self.stage_delta(method, delta)?.finish())
+    }
+}
+
+impl<F: Family> Engine<F> {
+    /// The fallible half of [`DeletionEngine::apply_delta`]: validates the
+    /// delta, runs the method's update, drops the removed samples' tokens
+    /// from every cached iteration they appear in (§4.1) and runs the
+    /// appended explicit-batch GD steps, capturing one cache per appended
+    /// batch. The staged outcome's model is the successor's model, bit for
+    /// bit; [`Staged::finish`] builds the rest of the successor and cannot
+    /// fail, so every error `apply_delta` returns comes from here.
+    ///
+    /// # Errors
+    /// Exactly the errors of [`DeletionEngine::apply_delta`].
+    pub(crate) fn stage_delta<'a>(
+        &'a self,
+        method: Method,
+        delta: &'a Delta,
+    ) -> Result<Staged<'a, F>> {
         let added = self.validate_added(delta)?;
         let mut outcome = F::update(self, method, &delta.removed, added)?;
         let (removed, survivors) = split_survivors(self.num_samples(), &delta.removed)?;
 
-        // Deletion propagation (§4.1): drop the removed samples' tokens from
-        // every cached iteration they appear in. The batches are
-        // materialised once and reused to restrict the schedule.
+        // Only the iterations whose batch held a removed sample are
+        // propagated here; finish carries the untouched caches over.
         let schedule = self.provenance.schedule();
-        let caches = self.provenance.caches();
-        let mut batches = Vec::with_capacity(caches.len());
-        let mut kept = Vec::with_capacity(caches.len());
-        for (t, cache) in caches.iter().enumerate() {
-            let batch = schedule.batch(t);
-            let positions = removed_positions(&batch, &removed);
-            kept.push(if positions.is_empty() {
-                cache.clone()
-            } else {
-                F::propagate(self, cache, &batch, &positions)?
-            });
-            batches.push(batch);
+        let (mut batch, mut scratch, mut positions) = (Vec::new(), Vec::new(), Vec::new());
+        let mut propagated = Vec::new();
+        for (t, cache) in self.provenance.caches().iter().enumerate() {
+            schedule.batch_into(t, &mut batch, &mut scratch);
+            removed_positions_into(&batch, &removed, &mut positions);
+            if !positions.is_empty() {
+                propagated.push((t, F::propagate(self, cache, &batch, &positions)?));
+            }
         }
-        let restricted = schedule.restrict_from(&removed, batches);
-        let mut provenance = self.provenance.successor(restricted, kept);
-        F::successor_captures(self, &removed, added, &mut provenance)?;
-        let mut dataset = self.dataset.select(&survivors)?;
 
+        // The addition steps run once: the successor's appended caches and
+        // the returned model come from the same trajectory.
+        let mut appended = Vec::new();
         if let Some(added) = added {
-            // The addition steps run once: the successor's appended caches
-            // and the returned model come from the same trajectory. The
-            // schedule grows by the same chunking (`appended_batches`) the
-            // steps took, shifted to the successor's row space, so
-            // retraining the successor replays the identical steps over the
-            // identical rows.
-            let k = added.num_samples();
-            let mut appended = Vec::new();
             self.addition_steps(added, &mut outcome, Some(&mut appended))?;
-            let (grown, caches) = provenance.parts_mut();
-            *grown = grown.extend_with(
-                appended_batches(survivors.len(), k, schedule.batch_size()),
-                k,
-            );
-            caches.extend(appended);
-            dataset.append(added)?;
         }
+        Ok(Staged {
+            parent: self,
+            added,
+            outcome,
+            removed,
+            survivors,
+            propagated,
+            appended,
+        })
+    }
+}
 
-        let successor = Engine {
+/// A delta staged on an [`Engine`] by [`Engine::stage_delta`]: the timed
+/// outcome, whose model is final, plus the caches the delta touched.
+/// [`Staged::finish`] turns it into the successor session.
+pub(crate) struct Staged<'a, F: Family> {
+    parent: &'a Engine<F>,
+    added: Option<&'a F::Data>,
+    outcome: UpdateOutcome,
+    /// The removal set, ascending and distinct.
+    removed: Vec<usize>,
+    survivors: Vec<usize>,
+    /// `(iteration, cache)` for each iteration whose batch held a removed
+    /// sample, ascending, with that sample's tokens dropped.
+    propagated: Vec<(usize, F::Cache)>,
+    /// One cache per appended batch, from the staged GD steps.
+    appended: Vec<F::Cache>,
+}
+
+impl<F: Family> Staged<'_, F> {
+    /// The staged update's outcome; its model is the successor's.
+    pub(crate) fn outcome(&self) -> &UpdateOutcome {
+        &self.outcome
+    }
+
+    /// The infallible half of [`DeletionEngine::apply_delta`]: restricts
+    /// the schedule to the survivors, carries the untouched caches over,
+    /// extends schedule and dataset by the appended rows — by the same
+    /// chunking (`appended_batches`) the staged steps took, shifted to the
+    /// successor's row space, so retraining the successor replays the
+    /// identical steps over the identical rows — and rebuilds the family's
+    /// extra captures.
+    pub(crate) fn finish(self) -> ChainedUpdate {
+        let Staged {
+            parent,
+            added,
+            outcome,
+            removed,
+            survivors,
+            propagated,
+            appended,
+        } = self;
+        let schedule = parent.provenance.schedule();
+        let mut propagated = propagated.into_iter().peekable();
+        let mut caches = Vec::with_capacity(schedule.num_iterations() + appended.len());
+        for (t, cache) in parent.provenance.caches().iter().enumerate() {
+            caches.push(match propagated.next_if(|(u, _)| *u == t) {
+                Some((_, cache)) => cache,
+                None => cache.clone(),
+            });
+        }
+        let batches = (0..schedule.num_iterations())
+            .map(|t| schedule.batch(t))
+            .collect();
+        let mut restricted = schedule.restrict_from(&removed, batches);
+        let mut dataset = parent.dataset.select(&survivors);
+        if let Some(added) = added {
+            let k = added.num_samples();
+            let extra = appended_batches(survivors.len(), k, schedule.batch_size());
+            restricted = restricted.extend_with(extra, k);
+            caches.extend(appended);
+            dataset.append(added);
+        }
+        let mut successor = Engine {
             dataset,
-            config: self.config,
+            config: parent.config,
             model: outcome.model.clone(),
-            provenance,
-            family: self.family.clone(),
-            training_time: self.training_time,
+            provenance: parent.provenance.successor(restricted, caches),
+            family: parent.family.clone(),
+            training_time: parent.training_time,
         };
-        Ok(ChainedUpdate {
+        F::successor_captures(parent, &removed, added, &mut successor);
+        ChainedUpdate {
             outcome,
             session: F::into_session(successor),
-        })
+        }
     }
 }
 
@@ -1027,6 +1113,63 @@ impl DeletionEngine for Session {
 
     fn apply_delta(&self, method: Method, delta: &Delta) -> Result<ChainedUpdate> {
         delegate!(self, e => e.apply_delta(method, delta))
+    }
+}
+
+impl Session {
+    /// The fallible half of [`DeletionEngine::apply_delta`]: validates the
+    /// delta, runs the method's update, drops the removed samples' tokens
+    /// from the cached iterations they appear in (§4.1) and runs the
+    /// appended GD steps. The staged model is the successor's model, bit
+    /// for bit; [`StagedDelta::finish`] builds the rest of the successor
+    /// and cannot fail.
+    ///
+    /// # Errors
+    /// Exactly the errors of [`DeletionEngine::apply_delta`].
+    pub fn stage_delta<'a>(&'a self, method: Method, delta: &'a Delta) -> Result<StagedDelta<'a>> {
+        Ok(StagedDelta(match self {
+            Session::Linear(e) => StagedFamily::Linear(e.stage_delta(method, delta)?),
+            Session::Logistic(e) => StagedFamily::Logistic(e.stage_delta(method, delta)?),
+            Session::SparseLogistic(e) => {
+                StagedFamily::SparseLogistic(e.stage_delta(method, delta)?)
+            }
+        }))
+    }
+}
+
+/// A delta staged on a [`Session`] by [`Session::stage_delta`]: the
+/// post-batch model is known, the successor session is not built yet.
+/// `stage_delta(..)?.finish()` is [`DeletionEngine::apply_delta`].
+pub struct StagedDelta<'a>(StagedFamily<'a>);
+
+enum StagedFamily<'a> {
+    Linear(Staged<'a, linear::Linear>),
+    Logistic(Staged<'a, logistic::Logistic>),
+    SparseLogistic(Staged<'a, sparse::SparseLogistic>),
+}
+
+macro_rules! delegate_staged {
+    ($self:expr, $s:ident => $body:expr) => {
+        match $self {
+            StagedFamily::Linear($s) => $body,
+            StagedFamily::Logistic($s) => $body,
+            StagedFamily::SparseLogistic($s) => $body,
+        }
+    };
+}
+
+impl StagedDelta<'_> {
+    /// The staged update's outcome; its model is the successor's.
+    pub fn outcome(&self) -> &UpdateOutcome {
+        delegate_staged!(&self.0, s => s.outcome())
+    }
+
+    /// The infallible half of [`DeletionEngine::apply_delta`]: carries the
+    /// untouched caches over, restricts and extends the schedule and the
+    /// dataset, and rebuilds the family's extra captures. A capture that
+    /// cannot be rebuilt is left out of the successor.
+    pub fn finish(self) -> ChainedUpdate {
+        delegate_staged!(self.0, s => s.finish())
     }
 }
 

@@ -82,7 +82,8 @@ pub mod workspace;
 pub use config::{Compression, TrainerConfig};
 pub use engine::{
     CaptureSnapshot, ChainedUpdate, DeletionEngine, Delta, DeltaRows, LinearEngine, LogisticEngine,
-    Method, MethodReport, Session, SessionBuilder, SparseLogisticEngine, UpdateOutcome,
+    Method, MethodReport, Session, SessionBuilder, SparseLogisticEngine, StagedDelta,
+    UpdateOutcome,
 };
 pub use error::{CoreError, Result};
 pub use metrics::{compare_models, ModelComparison};

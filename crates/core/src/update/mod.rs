@@ -38,16 +38,10 @@ pub(crate) fn normalize_removed(num_samples: usize, removed: &[usize]) -> Result
     Ok(sorted)
 }
 
-/// Positions (indices into `batch`) of the batch members that belong to the
-/// removal set. Both slices must be sorted ascending.
-pub(crate) fn removed_positions(batch: &[usize], removed_sorted: &[usize]) -> Vec<usize> {
-    let mut positions = Vec::new();
-    removed_positions_into(batch, removed_sorted, &mut positions);
-    positions
-}
-
-/// [`removed_positions`] into a reused buffer — the allocation-free variant
-/// the replay loops call per iteration.
+/// Writes the positions (indices into `batch`) of the batch members that
+/// belong to the removal set into a reused buffer, so the replay loops call
+/// it per iteration without allocating. Both slices must be sorted
+/// ascending.
 pub(crate) fn removed_positions_into(
     batch: &[usize],
     removed_sorted: &[usize],
@@ -66,7 +60,7 @@ pub(crate) fn removed_positions_into(
 }
 
 /// Returns `items` with the entries at the given positions removed. The
-/// counterpart of [`removed_positions`] used by deletion propagation to drop
+/// counterpart of [`removed_positions_into`] used by deletion propagation to drop
 /// removed batch members from per-batch coefficient lists. `positions` must
 /// be sorted ascending.
 pub(crate) fn drop_positions<T: Copy>(items: &[T], positions: &[usize]) -> Vec<T> {
@@ -98,6 +92,12 @@ mod tests {
         assert_eq!(normalize_removed(10, &[5, 1, 5, 3]).unwrap(), vec![1, 3, 5]);
         assert!(normalize_removed(4, &[4]).is_err());
         assert!(normalize_removed(4, &[]).unwrap().is_empty());
+    }
+
+    fn removed_positions(batch: &[usize], removed_sorted: &[usize]) -> Vec<usize> {
+        let mut positions = Vec::new();
+        removed_positions_into(batch, removed_sorted, &mut positions);
+        positions
     }
 
     #[test]

@@ -23,9 +23,16 @@
 //! model and digest — were re-captured when deltas of at most five rows
 //! began carrying the PrIU-opt eigenbasis by rank-one updates (the 5-row
 //! step 0 takes that path; its successor's eigenpairs differ from a fresh
-//! decomposition in the last bits).
+//! decomposition in the last bits). The four linear `non-finite` lines
+//! other than closed form's were re-captured when `apply_delta` split into
+//! a fallible stage and an infallible finish: the appended GD steps now run
+//! before the successor's capture refresh, so they fail first with
+//! `Diverged`, as every other family's already did.
 
-use priu_core::{DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder, TrainerConfig};
+use priu_core::{
+    ChainedUpdate, DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder, StagedDelta,
+    TrainerConfig,
+};
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, Labels, SparseDataset};
 use priu_data::synthetic::classification::{
@@ -308,8 +315,9 @@ fn render() -> Vec<String> {
                 lines.push(format!("{} reject {what}={err}", family.label));
             }
             // Non-finite added rows: which stage fails first is part of the
-            // contract (for linear sessions the successor's capture refresh
-            // fails before the appended steps diverge).
+            // contract. Every error comes from staging, before the successor
+            // is built: the update fails first (linear closed form's
+            // factorisation), else the appended steps diverge.
             let poisoned = Delta::mixed(&[1], poisoned((family.rows)(5, 63)));
             for method in Method::ALL {
                 let err = match fresh.apply_delta(method, &poisoned) {
@@ -331,4 +339,90 @@ fn delta_chains_match_the_golden_bits() {
         assert_eq!(got, want, "golden line {}", i + 1);
     }
     assert_eq!(actual.len(), expected.len(), "golden line count");
+}
+
+/// `apply_delta` is `stage_delta` followed by `finish`, one pipeline: on
+/// every golden input the staged model, the finished successor's model and
+/// `apply_delta`'s model are the same bits, the finished successor
+/// serializes to `apply_delta`'s bytes, and every rejected delta is
+/// rejected by staging with `apply_delta`'s error.
+#[test]
+fn staged_apply_matches_apply_delta() {
+    fn check(tag: &str, session: &Session, method: Method, delta: &Delta) -> Option<Session> {
+        let applied = session.apply_delta(method, delta);
+        let staged = match (session.stage_delta(method, delta), &applied) {
+            (Ok(staged), Ok(_)) => staged,
+            (Err(staged), Err(applied)) => {
+                assert_eq!(format!("{staged:?}"), format!("{applied:?}"), "{tag}");
+                return None;
+            }
+            (staged, applied) => panic!(
+                "{tag}: staging {} but apply_delta {}",
+                if staged.is_ok() {
+                    "succeeded"
+                } else {
+                    "failed"
+                },
+                if applied.is_ok() {
+                    "succeeded"
+                } else {
+                    "failed"
+                },
+            ),
+        };
+        let applied = applied.unwrap();
+        let staged_bits = bits(&staged.outcome().model.flatten());
+        // Finishing is infallible: the staged delta becomes the successor,
+        // with no `Result` to report a failure through.
+        let finished: ChainedUpdate = StagedDelta::finish(staged);
+        assert_eq!(
+            staged_bits,
+            bits(&finished.outcome.model.flatten()),
+            "{tag}"
+        );
+        assert_eq!(
+            staged_bits,
+            bits(&finished.session.model().flatten()),
+            "{tag}"
+        );
+        assert_eq!(staged_bits, bits(&applied.outcome.model.flatten()), "{tag}");
+        assert!(
+            finished.session.to_snapshot_bytes() == applied.session.to_snapshot_bytes(),
+            "{tag}: finished successor differs from apply_delta's"
+        );
+        Some(finished.session)
+    }
+
+    simd::with_level(SimdLevel::Portable, || {
+        for family in families() {
+            let fresh = (family.fit)();
+            for method in Method::ALL {
+                let mut session = fresh.clone();
+                for step in 0..3 {
+                    let delta = chain_delta(&family, step, session.num_samples());
+                    let tag = format!("{} {method} step{step}", family.label);
+                    if let Some(next) = check(&tag, &session, method, &delta) {
+                        session = next;
+                    }
+                }
+                let tag = format!("{} {method} fresh-mixed", family.label);
+                check(&tag, &fresh, method, &chain_delta(&family, 2, N));
+                let tag = format!("{} {method} non-finite", family.label);
+                let poisoned = Delta::mixed(&[1], poisoned((family.rows)(5, 63)));
+                check(&tag, &fresh, method, &poisoned);
+            }
+            for (what, rows) in (family.invalid)() {
+                let tag = format!("{} reject {what}", family.label);
+                check(&tag, &fresh, Method::Priu, &Delta::addition(rows));
+            }
+            let everything = Delta::removal(&(0..N).collect::<Vec<_>>());
+            for (what, delta) in [
+                ("out-of-range", Delta::removal(&[N])),
+                ("everything", everything),
+            ] {
+                let tag = format!("{} reject {what}", family.label);
+                check(&tag, &fresh, Method::Priu, &delta);
+            }
+        }
+    });
 }

@@ -26,8 +26,9 @@
 //! | `wal-after-append`      | after the WAL frame hits the file, before fsync |
 //! | `wal-before-fsync`      | immediately before the WAL fsync |
 //! | `wal-after-fsync`       | after the WAL fsync, before the engine applies |
-//! | `apply-before-commit`   | after the engine applied, before the registry commit |
-//! | `before-ack`            | after commit, before any ticket resolves |
+//! | `apply-before-commit`   | after the ack and the successor build, before the registry commit |
+//! | `before-ack`            | after the post-batch model is published to predicts, before any ticket resolves |
+//! | `after-ack`             | after the batch's tickets resolve, before its successor is built and committed |
 //! | `snapshot-mid-write`    | half-way through writing the snapshot temp file |
 //! | `snapshot-before-rename`| temp file complete + fsync'd, not yet renamed |
 //! | `snapshot-after-rename` | after the atomic rename, before the dir fsync |

@@ -6,9 +6,11 @@
 //!
 //! The pieces, each in its own module:
 //!
-//! * [`registry`] — named sessions: predicts run on immutable snapshots,
-//!   and the applier, the only writer, commits by pointer swap, so a long
-//!   downdate never blocks a predict. One pure transition
+//! * [`registry`] — named sessions: predicts run on an immutable served
+//!   model, which the applier, the only writer, publishes as soon as a
+//!   batch's update is staged and commits by pointer swap once the
+//!   successor is built, so a long downdate never blocks a predict. One
+//!   pure transition
 //!   (`SlotState::resolve` / `advance`) serves the commit, the chain
 //!   speculation and recovery redo.
 //! * [`planner`] — admission + coalescing: N single-row deletion requests

@@ -102,12 +102,14 @@ pub struct BatchReply {
     pub method: Option<Method>,
     /// Engine-measured seconds of the online update (0 when nothing ran).
     pub seconds: f64,
-    /// Session epoch after the batch committed.
+    /// The epoch the batch commits at; predicts report it from the ack
+    /// on.
     pub epoch: u64,
 }
 
 /// A waiter on an enqueued deletion request; resolves when the coalesced
-/// batch containing the request has been applied.
+/// batch containing the request is durable and its model is served to
+/// predicts.
 #[derive(Debug)]
 pub struct DeleteTicket {
     rx: Receiver<Result<BatchReply>>,

@@ -1,25 +1,32 @@
 //! The session registry: named tenant × model sessions, each holding one
-//! [`SlotState`] behind a read/write lock.
+//! [`SlotState`] behind a read/write lock, plus the model predicts serve.
 //!
 //! # Locking model
 //!
-//! * **Predictions** take the slot's state lock in *read* mode only long
-//!   enough to clone the `Arc<Session>` pointer and the epoch, then compute
-//!   on that immutable snapshot lock-free. An in-flight batch never
-//!   blocks a prediction, no matter how long its engine call runs.
+//! * **Predictions** read the slot's *served* model and epoch: one read
+//!   lock held only for an `Arc` clone, then computation on that immutable
+//!   model lock-free. An in-flight batch never blocks a prediction, no
+//!   matter how long its engine call runs.
 //! * **Batches** are computed by the server's applier pass, the only
-//!   writer of slot state: it runs [`DeletionEngine::apply_delta`] on the
-//!   snapshot *outside* the lock and commits with one
-//!   [`SlotState::advance`] plus the `Arc` swap under a brief *write*
-//!   lock. A pass commits each session from exactly one task, so no
-//!   per-slot gate is needed.
+//!   writer of slot state. It stages the delta on the committed session
+//!   outside every lock, then `SessionSlot::publish`es the post-batch
+//!   model and epoch to predicts, acks, builds the successor session, and
+//!   commits with one [`SlotState::advance`] plus the `Arc` swap under a
+//!   brief *write* lock (`PendingCommit::commit`). A pass commits each
+//!   session from exactly one task, so no per-slot gate is needed.
+//! * **Readers that must not trail an ack** — model snapshots and stats —
+//!   wait out the one pending commit (`SessionSlot::settled`), then read
+//!   the state in one acquisition. Admission reads the committed session
+//!   without waiting: a batch changes no shape it validates against.
 //!
-//! A predict observes either the pre-batch or the post-batch session —
-//! never a torn intermediate.
+//! A predict observes the pre-batch model or, once the batch is
+//! published, the post-batch model — never a torn intermediate. Its epoch
+//! may run one commit ahead of the committed session's.
 //!
-//! **Lock order** (deadlock freedom): registry map lock ≺ slot state
-//! lock. The map lock is never held while acquiring a slot lock —
-//! callers clone the `Arc<SessionSlot>` out of the map first.
+//! **Lock order** (deadlock freedom): registry map lock ≺ pending-commit
+//! lock ≺ slot state lock ≺ served lock. The map lock is never held while
+//! acquiring a slot lock — callers clone the `Arc<SessionSlot>` out of the
+//! map first.
 //!
 //! # One transition
 //!
@@ -28,13 +35,11 @@
 //! ids, fresh ids, epoch and drift. The live commit, the applier's chain
 //! speculation (on a scratch clone) and recovery redo all call them, so
 //! a speculated state is the committed state by construction.
-//!
-//! [`DeletionEngine::apply_delta`]: priu_core::DeletionEngine::apply_delta
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use priu_core::{DeletionEngine, Session};
+use priu_core::{DeletionEngine, Model, Session};
 
 use crate::error::{Result, ServerError};
 use crate::planner::ReadyBatch;
@@ -192,54 +197,111 @@ impl SlotState {
 /// docs for the locking model.
 #[derive(Debug)]
 pub struct SessionSlot {
+    /// Held by the applier from a batch's publish to its commit.
+    pending: Mutex<()>,
     state: RwLock<SlotState>,
+    /// The model predicts use and its epoch: the committed session's, or
+    /// a published batch's ahead of its commit.
+    served: RwLock<(Arc<Model>, u64)>,
+}
+
+/// A batch published to predicts whose successor is not committed yet.
+/// Holding it keeps [`SessionSlot::settled`] readers waiting.
+#[must_use = "a published batch must be committed"]
+pub(crate) struct PendingCommit<'a> {
+    slot: &'a SessionSlot,
+    epoch: u64,
+    _gate: MutexGuard<'a, ()>,
+}
+
+impl PendingCommit<'_> {
+    /// The epoch the batch was published at, which its commit reaches.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Commits the batch: one [`SlotState::advance`] on the live state
+    /// and the swap to the successor session, under one write lock.
+    /// `session` must carry the published model.
+    pub(crate) fn commit(
+        self,
+        session: Arc<Session>,
+        rows: &[usize],
+        num_added: usize,
+        refit: bool,
+    ) {
+        let mut state = self
+            .slot
+            .state
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.advance(rows, num_added, refit);
+        state.session = session;
+        debug_assert_eq!(
+            state.epoch, self.epoch,
+            "commit reaches the published epoch"
+        );
+    }
 }
 
 impl SessionSlot {
+    fn new(state: SlotState) -> Self {
+        let served = (Arc::new(state.session.model().clone()), state.epoch);
+        Self {
+            pending: Mutex::new(()),
+            state: RwLock::new(state),
+            served: RwLock::new(served),
+        }
+    }
+
     fn read(&self) -> std::sync::RwLockReadGuard<'_, SlotState> {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A copy of the whole slot state in one shared acquisition — the
-    /// base of a chain's speculation and of every snapshot.
+    /// A settled copy of the whole slot state in one shared acquisition —
+    /// the base of a chain's speculation and of every snapshot.
     pub(crate) fn state(&self) -> SlotState {
-        self.read().clone()
+        self.settled(SlotState::clone)
     }
 
-    /// The shared grant: the current session snapshot and its epoch. The
-    /// lock is held only for the pointer clone; computation on the
-    /// returned session proceeds without blocking writers.
+    /// The committed session snapshot and its epoch, without waiting for
+    /// a published batch to commit. The lock is held only for the pointer
+    /// clone; computation on the returned session proceeds without
+    /// blocking writers.
     pub fn snapshot(&self) -> (Arc<Session>, u64) {
         let state = self.read();
         (state.session.clone(), state.epoch)
     }
 
-    /// The epoch of the current snapshot (bumped once per committed batch).
-    pub fn epoch(&self) -> u64 {
-        self.read().epoch
+    /// The model predicts use and its epoch: the latest published batch's,
+    /// which may be one ahead of the committed session. Never waits.
+    pub(crate) fn served(&self) -> (Arc<Model>, u64) {
+        self.served
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// Rows removed incrementally since the last full retrain, as a
-    /// fraction of the registration-time sample count — the accumulated
-    /// drift the scheduler folds into its retrain decision.
-    pub fn drift(&self) -> f64 {
-        self.read().drift_after(0)
+    /// Reads the state once no published batch awaits its commit, in one
+    /// acquisition — so nothing read trails an ack already sent, and
+    /// everything read comes from the same commit.
+    pub(crate) fn settled<R>(&self, read: impl FnOnce(&SlotState) -> R) -> R {
+        let _gate = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        read(&self.read())
     }
 
-    /// Commits a batch: one [`SlotState::advance`] on the live state and
-    /// the swap to the successor session, under one write lock. Returns
-    /// the new epoch.
-    pub(crate) fn commit(
-        &self,
-        session: Arc<Session>,
-        rows: &[usize],
-        num_added: usize,
-        refit: bool,
-    ) -> u64 {
-        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        state.advance(rows, num_added, refit);
-        state.session = session;
-        state.epoch
+    /// Publishes a staged batch's model to predicts at the next epoch,
+    /// ahead of its commit, and holds off [`SessionSlot::settled`] readers
+    /// until [`PendingCommit::commit`].
+    pub(crate) fn publish(&self, model: Model) -> PendingCommit<'_> {
+        let gate = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        let epoch = self.read().epoch + 1;
+        *self.served.write().unwrap_or_else(PoisonError::into_inner) = (Arc::new(model), epoch);
+        PendingCommit {
+            slot: self,
+            epoch,
+            _gate: gate,
+        }
     }
 }
 
@@ -274,9 +336,7 @@ impl SessionRegistry {
     /// # Errors
     /// [`ServerError::SessionExists`] if the name is taken.
     pub(crate) fn register_state(&self, name: &str, state: SlotState) -> Result<Arc<SessionSlot>> {
-        let slot = Arc::new(SessionSlot {
-            state: RwLock::new(state),
-        });
+        let slot = Arc::new(SessionSlot::new(state));
         let mut slots = self.lock();
         if slots.contains_key(name) {
             return Err(ServerError::SessionExists(name.to_string()));
@@ -404,10 +464,40 @@ mod tests {
         let registry = SessionRegistry::new();
         let slot = registry.register("s", session(50, 7)).unwrap();
         let (snap, _) = slot.snapshot();
-        assert_eq!(slot.commit(snap, &[1, 3], 0, false), 1);
-        assert_eq!(slot.epoch(), 1);
-        assert_eq!(slot.state().ids.len(), 48);
-        assert!((slot.drift() - 2.0 / 50.0).abs() < 1e-15);
+        slot.publish(snap.model().clone())
+            .commit(snap, &[1, 3], 0, false);
+        let state = slot.state();
+        assert_eq!(state.epoch, 1);
+        assert_eq!(state.ids.len(), 48);
+        assert!((state.drift_after(0) - 2.0 / 50.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn a_published_batch_is_served_before_its_commit() {
+        let registry = SessionRegistry::new();
+        let slot = registry.register("s", session(50, 8)).unwrap();
+        let (parent, _) = slot.snapshot();
+        let successor = parent.apply(priu_core::Method::Priu, &[4]).unwrap();
+        let pending = slot.publish(successor.outcome.model.clone());
+        assert_eq!(pending.epoch(), 1);
+
+        // Predicts see the published model at once; admission still sees
+        // the committed session, and settled readers wait for the commit.
+        let (served, epoch) = slot.served();
+        assert_eq!(
+            (served.flatten(), epoch),
+            (successor.outcome.model.flatten(), 1)
+        );
+        assert_eq!(slot.snapshot().1, 0);
+        let settled = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| slot.settled(|state| (state.epoch, state.ids.len())));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!reader.is_finished(), "a settled read waits for the commit");
+            pending.commit(Arc::new(successor.session), &[4], 0, false);
+            reader.join().unwrap()
+        });
+        assert_eq!(settled, (1, 49));
+        assert_eq!(slot.served().1, 1);
     }
 
     #[test]
@@ -442,6 +532,7 @@ mod tests {
         let registry = SessionRegistry::new();
         let slot = registry.register_state("s", state).unwrap();
         let (snap, _) = slot.snapshot();
-        slot.commit(snap, &[], 0, false);
+        slot.publish(snap.model().clone())
+            .commit(snap, &[], 0, false);
     }
 }

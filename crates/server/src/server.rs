@@ -9,9 +9,11 @@
 //! * The **applier thread** sleeps on the planner condvar until a batch
 //!   deadline (or a flush/shutdown poke), takes every ready batch, and
 //!   applies them in one pass: it resolves and WAL-appends every batch
-//!   serially, fsyncs once, then fans the engine calls, commits and acks
-//!   out per session over the shared worker pool via [`par::run_tasks`].
-//!   It is the only writer of slot state (see `apply_pass`).
+//!   serially, fsyncs once, then fans the engine calls, acks and commits
+//!   out per session over the shared worker pool via [`par::run_tasks`]:
+//!   a batch is acked once its model is staged and published, and its
+//!   successor session is built and committed after the ack. It is the
+//!   only writer of slot state (see `apply_pass`).
 //! * **Connections** ([`Server::serve_connection`]) each get a dedicated
 //!   protocol reader thread plus a responder thread that resolves
 //!   change tickets in admission order.
@@ -19,7 +21,8 @@
 //! # Determinism
 //!
 //! A coalesced batch commits exactly the session produced by **one**
-//! [`DeletionEngine::apply_delta`] call with the union delta — removal
+//! [`DeletionEngine::apply_delta`] call with the union delta (staged
+//! before the ack and finished after it: the same call, split in two) — removal
 //! union over stable ids (plus any sliding-window expiry), additions in
 //! FIFO admission order — the same call a direct engine user would make
 //! with the folded [`Delta`]. Server results are therefore
@@ -193,8 +196,7 @@ impl Inner {
 
     fn predict(&self, session: &str, features: &[f64]) -> Result<Prediction> {
         let slot = self.registry.get(session)?;
-        let (snapshot, epoch) = slot.snapshot();
-        let model = snapshot.model();
+        let (model, epoch) = slot.served();
         if features.len() != model.num_features() {
             return Err(ServerError::FeatureMismatch {
                 expected: model.num_features(),
@@ -202,7 +204,7 @@ impl Inner {
             });
         }
         check_finite("feature", features)?;
-        Ok(predict_on(model, features, epoch))
+        Ok(predict_on(&model, features, epoch))
     }
 
     fn delete(&self, session: &str, ids: Vec<u64>) -> Result<DeleteTicket> {
@@ -247,16 +249,25 @@ impl Inner {
 
     fn stats(&self, session: &str) -> Result<SessionStats> {
         let slot = self.registry.get(session)?;
-        let (snapshot, epoch) = slot.snapshot();
+        // One settled read: epoch, sample count and drift all come from
+        // the same commit, and none trails an ack already sent.
+        let (epoch, num_samples, num_features, drift) = slot.settled(|state| {
+            (
+                state.epoch,
+                state.session.num_samples(),
+                state.session.model().num_features(),
+                state.drift_after(0),
+            )
+        });
         let decisions = self
             .cost_model(session)
             .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner).decisions())
             .unwrap_or_default();
         Ok(SessionStats {
             epoch,
-            num_samples: snapshot.num_samples(),
-            num_features: snapshot.model().num_features(),
-            drift: slot.drift(),
+            num_samples,
+            num_features,
+            drift,
             pending: self.planner().pending(session),
             decisions,
         })
@@ -473,19 +484,25 @@ fn fail_batch(batch: &ReadyBatch, message: &str) {
 ///    chain as `prev_lsn`.
 /// 2. **One fsync** ([`GroupWal::sync_through`]) covers every frame the
 ///    pass appended, across all sessions.
-/// 3. **Apply + commit + ack** fan out per chain over the worker pool;
-///    within a chain, batches go in order: the engine call, the slot
-///    commit, the periodic snapshot handoff, the replies.
+/// 3. **Stage + publish + ack + finish + commit** fan out per chain over
+///    the worker pool; within a chain, batches go in order: the staged
+///    engine update (every error surfaces here), the post-batch model
+///    published to predicts, the replies, the successor build, the slot
+///    commit, the periodic snapshot handoff, the cost-model observation.
+///    Each batch commits before the next one stages, and the pass ends
+///    only once every chain committed.
 ///
 /// Per batch the durability contract is unchanged — resolve → decide →
-/// append → fsync → apply → commit → ack — but a pass pays one fsync
-/// instead of one per batch. The applier is the only writer of slot
-/// state, and a pass commits each session from one task, so no per-slot
-/// lock is held across the engine call. If an append or the fsync
-/// fails, nothing in the pass applies or acks. If an apply fails
-/// mid-chain, every *downstream* batch of that chain fails with it
-/// (their resolutions assumed it applied) and recovery skips their WAL
-/// records the same way via the `prev_lsn` dependency.
+/// append → fsync → stage → ack, so nothing is acked before it is
+/// durable — but a pass pays one fsync instead of one per batch, and an
+/// ack waits for the update, not for the successor session only the
+/// next batch needs. The applier is the only writer of slot state, and
+/// a pass commits each session from one task, so no per-slot lock is
+/// held across the engine call. If an append or the fsync fails,
+/// nothing in the pass applies or acks. If a stage fails mid-chain,
+/// every *downstream* batch of that chain fails with it (their
+/// resolutions assumed it applied) and recovery skips their WAL records
+/// the same way via the `prev_lsn` dependency.
 fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
     let mut chains: Vec<Vec<ReadyBatch>> = Vec::new();
     for batch in ready {
@@ -542,7 +559,7 @@ fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
         return;
     }
 
-    // --- Phase 3: apply + commit + ack, fanned out per chain ------------
+    // --- Phase 3: stage, ack, finish, commit, fanned out per chain ------
     // A single chain runs inline on the applier, free to use the pool.
     par::run_tasks(
         plans
@@ -632,8 +649,11 @@ fn resolve_chain(inner: &Inner, plan: &mut ChainPlan, last_seq: &mut Option<u64>
     Ok(())
 }
 
-/// Phase 3 for one chain: applies, commits and acknowledges each step in
-/// order, after the pass fsync made all of them durable.
+/// Phase 3 for one chain, after the pass fsync made every step durable.
+/// Per step, in order: stage the delta on the committed session, publish
+/// the staged model to predicts, ack, finish the successor, commit. A
+/// crash between the ack and the commit recovers the acked batch from
+/// its WAL record.
 fn commit_chain(inner: &Inner, plan: ChainPlan) {
     let ChainPlan {
         batches,
@@ -688,8 +708,11 @@ fn commit_chain(inner: &Inner, plan: ChainPlan) {
                         })
                         .map(DeltaRows::Dense),
                 };
-                let chained = match run_pinned(&inner.cfg, || session.apply_delta(method, &delta)) {
-                    Ok(chained) => chained,
+                // Stage: the update, the touched caches and the appended
+                // steps. Every error the batch can hit surfaces here,
+                // before anything is published.
+                let staged = match run_pinned(&inner.cfg, || session.stage_delta(method, &delta)) {
+                    Ok(staged) => staged,
                     Err(err) => {
                         // The pre-batch state stays committed; everything
                         // downstream resolved against a state that will
@@ -704,7 +727,31 @@ fn commit_chain(inner: &Inner, plan: ChainPlan) {
                         continue;
                     }
                 };
-                let seconds = chained.outcome.duration.as_secs_f64();
+                let seconds = staged.outcome().duration.as_secs_f64();
+                // Publish, then ack: the batch is durable (the pass
+                // fsync) and its model final, so predicts serve it from
+                // here on, at the epoch its commit will reach.
+                let pending = slot.publish(staged.outcome().model.clone());
+                let epoch = pending.epoch();
+                fail_point("before-ack");
+                for (request, (requested, applied)) in batch.requests.iter().zip(acks) {
+                    let _ = request.reply.send(Ok(BatchReply {
+                        requested,
+                        applied,
+                        stale: requested - applied,
+                        added: request.num_added(),
+                        expired,
+                        batch_rows: delta.removed.len(),
+                        method: Some(method),
+                        seconds,
+                        epoch,
+                    }));
+                }
+                fail_point("after-ack");
+                // Finish: the successor session only the next batch
+                // needs — carried caches, capture refresh, dataset — built
+                // after the ack. It cannot fail.
+                let chained = run_pinned(&inner.cfg, || staged.finish());
                 // A retrain's successor carries the measured offline
                 // phase of its refit (training + provenance capture) —
                 // feed it to the flat retrain term so scheduling tracks
@@ -713,8 +760,7 @@ fn commit_chain(inner: &Inner, plan: ChainPlan) {
                 let refit_offline =
                     refit.then(|| chained.session.capture_snapshot().training_seconds);
                 fail_point("apply-before-commit");
-                let epoch =
-                    slot.commit(Arc::new(chained.session), &delta.removed, num_added, refit);
+                pending.commit(Arc::new(chained.session), &delta.removed, num_added, refit);
                 // Periodic snapshot: a copy-on-write handoff of the
                 // committed state to the snapshot thread — the Arc-swap
                 // commit already produced an immutable post-batch model,
@@ -737,7 +783,6 @@ fn commit_chain(inner: &Inner, plan: ChainPlan) {
                         }
                     }
                 }
-                fail_point("before-ack");
                 if let Some(model) = &cost {
                     let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
                     model.observe_delta(
@@ -750,19 +795,6 @@ fn commit_chain(inner: &Inner, plan: ChainPlan) {
                     if let Some(offline) = refit_offline {
                         model.observe_offline(offline);
                     }
-                }
-                for (request, (requested, applied)) in batch.requests.iter().zip(acks) {
-                    let _ = request.reply.send(Ok(BatchReply {
-                        requested,
-                        applied,
-                        stale: requested - applied,
-                        added: request.num_added(),
-                        expired,
-                        batch_rows: delta.removed.len(),
-                        method: Some(method),
-                        seconds,
-                        epoch,
-                    }));
                 }
             }
         }
@@ -927,8 +959,9 @@ impl Server {
         Ok(())
     }
 
-    /// Predicts on the named session's current snapshot. Never blocks on
-    /// an in-flight deletion batch.
+    /// Predicts on the named session's served model: the latest
+    /// acknowledged batch's, whose epoch may run one ahead of the
+    /// committed session. Never blocks on an in-flight batch.
     ///
     /// # Errors
     /// [`ServerError::UnknownSession`], [`ServerError::FeatureMismatch`],
@@ -938,7 +971,8 @@ impl Server {
     }
 
     /// Enqueues a deletion of the given stable row ids; resolves when the
-    /// coalesced batch containing it commits.
+    /// coalesced batch containing it is durable and its model is served
+    /// to predicts (the commit follows).
     ///
     /// # Errors
     /// [`ServerError::UnknownSession`], [`ServerError::ShuttingDown`].
@@ -947,8 +981,8 @@ impl Server {
     }
 
     /// Enqueues rows to append to the named session; resolves when the
-    /// coalesced batch containing it commits. Appended rows get fresh
-    /// stable ids, never reusing a retired id.
+    /// coalesced batch containing it is durable and served. Appended rows
+    /// get fresh stable ids, never reusing a retired id.
     ///
     /// # Errors
     /// [`ServerError::UnknownSession`], [`ServerError::ShuttingDown`],
@@ -983,7 +1017,8 @@ impl Server {
         self.inner.flush(session)
     }
 
-    /// The named session's bookkeeping.
+    /// The named session's bookkeeping, read from one commit. Waits for a
+    /// batch that was acknowledged but not yet committed.
     ///
     /// # Errors
     /// [`ServerError::UnknownSession`].
@@ -991,12 +1026,15 @@ impl Server {
         self.inner.stats(session)
     }
 
-    /// The named session's current immutable snapshot and its epoch.
+    /// The named session's committed immutable snapshot and its epoch.
+    /// Waits for a batch that was acknowledged but not yet committed, so
+    /// the epoch is never below an ack already sent.
     ///
     /// # Errors
     /// [`ServerError::UnknownSession`].
     pub fn model_snapshot(&self, session: &str) -> Result<(Arc<Session>, u64)> {
-        Ok(self.inner.registry.get(session)?.snapshot())
+        let slot = self.inner.registry.get(session)?;
+        Ok(slot.settled(|state| (state.session.clone(), state.epoch)))
     }
 
     /// Registered session names, sorted.

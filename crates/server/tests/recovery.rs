@@ -433,13 +433,14 @@ fn crash_at_every_fail_point_recovers_the_acked_prefix() {
         "wal-after-append",         // wave 0, lin: record in page cache, not fsync'd
         "wal-before-fsync:2",       // wave 0, log: record written, fsync pending
         "wal-after-fsync:4",        // wave 1, log: durable but not applied
-        "apply-before-commit:5",    // wave 2, lin: applied but not committed
-        "before-ack:7",             // wave 3, lin: committed but never acked
+        "apply-before-commit:5",    // wave 2, lin: acked, successor built but not committed
+        "before-ack:7",             // wave 3, lin: published to predicts but never acked
         "snapshot-mid-write:3",     // wave 1, lin: torn periodic snapshot tmp
         "snapshot-before-rename:3", // complete tmp, never renamed
         "snapshot-after-rename:4",  // wave 1, log: renamed, dir fsync pending
         "group-leader-sync:3",      // a pass fsync pending, frames appended
         "snapshot-handoff:2",       // wave 1, log: committed, snapshot job never enqueued
+        "after-ack:6",              // wave 2, log: acked, successor never committed
     ];
     for point in points {
         let dir = tempdir(&format!("crash-{}", point.replace(':', "-")));
