@@ -14,8 +14,10 @@
 //!   (`SlotState::resolve` / `advance`) serves the commit, the chain
 //!   speculation and recovery redo.
 //! * [`planner`] — admission + coalescing: N single-row deletion requests
-//!   fold into one batched downdate per session, gated by a time window
-//!   and a max batch size. The coalesced batch is *one* engine `apply`
+//!   fold into one batched downdate per session. A batch is whatever
+//!   queued while the applier was busy with its previous pass, capped by
+//!   a max batch size; a lone request goes out at once. The coalesced
+//!   batch is *one* engine `apply`
 //!   with the union removal set — identical to the call a direct engine
 //!   user would make, hence bitwise-reproducible under the same
 //!   `PRIU_THREADS` × `PRIU_SIMD` pin.

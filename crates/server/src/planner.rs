@@ -23,6 +23,13 @@
 //! counted per request as `stale` and acknowledged without work; `Tick`
 //! retention windows fold by minimum.
 //!
+//! The default window is zero, so a queue is ready whenever the applier
+//! looks at it: a lone request goes out on the applier's next pass, and a
+//! batch is whatever arrived while the applier was busy with its previous
+//! pass (fsync, stage, finish), capped by `max_batch`. The batch grows with
+//! the backlog, not with a clock — classic group commit. A positive window
+//! holds a queue back until its oldest request has waited that long.
+//!
 //! With coalescing disabled every request becomes its own batch (the
 //! baseline the loadgen compares against).
 //!
@@ -39,8 +46,13 @@ use crate::error::{Result, ServerError};
 /// Planner tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
-    /// How long a pending request may wait for company before its batch is
-    /// forced out. `ZERO` makes every poll cycle flush.
+    /// How long the oldest pending request of a session waits for company
+    /// before its queue is ready. A queue is ready when its oldest request
+    /// was admitted at least `window` before the applier looks at it (or
+    /// when `max_batch` or a flush forces it). `ZERO`, the default, makes
+    /// every queue ready as soon as the applier looks: nothing waits on a
+    /// timer, and a batch holds whatever queued up while the applier was
+    /// busy with its previous pass.
     pub window: Duration,
     /// Union size that forces a batch out early. A single request larger
     /// than this still forms one batch — requests are never split.
@@ -53,7 +65,7 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
-            window: Duration::from_millis(5),
+            window: Duration::ZERO,
             max_batch: 256,
             coalesce: true,
         }
@@ -182,6 +194,19 @@ struct SessionQueue {
     flush: bool,
 }
 
+impl SessionQueue {
+    /// Distinct removal ids plus appended rows over every pending request.
+    fn change_set(&self) -> usize {
+        let ids: BTreeSet<u64> = self
+            .pending
+            .iter()
+            .flat_map(|r| r.ids.iter().copied())
+            .collect();
+        let added: usize = self.pending.iter().map(PendingChange::num_added).sum();
+        ids.len() + added
+    }
+}
+
 /// The planner's mutable state; the server guards it with one mutex +
 /// condvar pair (admission signals the applier through that condvar).
 #[derive(Debug, Default)]
@@ -279,24 +304,6 @@ impl PlannerState {
         let mut batches = Vec::new();
         for name in names {
             let queue = self.queues.get_mut(&name).expect("listed above");
-            let union_all: BTreeSet<u64> = queue
-                .pending
-                .iter()
-                .flat_map(|r| r.ids.iter().copied())
-                .collect();
-            let added_all: usize = queue.pending.iter().map(PendingChange::num_added).sum();
-            let window_ready = queue
-                .pending
-                .first()
-                .is_some_and(|oldest| oldest.enqueued + cfg.window <= now);
-            let ready = queue.flush
-                || !cfg.coalesce
-                || union_all.len() + added_all >= cfg.max_batch
-                || window_ready;
-            if !ready {
-                continue;
-            }
-
             if !cfg.coalesce {
                 // Drain the whole backlog as individual batches, FIFO:
                 // same-session batches stay adjacent in the output so the
@@ -320,36 +327,47 @@ impl PlannerState {
                 queue.flush = false;
                 continue;
             }
-            let requests: Vec<PendingChange> = {
-                let mut union = BTreeSet::new();
-                let mut added = 0;
-                let mut take = 0;
-                for request in &queue.pending {
-                    let mut grown = union.clone();
-                    grown.extend(request.ids.iter().copied());
-                    if take > 0 && grown.len() + added + request.num_added() > cfg.max_batch {
-                        break;
-                    }
-                    union = grown;
-                    added += request.num_added();
-                    take += 1;
+            let window_ready = queue
+                .pending
+                .first()
+                .is_some_and(|oldest| oldest.enqueued + cfg.window <= now);
+            // The whole queue's change set is only counted when neither a
+            // flush nor the window already made the queue ready.
+            let ready = queue.flush || window_ready || queue.change_set() >= cfg.max_batch;
+            if !ready {
+                continue;
+            }
+
+            // Fold FIFO, growing the union in place: a request joins when
+            // its new distinct ids plus everything appended so far stay
+            // within `max_batch` (the first request always joins).
+            let mut union = BTreeSet::new();
+            let mut added = 0;
+            let mut take = 0;
+            for request in &queue.pending {
+                let fresh: BTreeSet<u64> = request
+                    .ids
+                    .iter()
+                    .copied()
+                    .filter(|id| !union.contains(id))
+                    .collect();
+                let grown = union.len() + fresh.len() + added + request.num_added();
+                if take > 0 && grown > cfg.max_batch {
+                    break;
                 }
-                queue.pending.drain(..take).collect()
-            };
+                union.extend(fresh);
+                added += request.num_added();
+                take += 1;
+            }
+            let requests: Vec<PendingChange> = queue.pending.drain(..take).collect();
             if queue.pending.is_empty() {
                 queue.flush = false;
             }
-            let union: Vec<u64> = requests
-                .iter()
-                .flat_map(|r| r.ids.iter().copied())
-                .collect::<BTreeSet<u64>>()
-                .into_iter()
-                .collect();
             let keep_last = requests.iter().filter_map(|r| r.keep_last).min();
             batches.push(ReadyBatch {
                 session: name,
                 requests,
-                union,
+                union: union.into_iter().collect(),
                 keep_last,
             });
         }
@@ -436,6 +454,121 @@ mod tests {
         let batches = state.take_ready(Instant::now(), &config);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].union.len(), 6);
+        assert!(state.is_empty());
+    }
+
+    #[test]
+    fn overlapping_ids_straddling_max_batch_fold_like_the_union() {
+        let mut state = PlannerState::default();
+        let config = cfg(120_000, 4, true);
+        let _tickets: Vec<DeleteTicket> = vec![
+            state.enqueue("s", vec![0, 1]),
+            state.enqueue("s", vec![1, 2, 2]), // one new id
+            state.enqueue("s", vec![3, 3, 0]), // one new id, named twice: at the cap
+            state.enqueue("s", vec![3, 1]),    // nothing new: still fits
+            state.enqueue("s", vec![3, 4]),    // 4 is new: would be 5 > cap
+            state.enqueue("s", vec![5]),
+        ];
+        let batches = state.take_ready(Instant::now(), &config);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].requests.len(), 4);
+        assert_eq!(batches[0].union, vec![0, 1, 2, 3]);
+        // The remainder's change set {3, 4, 5} is under the cap.
+        assert_eq!(state.pending("s"), 2);
+        assert!(state.take_ready(Instant::now(), &config).is_empty());
+        state.flush("s");
+        let batches = state.take_ready(Instant::now(), &config);
+        assert_eq!(batches[0].union, vec![3, 4, 5]);
+
+        // Appended rows count on top of the union: a request whose ids are
+        // all folded already still joins when its rows fit.
+        let _tickets: Vec<DeleteTicket> = vec![
+            state.enqueue("s", vec![6, 7]),
+            state.enqueue_change("s", vec![7, 6], Some(rows(2)), None),
+            state.enqueue("s", vec![8]),
+        ];
+        let batches = state.take_ready(Instant::now(), &config);
+        assert_eq!(batches[0].requests.len(), 2);
+        assert_eq!(batches[0].union, vec![6, 7]);
+        assert_eq!(batches[0].num_added(), 2);
+        assert_eq!(state.pending("s"), 1);
+    }
+
+    /// Folds the way the planner did before it grew the union in place:
+    /// a fresh union per candidate request.
+    fn reference_fold(queue: &[PendingChange], max_batch: usize) -> (usize, Vec<u64>) {
+        let mut union = BTreeSet::new();
+        let mut added = 0;
+        let mut take = 0;
+        for request in queue {
+            let mut grown = union.clone();
+            grown.extend(request.ids.iter().copied());
+            if take > 0 && grown.len() + added + request.num_added() > max_batch {
+                break;
+            }
+            union = grown;
+            added += request.num_added();
+            take += 1;
+        }
+        (take, union.into_iter().collect())
+    }
+
+    #[test]
+    fn incremental_fold_matches_the_reference_fold_over_seeded_queues() {
+        for seed in 0..200 {
+            let mut rng = priu_rng::Rng64::from_seed(seed);
+            let max_batch = 1 + rng.index(12);
+            let config = cfg(0, max_batch, true);
+            let mut state = PlannerState::default();
+            let mut tickets = Vec::new();
+            for _ in 0..1 + rng.index(16) {
+                let ids = (0..rng.index(5)).map(|_| rng.index(16) as u64).collect();
+                let added = (rng.index(4) == 0).then(|| rows(1 + rng.index(3)));
+                tickets.push(state.enqueue_change("s", ids, added, None));
+            }
+            while state.pending("s") > 0 {
+                let expected = reference_fold(&state.queues["s"].pending, max_batch);
+                let batches = state.take_ready(Instant::now(), &config);
+                assert_eq!(batches.len(), 1, "seed {seed}");
+                assert_eq!(
+                    (batches[0].requests.len(), batches[0].union.clone()),
+                    expected,
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn default_config_readies_a_lone_request_at_once_and_folds_a_backlog() {
+        let config = PlannerConfig::default();
+        assert_eq!(config.window, Duration::ZERO);
+        let mut state = PlannerState::default();
+        // A lone request is ready at its own enqueue instant.
+        let _lone = state.enqueue("s", vec![7]);
+        let enqueued = state.queues["s"].pending[0].enqueued;
+        assert_eq!(state.next_deadline(&config), Some(enqueued));
+        let batches = state.take_ready(enqueued, &config);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].union, vec![7]);
+        assert!(state.is_empty());
+
+        // Requests queued before the applier looks fold into one batch,
+        // up to `max_batch`; the rest goes out on the next look.
+        let extra = 3;
+        let total = (config.max_batch + extra) as u64;
+        let _backlog: Vec<DeleteTicket> =
+            (0..total).map(|id| state.enqueue("s", vec![id])).collect();
+        let batches = state.take_ready(Instant::now(), &config);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].requests.len(), config.max_batch);
+        assert_eq!(
+            batches[0].union,
+            (0..config.max_batch as u64).collect::<Vec<_>>()
+        );
+        let batches = state.take_ready(Instant::now(), &config);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].requests.len(), extra);
         assert!(state.is_empty());
     }
 

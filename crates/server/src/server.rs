@@ -6,8 +6,10 @@
 //! * **Callers** (any number) predict synchronously on immutable
 //!   snapshots and enqueue change requests — deletions, additions,
 //!   sliding-window ticks — receiving a [`DeleteTicket`].
-//! * The **applier thread** sleeps on the planner condvar until a batch
-//!   deadline (or a flush/shutdown poke), takes every ready batch, and
+//! * The **applier thread** sleeps on the planner condvar until a request
+//!   is admitted (or a window deadline, flush or shutdown poke), takes
+//!   every ready batch (under the default zero window, everything that
+//!   queued since its last look, up to `max_batch` per session), and
 //!   applies them in one pass: it resolves and WAL-appends every batch
 //!   serially, fsyncs once, then fans the engine calls, acks and commits
 //!   out per session over the shared worker pool via [`par::run_tasks`]:
@@ -1583,6 +1585,45 @@ mod tests {
         }
         restarted.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Under the default planner, requests that queue while the applier
+    /// cannot take them fold into one batch the moment it can: every
+    /// ticket resolves at the same epoch, and the model is the one direct
+    /// `apply_delta` of the union produces.
+    #[test]
+    fn a_backlog_folds_into_one_batch_under_the_default_planner() {
+        const REQUESTS: u64 = 32;
+        let server = Server::start(ServerConfig::default()).unwrap();
+        server.register_session("s", fixture(400, 41)).unwrap();
+        // Holding the planner lock keeps the applier from taking any of
+        // the requests before all of them are queued.
+        let tickets: Vec<DeleteTicket> = {
+            let mut planner = server.inner.planner();
+            (0..REQUESTS)
+                .map(|i| planner.enqueue_change("s", vec![3 * i], None, None))
+                .collect()
+        };
+        server.inner.work.notify_all();
+        let replies: Vec<BatchReply> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        for reply in &replies {
+            assert_eq!(reply.epoch, 1, "every request rides the first batch");
+            assert_eq!(reply.batch_rows, REQUESTS as usize);
+            assert_eq!((reply.requested, reply.applied, reply.stale), (1, 1, 0));
+        }
+        assert_eq!(server.stats("s").unwrap().epoch, 1);
+
+        let method = replies[0].method.expect("the batch ran an engine call");
+        let union: Vec<usize> = (0..REQUESTS as usize).map(|i| 3 * i).collect();
+        let expected = fixture(400, 41)
+            .apply_delta(method, &Delta::removal(&union))
+            .unwrap()
+            .session;
+        let (served, epoch) = server.model_snapshot("s").unwrap();
+        assert_eq!(epoch, 1);
+        let bits = |m: &Model| m.flatten().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(served.model()), bits(expected.model()));
+        server.shutdown();
     }
 
     /// Batches of several sessions that one applier pass takes share one

@@ -77,9 +77,9 @@
 //!
 //! A record carries the union removal set as **stable ids after retention
 //! expiry** and the method the cost model chose. Both resolutions are
-//! timing-dependent (the planner's coalescing window decides what folds
-//! into the batch; the EMA cost model decides the method from measured
-//! seconds), so redo must not re-derive them. Everything downstream of
+//! timing-dependent (what folds into the batch is whatever queued while
+//! the applier was busy; the EMA cost model decides the method from
+//! measured seconds), so redo must not re-derive them. Everything downstream of
 //! the record — id translation, `apply_delta`, survivor computation,
 //! fresh-id assignment — is deterministic, which is what makes replay
 //! bitwise-exact. A record resolved speculatively against the outcome of
