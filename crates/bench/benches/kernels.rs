@@ -33,8 +33,14 @@
 //! The `eigen_update` group prices the PrIU-opt successor's two routes at
 //! m = 318: the exact `eigen_into`, one rank-one update, and the `matmul`
 //! that dominates the update.
+//!
+//! The `rank1_add` group prices a warm addition at 2000×256: one row
+//! appended to the closed-form normal equations by the rank-1 update
+//! (`closed_form_delta`) against a capture rebuild over every row
+//! (`capture_rebuild`), each with its solve. It panics unless the rank-1
+//! path wins.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use priu_linalg::decomposition::eigen::SymmetricEigen;
@@ -723,6 +729,87 @@ fn bench_simd_grid(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rank-1 addition against a capture rebuild: appending one row to a
+/// 2000×256 closed-form capture through the rank-1 Gram/Cholesky update
+/// (+ solve) versus recomputing `XᵀX`/`XᵀY` over all 2001 rows (+ solve).
+/// The ratio is what makes warm additions serveable online, so when both
+/// rows ran the group panics unless the rank-1 path's best sample beats
+/// the rebuild's.
+fn bench_rank1_add(c: &mut Criterion) {
+    use priu_core::baseline::closed_form::{
+        closed_form_delta_with, closed_form_full, ClosedFormCapture,
+    };
+    use priu_core::Workspace;
+    use priu_data::dataset::{DenseDataset, Labels};
+    use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+
+    const N: usize = 2000;
+    const M: usize = 256;
+    let data = generate_regression(&RegressionConfig {
+        num_samples: N,
+        num_features: M,
+        noise_std: 0.1,
+        seed: 0x8801,
+        ..Default::default()
+    });
+    let capture = ClosedFormCapture::build(&data, 0.05).unwrap();
+    let row: Vec<f64> = (0..M)
+        .map(|i| ((i * 37 + 11) % 97) as f64 / 97.0 - 0.5)
+        .collect();
+    let added = DenseDataset::new(
+        Matrix::from_vec(1, M, row).unwrap(),
+        Labels::Continuous(Vector::from_vec(vec![0.75])),
+    );
+    let mut appended = data.clone();
+    appended.append(&added).unwrap();
+    let mut ws = Workspace::new();
+
+    let mut group = c.benchmark_group("rank1_add");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_secs(1));
+    let shape = format!("{N}x{M}");
+    let mut rank1_best = f64::INFINITY;
+    group.bench_function(BenchmarkId::new("closed_form_delta", &shape), |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            let model = closed_form_delta_with(
+                &data,
+                &capture.normal,
+                capture.regularization,
+                &[],
+                Some(&added),
+                &mut ws,
+            )
+            .unwrap();
+            rank1_best = rank1_best.min(t0.elapsed().as_secs_f64());
+            model
+        })
+    });
+    let mut rebuild_best = f64::INFINITY;
+    group.bench_function(BenchmarkId::new("capture_rebuild", &shape), |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            let rebuilt = ClosedFormCapture::build(black_box(&appended), 0.05).unwrap();
+            let model = closed_form_full(&rebuilt).unwrap();
+            rebuild_best = rebuild_best.min(t0.elapsed().as_secs_f64());
+            model
+        })
+    });
+    group.finish();
+
+    // A filter may have skipped either row; compare only when both ran.
+    if rank1_best.is_finite() && rebuild_best.is_finite() {
+        let speedup = rebuild_best / rank1_best;
+        println!("rank1_add speedup (best rebuild / best rank-1): {speedup:.1}x");
+        assert!(
+            speedup > 1.0,
+            "rank-1 addition ({rank1_best:e} s) is no faster than a capture rebuild \
+             ({rebuild_best:e} s)"
+        );
+    }
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("linalg_kernels");
     group.sample_size(20);
@@ -808,6 +895,7 @@ criterion_group!(
     bench_eigen_grid,
     bench_eigen_update,
     bench_simd_grid,
+    bench_rank1_add,
     bench_kernels
 );
 criterion_main!(benches);

@@ -126,133 +126,6 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// A dynamically-assembled JSON document for nested reports (the loadgen's
-/// `BENCH_6.json`-style output: environment block, per-configuration
-/// latency objects, decision histograms), sharing the escaping and
-/// non-finite rules of the flat row encoders. Object members keep
-/// insertion order, so rendered documents are deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer (serialised without a decimal point).
-    Int(i64),
-    /// A float (non-finite values render as `null`).
-    Float(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An array of values.
-    Array(Vec<JsonValue>),
-    /// An object; members render in insertion order.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// An empty object, ready for [`JsonValue::push`].
-    pub fn object() -> Self {
-        JsonValue::Object(Vec::new())
-    }
-
-    /// Appends a member to an object (panics on non-objects — builder
-    /// misuse, not data-dependent).
-    pub fn push(&mut self, key: &str, value: impl Into<JsonValue>) -> &mut Self {
-        match self {
-            JsonValue::Object(members) => members.push((key.to_string(), value.into())),
-            _ => panic!("JsonValue::push called on a non-object"),
-        }
-        self
-    }
-
-    /// Renders the value as compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => out.push_str(&i.to_string()),
-            JsonValue::Float(v) => out.push_str(&json_f64(*v)),
-            JsonValue::Str(s) => out.push_str(&json_str(s)),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_str(key));
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(b: bool) -> Self {
-        JsonValue::Bool(b)
-    }
-}
-
-impl From<i64> for JsonValue {
-    fn from(i: i64) -> Self {
-        JsonValue::Int(i)
-    }
-}
-
-impl From<usize> for JsonValue {
-    fn from(i: usize) -> Self {
-        JsonValue::Int(i64::try_from(i).expect("count exceeds i64::MAX"))
-    }
-}
-
-impl From<u64> for JsonValue {
-    fn from(i: u64) -> Self {
-        JsonValue::Int(i64::try_from(i).expect("count exceeds i64::MAX"))
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::Float(v)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(s: &str) -> Self {
-        JsonValue::Str(s.to_string())
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(s: String) -> Self {
-        JsonValue::Str(s)
-    }
-}
-
-impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
-    fn from(items: Vec<T>) -> Self {
-        JsonValue::Array(items.into_iter().map(Into::into).collect())
-    }
-}
-
 impl JsonRow for FigureRow {
     fn to_json(&self) -> String {
         format!(
@@ -441,7 +314,6 @@ mod tests {
     fn non_finite_floats_encode_as_null_everywhere() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(json_f64(bad), "null");
-            assert_eq!(JsonValue::Float(bad).render(), "null");
         }
         // Finite values stay numbers, integral ones gaining a decimal
         // point so consumers parse them as floats.
@@ -482,37 +354,5 @@ mod tests {
             priu_sign_flips: 0,
         };
         assert_eq!(t4.to_json().matches("null").count(), 3);
-    }
-
-    #[test]
-    fn json_value_builds_nested_documents() {
-        let mut doc = JsonValue::object();
-        doc.push("label", "loadgen \"smoke\"");
-        doc.push("sessions", 4usize);
-        doc.push("p99_seconds", 0.002);
-        doc.push("bad_timing", f64::NAN);
-        doc.push("coalescing", true);
-        doc.push("none", JsonValue::Null);
-        let mut nested = JsonValue::object();
-        nested.push("PrIU", 12usize);
-        nested.push("BaseL", 0usize);
-        doc.push("decisions", nested);
-        doc.push("latencies", vec![0.5, 1.5]);
-        let text = doc.render();
-        assert_eq!(
-            text,
-            "{\"label\":\"loadgen \\\"smoke\\\"\",\"sessions\":4,\
-             \"p99_seconds\":0.002,\"bad_timing\":null,\"coalescing\":true,\
-             \"none\":null,\"decisions\":{\"PrIU\":12,\"BaseL\":0},\
-             \"latencies\":[0.5,1.5]}"
-        );
-        // Members render in insertion order — rendering is deterministic.
-        assert_eq!(text, doc.render());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-object")]
-    fn json_value_push_rejects_non_objects() {
-        JsonValue::Array(Vec::new()).push("k", 1i64);
     }
 }

@@ -10,9 +10,8 @@
 //!   model, which the applier, the only writer, publishes as soon as a
 //!   batch's update is staged and commits by pointer swap once the
 //!   successor is built, so a long downdate never blocks a predict. One
-//!   pure transition
-//!   (`SlotState::resolve` / `advance`) serves the commit, the chain
-//!   speculation and recovery redo.
+//!   pure transition (`SlotState::resolve` / `advance`) serves the
+//!   applier's resolve, the commit and recovery redo.
 //! * [`planner`] — admission + coalescing: N single-row deletion requests
 //!   fold into one batched downdate per session. A batch is whatever
 //!   queued while the applier was busy with its previous pass, capped by

@@ -30,8 +30,8 @@
 //! the backlog, not with a clock — classic group commit. A positive window
 //! holds a queue back until its oldest request has waited that long.
 //!
-//! With coalescing disabled every request becomes its own batch (the
-//! baseline the loadgen compares against).
+//! A pass takes at most one batch per session, so the applier resolves
+//! each batch against the state the session's previous batch committed.
 //!
 //! [`Delta`]: priu_core::Delta
 
@@ -57,9 +57,6 @@ pub struct PlannerConfig {
     /// Union size that forces a batch out early. A single request larger
     /// than this still forms one batch — requests are never split.
     pub max_batch: usize,
-    /// `false` disables coalescing: every request is applied on its own
-    /// (the baseline configuration for the loadgen's on/off comparison).
-    pub coalesce: bool,
 }
 
 impl Default for PlannerConfig {
@@ -67,7 +64,6 @@ impl Default for PlannerConfig {
         Self {
             window: Duration::ZERO,
             max_batch: 256,
-            coalesce: true,
         }
     }
 }
@@ -281,16 +277,12 @@ impl PlannerState {
             .min()
     }
 
-    /// Takes every batch that is ready at `now`, in session-name order
-    /// (deterministic fan-out). With coalescing on, a ready queue folds
+    /// Takes every batch that is ready at `now`, at most one per session,
+    /// in session-name order (deterministic fan-out). A ready queue folds
     /// FIFO requests until the change set — removal union plus appended
     /// rows — would exceed `max_batch` (a single oversized request still
     /// forms one batch); the remainder stays queued — and stays ready, so
-    /// the applier picks it up on its next pass. With coalescing off, the
-    /// whole queue drains as *individual* single-request batches in FIFO
-    /// order — the applier chains them (resolving each against the
-    /// previous batch's predicted outcome) so an uncoalesced backlog can
-    /// share one group fsync without folding the deltas together.
+    /// the applier picks it up on its next pass.
     pub fn take_ready(&mut self, now: Instant, cfg: &PlannerConfig) -> Vec<ReadyBatch> {
         let mut names: Vec<&String> = self
             .queues
@@ -304,29 +296,6 @@ impl PlannerState {
         let mut batches = Vec::new();
         for name in names {
             let queue = self.queues.get_mut(&name).expect("listed above");
-            if !cfg.coalesce {
-                // Drain the whole backlog as individual batches, FIFO:
-                // same-session batches stay adjacent in the output so the
-                // applier can chain them under one group fsync.
-                for request in queue.pending.drain(..) {
-                    let union: Vec<u64> = request
-                        .ids
-                        .iter()
-                        .copied()
-                        .collect::<BTreeSet<u64>>()
-                        .into_iter()
-                        .collect();
-                    let keep_last = request.keep_last;
-                    batches.push(ReadyBatch {
-                        session: name.clone(),
-                        requests: vec![request],
-                        union,
-                        keep_last,
-                    });
-                }
-                queue.flush = false;
-                continue;
-            }
             let window_ready = queue
                 .pending
                 .first()
@@ -389,18 +358,17 @@ impl PlannerState {
 mod tests {
     use super::*;
 
-    fn cfg(window_ms: u64, max_batch: usize, coalesce: bool) -> PlannerConfig {
+    fn cfg(window_ms: u64, max_batch: usize) -> PlannerConfig {
         PlannerConfig {
             window: Duration::from_millis(window_ms),
             max_batch,
-            coalesce,
         }
     }
 
     #[test]
     fn window_gates_batching_and_flush_overrides_it() {
         let mut state = PlannerState::default();
-        let long = cfg(120_000, 100, true);
+        let long = cfg(120_000, 100);
         let _t1 = state.enqueue("s", vec![3]);
         let _t2 = state.enqueue("s", vec![1, 3]);
         assert_eq!(state.pending("s"), 2);
@@ -418,7 +386,7 @@ mod tests {
         assert!(state.next_deadline(&long).is_none());
 
         // Zero window: ready immediately.
-        let zero = cfg(0, 100, true);
+        let zero = cfg(0, 100);
         let _t3 = state.enqueue("s", vec![9]);
         let batches = state.take_ready(Instant::now(), &zero);
         assert_eq!(batches.len(), 1);
@@ -428,7 +396,7 @@ mod tests {
     #[test]
     fn max_batch_caps_the_union_without_splitting_requests() {
         let mut state = PlannerState::default();
-        let config = cfg(120_000, 4, true);
+        let config = cfg(120_000, 4);
         let _tickets: Vec<DeleteTicket> = vec![
             state.enqueue("s", vec![0, 1]),
             state.enqueue("s", vec![1, 2]), // overlaps: union stays small
@@ -460,7 +428,7 @@ mod tests {
     #[test]
     fn overlapping_ids_straddling_max_batch_fold_like_the_union() {
         let mut state = PlannerState::default();
-        let config = cfg(120_000, 4, true);
+        let config = cfg(120_000, 4);
         let _tickets: Vec<DeleteTicket> = vec![
             state.enqueue("s", vec![0, 1]),
             state.enqueue("s", vec![1, 2, 2]), // one new id
@@ -518,7 +486,7 @@ mod tests {
         for seed in 0..200 {
             let mut rng = priu_rng::Rng64::from_seed(seed);
             let max_batch = 1 + rng.index(12);
-            let config = cfg(0, max_batch, true);
+            let config = cfg(0, max_batch);
             let mut state = PlannerState::default();
             let mut tickets = Vec::new();
             for _ in 0..1 + rng.index(16) {
@@ -573,27 +541,9 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_applies_requests_individually_in_fifo_order() {
-        let mut state = PlannerState::default();
-        let config = cfg(120_000, 100, false);
-        let _a = state.enqueue("s", vec![7]);
-        let _b = state.enqueue("s", vec![8]);
-        // The backlog drains in one call, but as separate single-request
-        // batches in FIFO order — never folded together.
-        let batches = state.take_ready(Instant::now(), &config);
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].union, vec![7]);
-        assert_eq!(batches[1].union, vec![8]);
-        assert_eq!(batches[0].requests.len(), 1);
-        assert_eq!(batches[1].requests.len(), 1);
-        assert!(state.is_empty());
-        assert!(state.take_ready(Instant::now(), &config).is_empty());
-    }
-
-    #[test]
     fn sessions_batch_independently_and_sort_deterministically() {
         let mut state = PlannerState::default();
-        let config = cfg(0, 100, true);
+        let config = cfg(0, 100);
         let _b = state.enqueue("b", vec![2]);
         let _a = state.enqueue("a", vec![1]);
         let batches = state.take_ready(Instant::now(), &config);
@@ -613,7 +563,7 @@ mod tests {
     #[test]
     fn mixed_requests_fold_into_one_batch_with_min_retention() {
         let mut state = PlannerState::default();
-        let config = cfg(0, 100, true);
+        let config = cfg(0, 100);
         let _a = state.enqueue("s", vec![3, 5]);
         let _b = state.enqueue_change("s", vec![], Some(rows(4)), None);
         let _c = state.enqueue_change("s", vec![5, 9], Some(rows(2)), Some(120));
@@ -632,7 +582,7 @@ mod tests {
     #[test]
     fn added_rows_count_toward_the_batch_cap() {
         let mut state = PlannerState::default();
-        let config = cfg(120_000, 4, true);
+        let config = cfg(120_000, 4);
         let _a = state.enqueue_change("s", vec![0, 1], Some(rows(1)), None);
         let _b = state.enqueue_change("s", vec![], Some(rows(3)), None);
         // Change set = 2 removals + 4 additions ≥ max_batch → ready without

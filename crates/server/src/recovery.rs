@@ -26,12 +26,14 @@
 //! fails the same way — the skip converges to the live outcome instead of
 //! diverging from it.
 //!
-//! Group commit appends *chains* of speculatively-resolved records before
-//! any of them applies; each record carries the LSN of its predecessor in
-//! the chain (`prev_lsn`). Live, an apply failure fails every later batch
-//! of its chain without applying them — so redo skips transitively: a
-//! record whose `prev_lsn` points at a skipped record is itself skipped,
-//! exactly as the live chain abandoned it.
+//! The server resolves every batch against committed state and writes
+//! `prev_lsn: None`. Logs from earlier versions, whose applier chained
+//! same-session batches within one pass, can still hold records that
+//! name the record they were resolved against in `prev_lsn`; live, a
+//! failed apply failed every later batch of its chain. Redo keeps that
+//! rule and skips transitively: a record whose `prev_lsn` points at a
+//! skipped record is itself skipped, exactly as the live chain abandoned
+//! it.
 //!
 //! [`apply_delta`]: priu_core::DeletionEngine::apply_delta
 

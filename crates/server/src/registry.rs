@@ -32,9 +32,10 @@
 //!
 //! [`SlotState::resolve`] and [`SlotState::advance`] are the whole
 //! bookkeeping of an update: id translation, retention expiry, survivor
-//! ids, fresh ids, epoch and drift. The live commit, the applier's chain
-//! speculation (on a scratch clone) and recovery redo all call them, so
-//! a speculated state is the committed state by construction.
+//! ids, fresh ids, epoch and drift. The applier resolves each batch
+//! against the committed state, and the live commit and recovery redo
+//! both advance through the same method, so a redone state is the
+//! committed state by construction.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -259,7 +260,7 @@ impl SessionSlot {
     }
 
     /// A settled copy of the whole slot state in one shared acquisition —
-    /// the base of a chain's speculation and of every snapshot.
+    /// the base of a batch's resolution and of every snapshot.
     pub(crate) fn state(&self) -> SlotState {
         self.settled(SlotState::clone)
     }

@@ -82,7 +82,7 @@ pub struct SchedulerConfig {
     /// Drift ratio (rows removed incrementally since the last refit over
     /// registration-time rows) at or above which a full retrain is forced.
     pub retrain_drift: f64,
-    /// Pins every decision to one method (tests and A/B loadgen runs);
+    /// Pins every decision to one method (tests and A/B runs);
     /// sessions that do not support it fall back to the cost model.
     pub force_method: Option<Method>,
 }

@@ -53,9 +53,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use priu_core::{
-    CaptureSnapshot, DeletionEngine, Delta, DeltaRows, Method, Model, ModelKind, Session, TaskKind,
-};
+use priu_core::{DeletionEngine, Delta, DeltaRows, Method, Model, ModelKind, Session, TaskKind};
 use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::par;
 use priu_linalg::simd::{self, SimdLevel};
@@ -422,24 +420,20 @@ pub(crate) fn run_pinned<R>(cfg: &ServerConfig, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// One resolved batch of a chain, as phase 3 needs it. Nothing
-/// proportional to the session's row count is stored per step — the
-/// commit advances the slot's live ids — so a long chain costs memory
-/// proportional to its deltas, not its models.
-enum ChainStep {
+/// One resolved batch, as phase 3 needs it.
+enum Step {
     /// The batch changes nothing (every id already gone, nothing
-    /// appended, no retention bite) — acknowledged in chain order, after
-    /// the pass fsync, because its resolution assumed the preceding
-    /// batches applied.
+    /// appended, no retention bite) — acknowledged after the pass fsync
+    /// like every other batch of the pass.
     Noop {
-        /// Epoch to report: the predicted committed epoch at this point.
+        /// Epoch to report: the session's committed epoch.
         epoch: u64,
         /// Per request `(requested, applied = 0 by definition)`.
         acks: Vec<(usize, usize)>,
     },
     /// A real delta to apply and commit.
     Apply {
-        /// Removal row indices into the batch's pre-state, ascending.
+        /// Removal row indices into the committed state, ascending.
         rows: Vec<usize>,
         /// Appended rows, flat `(width, features, labels)`.
         added: Option<(usize, Vec<f64>, Vec<f64>)>,
@@ -449,17 +443,17 @@ enum ChainStep {
         expired: usize,
         /// The LSN the batch's WAL record got, if durable.
         wal_lsn: Option<u64>,
-        /// Per request `(requested, applied)` against the pre-state.
+        /// Per request `(requested, applied)` against the committed state.
         acks: Vec<(usize, usize)>,
     },
 }
 
-/// A chain of same-session batches and what phase 1 resolved for it.
-struct ChainPlan {
-    batches: Vec<ReadyBatch>,
+/// One session's batch of a pass and what phase 1 resolved for it.
+struct BatchPlan {
+    batch: ReadyBatch,
     slot: Arc<SessionSlot>,
     cost: Option<Arc<Mutex<CostModel>>>,
-    steps: Vec<ChainStep>,
+    step: Step,
 }
 
 fn fail_batch(batch: &ReadyBatch, message: &str) {
@@ -470,29 +464,23 @@ fn fail_batch(batch: &ReadyBatch, message: &str) {
     }
 }
 
-/// Applies every batch one planner pass made ready. Same-session batches
-/// arrive adjacent (`take_ready` emits in session order) and form a
-/// *chain* — always length 1 with coalescing on; with coalescing off a
-/// drained backlog is one chain of single-request batches. The pass
+/// Applies every batch one planner pass made ready — at most one per
+/// session (`take_ready` folds each ready queue into one batch). The pass
 /// moves the durability boundary once for all of them:
 ///
-/// 1. **Resolve + append**, serially, chain by chain. Each batch is
-///    resolved against the previous one's outcome, which
-///    [`SlotState::advance`](crate::registry::SlotState::advance) on a
-///    scratch clone of the slot state
-///    computes — the very transition the commit runs, so the prediction
-///    is exact. The cost model decides the method and the batch's WAL
-///    frame is appended (unsynced), carrying the previous record of its
-///    chain as `prev_lsn`.
+/// 1. **Resolve + append**, serially, batch by batch. Each batch is
+///    resolved against its session's committed state: the previous pass
+///    committed every batch it took before this pass began. The cost
+///    model decides the method and the batch's WAL frame is appended
+///    (unsynced).
 /// 2. **One fsync** ([`GroupWal::sync_through`]) covers every frame the
 ///    pass appended, across all sessions.
-/// 3. **Stage + publish + ack + finish + commit** fan out per chain over
-///    the worker pool; within a chain, batches go in order: the staged
-///    engine update (every error surfaces here), the post-batch model
-///    published to predicts, the replies, the successor build, the slot
-///    commit, the periodic snapshot handoff, the cost-model observation.
-///    Each batch commits before the next one stages, and the pass ends
-///    only once every chain committed.
+/// 3. **Stage + publish + ack + finish + commit** fan out per session
+///    over the worker pool: the staged engine update (every error
+///    surfaces here), the post-batch model published to predicts, the
+///    replies, the successor build, the slot commit, the periodic
+///    snapshot handoff, the cost-model observation. The pass ends only
+///    once every session committed.
 ///
 /// Per batch the durability contract is unchanged — resolve → decide →
 /// append → fsync → stage → ack, so nothing is acked before it is
@@ -501,302 +489,273 @@ fn fail_batch(batch: &ReadyBatch, message: &str) {
 /// next batch needs. The applier is the only writer of slot state, and
 /// a pass commits each session from one task, so no per-slot lock is
 /// held across the engine call. If an append or the fsync fails,
-/// nothing in the pass applies or acks. If a stage fails mid-chain,
-/// every *downstream* batch of that chain fails with it (their
-/// resolutions assumed it applied) and recovery skips their WAL records
-/// the same way via the `prev_lsn` dependency.
+/// nothing in the pass applies or acks. A batch whose stage fails leaves
+/// its session's committed state untouched, and recovery skips its WAL
+/// record the same way.
 fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
-    let mut chains: Vec<Vec<ReadyBatch>> = Vec::new();
-    for batch in ready {
-        match chains.last_mut() {
-            Some(chain) if chain[0].session == batch.session => chain.push(batch),
-            _ => chains.push(vec![batch]),
-        }
-    }
-
     // --- Phase 1: resolve + append, serially ----------------------------
-    let mut plans = Vec::with_capacity(chains.len());
+    let mut plans = Vec::with_capacity(ready.len());
     let mut last_seq = None;
     let mut broken: Option<String> = None;
-    for batches in chains {
-        let slot = match inner.registry.get(&batches[0].session) {
+    for batch in ready {
+        let slot = match inner.registry.get(&batch.session) {
             Ok(slot) => slot,
             Err(err) => {
                 // Session dropped between admission and batching.
-                for batch in &batches {
-                    fail_batch(batch, &err.to_string());
-                }
+                fail_batch(&batch, &err.to_string());
                 continue;
             }
         };
-        let mut plan = ChainPlan {
-            cost: inner.cost_model(&batches[0].session),
-            batches,
-            slot,
-            steps: Vec::new(),
-        };
-        if broken.is_none() {
-            if let Err(err) = resolve_chain(inner, &mut plan, &mut last_seq) {
+        if let Some(message) = &broken {
+            fail_batch(&batch, message);
+            continue;
+        }
+        let cost = inner.cost_model(&batch.session);
+        match resolve_batch(inner, &batch, &slot, cost.as_ref(), &mut last_seq) {
+            Ok(step) => plans.push(BatchPlan {
+                batch,
+                slot,
+                cost,
+                step,
+            }),
+            Err(err) => {
                 // The log is broken: earlier appends can never fsync.
-                broken = Some(err.to_string());
+                let message = format!("durability failure: {err}");
+                fail_batch(&batch, &message);
+                broken = Some(message);
             }
         }
-        plans.push(plan);
     }
 
     // --- Phase 2: one fsync for the whole pass --------------------------
     if broken.is_none() {
         if let (Some(durability), Some(seq)) = (&inner.durability, last_seq) {
             if let Err(err) = durability.wal.sync_through(seq) {
-                broken = Some(err.to_string());
+                broken = Some(format!("durability failure: {err}"));
             }
         }
     }
     if let Some(message) = broken {
         // Nothing was acknowledged; every session state is untouched.
-        let message = format!("durability failure: {message}");
-        for batch in plans.iter().flat_map(|plan| &plan.batches) {
-            fail_batch(batch, &message);
+        for plan in &plans {
+            fail_batch(&plan.batch, &message);
         }
         return;
     }
 
-    // --- Phase 3: stage, ack, finish, commit, fanned out per chain ------
-    // A single chain runs inline on the applier, free to use the pool.
+    // --- Phase 3: stage, ack, finish, commit, fanned out per session ----
+    // A single batch runs inline on the applier, free to use the pool.
     par::run_tasks(
         plans
             .into_iter()
-            .map(|plan| move || commit_chain(inner, plan))
+            .map(|plan| move || commit_batch(inner, plan))
             .collect(),
     );
 }
 
-/// Phase 1 for one chain: resolves each batch against a scratch clone of
-/// the slot state, decides its method, appends its WAL frame and advances
-/// the clone.
+/// Phase 1 for one batch: resolves it against the slot's committed
+/// state, decides its method and appends its WAL frame.
 ///
 /// # Errors
 /// The WAL append failure; the log is broken from then on.
-fn resolve_chain(inner: &Inner, plan: &mut ChainPlan, last_seq: &mut Option<u64>) -> Result<()> {
-    let mut spec = plan.slot.state();
-    // The capture metadata the scheduler reads is constant across a
-    // chain except for the sample count, which the speculation tracks.
-    let mut capture: Option<CaptureSnapshot> = None;
-    let mut prev_lsn = None;
-    for batch in &plan.batches {
-        let Resolution {
-            rows,
-            expired,
+fn resolve_batch(
+    inner: &Inner,
+    batch: &ReadyBatch,
+    slot: &SessionSlot,
+    cost: Option<&Arc<Mutex<CostModel>>>,
+    last_seq: &mut Option<u64>,
+) -> Result<Step> {
+    let state = slot.state();
+    let Resolution {
+        rows,
+        expired,
+        acks,
+    } = state.resolve(batch);
+    let num_added = batch.num_added();
+    if rows.is_empty() && num_added == 0 {
+        return Ok(Step::Noop {
+            epoch: state.epoch,
             acks,
-        } = spec.resolve(batch);
-        let num_added = batch.num_added();
-        if rows.is_empty() && num_added == 0 {
-            plan.steps.push(ChainStep::Noop {
-                epoch: spec.epoch,
-                acks,
-            });
-            continue;
-        }
-        let method = match &plan.cost {
-            Some(model) => {
-                let mut snapshot = capture
-                    .get_or_insert_with(|| spec.session.capture_snapshot())
-                    .clone();
-                snapshot.num_samples = spec.ids.len();
-                model
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .decide_delta(
-                        &snapshot,
-                        rows.len(),
-                        num_added,
-                        spec.drift_after(rows.len()),
-                    )
-            }
-            None => Method::Retrain,
+        });
+    }
+    let method = match cost {
+        Some(model) => model
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .decide_delta(
+                &state.session.capture_snapshot(),
+                rows.len(),
+                num_added,
+                state.drift_after(rows.len()),
+            ),
+        None => Method::Retrain,
+    };
+    let added = concat_added(batch);
+
+    // Durability boundary: the resolved removal set (stable ids after
+    // retention expiry) and the chosen method — both timing-dependent and
+    // hence recorded rather than re-derived — go to the WAL now; the pass
+    // fsync follows in phase 2, before anything applies or acks.
+    let mut wal_lsn = None;
+    if let Some(durability) = &inner.durability {
+        let mut record = WalRecord {
+            lsn: 0,
+            prev_lsn: None,
+            session: batch.session.clone(),
+            method,
+            removed_ids: rows.iter().map(|&ix| state.ids[ix]).collect(),
+            keep_last: batch.keep_last,
+            added: added.clone(),
         };
-        let added = concat_added(batch);
+        *last_seq = Some(durability.wal.append(&mut record)?);
+        wal_lsn = Some(record.lsn);
+    }
+    Ok(Step::Apply {
+        rows,
+        added,
+        method,
+        expired,
+        wal_lsn,
+        acks,
+    })
+}
 
-        // Durability boundary: the resolved removal set (stable ids after
-        // retention expiry) and the chosen method — both timing-dependent
-        // and hence recorded rather than re-derived — go to the WAL now;
-        // the pass fsync follows in phase 2, before anything applies or
-        // acks.
-        let mut wal_lsn = None;
-        if let Some(durability) = &inner.durability {
-            let mut record = WalRecord {
-                lsn: 0,
-                prev_lsn,
-                session: batch.session.clone(),
-                method,
-                removed_ids: rows.iter().map(|&ix| spec.ids[ix]).collect(),
-                keep_last: batch.keep_last,
-                added: added.clone(),
-            };
-            *last_seq = Some(durability.wal.append(&mut record)?);
-            wal_lsn = Some(record.lsn);
-            prev_lsn = wal_lsn;
+/// Phase 3 for one batch, after the pass fsync made it durable: stage the
+/// delta on the committed session, publish the staged model to predicts,
+/// ack, finish the successor, commit. A crash between the ack and the
+/// commit recovers the acked batch from its WAL record.
+fn commit_batch(inner: &Inner, plan: BatchPlan) {
+    let BatchPlan {
+        batch,
+        slot,
+        cost,
+        step,
+    } = plan;
+    match step {
+        Step::Noop { epoch, acks } => {
+            for (request, (requested, _)) in batch.requests.iter().zip(acks) {
+                let _ = request.reply.send(Ok(BatchReply {
+                    requested,
+                    applied: 0,
+                    stale: requested,
+                    added: 0,
+                    expired: 0,
+                    batch_rows: 0,
+                    method: None,
+                    seconds: 0.0,
+                    epoch,
+                }));
+            }
         }
-
-        spec.advance(&rows, num_added, method == Method::Retrain);
-        plan.steps.push(ChainStep::Apply {
+        Step::Apply {
             rows,
             added,
             method,
             expired,
             wal_lsn,
             acks,
-        });
-    }
-    Ok(())
-}
-
-/// Phase 3 for one chain, after the pass fsync made every step durable.
-/// Per step, in order: stage the delta on the committed session, publish
-/// the staged model to predicts, ack, finish the successor, commit. A
-/// crash between the ack and the commit recovers the acked batch from
-/// its WAL record.
-fn commit_chain(inner: &Inner, plan: ChainPlan) {
-    let ChainPlan {
-        batches,
-        slot,
-        cost,
-        steps,
-    } = plan;
-    let session_name = &batches[0].session;
-    let mut chain_failed: Option<String> = None;
-    for (step, batch) in steps.into_iter().zip(&batches) {
-        if let Some(message) = &chain_failed {
-            // This batch's resolution assumed the failed batch applied —
-            // even a "nothing to do" resolution — so it fails with it.
-            fail_batch(batch, message);
-            continue;
-        }
-        match step {
-            ChainStep::Noop { epoch, acks } => {
-                for (request, (requested, _)) in batch.requests.iter().zip(acks) {
-                    let _ = request.reply.send(Ok(BatchReply {
-                        requested,
-                        applied: 0,
-                        stale: requested,
-                        added: 0,
-                        expired: 0,
-                        batch_rows: 0,
-                        method: None,
-                        seconds: 0.0,
-                        epoch,
-                    }));
-                }
-            }
-            ChainStep::Apply {
-                rows,
-                added,
-                method,
-                expired,
-                wal_lsn,
-                acks,
-            } => {
-                // The live pre-batch state: this task is the slot's only
-                // writer.
-                let session = slot.snapshot().0;
-                let num_added = batch.num_added();
-                // The one engine call the batch reduces to: the union
-                // delta, additions concatenated in FIFO admission order.
-                let delta = Delta {
-                    removed: rows,
-                    added: added
-                        .map(|(width, features, labels)| {
-                            dense_added(session.task(), width, features, labels)
-                        })
-                        .map(DeltaRows::Dense),
-                };
-                // Stage: the update, the touched caches and the appended
-                // steps. Every error the batch can hit surfaces here,
-                // before anything is published.
-                let staged = match run_pinned(&inner.cfg, || session.stage_delta(method, &delta)) {
-                    Ok(staged) => staged,
-                    Err(err) => {
-                        // The pre-batch state stays committed; everything
-                        // downstream resolved against a state that will
-                        // now never exist.
-                        let message = format!(
+        } => {
+            // The live pre-batch state: this task is the slot's only
+            // writer.
+            let session = slot.snapshot().0;
+            let num_added = batch.num_added();
+            // The one engine call the batch reduces to: the union delta,
+            // additions concatenated in FIFO admission order.
+            let delta = Delta {
+                removed: rows,
+                added: added
+                    .map(|(width, features, labels)| {
+                        dense_added(session.task(), width, features, labels)
+                    })
+                    .map(DeltaRows::Dense),
+            };
+            // Stage: the update, the touched caches and the appended
+            // steps. Every error the batch can hit surfaces here, before
+            // anything is published.
+            let staged = match run_pinned(&inner.cfg, || session.stage_delta(method, &delta)) {
+                Ok(staged) => staged,
+                Err(err) => {
+                    // The pre-batch state stays committed.
+                    fail_batch(
+                        &batch,
+                        &format!(
                             "{method:?} removing {} and adding {num_added} rows: {err}",
                             delta.removed.len()
-                        );
-                        fail_batch(batch, &message);
-                        chain_failed =
-                            Some(format!("a preceding batch of the chain failed: {message}"));
-                        continue;
-                    }
-                };
-                let seconds = staged.outcome().duration.as_secs_f64();
-                // Publish, then ack: the batch is durable (the pass
-                // fsync) and its model final, so predicts serve it from
-                // here on, at the epoch its commit will reach.
-                let pending = slot.publish(staged.outcome().model.clone());
-                let epoch = pending.epoch();
-                fail_point("before-ack");
-                for (request, (requested, applied)) in batch.requests.iter().zip(acks) {
-                    let _ = request.reply.send(Ok(BatchReply {
-                        requested,
-                        applied,
-                        stale: requested - applied,
-                        added: request.num_added(),
-                        expired,
-                        batch_rows: delta.removed.len(),
-                        method: Some(method),
-                        seconds,
-                        epoch,
-                    }));
-                }
-                fail_point("after-ack");
-                // Finish: the successor session only the next batch
-                // needs — carried caches, capture refresh, dataset — built
-                // after the ack. It cannot fail.
-                let chained = run_pinned(&inner.cfg, || staged.finish());
-                // A retrain's successor carries the measured offline
-                // phase of its refit (training + provenance capture) —
-                // feed it to the flat retrain term so scheduling tracks
-                // the real eigensolver.
-                let refit = method == Method::Retrain;
-                let refit_offline =
-                    refit.then(|| chained.session.capture_snapshot().training_seconds);
-                fail_point("apply-before-commit");
-                pending.commit(Arc::new(chained.session), &delta.removed, num_added, refit);
-                // Periodic snapshot: a copy-on-write handoff of the
-                // committed state to the snapshot thread — the Arc-swap
-                // commit already produced an immutable post-batch model,
-                // so the applier only enqueues and moves on. Best-effort:
-                // the WAL already makes the batch durable, a failed
-                // snapshot only lengthens the next redo.
-                if let (Some(durability), Some(lsn)) = (&inner.durability, wal_lsn) {
-                    if epoch.is_multiple_of(durability.snapshot_every) {
-                        fail_point("snapshot-handoff");
-                        let job = SnapshotJob {
-                            session: session_name.clone(),
-                            covered_lsn: lsn + 1,
-                            state: slot.state(),
-                            reply: None,
-                        };
-                        if let Err(err) = durability.snapshots.enqueue(job) {
-                            eprintln!(
-                                "scheduling snapshot of {session_name} at epoch {epoch}: {err}"
-                            );
-                        }
-                    }
-                }
-                if let Some(model) = &cost {
-                    let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
-                    model.observe_delta(
-                        method,
-                        delta.removed.len(),
-                        num_added,
-                        session.num_samples(),
-                        seconds,
+                        ),
                     );
-                    if let Some(offline) = refit_offline {
-                        model.observe_offline(offline);
+                    return;
+                }
+            };
+            let seconds = staged.outcome().duration.as_secs_f64();
+            // Publish, then ack: the batch is durable (the pass fsync) and
+            // its model final, so predicts serve it from here on, at the
+            // epoch its commit will reach.
+            let pending = slot.publish(staged.outcome().model.clone());
+            let epoch = pending.epoch();
+            fail_point("before-ack");
+            for (request, (requested, applied)) in batch.requests.iter().zip(acks) {
+                let _ = request.reply.send(Ok(BatchReply {
+                    requested,
+                    applied,
+                    stale: requested - applied,
+                    added: request.num_added(),
+                    expired,
+                    batch_rows: delta.removed.len(),
+                    method: Some(method),
+                    seconds,
+                    epoch,
+                }));
+            }
+            fail_point("after-ack");
+            // Finish: the successor session only the next batch needs —
+            // carried caches, capture refresh, dataset — built after the
+            // ack. It cannot fail.
+            let successor = run_pinned(&inner.cfg, || staged.finish());
+            // A retrain's successor carries the measured offline phase of
+            // its refit (training + provenance capture) — feed it to the
+            // flat retrain term so scheduling tracks the real eigensolver.
+            let refit = method == Method::Retrain;
+            let refit_offline =
+                refit.then(|| successor.session.capture_snapshot().training_seconds);
+            fail_point("apply-before-commit");
+            pending.commit(
+                Arc::new(successor.session),
+                &delta.removed,
+                num_added,
+                refit,
+            );
+            // Periodic snapshot: a copy-on-write handoff of the committed
+            // state to the snapshot thread — the Arc-swap commit already
+            // produced an immutable post-batch model, so the applier only
+            // enqueues and moves on. Best-effort: the WAL already makes
+            // the batch durable, a failed snapshot only lengthens the next
+            // redo.
+            if let (Some(durability), Some(lsn)) = (&inner.durability, wal_lsn) {
+                if epoch.is_multiple_of(durability.snapshot_every) {
+                    fail_point("snapshot-handoff");
+                    let session_name = &batch.session;
+                    let job = SnapshotJob {
+                        session: session_name.clone(),
+                        covered_lsn: lsn + 1,
+                        state: slot.state(),
+                        reply: None,
+                    };
+                    if let Err(err) = durability.snapshots.enqueue(job) {
+                        eprintln!("scheduling snapshot of {session_name} at epoch {epoch}: {err}");
                     }
+                }
+            }
+            if let Some(model) = &cost {
+                let mut model = model.lock().unwrap_or_else(PoisonError::into_inner);
+                model.observe_delta(
+                    method,
+                    delta.removed.len(),
+                    num_added,
+                    session.num_samples(),
+                    seconds,
+                );
+                if let Some(offline) = refit_offline {
+                    model.observe_offline(offline);
                 }
             }
         }
@@ -1394,17 +1353,15 @@ mod tests {
         dir
     }
 
-    /// A durable server whose batches form on flush only (coalescing on)
-    /// or one per request (off), snapshotting only at registration so a
-    /// restart redoes every record.
-    fn durable(dir: &std::path::Path, coalesce: bool) -> ServerConfig {
+    /// A durable server whose batches form on flush only, snapshotting
+    /// only at registration so a restart redoes every record.
+    fn durable(dir: &std::path::Path) -> ServerConfig {
         let mut durability = DurabilityConfig::new(dir);
         durability.snapshot_every = u64::MAX;
         ServerConfig {
             planner: PlannerConfig {
                 window: Duration::from_secs(3600),
                 max_batch: 1 << 20,
-                coalesce,
             },
             scheduler: SchedulerConfig {
                 retrain_drift: 0.15,
@@ -1415,7 +1372,7 @@ mod tests {
         }
     }
 
-    /// The slot bookkeeping the three transition paths must agree on.
+    /// The slot bookkeeping the two transition paths must agree on.
     fn bookkeeping(state: &SlotState) -> (Vec<u64>, u64, u64, usize, usize) {
         (
             state.ids.clone(),
@@ -1474,27 +1431,25 @@ mod tests {
             .collect()
     }
 
-    /// Live commits, speculative chains and recovery redo are three
-    /// routes through one transition; over seeded random streams they
-    /// must land on the same ids, `next_id`, epoch and drift.
+    /// Live commits and recovery redo are two routes through one
+    /// transition; over seeded random streams they must land on the same
+    /// ids, `next_id`, epoch and drift.
     #[test]
     fn transition_paths_agree_over_seeded_streams() {
         const STREAMS: u64 = 200;
         let dir = tempdir("transition");
-        let server = Server::start(durable(&dir, false)).unwrap();
-        let mut bases = Vec::new();
+        let server = Server::start(durable(&dir)).unwrap();
         let mut streams = Vec::new();
         for seed in 0..STREAMS {
             let mut rng = Rng64::from_seed(seed);
             let n = 18 + rng.index(12);
             let name = format!("s{seed:03}");
             server.register_session(&name, fixture(n, seed)).unwrap();
-            bases.push(server.inner.registry.get(&name).unwrap().state());
             streams.push(stream(&mut rng, n));
         }
 
-        // Live: uncoalesced, so the applier groups each backlog into
-        // chains of whatever length timing produces.
+        // Live: every request is flushed as it is admitted, so the applier
+        // folds each backlog into batches of whatever size timing produces.
         let mut tickets = Vec::new();
         for (seed, ops) in streams.iter().enumerate() {
             let name = format!("s{seed:03}");
@@ -1504,6 +1459,7 @@ mod tests {
                     Op::Add(added) => server.add(&name, added.clone()),
                     Op::Tick(added, keep) => server.tick(&name, added.clone(), *keep),
                 });
+                server.flush(&name).unwrap();
             }
         }
         for ticket in tickets {
@@ -1522,47 +1478,10 @@ mod tests {
         server.shutdown();
         drop(server);
 
-        // Speculation: each whole stream as one chain on a scratch clone,
-        // taking every method from the record the live batch logged.
         let records = scan_wal(&dir.join(WAL_FILE)).unwrap().records;
-        let mut methods = std::collections::BTreeSet::new();
-        for (seed, (ops, base)) in streams.into_iter().zip(bases).enumerate() {
-            let name = format!("s{seed:03}");
-            let mut logged = records.iter().filter(|r| r.session == name);
-            let mut planner = PlannerState::default();
-            for op in ops {
-                let _ = match op {
-                    Op::Delete(ids) => planner.enqueue_change(&name, ids, None, None),
-                    Op::Add(added) => planner.enqueue_change(&name, Vec::new(), Some(added), None),
-                    Op::Tick(added, keep) => {
-                        planner.enqueue_change(&name, Vec::new(), added, Some(keep))
-                    }
-                };
-            }
-            let batches = planner.take_ready(Instant::now(), &durable(&dir, false).planner);
-            let mut spec = base;
-            for batch in &batches {
-                let resolution = spec.resolve(batch);
-                if resolution.rows.is_empty() && batch.num_added() == 0 {
-                    continue;
-                }
-                let record = logged.next().expect("a live record per effective batch");
-                let removed: Vec<u64> = resolution.rows.iter().map(|&ix| spec.ids[ix]).collect();
-                assert_eq!(record.removed_ids, removed, "{name}: resolution diverged");
-                methods.insert(record.method);
-                spec.advance(
-                    &resolution.rows,
-                    batch.num_added(),
-                    record.method == Method::Retrain,
-                );
-            }
-            assert!(logged.next().is_none(), "{name}: live logged more batches");
-            assert_eq!(
-                bookkeeping(&spec),
-                bookkeeping(&live[seed]),
-                "{name}: speculation"
-            );
-        }
+        assert!(records.iter().all(|r| r.prev_lsn.is_none()));
+        let methods: std::collections::BTreeSet<Method> =
+            records.iter().map(|r| r.method).collect();
         assert!(
             methods.contains(&Method::Retrain),
             "no stream refit: {methods:?}"
@@ -1570,7 +1489,7 @@ mod tests {
         assert!(methods.len() > 1, "only one method exercised: {methods:?}");
 
         // Redo: a restart replays every record onto the baselines.
-        let restarted = Server::start(durable(&dir, false)).unwrap();
+        let restarted = Server::start(durable(&dir)).unwrap();
         let report = restarted.recovery_report().unwrap();
         assert!(report.sessions.iter().all(|s| s.skipped.is_empty()));
         for (seed, live) in live.iter().enumerate() {
@@ -1632,7 +1551,7 @@ mod tests {
     fn one_applier_pass_fsyncs_once_across_sessions() {
         const SESSIONS: u64 = 4;
         let dir = tempdir("cross-session");
-        let server = Server::start(durable(&dir, true)).unwrap();
+        let server = Server::start(durable(&dir)).unwrap();
         let names: Vec<String> = (0..SESSIONS).map(|i| format!("x{i}")).collect();
         for (seed, name) in (0..).zip(&names) {
             server.register_session(name, fixture(24, seed)).unwrap();

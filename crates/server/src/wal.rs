@@ -82,10 +82,11 @@
 //! measured seconds), so redo must not re-derive them. Everything downstream of
 //! the record — id translation, `apply_delta`, survivor computation,
 //! fresh-id assignment — is deterministic, which is what makes replay
-//! bitwise-exact. A record resolved speculatively against the outcome of
-//! an earlier, not-yet-applied record in the same group carries that
-//! record's LSN as `prev_lsn`, so recovery can skip the dependent chain
-//! if the antecedent's redo fails.
+//! bitwise-exact. The server resolves every record against committed
+//! state and writes no `prev_lsn`; the field stays in the format because
+//! logs from earlier versions, whose applier chained same-session
+//! batches, carry it, and recovery skips a record whose antecedent's
+//! redo failed.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -113,11 +114,12 @@ const KIND_CHECKPOINT: u8 = 1;
 pub struct WalRecord {
     /// Log sequence number, strictly increasing across the file.
     pub lsn: u64,
-    /// LSN of the record this one was speculatively resolved against
-    /// (same-session, same commit group, not yet applied at resolve
-    /// time). Recovery skips this record if the antecedent's redo was
-    /// skipped — the resolution would no longer be meaningful. `None`
-    /// when the record was resolved against committed state.
+    /// LSN of the record this one was resolved against, when that record
+    /// was not yet applied at resolve time. The server writes `None`: it
+    /// resolves every batch against committed state. Logs from earlier
+    /// versions, which chained same-session batches within one pass, can
+    /// hold `Some`; recovery skips such a record if the antecedent's redo
+    /// was skipped — the resolution would no longer be meaningful.
     pub prev_lsn: Option<u64>,
     /// The session the batch targeted.
     pub session: String,
@@ -549,8 +551,8 @@ impl Default for GroupCommitConfig {
 }
 
 /// Cumulative durability counters, exposed through server stats and the
-/// loadgen JSON so group-commit amortisation is priced directly (mean
-/// group size = `frames / fsyncs`).
+/// wire `DurabilityStats` response so group-commit amortisation is priced
+/// directly (mean group size = `frames / fsyncs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// WAL fsyncs issued (checkpoint rewrites excluded).

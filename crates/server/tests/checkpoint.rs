@@ -2,12 +2,13 @@
 //!
 //! Three contracts on top of the crash suite in `recovery.rs`:
 //!
-//! 1. **Chained speculative resolution is invisible**: a durable server
-//!    applying a burst of uncoalesced batches as group-committed chains
-//!    lands bitwise on the state a non-durable server reaches applying
-//!    the same batches one by one — and a restart reproduces it again.
-//! 2. **Group commit amortizes fsyncs**: a burst of single-row deletes
-//!    shares fsyncs across WAL frames instead of paying one per batch.
+//! 1. **The durable commit path is invisible**: a durable server applying
+//!    a burst of adds, a retention tick and stale deletes one batch at a
+//!    time lands bitwise on the state a non-durable server reaches
+//!    applying the same batches — and a restart reproduces it again.
+//! 2. **Group commit amortizes fsyncs**: one applier pass over a burst
+//!    spread across sessions shares one fsync across their WAL frames
+//!    instead of paying one per batch.
 //! 3. **Checkpoints bound the log**: with aggressive compaction the WAL
 //!    file plateaus while the cumulative appended byte count keeps
 //!    growing — the log never outlives its snapshot coverage.
@@ -49,14 +50,13 @@ fn fixture() -> Session {
         .expect("linear fixture")
 }
 
-/// Uncoalesced planner + pinned method: every request is its own batch
-/// (so bursts form chains) and the scheduler cannot diverge on timing.
-fn config(coalesce: bool, durability: Option<DurabilityConfig>) -> ServerConfig {
+/// Batches form on flush only (an hour-long window) and the method is
+/// pinned, so neither batch boundaries nor the scheduler depend on timing.
+fn config(durability: Option<DurabilityConfig>) -> ServerConfig {
     ServerConfig {
         planner: PlannerConfig {
             window: Duration::from_secs(3600),
             max_batch: 1 << 20,
-            coalesce,
         },
         scheduler: SchedulerConfig {
             force_method: Some(Method::Priu),
@@ -107,57 +107,59 @@ fn added(rows: usize, salt: usize) -> AddedRows {
 }
 
 /// The burst script both servers in the bitwise test replay: single-row
-/// deletes, appended rows, a retention tick whose expiry must be
-/// speculated mid-chain, and deliberately stale deletes that become
-/// no-op links of a chain. Submitted without waiting, so on the durable
-/// server the backlog forms chains of speculatively resolved batches.
-fn submit_burst(server: &Server) -> Vec<DeleteTicket> {
-    let mut tickets = Vec::new();
+/// deletes, appended rows, a retention tick whose expiry bites, and
+/// deliberately stale deletes that become no-op batches. Every request is
+/// flushed and waited for on its own, so each one is one batch.
+fn replay_burst(server: &Server) {
+    let run = |ticket: DeleteTicket| {
+        server.flush(NAME).expect("flush");
+        ticket.wait().expect("ack")
+    };
     for id in 0..40u64 {
-        tickets.push(server.delete(NAME, &[id]).expect("delete"));
+        run(server.delete(NAME, &[id]).expect("delete"));
     }
-    tickets.push(server.add(NAME, added(3, 1)).expect("add"));
+    run(server.add(NAME, added(3, 1)).expect("add"));
     for id in 40..80u64 {
-        tickets.push(server.delete(NAME, &[id]).expect("delete"));
+        run(server.delete(NAME, &[id]).expect("delete"));
     }
-    // 123 live rows + 2 appended, keep 100: expires the oldest ~25.
-    tickets.push(server.tick(NAME, Some(added(2, 2)), 100).expect("tick"));
-    // The tick's expiry retired the oldest surviving ids — these are
-    // stale by the time their chain link resolves.
+    // 123 live rows + 2 appended, keep 100: expires the oldest 25.
+    let tick = run(server.tick(NAME, Some(added(2, 2)), 100).expect("tick"));
+    assert_eq!(tick.expired, 25);
+    // The tick's expiry retired the oldest surviving ids: these deletes
+    // are stale, so their batches change nothing and bump no epoch.
     for id in 80..85u64 {
-        tickets.push(server.delete(NAME, &[id]).expect("stale delete"));
+        let reply = run(server.delete(NAME, &[id]).expect("stale delete"));
+        assert_eq!((reply.stale, reply.method), (1, None));
     }
     for id in 110..130u64 {
-        tickets.push(server.delete(NAME, &[id]).expect("delete"));
+        run(server.delete(NAME, &[id]).expect("delete"));
     }
-    tickets
 }
 
-/// Chains must be invisible: the group-committed durable run, the
-/// batch-at-a-time reference run, and a post-restart recovery all land
-/// on identical model bits and epochs.
+/// The durable commit path is invisible: the WAL-backed run, the
+/// in-memory reference run, and a post-restart recovery all land on
+/// identical model bits and epochs.
 #[test]
 fn chained_group_commit_matches_sequential_application_bitwise() {
-    let reference = Server::start(config(false, None)).expect("reference server");
+    let reference = Server::start(config(None)).expect("reference server");
     reference
         .register_session(NAME, fixture())
         .expect("register");
-    for ticket in submit_burst(&reference) {
-        ticket.wait().expect("reference ack");
-    }
+    replay_burst(&reference);
     let (want_bits, want_epoch) = model_bits(&reference);
+    assert_eq!(
+        want_epoch, 102,
+        "one epoch per batch that changed the model"
+    );
     reference.shutdown();
 
     let dir = tempdir("bitwise");
-    let durable =
-        Server::start(config(false, Some(DurabilityConfig::new(&dir)))).expect("durable server");
+    let durable = Server::start(config(Some(DurabilityConfig::new(&dir)))).expect("durable server");
     durable.register_session(NAME, fixture()).expect("register");
-    for ticket in submit_burst(&durable) {
-        ticket.wait().expect("durable ack");
-    }
+    replay_burst(&durable);
     let (bits, epoch) = model_bits(&durable);
-    assert_eq!(epoch, want_epoch, "chains changed the commit count");
-    assert_eq!(bits, want_bits, "group-committed chains diverged bitwise");
+    assert_eq!(epoch, want_epoch, "durability changed the commit count");
+    assert_eq!(bits, want_bits, "the durable run diverged bitwise");
     let before = durable
         .model_snapshot(NAME)
         .expect("session")
@@ -165,11 +167,10 @@ fn chained_group_commit_matches_sequential_application_bitwise() {
         .to_snapshot_bytes();
     durable.shutdown();
 
-    let recovered =
-        Server::start(config(false, Some(DurabilityConfig::new(&dir)))).expect("recovery");
+    let recovered = Server::start(config(Some(DurabilityConfig::new(&dir)))).expect("recovery");
     let (bits, epoch) = model_bits(&recovered);
     assert_eq!(epoch, want_epoch);
-    assert_eq!(bits, want_bits, "recovery of a chained log diverged");
+    assert_eq!(bits, want_bits, "recovery diverged");
     assert_eq!(
         recovered
             .model_snapshot(NAME)
@@ -183,23 +184,31 @@ fn chained_group_commit_matches_sequential_application_bitwise() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Group commit's whole point: a burst of durable single-row deletes
-/// shares fsyncs, so the fsync count stays strictly below the frame
-/// count and at least one fsync covered a multi-frame group.
+/// Group commit's whole point: a burst of durable deletes over several
+/// sessions, flushed under one planner lock (the shutdown drain), goes
+/// out in one applier pass whose frames share one fsync — so the fsync
+/// count stays strictly below the frame count and a group held more than
+/// one frame.
 #[test]
 fn group_commit_amortizes_fsyncs_across_a_burst() {
+    const SESSIONS: u64 = 6;
     let dir = tempdir("amortize");
-    let server =
-        Server::start(config(false, Some(DurabilityConfig::new(&dir)))).expect("durable server");
-    server.register_session(NAME, fixture()).expect("register");
-    let tickets: Vec<DeleteTicket> = (0..150u64)
-        .map(|id| server.delete(NAME, &[id]).expect("delete"))
+    let server = Server::start(config(Some(DurabilityConfig::new(&dir)))).expect("durable server");
+    let names: Vec<String> = (0..SESSIONS).map(|s| format!("{NAME}{s}")).collect();
+    for name in &names {
+        server.register_session(name, fixture()).expect("register");
+    }
+    // Nothing is ready before the drain: the window is an hour long.
+    let tickets: Vec<DeleteTicket> = (0..25u64)
+        .flat_map(|id| names.iter().map(move |name| (name, id)))
+        .map(|(name, id)| server.delete(name, &[id]).expect("delete"))
         .collect();
+    server.shutdown();
     for ticket in tickets {
-        ticket.wait().expect("ack");
+        assert_eq!(ticket.wait().expect("ack").applied, 1);
     }
     let stats = server.durability_stats().expect("durable server has stats");
-    assert_eq!(stats.frames, 150, "one WAL frame per applied batch");
+    assert_eq!(stats.frames, SESSIONS, "one WAL frame per session's batch");
     assert!(
         stats.fsyncs < stats.frames,
         "no fsync was shared: {} fsyncs for {} frames",
@@ -210,7 +219,6 @@ fn group_commit_amortizes_fsyncs_across_a_burst() {
         stats.max_group >= 2,
         "no group ever held more than one frame"
     );
-    server.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -223,7 +231,7 @@ fn checkpoints_bound_the_wal_across_a_long_stream() {
     let mut durability = DurabilityConfig::new(&dir);
     durability.snapshot_every = 2;
     durability.checkpoint_bytes = 1; // compaction after every snapshot
-    let server = Server::start(config(true, Some(durability.clone()))).expect("durable server");
+    let server = Server::start(config(Some(durability.clone()))).expect("durable server");
     server.register_session(NAME, fixture()).expect("register");
 
     let wal_path = dir.join(WAL_FILE);
@@ -264,7 +272,7 @@ fn checkpoints_bound_the_wal_across_a_long_stream() {
     server.shutdown();
 
     // A checkpoint-headed log + snapshots recover bitwise like any other.
-    let recovered = Server::start(config(true, Some(durability))).expect("recovery");
+    let recovered = Server::start(config(Some(durability))).expect("recovery");
     let (bits, epoch) = model_bits(&recovered);
     assert_eq!(epoch, want_epoch);
     assert_eq!(bits, want_bits, "recovery from a compacted log diverged");

@@ -38,13 +38,14 @@ use std::process::{Command, Stdio};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use priu_core::{DeletionEngine, Method, Session, SessionBuilder, TrainerConfig};
+use priu_core::{DeletionEngine, Delta, Method, Session, SessionBuilder, TrainerConfig};
 use priu_data::catalog::Hyperparameters;
 use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_server::{
-    scan_wal, AddedRows, DeleteTicket, DurabilityConfig, PlannerConfig, SchedulerConfig, Server,
-    ServerConfig, ServerError, FAILPOINT_ENV, WAL_FILE,
+    scan_wal, AddedRows, DeleteTicket, DurabilityConfig, GroupCommitConfig, GroupWal,
+    PlannerConfig, SchedulerConfig, Server, ServerConfig, ServerError, WalRecord, FAILPOINT_ENV,
+    WAL_FILE,
 };
 
 const N: usize = 200;
@@ -119,7 +120,6 @@ fn config(durability: Option<DurabilityConfig>) -> ServerConfig {
             // Batches form on flush only, so wave boundaries are exact.
             window: Duration::from_secs(3600),
             max_batch: 1 << 20,
-            coalesce: true,
         },
         scheduler: SchedulerConfig {
             force_method: Some(Method::Priu),
@@ -872,6 +872,77 @@ fn non_finite_adds_are_rejected_before_the_wal() {
 
     let restarted = Server::start(durable(&dir, 2)).expect("restart");
     assert_eq!(model_bits(&restarted, spec.name), (bits, epoch));
+    restarted.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Logs from earlier versions can hold same-session chains, whose later
+/// records were resolved against an earlier record of the same pass and
+/// name it in `prev_lsn`. A hand-written log holds a record whose redo
+/// fails (an id the session never had), a record chained onto it, and an
+/// unchained record: redo skips the first for its id, skips the second
+/// for the chain alone, and redoes the third onto the baseline.
+#[test]
+fn redo_skips_records_chained_onto_a_skipped_record() {
+    let dir = tempdir("chained-skip");
+    let spec = &SPECS[0];
+    let server = Server::start(durable(&dir, 1_000_000)).expect("durable server");
+    server
+        .register_session(spec.name, fixture(spec))
+        .expect("register");
+    server.shutdown();
+
+    let (log, _) =
+        GroupWal::open(&dir.join(WAL_FILE), GroupCommitConfig::default()).expect("open WAL");
+    let record = |prev_lsn, removed_ids: Vec<u64>| WalRecord {
+        lsn: 0,
+        prev_lsn,
+        session: spec.name.to_string(),
+        method: Method::Priu,
+        removed_ids,
+        keep_last: None,
+        added: None,
+    };
+    let mut failing = record(None, vec![N as u64 + 50]);
+    log.append(&mut failing).expect("append");
+    // Valid on its own: only the chain makes redo skip it.
+    let mut chained = record(Some(failing.lsn), vec![1]);
+    log.append(&mut chained).expect("append");
+    let mut unchained = record(None, vec![2, 3]);
+    log.append_sync(&mut unchained).expect("append");
+    drop(log);
+
+    let restarted = Server::start(durable(&dir, 1_000_000)).expect("restart");
+    let report = restarted.recovery_report().expect("report");
+    let session = &report.sessions[0];
+    assert_eq!(session.redone, 1, "only the unchained record is redone");
+    assert_eq!(session.skipped.len(), 2);
+    assert_eq!(session.skipped[0].0, failing.lsn);
+    assert!(
+        session.skipped[0].1.contains("not in the recovered id map"),
+        "{:?}",
+        session.skipped[0]
+    );
+    assert_eq!(
+        session.skipped[1],
+        (
+            chained.lsn,
+            format!("chained onto skipped record {}", failing.lsn)
+        )
+    );
+    assert_eq!(session.final_epoch, 1);
+
+    let expected = fixture(spec)
+        .apply_delta(Method::Priu, &Delta::removal(&[2, 3]))
+        .expect("direct apply")
+        .session;
+    let want: Vec<u64> = expected
+        .model()
+        .flatten()
+        .iter()
+        .map(|w| w.to_bits())
+        .collect();
+    assert_eq!(model_bits(&restarted, spec.name), (want, 1));
     restarted.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -106,19 +106,13 @@ fn pinned_apply(
     .session
 }
 
-fn server_config(
-    threads: usize,
-    level: SimdLevel,
-    coalesce: bool,
-    force: Option<Method>,
-) -> ServerConfig {
+fn server_config(threads: usize, level: SimdLevel, force: Option<Method>) -> ServerConfig {
     ServerConfig {
         planner: PlannerConfig {
             // Batches form on flush only: the huge window keeps wall-clock
             // timing out of the test's batch boundaries.
             window: std::time::Duration::from_secs(3600),
             max_batch: 1 << 20,
-            coalesce,
         },
         scheduler: SchedulerConfig {
             force_method: force,
@@ -138,7 +132,7 @@ fn coalesced_batch_is_bitwise_one_union_apply_across_the_grid() {
             ("lin", linear_session(0xA1), linear_session(0xA1)),
             ("log", logistic_session(0xB2), logistic_session(0xB2)),
         ] {
-            let server = Server::start(server_config(threads, level, true, Some(Method::Priu)))
+            let server = Server::start(server_config(threads, level, Some(Method::Priu)))
                 .expect("start server");
             server.register_session(name, session).unwrap();
 
@@ -272,7 +266,7 @@ fn coalesced_mixed_batch_is_bitwise_one_union_apply_delta_across_the_grid() {
             ("log", logistic_session(0xB8), logistic_session(0xB8), true),
         ] {
             let width = session.model().num_features();
-            let server = Server::start(server_config(threads, level, true, Some(Method::Priu)))
+            let server = Server::start(server_config(threads, level, Some(Method::Priu)))
                 .expect("start server");
             server.register_session(name, session).unwrap();
 
@@ -387,9 +381,9 @@ fn randomized_interleaved_stream_tracks_retrain_from_scratch() {
     // stream, so any divergence is the update arithmetic itself.
     let (threads, level) = (1, simd::available_levels()[0]);
     for (name, binary, seed) in [("lin", false, 0xC301u64), ("log", true, 0xC302u64)] {
-        let incremental = Server::start(server_config(threads, level, true, Some(Method::Priu)))
-            .expect("start server");
-        let refit = Server::start(server_config(threads, level, true, Some(Method::Retrain)))
+        let incremental =
+            Server::start(server_config(threads, level, Some(Method::Priu))).expect("start server");
+        let refit = Server::start(server_config(threads, level, Some(Method::Retrain)))
             .expect("start server");
         incremental
             .register_session(
@@ -466,34 +460,39 @@ fn randomized_interleaved_stream_tracks_retrain_from_scratch() {
 #[test]
 fn coalesced_and_sequential_deletion_agree_numerically() {
     let (threads, level) = (1, simd::available_levels()[0]);
-    let batched = Server::start(server_config(
-        threads,
-        level,
-        true,
-        Some(Method::ClosedForm),
-    ))
-    .expect("start server");
-    let one_by_one = Server::start(server_config(
-        threads,
-        level,
-        false,
-        Some(Method::ClosedForm),
-    ))
-    .expect("start server");
+    let config = || server_config(threads, level, Some(Method::ClosedForm));
+    let batched = Server::start(config()).expect("start server");
+    let one_by_one = Server::start(config()).expect("start server");
     batched.register_session("s", linear_session(0xC3)).unwrap();
     one_by_one
         .register_session("s", linear_session(0xC3))
         .unwrap();
 
+    // Per wave, the batched server folds one single-id request per id
+    // into one batch; the sequential one flushes and waits for each
+    // request on its own.
     let waves: [&[u64]; 3] = [&[5, 17], &[29], &[17, 88, 120]];
     for ids in waves {
-        let tb = batched.delete("s", ids).unwrap();
-        let ts = one_by_one.delete("s", ids).unwrap();
+        let tickets: Vec<_> = ids
+            .iter()
+            .map(|&id| batched.delete("s", &[id]).unwrap())
+            .collect();
         batched.flush("s").unwrap();
-        one_by_one.flush("s").unwrap();
-        tb.wait().unwrap();
-        ts.wait().unwrap();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        for &id in ids {
+            let ticket = one_by_one.delete("s", &[id]).unwrap();
+            one_by_one.flush("s").unwrap();
+            ticket.wait().unwrap();
+        }
     }
+    assert_eq!(batched.stats("s").unwrap().epoch, 3, "one batch per wave");
+    assert_eq!(
+        one_by_one.stats("s").unwrap().epoch,
+        5,
+        "one batch per live id"
+    );
     let (mb, _) = batched.model_snapshot("s").unwrap();
     let (ms, _) = one_by_one.model_snapshot("s").unwrap();
     assert_eq!(mb.num_samples(), ms.num_samples());
@@ -588,8 +587,7 @@ fn predictions_race_deletion_batches_without_tearing() {
         }
 
         let server = Arc::new(
-            Server::start(server_config(threads, level, true, Some(Method::Priu)))
-                .expect("start server"),
+            Server::start(server_config(threads, level, Some(Method::Priu))).expect("start server"),
         );
         for (name, session) in sessions {
             server.register_session(&name, session).unwrap();
