@@ -21,10 +21,8 @@
 //! The `decomp_grid` group covers the blocked decomposition layer driving
 //! PrIU-opt's offline phase and the closed-form baseline: `scalar` is the
 //! pre-blocking textbook implementation (left-looking Cholesky, sequential
-//! row-cyclic Jacobi, Householder QR with a full n×n Q accumulation);
-//! `blocked1` / `blocked4` are the production blocked kernels pinned to one
-//! and four threads, and the `qr_per_reflector*` rows keep the pre-WY QR
-//! driver visible next to the compact-WY `qr_blocked*` rows.
+//! row-cyclic Jacobi); `blocked1` / `blocked4` are the production blocked
+//! kernels pinned to one and four threads.
 //!
 //! The `eigen_grid` group is the offline-phase shoot-out: the scalar
 //! row-cyclic Jacobi solver vs the two-stage tridiag + QL pipeline at
@@ -45,8 +43,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::decomposition::{
-    cholesky_factor_into, qr_factor_into, qr_factor_per_reflector_into, EigenScratch, GramFactor,
-    QrScratch, TruncationMethod,
+    cholesky_factor_into, EigenScratch, GramFactor, TruncationMethod,
 };
 use priu_linalg::par;
 use priu_linalg::sparse::CooBuilder;
@@ -214,62 +211,6 @@ mod scalar {
         }
         ((0..n).map(|i| m[(i, i)]).collect(), q)
     }
-
-    /// Textbook Householder QR accumulating a full n×n Q (the pre-blocking
-    /// QR path), returning the thin factors.
-    pub fn qr(a: &Matrix) -> (Matrix, Matrix) {
-        let (n, m) = a.shape();
-        let mut r_full = a.clone();
-        let mut q_full = Matrix::identity(n);
-        for k in 0..m {
-            let mut norm = 0.0;
-            for i in k..n {
-                norm += r_full[(i, k)] * r_full[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm == 0.0 {
-                continue;
-            }
-            let alpha = if r_full[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; n];
-            for i in k..n {
-                v[i] = r_full[(i, k)];
-            }
-            v[k] -= alpha;
-            let v_norm_sq: f64 = v.iter().map(|x| x * x).sum();
-            if v_norm_sq == 0.0 {
-                continue;
-            }
-            for j in k..m {
-                let mut dot = 0.0;
-                for i in k..n {
-                    dot += v[i] * r_full[(i, j)];
-                }
-                let scale = 2.0 * dot / v_norm_sq;
-                for i in k..n {
-                    r_full[(i, j)] -= scale * v[i];
-                }
-            }
-            for i in 0..n {
-                let mut dot = 0.0;
-                for l in k..n {
-                    dot += q_full[(i, l)] * v[l];
-                }
-                let scale = 2.0 * dot / v_norm_sq;
-                for l in k..n {
-                    q_full[(i, l)] -= scale * v[l];
-                }
-            }
-        }
-        let q = q_full.first_columns(m).unwrap();
-        let mut r = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in i..m {
-                r[(i, j)] = r_full[(i, j)];
-            }
-        }
-        (q, r)
-    }
 }
 
 /// The `(n, m)` grid: the paper's batch shapes plus the ≥1000×100 sizes the
@@ -423,7 +364,6 @@ fn bench_sparse_grid(c: &mut Criterion) {
 /// single factorisation is Θ(n³) *per sweep*.
 const CHOL_SIZES: [usize; 3] = [128, 256, 512];
 const EIG_SIZES: [usize; 3] = [54, 96, 128];
-const QR_SHAPES: [(usize, usize); 2] = [(512, 128), (1000, 200)];
 
 fn bench_decomp_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("decomp_grid");
@@ -473,48 +413,6 @@ fn bench_decomp_grid(c: &mut Criterion) {
         });
     }
 
-    for &(n, m) in &QR_SHAPES {
-        let a = random_matrix(n, m, 33);
-        let mut scratch = QrScratch::default();
-        let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        let shape = format!("{n}x{m}");
-
-        group.bench_function(BenchmarkId::new("qr_scalar", &shape), |bench| {
-            bench.iter(|| scalar::qr(black_box(&a)))
-        });
-        group.bench_function(BenchmarkId::new("qr_blocked1", &shape), |bench| {
-            bench.iter(|| {
-                par::with_threads(1, || {
-                    qr_factor_into(black_box(&a), &mut q, &mut r, &mut scratch).unwrap()
-                })
-            })
-        });
-        group.bench_function(BenchmarkId::new("qr_blocked4", &shape), |bench| {
-            bench.iter(|| {
-                par::with_threads(4, || {
-                    qr_factor_into(black_box(&a), &mut q, &mut r, &mut scratch).unwrap()
-                })
-            })
-        });
-        // The pre-WY driver (one trailing update per reflector) — the row
-        // the compact-WY aggregation is measured against.
-        group.bench_function(BenchmarkId::new("qr_per_reflector1", &shape), |bench| {
-            bench.iter(|| {
-                par::with_threads(1, || {
-                    qr_factor_per_reflector_into(black_box(&a), &mut q, &mut r, &mut scratch)
-                        .unwrap()
-                })
-            })
-        });
-        group.bench_function(BenchmarkId::new("qr_per_reflector4", &shape), |bench| {
-            bench.iter(|| {
-                par::with_threads(4, || {
-                    qr_factor_per_reflector_into(black_box(&a), &mut q, &mut r, &mut scratch)
-                        .unwrap()
-                })
-            })
-        });
-    }
     group.finish();
 }
 
@@ -730,8 +628,9 @@ fn bench_simd_grid(c: &mut Criterion) {
 }
 
 /// Rank-1 addition against a capture rebuild: appending one row to a
-/// 2000×256 closed-form capture through the rank-1 Gram/Cholesky update
-/// (+ solve) versus recomputing `XᵀX`/`XᵀY` over all 2001 rows (+ solve).
+/// 2000×256 closed-form capture through the rank-1 Gram update (+ factor
+/// and solve) versus recomputing `XᵀX`/`XᵀY` over all 2001 rows (+ factor
+/// and solve).
 /// The ratio is what makes warm additions serveable online, so when both
 /// rows ran the group panics unless the rank-1 path's best sample beats
 /// the rebuild's.

@@ -59,28 +59,6 @@ pub fn closed_form_full(capture: &ClosedFormCapture) -> Result<Model> {
     Model::new(ModelKind::Linear, vec![w])
 }
 
-/// Incrementally updates the closed-form solution after removing the given
-/// samples: downdate the views with the removed block and re-solve
-/// (`O(Δn·m² + m³)`).
-///
-/// # Errors
-/// Label mismatches, invalid removals and factorisation failures are
-/// reported as usual.
-pub fn closed_form_incremental(
-    dataset: &DenseDataset,
-    capture: &ClosedFormCapture,
-    removed: &[usize],
-) -> Result<Model> {
-    closed_form_delta_with(
-        dataset,
-        &capture.normal,
-        capture.regularization,
-        removed,
-        None,
-        &mut Workspace::new(),
-    )
-}
-
 /// Solves the closed-form model after a delta, from a session's
 /// [`NormalEquations`]: the removed rows downdate the views and any added
 /// rows grow them — `M' = M − ΔXᵀΔX + AᵀA`, `N' = N − ΔXᵀΔY + AᵀY_A` —
@@ -235,7 +213,15 @@ mod tests {
         let data = dataset();
         let capture = ClosedFormCapture::build(&data, 1e-3).unwrap();
         let removed = random_subsets(data.num_samples(), 0.1, 1, 5)[0].clone();
-        let incremental = closed_form_incremental(&data, &capture, &removed).unwrap();
+        let incremental = closed_form_delta_with(
+            &data,
+            &capture.normal,
+            capture.regularization,
+            &removed,
+            None,
+            &mut Workspace::new(),
+        )
+        .unwrap();
 
         // Ground truth: rebuild the views over the surviving samples only.
         let kept: Vec<usize> = (0..data.num_samples())
@@ -278,7 +264,15 @@ mod tests {
 
         // An empty added block reduces to the removal-only incremental path.
         let empty = DenseDataset::new(Matrix::zeros(0, 6), Labels::Continuous(Vector::zeros(0)));
-        let removal_only = closed_form_incremental(&data, &capture, &removed).unwrap();
+        let removal_only = closed_form_delta_with(
+            &data,
+            &capture.normal,
+            capture.regularization,
+            &removed,
+            None,
+            &mut Workspace::new(),
+        )
+        .unwrap();
         let via_delta =
             closed_form_delta_with(&data, normal, lambda, &removed, Some(&empty), &mut ws).unwrap();
         assert_eq!(removal_only, via_delta);
@@ -289,7 +283,15 @@ mod tests {
         let data = dataset();
         let capture = ClosedFormCapture::build(&data, 1e-3).unwrap();
         let removed = random_subsets(data.num_samples(), 0.08, 1, 9)[0].clone();
-        let plain = closed_form_incremental(&data, &capture, &removed).unwrap();
+        let plain = closed_form_delta_with(
+            &data,
+            &capture.normal,
+            capture.regularization,
+            &removed,
+            None,
+            &mut Workspace::new(),
+        )
+        .unwrap();
         let mut ws = Workspace::sized_for(data.num_features(), removed.len(), 1);
         ws.reserve_decompositions(data.num_features());
         for _ in 0..2 {
@@ -312,7 +314,15 @@ mod tests {
         let data = dataset();
         let capture = ClosedFormCapture::build(&data, 1e-3).unwrap();
         let everything: Vec<usize> = (0..data.num_samples()).collect();
-        assert!(closed_form_incremental(&data, &capture, &everything).is_err());
+        assert!(closed_form_delta_with(
+            &data,
+            &capture.normal,
+            capture.regularization,
+            &everything,
+            None,
+            &mut Workspace::new(),
+        )
+        .is_err());
 
         let bad = DenseDataset::new(
             Matrix::zeros(5, 2),

@@ -12,7 +12,7 @@ pub mod closed_form;
 pub mod influence;
 pub mod retrain;
 
-pub use closed_form::{closed_form_full, closed_form_incremental, ClosedFormCapture};
+pub use closed_form::{closed_form_full, ClosedFormCapture};
 pub use influence::influence_update;
 pub use retrain::{
     retrain_binary_logistic, retrain_linear, retrain_multinomial_logistic,

@@ -30,8 +30,8 @@ use priu_data::synthetic::classification::{generate_binary_classification, Class
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
 use priu_linalg::decomposition::{
-    cholesky_factor_into, cholesky_solve_into, eigen_into, eigen_update_into, qr_factor_into,
-    EigenScratch, EigenUpdateScratch, QrScratch, SymmetricEigen,
+    cholesky_factor_into, cholesky_solve_into, eigen_into, eigen_update_into, EigenScratch,
+    EigenUpdateScratch, SymmetricEigen,
 };
 use priu_linalg::Matrix;
 
@@ -417,11 +417,6 @@ fn offline_factorization_allocations_are_per_call_constants() {
     let mut x = vec![0.0; m];
     let b: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut eig_scratch = EigenScratch::default();
-    let tall = Matrix::from_fn(300, 40, |i, j| {
-        (((i * 7 + j * 13) % 23) as f64 - 11.0) / 12.0
-    });
-    let mut scratch = QrScratch::default();
-    let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     priu_linalg::par::with_threads(1, || {
         cholesky_factor_into(&spd, &mut l).unwrap(); // warm-up
         cholesky_solve_into(&l, &b, &mut x).unwrap();
@@ -433,12 +428,6 @@ fn offline_factorization_allocations_are_per_call_constants() {
             allocs, 0,
             "warm blocked Cholesky factor+solve allocated {allocs} times"
         );
-
-        qr_factor_into(&tall, &mut q, &mut r, &mut scratch).unwrap(); // warm-up
-        let allocs = count_allocations(|| {
-            qr_factor_into(&tall, &mut q, &mut r, &mut scratch).unwrap();
-        });
-        assert_eq!(allocs, 0, "warm blocked QR allocated {allocs} times");
 
         // The eigendecomposition behind the PrIU-opt offline capture: the
         // preallocated `eigen_into` entry point is fully warm-allocation-free

@@ -85,41 +85,6 @@ impl Cholesky {
         cholesky_solve_into(&self.l, b, x.as_mut_slice())?;
         Ok(x)
     }
-
-    /// Computes `A^{-1}` column by column.
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.l.nrows();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
-
-    /// Rank-1 update: rewrites the factor of `A` into the factor of
-    /// `A + x xᵀ` in place (allocating convenience wrapper over
-    /// [`cholesky_update_into`]).
-    ///
-    /// # Errors
-    /// See [`cholesky_update_scalar_into`].
-    pub fn update(&mut self, x: &Vector) -> Result<()> {
-        let mut carry = x.as_slice().to_vec();
-        let mut col = Vec::new();
-        cholesky_update_into(&mut self.l, &mut carry, &mut col)
-    }
-
-    /// Log-determinant of `A` (`2 * Σ log L_ii`).
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.l.nrows())
-            .map(|i| self.l[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// Validates the input and reshapes `l` to an `n × n` zeroed matrix holding
@@ -280,129 +245,6 @@ pub fn cholesky_factor_into(a: &Matrix, l: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Validates the factor/vector shapes shared by the rank-1 update kernels.
-fn check_update_shapes(l: &Matrix, xlen: usize, op: &'static str) -> Result<usize> {
-    if !l.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: l.nrows(),
-            cols: l.ncols(),
-        });
-    }
-    let n = l.nrows();
-    if xlen != n {
-        return Err(LinalgError::ShapeMismatch {
-            op,
-            left: (n, n),
-            right: (xlen, 1),
-        });
-    }
-    Ok(n)
-}
-
-/// Generates the Givens pair `(c, s, r)` that rotates `x[k]` into the pivot
-/// `d = L[k][k]`: `r = √(d² + x²)`, `c = d/r`, `s = x/r`. Deliberately
-/// FMA-free (`d·d + x·x` is two multiplies and one add on every level) so
-/// the rotation parameters — and with them the whole update — are bitwise
-/// identical across `PRIU_SIMD` levels, not merely within one.
-fn update_rotation(d: f64, xk: f64, pivot: usize, op: &'static str) -> Result<(f64, f64, f64)> {
-    let sum = d * d + xk * xk;
-    if d <= 0.0 || !sum.is_finite() {
-        return Err(LinalgError::NotPositiveDefinite { op, pivot });
-    }
-    let r = sum.sqrt();
-    Ok((d / r, xk / r, r))
-}
-
-/// The plain-loop rank-1 *up*date reference: given the lower factor `L` of
-/// `A` and a row `x`, rewrites `L` in place to the factor of `A + x xᵀ`
-/// (the mirror of the closed-form path's downdate). `x` is consumed as the
-/// rotation carry and holds rotated garbage on return.
-///
-/// One Givens rotation per column: zero `x[k]` into the pivot, then rotate
-/// the column tail against the carry. Each element performs exactly
-/// `c·a − s·b` / `s·a + c·b` — the same three roundings as
-/// [`crate::simd::rotate_two`] on every level — so this reference is
-/// bitwise identical to [`cholesky_update_into`] on *every* `PRIU_SIMD`
-/// level at once (the update path is FMA-free by construction, like the
-/// eigen rotations).
-///
-/// # Errors
-/// * [`LinalgError::NotSquare`] / [`LinalgError::ShapeMismatch`] on bad
-///   shapes.
-/// * [`LinalgError::NotPositiveDefinite`] if a pivot of `l` is non-positive
-///   or the rotation is non-finite (garbage input factor).
-pub fn cholesky_update_scalar_into(l: &mut Matrix, x: &mut [f64]) -> Result<()> {
-    let n = check_update_shapes(l, x.len(), "cholesky_update_scalar_into")?;
-    for k in 0..n {
-        let (c, s, r) = update_rotation(l[(k, k)], x[k], k, "cholesky_update_scalar_into")?;
-        l[(k, k)] = r;
-        for i in k + 1..n {
-            let a = x[i];
-            let b = l[(i, k)];
-            x[i] = c * a - s * b;
-            l[(i, k)] = s * a + c * b;
-        }
-    }
-    Ok(())
-}
-
-/// Rank-1 Cholesky *up*date through the dispatched rotation kernel: the
-/// column tail is gathered into `col` (row-major storage strides columns)
-/// and rotated against the carry with [`crate::simd::rotate_two`], which is
-/// FMA-free on every level — so the result is bitwise identical to
-/// [`cholesky_update_scalar_into`] on every `PRIU_SIMD` level and trivially
-/// pool-invariant (no parallel phase: each column's rotation is a short
-/// dependent chain). `x` is consumed as the rotation carry; `col` is
-/// caller-owned scratch reused across calls (grows once, then warm calls
-/// allocate nothing).
-///
-/// # Errors
-/// See [`cholesky_update_scalar_into`].
-pub fn cholesky_update_into(l: &mut Matrix, x: &mut [f64], col: &mut Vec<f64>) -> Result<()> {
-    let n = check_update_shapes(l, x.len(), "cholesky_update_into")?;
-    for k in 0..n {
-        let (c, s, r) = update_rotation(l[(k, k)], x[k], k, "cholesky_update_into")?;
-        l[(k, k)] = r;
-        col.clear();
-        col.extend((k + 1..n).map(|i| l[(i, k)]));
-        simd::rotate_two(&mut x[k + 1..], col, c, s);
-        for (off, i) in (k + 1..n).enumerate() {
-            l[(i, k)] = col[off];
-        }
-    }
-    Ok(())
-}
-
-/// Rank-k Cholesky update: folds every row of `rows` into the factor with
-/// one rank-1 pass each (ascending row order — the deterministic chain the
-/// engines' addition path relies on). `x` and `col` are caller-owned
-/// scratch buffers reused across rows and calls.
-///
-/// # Errors
-/// See [`cholesky_update_scalar_into`]; additionally
-/// [`LinalgError::ShapeMismatch`] if `rows` has a column count other than
-/// the factor's dimension.
-pub fn cholesky_update_rank_k_into(
-    l: &mut Matrix,
-    rows: &Matrix,
-    x: &mut Vec<f64>,
-    col: &mut Vec<f64>,
-) -> Result<()> {
-    if rows.ncols() != l.nrows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "cholesky_update_rank_k_into",
-            left: (l.nrows(), l.ncols()),
-            right: (rows.nrows(), rows.ncols()),
-        });
-    }
-    for r in 0..rows.nrows() {
-        x.clear();
-        x.extend_from_slice(rows.row(r));
-        cholesky_update_into(l, x, col)?;
-    }
-    Ok(())
-}
-
 /// Solves `A x = b` given the lower-triangular factor `l`, writing into a
 /// caller-owned buffer (forward then back substitution, both in place — no
 /// allocation).
@@ -492,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd();
-        let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expected).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
     fn rejects_non_spd_and_non_square_with_pivot_index() {
         let not_spd = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         assert!(matches!(
@@ -536,111 +365,6 @@ mod tests {
         assert!(matches!(
             Cholesky::new(&a),
             Err(LinalgError::NotPositiveDefinite { pivot: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn log_determinant_matches_known_value() {
-        let a = Matrix::from_diagonal(&[2.0, 3.0, 4.0]);
-        let chol = Cholesky::new(&a).unwrap();
-        assert!((chol.log_determinant() - (24.0_f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_one_update_matches_refactorisation() {
-        let n = 9;
-        let b = Matrix::from_fn(n, n, |i, j| (((i * 7 + j * 3) % 11) as f64 - 5.0) / 4.0);
-        let mut a = b.gram();
-        a.add_diagonal_mut(n as f64).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 5 % 7) as f64 - 3.0) / 2.0).collect();
-
-        let mut chol = Cholesky::new(&a).unwrap();
-        chol.update(&Vector::from_vec(x.clone())).unwrap();
-
-        let mut bumped = a.clone();
-        bumped
-            .rank_one_update(1.0, &Vector::from_vec(x.clone()))
-            .unwrap();
-        let fresh = Cholesky::new(&bumped).unwrap();
-        for i in 0..n {
-            for j in 0..=i {
-                assert!((chol.factor()[(i, j)] - fresh.factor()[(i, j)]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_update_is_bitwise_identical_to_scalar() {
-        let n = 33;
-        let b = Matrix::from_fn(n, n, |i, j| (((i * 13 + j * 29) % 17) as f64 - 8.0) / 9.0);
-        let mut a = b.gram();
-        a.add_diagonal_mut(n as f64).unwrap();
-        let mut blocked = Matrix::zeros(0, 0);
-        cholesky_factor_into(&a, &mut blocked).unwrap();
-        let mut scalar = blocked.clone();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 3 % 5) as f64 - 2.0) / 3.0).collect();
-
-        let mut carry = x.clone();
-        let mut col = Vec::new();
-        cholesky_update_into(&mut blocked, &mut carry, &mut col).unwrap();
-        let mut carry = x;
-        cholesky_update_scalar_into(&mut scalar, &mut carry).unwrap();
-        assert_eq!(blocked, scalar);
-    }
-
-    #[test]
-    fn rank_k_update_equals_sequential_rank_ones() {
-        let n = 6;
-        let mut a = Matrix::from_fn(n, n, |i, j| if i == j { 4.0 } else { 0.25 });
-        let rows = Matrix::from_fn(3, n, |r, j| ((r * n + j) % 5) as f64 / 3.0 - 0.5);
-        let mut batched = Matrix::zeros(0, 0);
-        cholesky_factor_into(&a, &mut batched).unwrap();
-        let mut sequential = batched.clone();
-
-        let (mut x, mut col) = (Vec::new(), Vec::new());
-        cholesky_update_rank_k_into(&mut batched, &rows, &mut x, &mut col).unwrap();
-        for r in 0..rows.nrows() {
-            let mut carry = rows.row(r).to_vec();
-            cholesky_update_into(&mut sequential, &mut carry, &mut col).unwrap();
-        }
-        assert_eq!(batched, sequential);
-
-        // And the batched factor reconstructs A + Σ x xᵀ.
-        for r in 0..rows.nrows() {
-            a.rank_one_update(1.0, &Vector::from_vec(rows.row(r).to_vec()))
-                .unwrap();
-        }
-        let rec = batched.matmul(&batched.transpose()).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                assert!((rec[(i, j)] - a[(i, j)]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn update_rejects_bad_shapes_and_garbage_factors() {
-        let mut l = Matrix::zeros(2, 3);
-        assert!(matches!(
-            cholesky_update_scalar_into(&mut l, &mut [0.0; 2]),
-            Err(LinalgError::NotSquare { .. })
-        ));
-        let mut l = Matrix::from_diagonal(&[1.0, 1.0]);
-        assert!(matches!(
-            cholesky_update_scalar_into(&mut l, &mut [0.0; 3]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        // A non-positive pivot means the input was never a Cholesky factor.
-        let mut l = Matrix::from_diagonal(&[1.0, -2.0]);
-        let mut col = Vec::new();
-        assert!(matches!(
-            cholesky_update_into(&mut l, &mut [1.0, 1.0], &mut col),
-            Err(LinalgError::NotPositiveDefinite { pivot: 1, .. })
-        ));
-        let mut l = Matrix::from_diagonal(&[1.0, 2.0]);
-        assert!(matches!(
-            cholesky_update_scalar_into(&mut l, &mut [f64::NAN, 0.0]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 0, .. })
         ));
     }
 

@@ -13,8 +13,6 @@ pub struct Lu {
     /// Row permutation: row `i` of the factorisation corresponds to row
     /// `perm[i]` of the original matrix.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1 or -1), used for the determinant.
-    sign: f64,
 }
 
 impl Lu {
@@ -33,7 +31,6 @@ impl Lu {
         let n = a.nrows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Pivot selection.
@@ -51,7 +48,6 @@ impl Lu {
             }
             if pivot_row != k {
                 perm.swap(k, pivot_row);
-                sign = -sign;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(pivot_row, j)];
@@ -68,7 +64,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self { lu, perm, sign })
+        Ok(Self { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -105,30 +101,6 @@ impl Lu {
         }
         Ok(Vector::from_vec(x))
     }
-
-    /// Computes the matrix inverse.
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.lu.nrows();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.lu.nrows() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
 }
 
 #[cfg(test)]
@@ -150,28 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn determinant_and_inverse() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 7.0, 2.0, 6.0]).unwrap();
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.determinant() - 10.0).abs() < 1e-12);
-        let inv = lu.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expected).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         let lu = Lu::new(&a).unwrap();
         let x = lu.solve(&Vector::from_vec(vec![3.0, 5.0])).unwrap();
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
     }
 
     #[test]

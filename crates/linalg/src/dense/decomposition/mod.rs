@@ -3,9 +3,8 @@
 //! * [`cholesky`] — blocked right-looking SPD factorisation; used by the
 //!   closed-form ridge baseline and the influence-function baseline
 //!   (Hessian solves).
-//! * [`lu`] — general square solves / inverses / determinants.
-//! * [`qr`] — compact-WY blocked Householder QR and modified Gram-Schmidt
-//!   orthonormalisation; the building block of the randomized range finder.
+//! * [`lu`] — general square solves; INFL's fallback when its Hessian is
+//!   not positive definite.
 //! * [`tridiag`] — blocked Householder tridiagonalisation `A = Q T Qᵀ` and
 //!   implicit-shift QL iteration; stage one and two of the symmetric
 //!   eigensolver.
@@ -17,13 +16,13 @@
 //!   carries the PrIU-opt eigenbasis across a small delta.
 //! * [`truncated`] — exact and randomized truncated eigendecompositions of
 //!   Gram forms `X^T diag(w) X`; the "SVD over the intermediate results"
-//!   compression of §5.1 / §5.3.
+//!   compression of §5.1 / §5.3. The randomized range finder
+//!   orthonormalises its sample by modified Gram-Schmidt.
 //!
-//! Since the blocked rewrite, the three hot decompositions are chunked
+//! Since the blocked rewrite, the two hot decompositions are chunked
 //! through [`crate::par`] with shape-only chunk boundaries and expose
 //! `_into` / `_with` entry points writing into caller-owned buffers
 //! ([`cholesky_factor_into`] / [`cholesky_solve_into`],
-//! [`qr_factor_into`] + [`QrScratch`],
 //! [`eigen_into`] + [`EigenScratch`]) so the PrIU-opt
 //! capture and closed-form baseline paths stay allocation-free once warm.
 //! Every factorisation is bitwise reproducible for any `PRIU_THREADS`
@@ -33,22 +32,16 @@ pub mod cholesky;
 pub mod eigen;
 pub mod eigen_update;
 pub mod lu;
-pub mod qr;
 pub mod tridiag;
 pub mod truncated;
 
 pub use cholesky::{
-    cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, cholesky_update_into,
-    cholesky_update_rank_k_into, cholesky_update_scalar_into, Cholesky,
+    cholesky_factor_into, cholesky_factor_scalar_into, cholesky_solve_into, Cholesky,
 };
 pub use eigen::{
     eigen_into, eigen_scalar_into, eigen_update_into, EigenScratch, EigenUpdateScratch,
     SymmetricEigen,
 };
 pub use lu::Lu;
-pub use qr::{
-    qr_factor_into, qr_factor_per_reflector_into, qr_factor_scalar_into, Qr, QrScratch, QR_NB,
-    QR_WY_MIN_COLS,
-};
 pub use tridiag::{tridiag_factor_into, tridiag_factor_scalar_into, TridiagScratch};
 pub use truncated::{GramFactor, TruncatedGram, TruncationMethod};

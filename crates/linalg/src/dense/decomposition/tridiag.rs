@@ -64,8 +64,6 @@ use crate::error::{LinalgError, Result};
 use crate::par::{self, Chunks, SendPtr};
 use crate::simd;
 
-use super::qr::apply_reflector_scalar;
-
 /// Minimum columns per chunk for the QL rotation pass.
 const TRI_MIN_CHUNK_COLS: usize = 64;
 /// Chunk-count cap (map-style, disjoint outputs).
@@ -211,9 +209,9 @@ fn tridiag_driver(
     for k in 0..n.saturating_sub(2) {
         let k1 = k + 1;
         d[k] = t[(k, k)];
-        // Reflector from the subdiagonal column (rows k+1..n), same sign
-        // convention and ascending-row norm accumulation as QR's
-        // `build_reflector`.
+        // Reflector from the subdiagonal column (rows k+1..n): the
+        // Householder sign convention `α = −sign(x₀)·‖x‖`, with the norm
+        // accumulated in ascending row order.
         let mut norm_sq = 0.0;
         for i in k1..n {
             norm_sq += t[(i, k)] * t[(i, k)];
@@ -346,6 +344,42 @@ fn back_accumulate(q: &mut Matrix, vs: &Matrix, vnorms: &[f64], dots: &mut [f64]
         }
         for (i, &vi) in v.iter().enumerate().skip(k1) {
             simd::fnma_scaled(&mut q.row_mut(i)[k1..n], scales, vi);
+        }
+    }
+}
+
+/// Plain-loop reflector application `H = I − 2 v vᵀ / (vᵀv)` to
+/// `x[row0.., col0..col1]` (the reference tree): the scalar Q
+/// back-accumulation of [`tridiag_factor_scalar_into`].
+fn apply_reflector_scalar(
+    x: &mut Matrix,
+    v: &[f64],
+    v_norm_sq: f64,
+    row0: usize,
+    col0: usize,
+    col1: usize,
+    dots: &mut [f64],
+) {
+    let n = x.nrows();
+    let dots = &mut dots[..col1 - col0];
+    dots.fill(0.0);
+    #[allow(clippy::needless_range_loop)] // the plain-loop reference stays indexed
+    for i in row0..n {
+        let vi = v[i];
+        for (slot, j) in dots.iter_mut().zip(col0..col1) {
+            // Dispatched element op — mul-then-add on the portable level,
+            // fused on the Avx2 level — keeping the reference in lock-step
+            // with the chunk-parallel passes' dispatched axpy.
+            *slot = simd::madd(*slot, vi, x[(i, j)]);
+        }
+    }
+    for d in dots.iter_mut() {
+        *d = 2.0 * *d / v_norm_sq;
+    }
+    for i in row0..n {
+        let vi = v[i];
+        for (j, &scale) in (col0..col1).zip(dots.iter()) {
+            x[(i, j)] = simd::fnma(x[(i, j)], scale, vi);
         }
     }
 }

@@ -20,7 +20,6 @@
 use priu_rng::Rng64;
 
 use crate::dense::decomposition::eigen::SymmetricEigen;
-use crate::dense::decomposition::qr::orthonormalize_columns;
 use crate::dense::matrix::Matrix;
 use crate::dense::vector::Vector;
 use crate::error::{LinalgError, Result};
@@ -355,6 +354,47 @@ pub fn rank_for_energy(eigenvalues: &[f64], epsilon: f64) -> usize {
     eigenvalues.len()
 }
 
+/// Orthonormalises the columns of `a` in place using modified Gram-Schmidt,
+/// dropping (zeroing) columns that are numerically dependent.
+///
+/// Returns the number of independent columns kept; dependent columns are
+/// moved to the end as zero columns so the leading `rank` columns always form
+/// an orthonormal basis of the column space.
+pub(crate) fn orthonormalize_columns(a: &mut Matrix) -> usize {
+    let (n, m) = a.shape();
+    let tol = 1e-12;
+    let mut rank = 0;
+    for j in 0..m {
+        // Copy column j into a work buffer.
+        let mut col = Vector::from_fn(n, |i| a[(i, j)]);
+        // Subtract projections onto previously accepted columns (stored in
+        // positions 0..rank).
+        for k in 0..rank {
+            let mut dot = 0.0;
+            for i in 0..n {
+                dot += a[(i, k)] * col[i];
+            }
+            for i in 0..n {
+                col[i] -= dot * a[(i, k)];
+            }
+        }
+        let norm = col.norm2();
+        if norm > tol {
+            for i in 0..n {
+                a[(i, rank)] = col[i] / norm;
+            }
+            rank += 1;
+        }
+    }
+    // Zero out the trailing columns.
+    for j in rank..m {
+        for i in 0..n {
+            a[(i, j)] = 0.0;
+        }
+    }
+    rank
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,5 +509,30 @@ mod tests {
         assert_eq!(rank_for_energy(&eigs, 0.0), 4);
         assert_eq!(rank_for_energy(&[], 0.1), 0);
         assert_eq!(rank_for_energy(&[0.0, 0.0], 0.1), 0);
+    }
+
+    #[test]
+    fn gram_schmidt_orthonormalizes_and_detects_rank() {
+        let mut a = Matrix::from_vec(
+            3,
+            3,
+            vec![
+                1.0, 2.0, 2.0, //
+                0.0, 1.0, 1.0, //
+                1.0, 0.0, 0.0,
+            ],
+        )
+        .unwrap();
+        // Third column equals the second: rank 2.
+        let rank = orthonormalize_columns(&mut a);
+        assert_eq!(rank, 2);
+        for k in 0..rank {
+            let col = a.column(k);
+            assert!((col.norm2() - 1.0).abs() < 1e-10);
+        }
+        let c0 = a.column(0);
+        let c1 = a.column(1);
+        assert!(c0.dot(&c1).unwrap().abs() < 1e-10);
+        assert!(a.column(2).norm2() < 1e-12);
     }
 }

@@ -70,25 +70,6 @@ pub fn linear_combination(coeffs: &[f64], vectors: &[Vector]) -> Result<Vector> 
     Ok(out)
 }
 
-/// Squared L2 norms of each row of a matrix (each row through the
-/// dispatched dot microkernel's 4-wide lanes).
-pub fn row_norms_squared(x: &Matrix) -> Vector {
-    Vector::from_fn(x.nrows(), |i| crate::simd::dot(x.row(i), x.row(i)))
-}
-
-/// Squared L2 norms of each column of a matrix.
-pub fn column_norms_squared(x: &Matrix) -> Vector {
-    let (n, m) = x.shape();
-    let mut out = vec![0.0; m];
-    for i in 0..n {
-        let row = x.row(i);
-        for j in 0..m {
-            out[j] += row[j] * row[j];
-        }
-    }
-    Vector::from_vec(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +98,5 @@ mod tests {
         let c = linear_combination(&[2.0, 3.0], &[a, b]).unwrap();
         assert_eq!(c.as_slice(), &[2.0, 3.0]);
         assert!(linear_combination(&[1.0], &[]).is_err());
-    }
-
-    #[test]
-    fn row_and_column_norms() {
-        let x = Matrix::from_vec(2, 2, vec![3.0, 4.0, 0.0, 2.0]).unwrap();
-        assert_eq!(row_norms_squared(&x).as_slice(), &[25.0, 4.0]);
-        assert_eq!(column_norms_squared(&x).as_slice(), &[9.0, 20.0]);
     }
 }

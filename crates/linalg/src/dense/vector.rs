@@ -105,11 +105,6 @@ impl Vector {
         dot_slices(&self.data, &self.data)
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Infinity norm (maximum absolute value); 0 for an empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0, |acc, x| acc.max(x.abs()))
@@ -425,7 +420,6 @@ mod tests {
         let b = Vector::from_vec(vec![4.0, -5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 4.0 - 10.0 + 18.0);
         assert!((a.norm2() - 14.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(a.norm1(), 6.0);
         assert_eq!(b.norm_inf(), 6.0);
         assert_eq!(a.norm2_squared(), 14.0);
     }

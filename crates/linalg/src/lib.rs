@@ -12,8 +12,8 @@
 //!   kernels (`gemv`, `gemm`, rank-k Gram updates, outer products, norms).
 //! * [`sparse::CsrMatrix`] — compressed sparse rows with `spmv` /
 //!   `transpose_spmv`, used for the RCV1-style sparse workloads (§5.3).
-//! * [`decomposition`] — Cholesky, LU (partial pivoting), Householder QR,
-//!   symmetric eigendecomposition (tridiagonalisation + QL), and randomized
+//! * [`decomposition`] — Cholesky, LU (partial pivoting), symmetric
+//!   eigendecomposition (tridiagonalisation + QL), and randomized
 //!   / exact truncated eigendecompositions of Gram forms. The truncated factorisations are the
 //!   "SVD over the intermediate results" used by PrIU (§5.1, §5.3); the
 //!   symmetric eigendecomposition plus the incremental eigenvalue update is
@@ -47,7 +47,7 @@ pub mod sparse;
 pub mod stats;
 
 pub mod decomposition {
-    //! Matrix decompositions: Cholesky, LU, QR, symmetric eigen, truncated
+    //! Matrix decompositions: Cholesky, LU, symmetric eigen, truncated
     //! eigen/SVD of Gram forms.
     pub use crate::dense::decomposition::*;
 }

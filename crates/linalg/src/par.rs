@@ -730,8 +730,8 @@ where
 /// decompositions run inline on the calling thread; empty ones do nothing.
 /// The contiguous-region map kernels touch [`SendPtr`] only here, so their
 /// disjointness argument lives here once; kernels with scattered regions
-/// (the QR WY panel, the QL rotation pass) use [`SendPtr`] directly and
-/// argue their own disjointness at those sites.
+/// (the QL rotation pass) use [`SendPtr`] directly and argue their own
+/// disjointness there.
 pub(crate) fn map_chunks<D, F>(chunks: &D, width: usize, out: &mut [f64], fill: F)
 where
     D: RangeDecomp + Sync,

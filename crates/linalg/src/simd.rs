@@ -2,8 +2,8 @@
 //!
 //! Every hot inner loop of the dense and sparse kernels — dot products,
 //! 4-row fused matvec dots, `axpy`, the matrix product `gemm_acc`, the
-//! fused GD step `scale_add`, the QR reflector update, the plane-rotation
-//! pass, and the CSR gather/scatter loops — funnels through this module.
+//! fused GD step `scale_add`, the Householder reflector update, the
+//! plane-rotation pass, and the CSR gather/scatter loops — funnels through this module.
 //! Each microkernel has two implementations selected once per call:
 //!
 //! * **portable** — plain Rust with the historical lane structure (4-wide
@@ -431,7 +431,8 @@ pub fn scale_add(out: &mut [f64], alpha: f64, beta: f64, src: &[f64]) {
     }
 }
 
-/// Rank-1 reflector update `out[j] -= scales[j] * v` (QR pass 2).
+/// Rank-1 reflector update `out[j] -= scales[j] * v` (the tridiagonal
+/// `Q` back-accumulation's second pass).
 /// Element-wise; the Avx2 level fuses each element's multiply-subtract.
 pub fn fnma_scaled(out: &mut [f64], scales: &[f64], v: f64) {
     assert_eq!(
@@ -495,8 +496,8 @@ pub fn fnma2_scaled(out: &mut [f64], a: &[f64], x: f64, b: &[f64], y: f64) {
 /// Deliberately **FMA-free on every level**: each output element performs
 /// the same three roundings (two multiplies, one add/sub) whether
 /// vectorised or not, so rotation results are bitwise identical *across
-/// levels* — the QL and Cholesky-update plain-loop references stay valid
-/// without dispatching.
+/// levels* — the QL plain-loop reference stays valid without
+/// dispatching.
 pub fn rotate_two(row_p: &mut [f64], row_r: &mut [f64], c: f64, s: f64) {
     assert_eq!(
         row_p.len(),
