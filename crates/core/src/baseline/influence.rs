@@ -78,8 +78,8 @@ pub fn influence_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::retrain_binary_logistic;
     use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, LogisticEngine, Method};
     use crate::metrics::compare_models;
     use crate::model::ModelKind;
     use crate::trainer::logistic::train_binary_logistic;
@@ -123,10 +123,10 @@ mod tests {
     #[test]
     fn reasonable_for_tiny_removals() {
         let d = data();
-        let trained = train_binary_logistic(&d, &config()).unwrap();
+        let engine = LogisticEngine::fit(d.clone(), config()).unwrap();
         let removed = random_subsets(d.num_samples(), 0.002, 1, 1)[0].clone();
-        let infl = influence_update(&d, &trained.model, 0.02, &removed).unwrap();
-        let retrained = retrain_binary_logistic(&d, &trained.provenance, &removed).unwrap();
+        let infl = influence_update(&d, engine.model(), 0.02, &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &infl).unwrap();
         assert!(
             cmp.cosine_similarity > 0.98,
@@ -140,11 +140,11 @@ mod tests {
         // The paper's Q5 finding: INFL degrades sharply when many samples are
         // removed while PrIU stays close to the retrained model.
         let d = data();
-        let trained = train_binary_logistic(&d, &config()).unwrap();
+        let engine = LogisticEngine::fit(d.clone(), config()).unwrap();
         let removed = random_subsets(d.num_samples(), 0.2, 1, 2)[0].clone();
-        let retrained = retrain_binary_logistic(&d, &trained.provenance, &removed).unwrap();
-        let infl = influence_update(&d, &trained.model, 0.02, &removed).unwrap();
-        let priu = priu_update_logistic(&d, &trained.provenance, &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
+        let infl = influence_update(&d, engine.model(), 0.02, &removed).unwrap();
+        let priu = priu_update_logistic(&d, engine.provenance(), &removed).unwrap();
         let infl_dist = compare_models(&retrained, &infl).unwrap().l2_distance;
         let priu_dist = compare_models(&retrained, &priu).unwrap().l2_distance;
         assert!(

@@ -1,7 +1,10 @@
-//! Baselines the paper compares PrIU / PrIU-opt against.
+//! Baselines the paper compares PrIU / PrIU-opt against, beyond BaseL.
 //!
-//! * [`retrain`] — **BaseL**: retraining from scratch with the same
-//!   mini-batch schedule, excluding the removed samples from every batch.
+//! BaseL — retraining with the same mini-batch schedule, the removed
+//! samples excluded from every batch — has no module here: it is
+//! `Method::Retrain` in the engine's delta pipeline, which replays the
+//! trainer's own GD step (`engine`, DESIGN §2.1).
+//!
 //! * [`closed_form`] — the incremental closed-form (normal-equation) update
 //!   for linear regression used by prior incremental-maintenance work
 //!   [13, 22, 40].
@@ -10,11 +13,6 @@
 
 pub mod closed_form;
 pub mod influence;
-pub mod retrain;
 
 pub use closed_form::{closed_form_full, ClosedFormCapture};
 pub use influence::influence_update;
-pub use retrain::{
-    retrain_binary_logistic, retrain_linear, retrain_multinomial_logistic,
-    retrain_sparse_binary_logistic,
-};

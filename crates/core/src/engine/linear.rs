@@ -18,7 +18,6 @@ use priu_linalg::{Matrix, Vector};
 
 use crate::baseline::closed_form::closed_form_delta_with;
 use crate::baseline::influence::influence_update;
-use crate::baseline::retrain::retrain_linear;
 use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, NormalEquations};
 use crate::config::TrainerConfig;
 use crate::engine::{
@@ -305,9 +304,6 @@ impl Family for Linear {
         }
         let num_removed = normalize_removed(e.num_samples(), removed)?.len();
         match method {
-            Method::Retrain => timed_update(method, num_removed, 0, || {
-                retrain_linear(&e.dataset, &e.provenance, removed)
-            }),
             Method::Priu => e.timed_replay(method, num_removed, num_removed, |ws| {
                 priu_update_linear_with(&e.dataset, &e.provenance, removed, ws)
             }),
@@ -325,7 +321,7 @@ impl Family for Linear {
             Method::Influence => timed_update(method, num_removed, 0, || {
                 influence_update(&e.dataset, &e.model, e.config.hyper.regularization, removed)
             }),
-            Method::ClosedForm => unreachable!("closed form is answered above"),
+            _ => unreachable!("closed form is answered above, BaseL by the pipeline"),
         }
     }
 
@@ -355,19 +351,19 @@ impl Family for Linear {
 
     fn step(
         e: &LinearEngine,
-        added: &DenseDataset,
+        rows: &DenseDataset,
         weights: &mut [Vector],
         capture: bool,
         ws: &mut Workspace,
     ) -> Result<Option<LinearIterationCache>> {
-        let y = added
+        let y = rows
             .labels
             .as_continuous()
-            .expect("added rows were validated as continuous");
+            .expect("linear rows carry continuous labels");
         let p = &e.provenance;
         let compression = capture.then_some(e.config.compression);
         linear_step(
-            &added.x,
+            &rows.x,
             y,
             &mut weights[0],
             p.learning_rate,

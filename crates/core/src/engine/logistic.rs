@@ -11,7 +11,6 @@ use priu_data::dataset::{DenseDataset, Labels, TaskKind};
 use priu_linalg::Vector;
 
 use crate::baseline::influence::influence_update;
-use crate::baseline::retrain::{retrain_binary_logistic, retrain_multinomial_logistic};
 use crate::capture::{ClassIterationCache, LogisticIterationCache, LogisticProvenance};
 use crate::config::TrainerConfig;
 use crate::engine::{
@@ -122,12 +121,6 @@ impl Family for Logistic {
     ) -> Result<UpdateOutcome> {
         let num_removed = normalize_removed(e.num_samples(), removed)?.len();
         match method {
-            Method::Retrain => timed_update(method, num_removed, 0, || match e.dataset.task() {
-                TaskKind::MulticlassClassification { .. } => {
-                    retrain_multinomial_logistic(&e.dataset, &e.provenance, removed)
-                }
-                _ => retrain_binary_logistic(&e.dataset, &e.provenance, removed),
-            }),
             Method::Priu => e.timed_replay(method, num_removed, num_removed, |ws| {
                 priu_update_logistic_with(&e.dataset, &e.provenance, removed, ws)
             }),
@@ -142,13 +135,13 @@ impl Family for Logistic {
                     priu_opt_update_logistic_with(&e.dataset, &e.provenance, removed, ws)
                 })
             }
-            Method::ClosedForm => Err(CoreError::UnsupportedMethod {
+            Method::Influence => timed_update(method, num_removed, 0, || {
+                influence_update(&e.dataset, &e.model, e.config.hyper.regularization, removed)
+            }),
+            _ => Err(CoreError::UnsupportedMethod {
                 method: method.name(),
                 reason: "the closed-form update maintains the regularised normal equations, \
                          which exist only for linear regression",
-            }),
-            Method::Influence => timed_update(method, num_removed, 0, || {
-                influence_update(&e.dataset, &e.model, e.config.hyper.regularization, removed)
             }),
         }
     }
@@ -183,7 +176,7 @@ impl Family for Logistic {
 
     fn step(
         e: &LogisticEngine,
-        added: &DenseDataset,
+        rows: &DenseDataset,
         weights: &mut [Vector],
         capture: bool,
         ws: &mut Workspace,
@@ -191,12 +184,12 @@ impl Family for Logistic {
         let (eta, lambda) = (e.provenance.learning_rate, e.provenance.regularization);
         let interp = &e.config.interpolation;
         let compression = capture.then_some(e.config.compression);
-        match &added.labels {
+        match &rows.labels {
             Labels::Multiclass {
                 classes,
                 num_classes,
             } => multinomial_logistic_step(
-                &added.x,
+                &rows.x,
                 classes,
                 *num_classes,
                 weights,
@@ -207,7 +200,7 @@ impl Family for Logistic {
                 ws,
             ),
             Labels::Binary(y) => binary_logistic_step(
-                &added.x,
+                &rows.x,
                 y,
                 &mut weights[0],
                 eta,
@@ -216,7 +209,7 @@ impl Family for Logistic {
                 compression,
                 ws,
             ),
-            Labels::Continuous(_) => unreachable!("added rows were validated as classes"),
+            Labels::Continuous(_) => unreachable!("logistic rows carry class labels"),
         }
     }
 

@@ -26,16 +26,18 @@
 //! Every family is one [`Engine`] and shares one delta pipeline, written
 //! here, in two phases. [`Session::stage_delta`] is fallible and yields the
 //! post-batch model: validate the added rows → run the method's model
-//! update → split the survivors → zero the removed samples' tokens in each
-//! cached per-iteration expression they appear in (§4.1) → run the
+//! update (BaseL here, over the family's GD step; every other method in
+//! the family) → split the survivors → zero the removed samples' tokens in
+//! each cached per-iteration expression they appear in (§4.1) → run the
 //! appended explicit-batch GD steps. [`StagedDelta::finish`] cannot fail and
 //! builds the successor: carry the untouched caches → restrict and extend
 //! the schedule → select and extend the dataset → the family's extra
 //! captures. `apply_delta` is one followed by the other. The family
 //! modules (`linear`, `logistic`, `sparse`) supply only what differs,
 //! through a sealed family trait: the fit, the per-method model function,
-//! how one cache drops removed batch members, one GD step, and the
-//! successor's extra captures.
+//! how one cache drops removed batch members, one GD step (shared by
+//! training, BaseL and the appended batches), and the successor's extra
+//! captures.
 
 mod linear;
 mod logistic;
@@ -533,7 +535,8 @@ mod family {
 
         /// The method's timed model update for the removal set. A method
         /// that folds the added rows itself (closed form) counts them in
-        /// the outcome; the pipeline then leaves its model alone.
+        /// the outcome; the pipeline then leaves its model alone. Never
+        /// called for BaseL: the pipeline retrains over [`Family::step`].
         fn update(
             e: &Engine<Self>,
             method: Method,
@@ -551,10 +554,12 @@ mod family {
         ) -> Result<Self::Cache>;
 
         /// One exact GD step over the batch staged in `ws.batch` of
-        /// `added`, capturing the iteration's cache when asked.
+        /// `rows`, capturing the iteration's cache when asked: the
+        /// trainer's step, run by BaseL over the session's rows and by the
+        /// appended batches over a delta's.
         fn step(
             e: &Engine<Self>,
-            added: &Self::Data,
+            rows: &Self::Data,
             weights: &mut [Vector],
             capture: bool,
             ws: &mut Workspace,
@@ -588,6 +593,10 @@ mod family {
         fn schedule(&self) -> &BatchSchedule;
         /// One cache per scheduled iteration.
         fn caches(&self) -> &[C];
+        /// The parameters training started from, `w⁽⁰⁾`.
+        fn initial_model(&self) -> &Model;
+        /// The weight decay `1 − ηλ` of one GD step.
+        fn decay(&self) -> f64;
         /// The successor's provenance: the same hyperparameters and
         /// initial model around a new schedule and caches, without extra
         /// captures.
@@ -604,6 +613,12 @@ mod family {
                 }
                 fn caches(&self) -> &[$cache] {
                     &self.$caches
+                }
+                fn initial_model(&self) -> &Model {
+                    &self.initial_model
+                }
+                fn decay(&self) -> f64 {
+                    1.0 - self.learning_rate * self.regularization
                 }
                 fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
                     Self {
@@ -736,6 +751,49 @@ impl<F: Family> Engine<F> {
         timed_update(method, num_removed, 0, || replay(&mut ws))
     }
 
+    /// BaseL (§6): retrains from `w⁽⁰⁾` over the captured schedule with
+    /// the removed samples dropped from every batch, through the trainer's
+    /// own [`Family::step`] — so an empty removal replays the fit bit for
+    /// bit. A batch left empty only decays the weights by `1 − ηλ`.
+    fn retrain(&self, removed: &[usize]) -> Result<UpdateOutcome> {
+        let removed = normalize_removed(self.num_samples(), removed)?;
+        let (schedule, decay) = (self.provenance.schedule(), self.provenance.decay());
+        let initial = self.provenance.initial_model();
+        self.timed_replay(Method::Retrain, removed.len(), 0, |ws| {
+            let mut weights = initial.weights().to_vec();
+            for t in 0..schedule.num_iterations() {
+                schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
+                removed_positions_into(&ws.batch, &removed, &mut ws.positions);
+                let (mut pos, mut dropped) = (0, ws.positions.iter().peekable());
+                ws.batch.retain(|_| {
+                    let keep = dropped.next_if_eq(&&pos).is_none();
+                    pos += 1;
+                    keep
+                });
+                if ws.batch.is_empty() {
+                    weights.iter_mut().for_each(|w| w.scale_mut(decay));
+                } else {
+                    F::step(self, &self.dataset, &mut weights, false, ws)?;
+                }
+            }
+            Model::new(initial.kind(), weights)
+        })
+    }
+
+    /// The method's timed model update: BaseL here, every other method in
+    /// the family.
+    fn method_update(
+        &self,
+        method: Method,
+        removed: &[usize],
+        added: Option<&F::Data>,
+    ) -> Result<UpdateOutcome> {
+        match method {
+            Method::Retrain => self.retrain(removed),
+            _ => F::update(self, method, removed, added),
+        }
+    }
+
     /// Validates a delta's added rows against this session: same storage,
     /// matching feature width, the session's label kind (and class count).
     /// Returns `None` for deltas that add nothing (including an explicitly
@@ -839,7 +897,7 @@ impl<F: Family> DeletionEngine for Engine<F> {
 
     fn update_delta(&self, method: Method, delta: &Delta) -> Result<UpdateOutcome> {
         let added = self.validate_added(delta)?;
-        let mut outcome = F::update(self, method, &delta.removed, added)?;
+        let mut outcome = self.method_update(method, &delta.removed, added)?;
         if let Some(added) = added {
             self.addition_steps(added, &mut outcome, None)?;
         }
@@ -868,7 +926,7 @@ impl<F: Family> Engine<F> {
         delta: &'a Delta,
     ) -> Result<Staged<'a, F>> {
         let added = self.validate_added(delta)?;
-        let mut outcome = F::update(self, method, &delta.removed, added)?;
+        let mut outcome = self.method_update(method, &delta.removed, added)?;
         let (removed, survivors) = split_survivors(self.num_samples(), &delta.removed)?;
 
         // Only the iterations whose batch held a removed sample are
@@ -1375,6 +1433,16 @@ mod tests {
             .unwrap()
     }
 
+    fn binary_added_rows(num_rows: usize, seed: u64) -> DenseDataset {
+        generate_binary_classification(&ClassificationConfig {
+            num_samples: num_rows,
+            num_features: 6,
+            separation: 3.0,
+            seed,
+            ..Default::default()
+        })
+    }
+
     fn multinomial_added_rows(num_rows: usize, seed: u64) -> DenseDataset {
         generate_multiclass_classification(&ClassificationConfig {
             num_samples: num_rows,
@@ -1735,14 +1803,7 @@ mod tests {
         }
 
         let logistic = binary_session();
-        let added = generate_binary_classification(&ClassificationConfig {
-            num_samples: 23,
-            num_features: 6,
-            separation: 3.0,
-            seed: 22,
-            ..Default::default()
-        });
-        let delta = Delta::mixed(&[3, 17, 40], DeltaRows::Dense(added));
+        let delta = Delta::mixed(&[3, 17, 40], DeltaRows::Dense(binary_added_rows(23, 22)));
         let updated = logistic.update_delta(Method::Priu, &delta).unwrap();
         let chained = logistic.apply_delta(Method::Priu, &delta).unwrap();
         assert_eq!(updated.model, chained.outcome.model);
@@ -1786,18 +1847,9 @@ mod tests {
         );
 
         let logistic = binary_session();
-        let added = generate_binary_classification(&ClassificationConfig {
-            num_samples: 37,
-            num_features: 6,
-            separation: 3.0,
-            seed: 32,
-            ..Default::default()
-        });
+        let added = DeltaRows::Dense(binary_added_rows(37, 32));
         let chained = logistic
-            .apply_delta(
-                Method::Priu,
-                &Delta::mixed(&[5, 6, 7], DeltaRows::Dense(added)),
-            )
+            .apply_delta(Method::Priu, &Delta::mixed(&[5, 6, 7], added))
             .unwrap();
         let retrained = chained.session.update(Method::Retrain, &[]).unwrap();
         let cmp = compare_models(&retrained.model, chained.session.model()).unwrap();
@@ -1830,6 +1882,93 @@ mod tests {
                 "{label}: similarity {}",
                 cmp.cosine_similarity
             );
+        }
+    }
+
+    /// BaseL runs the trainer's own GD step, so with nothing removed it
+    /// replays the fit bit for bit.
+    fn assert_basel_replays_training(session: &Session) {
+        let replay = session.update(Method::Retrain, &[]).unwrap();
+        assert_eq!(&replay.model, session.model());
+    }
+
+    #[test]
+    fn basel_replays_linear_training_bitwise() {
+        assert_basel_replays_training(&linear_session());
+    }
+
+    #[test]
+    fn basel_replays_binary_training_bitwise() {
+        assert_basel_replays_training(&binary_session());
+    }
+
+    #[test]
+    fn basel_replays_multinomial_training_bitwise() {
+        assert_basel_replays_training(&multinomial_session());
+    }
+
+    #[test]
+    fn basel_replays_sparse_training_bitwise() {
+        assert_basel_replays_training(&sparse_session());
+    }
+
+    #[test]
+    fn basel_removal_changes_the_model_independent_of_threads() {
+        // A removal changes the model, and its bits do not depend on the
+        // thread count.
+        let families = [
+            ("linear", linear_session()),
+            ("binary", binary_session()),
+            ("multinomial", multinomial_session()),
+            ("sparse", sparse_session()),
+        ];
+        let removed = [2, 17, 40];
+        for (label, session) in families {
+            let run = |threads| {
+                priu_linalg::par::with_threads(threads, || {
+                    session.update(Method::Retrain, &removed).unwrap().model
+                })
+            };
+            let retrained = run(1);
+            assert_ne!(&retrained, session.model(), "{label}");
+            assert!(retrained.is_finite(), "{label}");
+            assert_eq!(retrained, run(4), "{label}");
+        }
+    }
+
+    #[test]
+    fn basel_replays_the_successor_of_a_mixed_delta_bitwise() {
+        // The successor's schedule is the parent's restricted to the
+        // survivors and extended by the appended batches, so retraining it
+        // runs the steps of the BaseL apply over the same rows in the same
+        // order.
+        let families = [
+            (
+                "linear",
+                linear_session(),
+                DeltaRows::Dense(linear_added_rows(37, 71)),
+            ),
+            (
+                "binary",
+                binary_session(),
+                DeltaRows::Dense(binary_added_rows(37, 72)),
+            ),
+            (
+                "multinomial",
+                multinomial_session(),
+                DeltaRows::Dense(multinomial_added_rows(37, 73)),
+            ),
+            (
+                "sparse",
+                sparse_session(),
+                DeltaRows::Sparse(sparse_added_rows(37, 74)),
+            ),
+        ];
+        for (label, session, added) in families {
+            let delta = Delta::mixed(&[5, 6, 7, 120], added);
+            let chained = session.apply_delta(Method::Retrain, &delta).unwrap();
+            let replay = chained.session.update(Method::Retrain, &[]).unwrap();
+            assert_eq!(&replay.model, chained.session.model(), "{label}");
         }
     }
 

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 use priu_data::dataset::SparseDataset;
 use priu_linalg::Vector;
 
-use crate::baseline::retrain::retrain_sparse_binary_logistic_with;
 use crate::config::TrainerConfig;
 use crate::engine::{
     DeletionEngine, Engine, Family, Method, Session, SparseLogisticEngine, UpdateOutcome,
@@ -93,23 +92,17 @@ impl Family for SparseLogistic {
         _added: Option<&SparseDataset>,
     ) -> Result<UpdateOutcome> {
         let num_removed = normalize_removed(e.num_samples(), removed)?.len();
-        // BaseL rides the same batched CSR kernels as the PrIU replay. The
-        // workspace stays batch-sized: the CSR kernels never stage the
+        // The workspace stays batch-sized: the CSR kernels never stage the
         // removed rows densely.
         match method {
-            Method::Retrain => e.timed_replay(method, num_removed, 0, |ws| {
-                retrain_sparse_binary_logistic_with(&e.dataset, &e.provenance, removed, ws)
-            }),
             Method::Priu => e.timed_replay(method, num_removed, 0, |ws| {
                 priu_update_sparse_logistic_with(&e.dataset, &e.provenance, removed, ws)
             }),
-            Method::PriuOpt | Method::ClosedForm | Method::Influence => {
-                Err(CoreError::UnsupportedMethod {
-                    method: method.name(),
-                    reason: "the sparse path captures linearisation coefficients only (§5.3); \
-                             it supports PrIU and retraining",
-                })
-            }
+            _ => Err(CoreError::UnsupportedMethod {
+                method: method.name(),
+                reason: "the sparse path captures linearisation coefficients only (§5.3); \
+                         it supports PrIU and retraining",
+            }),
         }
     }
 
@@ -124,19 +117,19 @@ impl Family for SparseLogistic {
 
     fn step(
         e: &SparseLogisticEngine,
-        added: &SparseDataset,
+        rows: &SparseDataset,
         weights: &mut [Vector],
         capture: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Coefficients>> {
-        let y = added
+        let y = rows
             .labels
             .as_binary()
-            .expect("added rows were validated as binary");
+            .expect("sparse rows carry binary labels");
         let p = &e.provenance;
         let interp = &e.config.interpolation;
         sparse_logistic_step(
-            &added.x,
+            &rows.x,
             y,
             &mut weights[0],
             p.learning_rate,

@@ -16,14 +16,15 @@ use crate::workspace::Workspace;
 /// Runs one mb-SGD step (Eq. 5) on the batch currently staged in
 /// `ws.batch`, selecting rows from `x`/`y` and mutating `w` in place. This
 /// is the *single* definition of the linear GD step: the trainer loop calls
-/// it per scheduled iteration, and the delta engine calls it for appended
-/// explicit batches — so appended-iteration replays agree with training by
-/// construction.
+/// it per scheduled iteration, and the delta engine calls it for BaseL's
+/// retraining and for appended explicit batches — so both agree with
+/// training by construction.
 ///
 /// With `capture` set the iteration's provenance (Gram cache + moment
 /// vector) is built and returned — that storage allocates by design. With
 /// `None` the step touches only workspace buffers, so a warm workspace makes
-/// it allocation-free (the delta engine's model-only addition fast path).
+/// it allocation-free (BaseL and the delta engine's model-only addition
+/// path).
 pub(crate) fn linear_step(
     x: &Matrix,
     y: &Vector,

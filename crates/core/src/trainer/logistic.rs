@@ -62,12 +62,13 @@ fn build_class_cache(
 /// Runs one exact binary-logistic mb-SGD step (Eq. 6) on the batch staged
 /// in `ws.batch`, selecting rows from `x`/`y` and mutating `w` in place.
 /// The single definition of the step: the trainer loop calls it per
-/// scheduled iteration, the delta engine for appended explicit batches.
+/// scheduled iteration, the delta engine for BaseL's retraining and for
+/// appended explicit batches.
 ///
 /// With `capture` set the iteration's linearised provenance — the `(a, b')`
 /// coefficients around the *current* trajectory plus the aggregated Gram
 /// form — is built and returned (allocates: it is storage). With `None` the
-/// step touches only workspace buffers.
+/// step skips the linearisation and touches only workspace buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn binary_logistic_step(
     x: &Matrix,
@@ -101,10 +102,12 @@ pub(crate) fn binary_logistic_step(
         let yi = y[batch[pos]];
         let margin = yi * xw[pos];
         update_coeffs[pos] = yi * PiecewiseLinearSigmoid::exact(margin);
-        let seg = interp.coefficients(margin);
-        // Contribution of sample i: a·x xᵀ w + b'·x with b' = intercept·y.
-        a_coeffs[pos] = seg.slope;
-        b_coeffs[pos] = seg.intercept * yi;
+        if capture.is_some() {
+            let seg = interp.coefficients(margin);
+            // Contribution of sample i: a·x xᵀ w + b'·x with b' = intercept·y.
+            a_coeffs[pos] = seg.slope;
+            b_coeffs[pos] = seg.intercept * yi;
+        }
     }
     rows.transpose_matvec_into(update_coeffs, grad)?;
     // Fused parameter step (bitwise identical to scale_mut + axpy on
@@ -125,7 +128,7 @@ pub(crate) fn binary_logistic_step(
 /// (all class logits computed up front, so in-place weight updates never
 /// feed an updated class back in), mutating `weights` in place. As with
 /// [`binary_logistic_step`], `capture` controls whether the per-class
-/// linearised provenance is built and returned.
+/// linearisation runs and its provenance is built and returned.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multinomial_logistic_step(
     x: &Matrix,
@@ -183,6 +186,9 @@ pub(crate) fn multinomial_logistic_step(
             let p = (z - lse[i]).exp();
             let indicator = if batch_classes[i] == k { 1.0 } else { 0.0 };
             exact_coeffs[i] = p - indicator;
+            if capture.is_none() {
+                continue;
+            }
 
             // Scalarised softmax: p = σ(z − L) with L the log-sum-exp of
             // the *other* classes; clamp for numerical safety when p≈1.

@@ -36,10 +36,11 @@ pub struct SparseLogisticProvenance {
 /// Runs one exact sparse binary-logistic mb-SGD step on the batch staged in
 /// `ws.batch` (gather margins, scatter gradient — the batched CSR kernels),
 /// mutating `w` in place. The single definition of the step: the trainer
-/// loop calls it per scheduled iteration, the delta engine for appended
-/// explicit batches. With `capture` set the iteration's `(a, b')`
-/// linearisation coefficients are collected and returned (allocates: it is
-/// storage); with `false` the step touches only workspace buffers.
+/// loop calls it per scheduled iteration, the delta engine for BaseL's
+/// retraining and for appended explicit batches. With `capture` set the
+/// iteration's `(a, b')` linearisation coefficients are collected and
+/// returned (allocates: it is storage); with `false` the step touches only
+/// workspace buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sparse_logistic_step(
     x: &CsrMatrix,

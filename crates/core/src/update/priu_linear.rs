@@ -119,8 +119,8 @@ pub fn priu_update_linear_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::retrain_linear;
     use crate::config::{Compression, TrainerConfig};
+    use crate::engine::{DeletionEngine, LinearEngine, Method};
     use crate::metrics::compare_models;
     use crate::trainer::linear::train_linear;
     use priu_data::catalog::Hyperparameters;
@@ -160,10 +160,10 @@ mod tests {
     fn matches_retraining_closely_for_small_deletions() {
         let data = dataset();
         let cfg = config();
-        let trained = train_linear(&data, &cfg).unwrap();
+        let engine = LinearEngine::fit(data.clone(), cfg).unwrap();
         let removed = random_subsets(data.num_samples(), 0.02, 1, 7)[0].clone();
-        let updated = priu_update_linear(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_linear(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_linear(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         // PrIU for linear regression replays the exact update rule, so the
         // only error source is floating-point accumulation.
@@ -175,10 +175,10 @@ mod tests {
     fn matches_retraining_for_large_deletions_with_truncated_capture() {
         let data = dataset();
         let cfg = config().with_compression(Compression::Exact { rank: 8 });
-        let trained = train_linear(&data, &cfg).unwrap();
+        let engine = LinearEngine::fit(data.clone(), cfg).unwrap();
         let removed = random_subsets(data.num_samples(), 0.2, 1, 11)[0].clone();
-        let updated = priu_update_linear(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_linear(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_linear(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         // Full-rank truncation (rank = m) is exact.
         assert!(cmp.l2_distance < 1e-8, "distance {}", cmp.l2_distance);

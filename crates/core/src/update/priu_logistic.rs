@@ -138,11 +138,11 @@ pub(crate) fn priu_update_logistic_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::{retrain_binary_logistic, retrain_multinomial_logistic};
     use crate::config::{Compression, TrainerConfig};
+    use crate::engine::{DeletionEngine, LogisticEngine, Method};
     use crate::error::CoreError;
     use crate::metrics::{classification_accuracy, compare_models};
-    use crate::trainer::logistic::{train_binary_logistic, train_multinomial_logistic};
+    use crate::trainer::logistic::train_binary_logistic;
     use priu_data::catalog::Hyperparameters;
     use priu_data::dirty::random_subsets;
     use priu_data::synthetic::classification::{
@@ -194,10 +194,10 @@ mod tests {
     #[test]
     fn binary_update_matches_retraining() {
         let data = binary_data();
-        let trained = train_binary_logistic(&data, &config()).unwrap();
+        let engine = LogisticEngine::fit(data.clone(), config()).unwrap();
         let removed = random_subsets(data.num_samples(), 0.05, 1, 3)[0].clone();
-        let updated = priu_update_logistic(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_binary_logistic(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_logistic(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.999,
@@ -213,10 +213,10 @@ mod tests {
     #[test]
     fn multinomial_update_matches_retraining() {
         let data = multi_data();
-        let trained = train_multinomial_logistic(&data, &config()).unwrap();
+        let engine = LogisticEngine::fit(data.clone(), config()).unwrap();
         let removed = random_subsets(data.num_samples(), 0.05, 1, 4)[0].clone();
-        let updated = priu_update_logistic(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_multinomial_logistic(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_logistic(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.995,
@@ -233,10 +233,10 @@ mod tests {
             rank: 10,
             oversample: 6,
         });
-        let trained = train_binary_logistic(&data, &cfg).unwrap();
+        let engine = LogisticEngine::fit(data.clone(), cfg).unwrap();
         let removed = random_subsets(data.num_samples(), 0.05, 1, 6)[0].clone();
-        let updated = priu_update_logistic(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_binary_logistic(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_logistic(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.99,

@@ -119,8 +119,8 @@ pub fn priu_opt_update_linear_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::retrain_linear;
     use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, LinearEngine, Method};
     use crate::metrics::{compare_models, mean_squared_error};
     use crate::trainer::linear::train_linear;
     use priu_data::catalog::Hyperparameters;
@@ -150,10 +150,10 @@ mod tests {
     #[test]
     fn close_to_retraining_for_small_deletions() {
         let data = dataset();
-        let trained = train_linear(&data, &config()).unwrap();
+        let engine = LinearEngine::fit(data.clone(), config()).unwrap();
         let removed = random_subsets(data.num_samples(), 0.01, 1, 5)[0].clone();
-        let updated = priu_opt_update_linear(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_linear(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_opt_update_linear(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.999,

@@ -142,10 +142,10 @@ pub fn priu_opt_update_logistic_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::{retrain_binary_logistic, retrain_multinomial_logistic};
     use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, LogisticEngine, Method};
     use crate::metrics::{classification_accuracy, compare_models};
-    use crate::trainer::logistic::{train_binary_logistic, train_multinomial_logistic};
+    use crate::trainer::logistic::train_binary_logistic;
     use priu_data::catalog::Hyperparameters;
     use priu_data::dirty::random_subsets;
     use priu_data::synthetic::classification::{
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     fn close_to_retraining_for_small_deletions() {
         let data = binary_data();
-        let trained = train_binary_logistic(&data, &config()).unwrap();
+        let engine = LogisticEngine::fit(data.clone(), config()).unwrap();
         let removed = random_subsets(data.num_samples(), 0.01, 1, 2)[0].clone();
-        let updated = priu_opt_update_logistic(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_binary_logistic(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_opt_update_logistic(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.995,
@@ -201,10 +201,10 @@ mod tests {
             label_noise: 0.5,
             seed: 62,
         });
-        let trained = train_multinomial_logistic(&data, &config()).unwrap();
+        let engine = LogisticEngine::fit(data.clone(), config()).unwrap();
         let removed = random_subsets(data.num_samples(), 0.02, 1, 9)[0].clone();
-        let updated = priu_opt_update_logistic(&data, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_multinomial_logistic(&data, &trained.provenance, &removed).unwrap();
+        let updated = priu_opt_update_logistic(&data, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.99,

@@ -107,8 +107,8 @@ pub fn priu_update_sparse_logistic_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::retrain::retrain_sparse_binary_logistic;
     use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, Method, SparseLogisticEngine};
     use crate::error::CoreError;
     use crate::metrics::{compare_models, sparse_classification_accuracy};
     use crate::trainer::sparse::train_sparse_binary_logistic;
@@ -148,10 +148,10 @@ mod tests {
     #[test]
     fn matches_retraining_for_small_deletions() {
         let d = data();
-        let trained = train_sparse_binary_logistic(&d, &config()).unwrap();
+        let engine = SparseLogisticEngine::fit(d.clone(), config()).unwrap();
         let removed = random_subsets(d.num_samples(), 0.05, 1, 3)[0].clone();
-        let updated = priu_update_sparse_logistic(&d, &trained.provenance, &removed).unwrap();
-        let retrained = retrain_sparse_binary_logistic(&d, &trained.provenance, &removed).unwrap();
+        let updated = priu_update_sparse_logistic(&d, engine.provenance(), &removed).unwrap();
+        let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let cmp = compare_models(&retrained, &updated).unwrap();
         assert!(
             cmp.cosine_similarity > 0.999,

@@ -27,7 +27,11 @@
 //! other than closed form's were re-captured when `apply_delta` split into
 //! a fallible stage and an infallible finish: the appended GD steps now run
 //! before the successor's capture refresh, so they fail first with
-//! `Diverged`, as every other family's already did.
+//! `Diverged`, as every other family's already did. The eight multinomial
+//! BaseL model lines were re-captured when BaseL began running the
+//! trainer's GD step, whose softmax normalises by the log-sum-exp instead
+//! of dividing by the sum; the linear, binary and sparse BaseL lines kept
+//! their bits.
 
 use priu_core::{
     ChainedUpdate, DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder, StagedDelta,

@@ -1,10 +1,10 @@
 //! Verifies the workspace path's zero-allocation guarantee end to end with a
 //! counting global allocator: the number of heap allocations performed by a
-//! PrIU / PrIU-opt update call must be **independent of the iteration
-//! count** — i.e. the replay loops allocate only per call (removal-set
-//! normalisation, the produced model), never per iteration. A second check
-//! asserts the workspace growth counter stays flat once warm, including
-//! through the trainers' GD steps.
+//! PrIU / PrIU-opt / BaseL update call must be **independent of the
+//! iteration count** — i.e. the replay loops allocate only per call
+//! (removal-set normalisation, the produced model), never per iteration. A
+//! second check asserts the workspace growth counter stays flat once warm,
+//! including through the trainers' GD steps.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test pollutes
 //! the allocation counters.
@@ -13,7 +13,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use priu_core::baseline::closed_form::{closed_form_delta_with, ClosedFormCapture};
-use priu_core::baseline::retrain::retrain_sparse_binary_logistic_with;
 use priu_core::trainer::linear::{train_linear_with, TrainedLinear};
 use priu_core::trainer::logistic::{train_binary_logistic_with, TrainedLogistic};
 use priu_core::trainer::sparse::train_sparse_binary_logistic_with;
@@ -26,7 +25,9 @@ use priu_core::{
 };
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, SparseDataset};
-use priu_data::synthetic::classification::{generate_binary_classification, ClassificationConfig};
+use priu_data::synthetic::classification::{
+    generate_binary_classification, generate_multiclass_classification, ClassificationConfig,
+};
 use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
 use priu_linalg::decomposition::{
@@ -97,6 +98,17 @@ fn classification_data() -> DenseDataset {
         label_noise: 0.3,
         seed: 91,
         ..Default::default()
+    })
+}
+
+fn multiclass_data() -> DenseDataset {
+    generate_multiclass_classification(&ClassificationConfig {
+        num_samples: 400,
+        num_features: 8,
+        num_classes: 3,
+        separation: 3.0,
+        label_noise: 0.3,
+        seed: 94,
     })
 }
 
@@ -263,33 +275,55 @@ fn update_allocations_are_independent_of_iteration_count() {
         "warm workspace grew during sparse training"
     );
 
-    // BaseL's sparse retraining loop now rides the same batched CSR kernels
-    // (one rows_dot_into gather + one scatter_rows_into reduction per
-    // iteration): allocations are per call, never per iteration.
-    let data = sparse_data();
-    let mut tws = Workspace::new();
-    let short = train_sparse_binary_logistic_with(&data, &config(8, 0.3), &mut tws).unwrap();
-    let long = train_sparse_binary_logistic_with(&data, &config(64, 0.3), &mut tws).unwrap();
-    let mut ws = Workspace::new();
-    retrain_sparse_binary_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    retrain_sparse_binary_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    ws.reset_grow_events();
-    let allocs_short = count_allocations(|| {
-        retrain_sparse_binary_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        retrain_sparse_binary_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "sparse BaseL retraining allocated per iteration ({allocs_short} vs {allocs_long} \
-         allocations for 8 vs 64 iterations)"
-    );
-    assert_eq!(
-        ws.grow_events(),
-        0,
-        "warm workspace grew during sparse retraining"
-    );
+    // BaseL replays the trainer's own GD step over workspace buffers sized
+    // before the update timer starts, for every family: a retrain
+    // allocates per call (removal normalisation, workspace, model), never
+    // per iteration.
+    let dense = |data: DenseDataset, iterations, learning_rate| {
+        SessionBuilder::dense(data, config(iterations, learning_rate))
+            .opt_capture(false)
+            .closed_form_capture(false)
+            .fit()
+            .unwrap()
+    };
+    let sparse = |iterations| {
+        SessionBuilder::sparse(sparse_data(), config(iterations, 0.3))
+            .fit()
+            .unwrap()
+    };
+    let families = [
+        (
+            "linear",
+            dense(regression_data(), 8, 0.05),
+            dense(regression_data(), 64, 0.05),
+        ),
+        (
+            "binary",
+            dense(classification_data(), 8, 0.3),
+            dense(classification_data(), 64, 0.3),
+        ),
+        (
+            "multinomial",
+            dense(multiclass_data(), 8, 0.3),
+            dense(multiclass_data(), 64, 0.3),
+        ),
+        ("sparse", sparse(8), sparse(64)),
+    ];
+    for (family, short, long) in &families {
+        short.update(Method::Retrain, &removed).unwrap(); // warm-up
+        long.update(Method::Retrain, &removed).unwrap();
+        let allocs_short = count_allocations(|| {
+            short.update(Method::Retrain, &removed).unwrap();
+        });
+        let allocs_long = count_allocations(|| {
+            long.update(Method::Retrain, &removed).unwrap();
+        });
+        assert_eq!(
+            allocs_short, allocs_long,
+            "{family} BaseL allocated per iteration ({allocs_short} vs {allocs_long} \
+             allocations for 8 vs 64 iterations)"
+        );
+    }
 
     // The delta engines' warm addition path: the appended explicit-batch
     // GD steps run entirely on workspace buffers, so an addition-only

@@ -144,23 +144,6 @@ impl BatchSchedule {
         out.sort_unstable();
     }
 
-    /// The batch at iteration `t` with the removal set excluded, plus the
-    /// surviving batch size `B_U^{(t)}` — the quantities the incremental
-    /// update rules iterate with. `removed` must be a sorted-or-not slice of
-    /// sample indices; membership is tested via binary search after sorting
-    /// internally, so pass the same set used elsewhere.
-    pub fn batch_excluding(&self, t: usize, removed: &[usize]) -> (Vec<usize>, usize) {
-        let mut removed_sorted = removed.to_vec();
-        removed_sorted.sort_unstable();
-        let batch = self.batch(t);
-        let kept: Vec<usize> = batch
-            .into_iter()
-            .filter(|i| removed_sorted.binary_search(i).is_err())
-            .collect();
-        let size = kept.len();
-        (kept, size)
-    }
-
     /// Number of passes over the full training set (`τ · B / n`), the
     /// quantity the paper's Q6 discussion calls "passes".
     pub fn num_passes(&self) -> f64 {
@@ -331,20 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn excluding_removes_only_requested_samples() {
-        let s = BatchSchedule::new(20, 20, 1, 0);
-        let (kept, size) = s.batch_excluding(0, &[3, 17, 99]);
-        assert_eq!(size, 18);
-        assert!(!kept.contains(&3));
-        assert!(!kept.contains(&17));
-        assert!(kept.contains(&0));
-        // Excluding nothing keeps the batch intact.
-        let (all, b) = s.batch_excluding(0, &[]);
-        assert_eq!(b, 20);
-        assert_eq!(all, s.batch(0));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_iteration_panics() {
         BatchSchedule::new(10, 2, 5, 0).batch(5);
@@ -364,10 +333,11 @@ mod tests {
         assert_eq!(r.num_samples(), 8);
         assert_eq!(r.num_iterations(), 6);
         for t in 0..6 {
-            let (kept, _) = s.batch_excluding(t, &removed);
-            let expected: Vec<usize> = kept
-                .iter()
-                .map(|&i| i - removed.iter().filter(|&&x| x < i).count())
+            let expected: Vec<usize> = s
+                .batch(t)
+                .into_iter()
+                .filter(|i| !removed.contains(i))
+                .map(|i| i - removed.iter().filter(|&&x| x < i).count())
                 .collect();
             assert_eq!(r.batch(t), expected);
             assert!(r.batch(t).iter().all(|&i| i < 8));

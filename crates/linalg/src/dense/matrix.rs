@@ -518,32 +518,6 @@ impl Matrix {
         }
     }
 
-    /// Rank-one update `self += alpha * x * x^T`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::ShapeMismatch`] if the matrix is not
-    /// `len(x) x len(x)`.
-    pub fn rank_one_update(&mut self, alpha: f64, x: &Vector) -> Result<()> {
-        if self.rows != x.len() || self.cols != x.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "Matrix::rank_one_update",
-                left: self.shape(),
-                right: (x.len(), x.len()),
-            });
-        }
-        for i in 0..self.rows {
-            let xi = alpha * x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..self.cols {
-                row[j] += xi * x[j];
-            }
-        }
-        Ok(())
-    }
-
     /// Outer product `x * y^T`.
     pub fn outer(x: &Vector, y: &Vector) -> Matrix {
         Matrix::from_fn(x.len(), y.len(), |i, j| x[i] * y[j])
@@ -772,9 +746,15 @@ mod tests {
         let x = sample();
         let w = [0.5, -2.0];
         let g = x.weighted_gram(Some(&w));
+        // Σ_i w_i x_i x_iᵀ, one row at a time.
         let mut expected = Matrix::zeros(3, 3);
         for (i, &wi) in w.iter().enumerate() {
-            expected.rank_one_update(wi, &x.row_vector(i)).unwrap();
+            let row = x.row(i);
+            for a in 0..3 {
+                for b in 0..3 {
+                    expected[(a, b)] += wi * row[a] * row[b];
+                }
+            }
         }
         for i in 0..3 {
             for j in 0..3 {
@@ -814,10 +794,11 @@ mod tests {
         let o = Matrix::outer(&x, &y);
         assert_eq!(o.shape(), (2, 3));
         assert_eq!(o[(1, 2)], 10.0);
-        let mut m = Matrix::zeros(2, 2);
-        m.rank_one_update(2.0, &x).unwrap();
-        assert_eq!(m[(1, 1)], 8.0);
-        assert!(m.rank_one_update(1.0, &y).is_err());
+        // The outer product of a vector with itself is the rank-one xxᵀ.
+        let m = Matrix::outer(&x, &x);
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(m[(0, 1)], m[(1, 0)]);
+        assert_eq!(m[(1, 1)], 4.0);
     }
 
     #[test]

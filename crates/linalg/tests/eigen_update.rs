@@ -40,10 +40,18 @@ fn rank_one(eig: &SymmetricEigen, x: &[f64], rho: f64) -> priu_linalg::Result<Sy
     eig.rank_one_update_with(x, rho, &mut EigenUpdateScratch::default())
 }
 
+/// The reference `a + ρ·x xᵀ`, formed entry by entry.
 fn updated(a: &Matrix, x: &[f64], rho: f64) -> Matrix {
     let mut out = a.clone();
-    out.rank_one_update(rho, &Vector::from_vec(x.to_vec()))
-        .unwrap();
+    for (i, &xi) in x.iter().enumerate() {
+        let xi = rho * xi;
+        if xi == 0.0 {
+            continue;
+        }
+        for (j, &xj) in x.iter().enumerate() {
+            out[(i, j)] += xi * xj;
+        }
+    }
     out
 }
 

@@ -2,11 +2,9 @@
 //! the provenance-annotated reference implementation (explicit token
 //! zeroing-out), and retraining from scratch must all tell the same story.
 
-use priu::core::baseline::retrain::retrain_linear;
 use priu::core::reference::AnnotatedLinearGd;
-use priu::core::trainer::linear::train_linear;
 use priu::core::update::priu_linear::priu_update_linear;
-use priu::core::TrainerConfig;
+use priu::core::{DeletionEngine, LinearEngine, Method, TrainerConfig};
 use priu::data::catalog::Hyperparameters;
 use priu::data::synthetic::regression::{generate_regression, RegressionConfig};
 use priu::provenance::Valuation;
@@ -46,9 +44,9 @@ fn annotated_reference_priu_and_retraining_agree_on_full_batch_gd() {
         regularization: lambda,
     })
     .with_opt_capture(false);
-    let trained = train_linear(&data, &config).unwrap();
-    let priu = priu_update_linear(&data, &trained.provenance, &removed).unwrap();
-    let retrained = retrain_linear(&data, &trained.provenance, &removed).unwrap();
+    let session = LinearEngine::fit(data.clone(), config).unwrap();
+    let priu = priu_update_linear(&data, session.provenance(), &removed).unwrap();
+    let retrained = session.update(Method::Retrain, &removed).unwrap().model;
 
     let ab = (&annotated.flatten() - &priu.flatten()).norm_inf();
     let ac = (&annotated.flatten() - &retrained.flatten()).norm_inf();
