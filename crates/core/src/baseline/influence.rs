@@ -83,7 +83,6 @@ mod tests {
     use crate::metrics::compare_models;
     use crate::model::ModelKind;
     use crate::trainer::logistic::train_binary_logistic;
-    use crate::update::priu_logistic::priu_update_logistic;
     use priu_data::catalog::Hyperparameters;
     use priu_data::dirty::random_subsets;
     use priu_data::synthetic::classification::{
@@ -144,7 +143,7 @@ mod tests {
         let removed = random_subsets(d.num_samples(), 0.2, 1, 2)[0].clone();
         let retrained = engine.update(Method::Retrain, &removed).unwrap().model;
         let infl = influence_update(&d, engine.model(), 0.02, &removed).unwrap();
-        let priu = priu_update_logistic(&d, engine.provenance(), &removed).unwrap();
+        let priu = engine.update(Method::Priu, &removed).unwrap().model;
         let infl_dist = compare_models(&retrained, &infl).unwrap().l2_distance;
         let priu_dist = compare_models(&retrained, &priu).unwrap().l2_distance;
         assert!(

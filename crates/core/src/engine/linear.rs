@@ -1,7 +1,9 @@
-//! The linear-regression family (Eq. 13/14). A cache holds one batch's
-//! Gram matrix `Σ x_i x_iᵀ` and moment vector `Σ x_i y_i`; dropping a
-//! removed sample deflates the Gram form and subtracts its moment. The
-//! successor downdates the normal-equations view by the removed rows and
+//! The linear-regression family. A cache holds one batch's Gram matrix
+//! `Σ x_i x_iᵀ` and moment vector `Σ x_i y_i`; one PrIU iteration evaluates
+//! it with the removed samples' tokens zeroed (Eq. 13/14), and dropping a
+//! removed sample from it deflates the Gram form and subtracts its moment.
+//! PrIU-opt runs the GD recursion in the eigenbasis of `XᵀX` (Eq. 15-18).
+//! The successor downdates the normal-equations view by the removed rows and
 //! grows it by the added ones. Its PrIU-opt eigenbasis follows by exact
 //! rank-one updates of the parent's pairs for a delta of at most
 //! [`RANK_ONE_BREAK_EVEN`] rows, else by a fresh decomposition of the view.
@@ -20,19 +22,15 @@ use crate::baseline::closed_form::closed_form_delta_with;
 use crate::baseline::influence::influence_update;
 use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, NormalEquations};
 use crate::config::TrainerConfig;
-use crate::engine::{
-    timed_update, DeletionEngine, Engine, Family, LinearEngine, Method, Session, UpdateOutcome,
-};
+use crate::engine::{timed_update, Engine, Family, LinearEngine, Method, Session, UpdateOutcome};
 use crate::error::{CoreError, Result};
+use crate::model::{Model, ModelKind};
 use crate::snapshot::{
     get_closed_form_v1, get_dense_dataset, get_linear_provenance, get_linear_provenance_v1,
     get_model, get_trainer_config, put_dense_dataset, put_linear_provenance, put_model,
     put_trainer_config, SnapshotReader, SnapshotWriter,
 };
 use crate::trainer::linear::{linear_step, train_linear_with};
-use crate::update::normalize_removed;
-use crate::update::priu_linear::priu_update_linear_with;
-use crate::update::priu_opt_linear::priu_opt_update_linear_with;
 use crate::workspace::Workspace;
 
 thread_local! {
@@ -236,7 +234,7 @@ impl LinearEngine {
             }
         };
         let lambda = self.provenance.regularization;
-        let num_removed = normalize_removed(self.num_samples(), removed)?.len();
+        let num_removed = removed.len();
         let num_added = added.map_or(0, DenseDataset::num_samples);
         // Sized before the timer: the downdate, blocked Cholesky
         // factorisation and substitution all reuse workspace buffers (the
@@ -247,6 +245,92 @@ impl LinearEngine {
         timed_update(Method::ClosedForm, num_removed, num_added, || {
             closed_form_delta_with(&self.dataset, view, lambda, removed, added, &mut ws)
         })
+    }
+
+    /// PrIU-opt (§5.2, Eq. 15-18) for a removal set, ascending and
+    /// distinct. When the feature space is small, the mb-SGD update can be
+    /// approximated by its full-gradient (GD) counterpart, which
+    /// diagonalises in the eigenbasis of `M = XᵀX`:
+    ///
+    /// 1. offline (during training): cache the normal equations `M = XᵀX`,
+    ///    `N = XᵀY` and eigendecompose `M = Q diag(c) Qᵀ`;
+    /// 2. online (per deletion): approximate the eigenvalues of
+    ///    `M' = M − ΔXᵀΔX` by `c'_i = (Qᵀ M' Q)_{ii}` (Eq. 18, the
+    ///    incremental eigenvalue update of Ning et al.), update
+    ///    `N' = N − ΔXᵀΔY`, and run the per-coordinate scalar recursion of
+    ///    Eq. 17 — `O(min{Δn,m}·m² + τ·m)` total, independent of `n`.
+    ///
+    /// The removed-row block and the eigenbasis vectors live in `ws`. The
+    /// per-iteration work is a scalar recursion and allocates nothing; the
+    /// per-deletion setup (eigenvalue downdate) allocates independently of
+    /// the iteration count.
+    pub(super) fn priu_opt(&self, removed: &[usize], ws: &mut Workspace) -> Result<Model> {
+        let (Some(opt), Some(normal)) = (&self.provenance.opt, &self.provenance.normal) else {
+            return Err(CoreError::UnsupportedMethod {
+                method: Method::PriuOpt.name(),
+                reason: "the PrIU-opt capture was not materialised for this session",
+            });
+        };
+        let (dataset, provenance) = (&self.dataset, &self.provenance);
+        let y = dataset
+            .labels
+            .as_continuous()
+            .expect("a linear session always holds continuous labels");
+        let n = dataset.num_samples();
+        let delta_n = removed.len();
+        if delta_n >= n {
+            return Err(CoreError::InvalidRemoval {
+                index: n,
+                num_samples: n,
+            });
+        }
+        let n_u = (n - delta_n) as f64;
+        let eta = provenance.learning_rate;
+        let lambda = provenance.regularization;
+        let tau = provenance.schedule.num_iterations();
+
+        // ΔX, ΔY and the downdated quantities.
+        ws.batch.clear();
+        ws.batch.extend_from_slice(removed);
+        ws.select_batch_rows(&dataset.x);
+        let delta_x = &ws.rows;
+        ws.b0.clear();
+        ws.b0.extend(removed.iter().map(|&i| y[i]));
+        let delta_y = &ws.b0;
+        // The exact eigenvalues of M' = X_Uᵀ X_U are non-negative; the
+        // diagonal approximation of Eq. 18 can dip below zero for
+        // high-leverage removals, which would make the recursion
+        // expansive, so clamp at zero.
+        let mut c_prime = opt.eigen.downdated_eigenvalues(delta_x)?;
+        c_prime.map_mut(|c| c.max(0.0));
+        let mut n_prime = normal.xty.clone();
+        let delta_xty = delta_x.transpose_matvec(delta_y)?;
+        n_prime.axpy(-1.0, &delta_xty)?;
+
+        // Work in the eigenbasis: z = Qᵀ w, b̃ = Qᵀ N'.
+        let q = &opt.eigen.vectors;
+        let w0 = provenance.initial_model.weight();
+        let m = w0.len();
+        ws.prepare_features(m);
+        let Workspace {
+            m0: z, m1: b_tilde, ..
+        } = ws;
+        q.transpose_matvec_into(w0, z)?;
+        q.transpose_matvec_into(&n_prime, b_tilde)?;
+
+        // Per-coordinate scalar recursion of Eq. 17 (constant learning rate).
+        for i in 0..m {
+            let decay = 1.0 - eta * lambda - 2.0 * eta * c_prime[i] / n_u;
+            let forcing = 2.0 * eta * b_tilde[i] / n_u;
+            let mut zi = z[i];
+            for _ in 0..tau {
+                zi = decay * zi + forcing;
+            }
+            z[i] = zi;
+        }
+
+        let w = q.matvec(z)?;
+        Model::new(ModelKind::Linear, vec![w])
     }
 }
 
@@ -299,30 +383,82 @@ impl Family for Linear {
         removed: &[usize],
         added: Option<&DenseDataset>,
     ) -> Result<UpdateOutcome> {
-        if method == Method::ClosedForm {
-            return e.closed_form_delta(removed, added);
-        }
-        let num_removed = normalize_removed(e.num_samples(), removed)?.len();
+        let num_removed = removed.len();
         match method {
-            Method::Priu => e.timed_replay(method, num_removed, num_removed, |ws| {
-                priu_update_linear_with(&e.dataset, &e.provenance, removed, ws)
+            Method::ClosedForm => e.closed_form_delta(removed, added),
+            Method::PriuOpt => e.timed_replay(method, num_removed, num_removed, |ws| {
+                e.priu_opt(removed, ws)
             }),
-            Method::PriuOpt => {
-                if e.provenance.opt.is_none() {
-                    return Err(CoreError::UnsupportedMethod {
-                        method: method.name(),
-                        reason: "the PrIU-opt capture was not materialised for this session",
-                    });
-                }
-                e.timed_replay(method, num_removed, num_removed, |ws| {
-                    priu_opt_update_linear_with(&e.dataset, &e.provenance, removed, ws)
-                })
-            }
             Method::Influence => timed_update(method, num_removed, 0, || {
                 influence_update(&e.dataset, &e.model, e.config.hyper.regularization, removed)
             }),
-            _ => unreachable!("closed form is answered above, BaseL by the pipeline"),
+            _ => unreachable!("BaseL and PrIU are answered by the pipeline"),
         }
+    }
+
+    /// Zeroing out the removed samples' provenance tokens turns Eq. 8 into
+    ///
+    /// ```text
+    /// w ← [(1-ηλ)I − (2η/B_U)(G_t − ΔX_tᵀΔX_t)] w + (2η/B_U)(h_t − Δh_t)
+    /// ```
+    ///
+    /// where `G_t = Σ_{i∈B_t} x_i x_iᵀ` (possibly truncated to `P_t V_tᵀ`)
+    /// and `h_t = Σ_{i∈B_t} x_i y_i` are the cached batch Gram matrix and
+    /// moment vector, and `ΔX_t` / `Δh_t` are built from the removed
+    /// samples that fall in batch `t`. The associativity trick of §5.1
+    /// keeps everything matrix-vector: the cost per iteration is
+    /// `O(r·m + ΔB·m)` instead of the `O(B·m)` of retraining.
+    fn priu_step(
+        e: &LinearEngine,
+        cache: &LinearIterationCache,
+        weights: &mut [Vector],
+        b_u: usize,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        debug_assert_eq!(b_u, cache.batch_size - ws.positions.len());
+        let y = e
+            .dataset
+            .labels
+            .as_continuous()
+            .expect("a linear session always holds continuous labels");
+        let (eta, lambda) = (e.provenance.learning_rate, e.provenance.regularization);
+        let w = &mut weights[0];
+
+        ws.prepare_features(e.dataset.num_features());
+        let Workspace {
+            batch,
+            positions,
+            m0: gw,
+            m1: delta_gw,
+            m2: delta_xy,
+            g0,
+            g1,
+            ..
+        } = ws;
+
+        // Cached full-batch contribution.
+        cache.gram.apply_into(w, gw, g0, g1)?;
+
+        // Removed contribution, assembled on the fly from the raw samples.
+        for &pos in positions.iter() {
+            let i = batch[pos];
+            let row = e.dataset.x.row(i);
+            let dot: f64 = row.iter().zip(w.iter()).map(|(a, b)| a * b).sum();
+            for (j, &v) in row.iter().enumerate() {
+                delta_gw[j] += v * dot;
+                delta_xy[j] += v * y[i];
+            }
+        }
+
+        // In-place: every right-hand side was computed from the old `w`.
+        // The shrink and the first axpy fuse into one pass (bitwise
+        // identical to scale_mut + axpy on every SIMD level).
+        let scale = 2.0 * eta / b_u as f64;
+        w.scale_add(1.0 - eta * lambda, -scale, gw)?;
+        w.axpy(scale, &*delta_gw)?;
+        w.axpy(scale, &cache.xy)?;
+        w.axpy(-scale, &*delta_xy)?;
+        Ok(())
     }
 
     fn propagate(
@@ -421,7 +557,7 @@ impl Family for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Delta, DeltaRows};
+    use crate::engine::{DeletionEngine, Delta, DeltaRows};
     use crate::metrics::compare_models;
     use priu_data::catalog::Hyperparameters;
     use priu_data::dirty::inject_dirty_samples;

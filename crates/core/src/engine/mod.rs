@@ -25,19 +25,22 @@
 //!
 //! Every family is one [`Engine`] and shares one delta pipeline, written
 //! here, in two phases. [`Session::stage_delta`] is fallible and yields the
-//! post-batch model: validate the added rows → run the method's model
-//! update (BaseL here, over the family's GD step; every other method in
-//! the family) → split the survivors → zero the removed samples' tokens in
-//! each cached per-iteration expression they appear in (§4.1) → run the
-//! appended explicit-batch GD steps. [`StagedDelta::finish`] cannot fail and
-//! builds the successor: carry the untouched caches → restrict and extend
-//! the schedule → select and extend the dataset → the family's extra
-//! captures. `apply_delta` is one followed by the other. The family
-//! modules (`linear`, `logistic`, `sparse`) supply only what differs,
-//! through a sealed family trait: the fit, the per-method model function,
-//! how one cache drops removed batch members, one GD step (shared by
-//! training, BaseL and the appended batches), and the successor's extra
-//! captures.
+//! post-batch model: validate the added rows → normalise the removal set
+//! → run the method's model update → derive the survivors → zero the
+//! removed samples' tokens in each cached per-iteration expression they
+//! appear in (§4.1) → run the appended explicit-batch GD steps. BaseL and
+//! PrIU are one walk over the captured schedule, written here
+//! (`Engine::replay`); they differ only in the per-iteration step, the
+//! family's GD step for BaseL and its cached expression for PrIU (Eq.
+//! 13/14, Eq. 19/20, Eq. 11). Every other method is the family's.
+//! [`StagedDelta::finish`] cannot fail and builds the successor: carry the
+//! untouched caches → restrict and extend the schedule → select and extend
+//! the dataset → the family's extra captures. `apply_delta` is one followed
+//! by the other. The family modules (`linear`, `logistic`, `sparse`)
+//! supply only what differs, through a sealed family trait: the fit, the
+//! per-method model function, how one cache drops removed batch members,
+//! one PrIU iteration, one GD step (shared by training, BaseL and the
+//! appended batches), and the successor's extra captures.
 
 mod linear;
 mod logistic;
@@ -468,13 +471,9 @@ pub(crate) fn appended_batches(
     batches
 }
 
-/// Validates a removal set for `apply`: normalised, and leaving at least one
-/// survivor. Returns the sorted-deduplicated set plus the survivor indices.
-pub(crate) fn split_survivors(
-    num_samples: usize,
-    removed: &[usize],
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    let removed = normalize_removed(num_samples, removed)?;
+/// The survivors of a normalised removal set (ascending and distinct), for
+/// `apply`: the indices it leaves, of which there must be at least one.
+pub(crate) fn survivors(num_samples: usize, removed: &[usize]) -> Result<Vec<usize>> {
     if removed.len() >= num_samples {
         return Err(CoreError::InvalidRemoval {
             index: num_samples,
@@ -490,7 +489,7 @@ pub(crate) fn split_survivors(
             survivors.push(i);
         }
     }
-    Ok((removed, survivors))
+    Ok(survivors)
 }
 
 /// A fitted session of one model family: dataset + trained model + captured
@@ -533,16 +532,29 @@ mod family {
         /// The methods the session's captures support, in registry order.
         fn supported_methods(e: &Engine<Self>) -> Vec<Method>;
 
-        /// The method's timed model update for the removal set. A method
-        /// that folds the added rows itself (closed form) counts them in
-        /// the outcome; the pipeline then leaves its model alone. Never
-        /// called for BaseL: the pipeline retrains over [`Family::step`].
+        /// The method's timed model update for the removal set, ascending
+        /// and distinct. A method that folds the added rows itself (closed
+        /// form) counts them in the outcome; the pipeline then leaves its
+        /// model alone. Never called for BaseL or PrIU: the pipeline
+        /// replays both over [`Family::step`] and [`Family::priu_step`].
         fn update(
             e: &Engine<Self>,
             method: Method,
             removed: &[usize],
             added: Option<&Self::Data>,
         ) -> Result<UpdateOutcome>;
+
+        /// One PrIU iteration: evaluates `cache` with the removed batch
+        /// members' tokens zeroed (§4.1), in place on `weights`. The batch
+        /// is staged in `ws.batch`, the removed members' positions in
+        /// `ws.positions`, and `b_u > 0` members survive.
+        fn priu_step(
+            e: &Engine<Self>,
+            cache: &Self::Cache,
+            weights: &mut [Vector],
+            b_u: usize,
+            ws: &mut Workspace,
+        ) -> Result<()>;
 
         /// Drops the batch members at `positions` of `batch` from one
         /// iteration's cache.
@@ -654,7 +666,7 @@ mod family {
         ///
         /// # Panics
         /// If an index is out of range; the pipeline passes only indices
-        /// [`split_survivors`] derived from the session's own row count.
+        /// [`survivors`] derived from the session's own row count.
         fn select(&self, rows: &[usize]) -> Self;
         /// Appends `rows` in place.
         ///
@@ -751,45 +763,79 @@ impl<F: Family> Engine<F> {
         timed_update(method, num_removed, 0, || replay(&mut ws))
     }
 
-    /// BaseL (§6): retrains from `w⁽⁰⁾` over the captured schedule with
-    /// the removed samples dropped from every batch, through the trainer's
-    /// own [`Family::step`] — so an empty removal replays the fit bit for
-    /// bit. A batch left empty only decays the weights by `1 − ηλ`.
-    fn retrain(&self, removed: &[usize]) -> Result<UpdateOutcome> {
-        let removed = normalize_removed(self.num_samples(), removed)?;
+    /// The deletion replay BaseL and PrIU share: walks the captured
+    /// schedule from `w⁽⁰⁾` over iterations `0..end` with the samples of
+    /// `removed` (ascending and distinct) taken out. Each iteration stages
+    /// its batch in `ws.batch` and the removed members' positions in
+    /// `ws.positions`; a batch left empty only decays every weight vector
+    /// by `1 − ηλ`, any other goes to `step` with its iteration and its
+    /// number of survivors `b_u`.
+    fn replay(
+        &self,
+        removed: &[usize],
+        end: usize,
+        ws: &mut Workspace,
+        mut step: impl FnMut(usize, &mut [Vector], usize, &mut Workspace) -> Result<()>,
+    ) -> Result<Model> {
         let (schedule, decay) = (self.provenance.schedule(), self.provenance.decay());
-        let initial = self.provenance.initial_model();
-        self.timed_replay(Method::Retrain, removed.len(), 0, |ws| {
-            let mut weights = initial.weights().to_vec();
-            for t in 0..schedule.num_iterations() {
-                schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
-                removed_positions_into(&ws.batch, &removed, &mut ws.positions);
-                let (mut pos, mut dropped) = (0, ws.positions.iter().peekable());
-                ws.batch.retain(|_| {
-                    let keep = dropped.next_if_eq(&&pos).is_none();
-                    pos += 1;
-                    keep
-                });
-                if ws.batch.is_empty() {
-                    weights.iter_mut().for_each(|w| w.scale_mut(decay));
-                } else {
-                    F::step(self, &self.dataset, &mut weights, false, ws)?;
-                }
+        let mut model = self.provenance.initial_model().clone();
+        let weights = model.weights_mut();
+        for t in 0..end {
+            schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
+            removed_positions_into(&ws.batch, removed, &mut ws.positions);
+            let b_u = ws.batch.len() - ws.positions.len();
+            if b_u == 0 {
+                weights.iter_mut().for_each(|w| w.scale_mut(decay));
+            } else {
+                step(t, weights, b_u, ws)?;
             }
-            Model::new(initial.kind(), weights)
+        }
+        Ok(model)
+    }
+
+    /// BaseL (§6): retrains over the captured schedule with the removed
+    /// samples dropped from every batch, through the trainer's own
+    /// [`Family::step`] — so an empty removal replays the fit bit for bit.
+    fn retrain(&self, removed: &[usize], ws: &mut Workspace) -> Result<Model> {
+        let end = self.provenance.schedule().num_iterations();
+        self.replay(removed, end, ws, |_, weights, _, ws| {
+            let (mut pos, mut dropped) = (0, ws.positions.iter().peekable());
+            ws.batch.retain(|_| {
+                let keep = dropped.next_if_eq(&&pos).is_none();
+                pos += 1;
+                keep
+            });
+            F::step(self, &self.dataset, weights, false, ws).map(drop)
         })
     }
 
-    /// The method's timed model update: BaseL here, every other method in
-    /// the family.
+    /// PrIU over iterations `0..end`: the replay with each iteration's
+    /// cached expression evaluated by [`Family::priu_step`] (§4.1–§4.2,
+    /// §5.3). The full update runs every cached iteration; PrIU-opt's
+    /// logistic phase 1 stops at its switch iteration.
+    fn priu(&self, removed: &[usize], end: usize, ws: &mut Workspace) -> Result<Model> {
+        let caches = self.provenance.caches();
+        self.replay(removed, end, ws, |t, weights, b_u, ws| {
+            F::priu_step(self, &caches[t], weights, b_u, ws)
+        })
+    }
+
+    /// The method's timed model update for a normalised removal set:
+    /// BaseL and PrIU here, every other method in the family.
     fn method_update(
         &self,
         method: Method,
         removed: &[usize],
         added: Option<&F::Data>,
     ) -> Result<UpdateOutcome> {
+        // Both replays stay batch-sized: neither stages the removed rows.
         match method {
-            Method::Retrain => self.retrain(removed),
+            Method::Retrain => {
+                self.timed_replay(method, removed.len(), 0, |ws| self.retrain(removed, ws))
+            }
+            Method::Priu => self.timed_replay(method, removed.len(), 0, |ws| {
+                self.priu(removed, self.provenance.caches().len(), ws)
+            }),
             _ => F::update(self, method, removed, added),
         }
     }
@@ -897,7 +943,8 @@ impl<F: Family> DeletionEngine for Engine<F> {
 
     fn update_delta(&self, method: Method, delta: &Delta) -> Result<UpdateOutcome> {
         let added = self.validate_added(delta)?;
-        let mut outcome = self.method_update(method, &delta.removed, added)?;
+        let removed = normalize_removed(self.num_samples(), &delta.removed)?;
+        let mut outcome = self.method_update(method, &removed, added)?;
         if let Some(added) = added {
             self.addition_steps(added, &mut outcome, None)?;
         }
@@ -926,8 +973,9 @@ impl<F: Family> Engine<F> {
         delta: &'a Delta,
     ) -> Result<Staged<'a, F>> {
         let added = self.validate_added(delta)?;
-        let mut outcome = self.method_update(method, &delta.removed, added)?;
-        let (removed, survivors) = split_survivors(self.num_samples(), &delta.removed)?;
+        let removed = normalize_removed(self.num_samples(), &delta.removed)?;
+        let mut outcome = self.method_update(method, &removed, added)?;
+        let survivors = survivors(self.num_samples(), &removed)?;
 
         // Only the iterations whose batch held a removed sample are
         // propagated here; finish carries the untouched caches over.
@@ -1969,6 +2017,107 @@ mod tests {
             let chained = session.apply_delta(Method::Retrain, &delta).unwrap();
             let replay = chained.session.update(Method::Retrain, &[]).unwrap();
             assert_eq!(&replay.model, chained.session.model(), "{label}");
+        }
+    }
+
+    #[test]
+    fn replay_of_an_emptied_batch_agrees_across_basel_and_priu() {
+        // Removing every member of one scheduled batch takes the walk's
+        // decay-only branch at that iteration, for BaseL and PrIU alike.
+        let first_batch =
+            |session: &Session| delegate!(session, e => e.provenance.schedule().batch(0));
+        let families = [
+            ("linear", linear_session()),
+            ("binary", binary_session()),
+            ("multinomial", multinomial_session()),
+            ("sparse", sparse_session()),
+        ];
+        for (label, session) in &families {
+            let removed = first_batch(session);
+            for method in [Method::Retrain, Method::Priu] {
+                let run = |threads| {
+                    priu_linalg::par::with_threads(threads, || {
+                        session.update(method, &removed).unwrap().model
+                    })
+                };
+                let model = run(1);
+                assert!(model.is_finite(), "{label} {method}");
+                assert_eq!(model, run(4), "{label} {method}");
+            }
+        }
+
+        // Uncompressed, the linear expressions are exact: PrIU and BaseL
+        // differ only in summation order.
+        let data = generate_regression(&RegressionConfig {
+            num_samples: 300,
+            num_features: 6,
+            seed: 1,
+            ..Default::default()
+        });
+        let exact = SessionBuilder::dense(data, TrainerConfig::from_hyper(hyper()))
+            .compression(Compression::None)
+            .fit()
+            .unwrap();
+        let removed = first_batch(&exact);
+        let basel = exact.update(Method::Retrain, &removed).unwrap().model;
+        let priu = exact.update(Method::Priu, &removed).unwrap().model;
+        let distance = compare_models(&basel, &priu).unwrap().l2_distance;
+        let relative = distance / basel.flatten().norm2();
+        assert!(relative < 1e-9, "relative L2 {relative:e}");
+    }
+
+    #[test]
+    fn replays_never_grow_the_sized_workspace() {
+        // Every replay runs on the workspace the engine sizes for it before
+        // the update timer starts, and never has to grow it.
+        fn assert_warm<F: Family>(
+            label: &str,
+            e: &Engine<F>,
+            rows: usize,
+            replay: impl FnOnce(&mut Workspace) -> Result<Model>,
+        ) {
+            let mut ws = e.sized_workspace(rows);
+            replay(&mut ws).unwrap();
+            assert_eq!(ws.grow_events(), 0, "{label} grew its sized workspace");
+        }
+        fn assert_walks_warm<F: Family>(label: &str, e: &Engine<F>, removed: &[usize]) {
+            assert_warm(&format!("{label} BaseL"), e, 0, |ws| e.retrain(removed, ws));
+            let end = e.provenance.caches().len();
+            assert_warm(&format!("{label} PrIU"), e, 0, |ws| {
+                e.priu(removed, end, ws)
+            });
+        }
+
+        // More removed rows than a batch holds, so PrIU-opt stages a block
+        // larger than the batch-sized buffers.
+        let removed: Vec<usize> = (0..300).step_by(5).collect();
+        let chained = linear_session()
+            .apply_delta(
+                Method::Priu,
+                &Delta::mixed(&[4, 9, 16], DeltaRows::Dense(linear_added_rows(20, 81))),
+            )
+            .unwrap()
+            .session;
+        let families = [
+            ("linear", linear_session()),
+            ("chained linear", chained),
+            ("binary", binary_session()),
+            ("multinomial", multinomial_session()),
+            ("sparse", sparse_session()),
+        ];
+        for (label, session) in &families {
+            let opt = format!("{label} PrIU-opt");
+            match session {
+                Session::Linear(e) => {
+                    assert_walks_warm(label, e, &removed);
+                    assert_warm(&opt, e, removed.len(), |ws| e.priu_opt(&removed, ws));
+                }
+                Session::Logistic(e) => {
+                    assert_walks_warm(label, e, &removed);
+                    assert_warm(&opt, e, removed.len(), |ws| e.priu_opt(&removed, ws));
+                }
+                Session::SparseLogistic(e) => assert_walks_warm(label, e, &removed),
+            }
         }
     }
 

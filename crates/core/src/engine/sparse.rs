@@ -1,8 +1,9 @@
 //! The sparse binary logistic-regression family (§5.3). The sparse path
 //! caches no Gram forms (their truncated factors would be dense): a cache
 //! is one iteration's `(a, b')` linearisation coefficients in batch order,
-//! so dropping a removed sample drops its entry, and the successor keeps no
-//! extra captures.
+//! so one PrIU iteration re-applies the linearised update rule (Eq. 11)
+//! over the surviving CSR rows, dropping a removed sample drops its entry,
+//! and the successor keeps no extra captures.
 
 use std::time::{Duration, Instant};
 
@@ -10,9 +11,7 @@ use priu_data::dataset::SparseDataset;
 use priu_linalg::Vector;
 
 use crate::config::TrainerConfig;
-use crate::engine::{
-    DeletionEngine, Engine, Family, Method, Session, SparseLogisticEngine, UpdateOutcome,
-};
+use crate::engine::{Engine, Family, Method, Session, SparseLogisticEngine, UpdateOutcome};
 use crate::error::{CoreError, Result};
 use crate::snapshot::{
     get_model, get_sparse_dataset, get_sparse_provenance, get_trainer_config, put_model,
@@ -21,8 +20,7 @@ use crate::snapshot::{
 use crate::trainer::sparse::{
     sparse_logistic_step, train_sparse_binary_logistic, SparseLogisticProvenance,
 };
-use crate::update::sparse_logistic::priu_update_sparse_logistic_with;
-use crate::update::{drop_positions, normalize_removed};
+use crate::update::drop_positions;
 use crate::workspace::Workspace;
 
 /// One iteration's `(a, b')` coefficients, in batch order.
@@ -86,24 +84,76 @@ impl Family for SparseLogistic {
     }
 
     fn update(
-        e: &SparseLogisticEngine,
+        _: &SparseLogisticEngine,
         method: Method,
-        removed: &[usize],
+        _removed: &[usize],
         _added: Option<&SparseDataset>,
     ) -> Result<UpdateOutcome> {
-        let num_removed = normalize_removed(e.num_samples(), removed)?.len();
-        // The workspace stays batch-sized: the CSR kernels never stage the
-        // removed rows densely.
-        match method {
-            Method::Priu => e.timed_replay(method, num_removed, 0, |ws| {
-                priu_update_sparse_logistic_with(&e.dataset, &e.provenance, removed, ws)
-            }),
-            _ => Err(CoreError::UnsupportedMethod {
-                method: method.name(),
-                reason: "the sparse path captures linearisation coefficients only (§5.3); \
-                         it supports PrIU and retraining",
-            }),
+        Err(CoreError::UnsupportedMethod {
+            method: method.name(),
+            reason: "the sparse path captures linearisation coefficients only (§5.3); \
+                     it supports PrIU and retraining",
+        })
+    }
+
+    /// For sparse feature matrices the truncated-SVD caches of the dense
+    /// path would densify the intermediates, so PrIU only reuses the
+    /// linearisation coefficients captured during training and re-applies
+    /// the update rule (Eq. 11) over the surviving CSR rows. The cost per
+    /// iteration is `O(nnz(B_U^{(t)}))` — essentially the retraining cost
+    /// minus the non-linear evaluations, hence the paper's ~10% speed-up.
+    fn priu_step(
+        e: &SparseLogisticEngine,
+        coeffs: &Coefficients,
+        weights: &mut [Vector],
+        b_u: usize,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        let (eta, lambda) = (e.provenance.learning_rate, e.provenance.regularization);
+        let w = &mut weights[0];
+        ws.prepare_features(e.dataset.num_features());
+        ws.prepare_sparse_batch(ws.batch.len());
+        let Workspace {
+            batch,
+            positions,
+            sel,
+            b0: dots,
+            b1: slopes,
+            b2: intercepts,
+            m0: acc,
+            ..
+        } = ws;
+        // Compact the survivors: row indices into `sel`, their captured
+        // (a, b') linearisation coefficients into parallel buffers.
+        sel.clear();
+        let mut next_removed = positions.iter().copied().peekable();
+        for (pos, &i) in batch.iter().enumerate() {
+            if next_removed.peek() == Some(&pos) {
+                next_removed.next();
+                continue;
+            }
+            let (a, b_prime) = coeffs[pos];
+            slopes[sel.len()] = a;
+            intercepts[sel.len()] = b_prime;
+            sel.push(i);
         }
+        // Gather phase: all survivor margins xᵀw in one parallel kernel.
+        let dots = &mut dots[..sel.len()];
+        e.dataset.x.rows_dot_into(sel, w, dots)?;
+        // Contribution a·x (xᵀw) + b'·x collapses to a single scatter
+        // weight per survivor...
+        for (k, dot) in dots.iter().enumerate() {
+            slopes[k] = slopes[k] * dot + intercepts[k];
+        }
+        // ...applied as one chunk-ordered deterministic reduction.
+        e.dataset
+            .x
+            .scatter_rows_into(sel, &slopes[..sel.len()], acc)?;
+        // Fused parameter step (bitwise identical to scale_mut + axpy on
+        // every SIMD level) — keeps the replay in lock-step with the
+        // trainer's fused step.
+        w.scale_add(1.0 - eta * lambda, eta / b_u as f64, acc)?;
+        Ok(())
     }
 
     fn propagate(

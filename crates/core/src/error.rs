@@ -29,9 +29,6 @@ pub enum CoreError {
     },
     /// A configuration value was invalid.
     InvalidConfig(String),
-    /// The requested operation needs provenance that was not captured
-    /// (e.g. PrIU-opt on a session trained without the opt capture).
-    MissingCapture(&'static str),
     /// The requested update method is not available on this session — either
     /// the task does not support it (closed-form is linear-only) or the
     /// required capture was not materialised. Query
@@ -66,9 +63,6 @@ impl fmt::Display for CoreError {
                 "removal index {index} out of range for {num_samples} samples"
             ),
             CoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            CoreError::MissingCapture(what) => {
-                write!(f, "missing provenance capture: {what}")
-            }
             CoreError::UnsupportedMethod { method, reason } => {
                 write!(f, "update method {method} not supported here: {reason}")
             }
@@ -104,7 +98,6 @@ mod tests {
         let e: CoreError = LinalgError::Singular { op: "x" }.into();
         assert!(matches!(e, CoreError::Linalg(_)));
         assert!(e.to_string().contains("singular"));
-        assert!(CoreError::MissingCapture("opt").to_string().contains("opt"));
         assert!(CoreError::UnsupportedMethod {
             method: "Closed-form",
             reason: "linear regression only",

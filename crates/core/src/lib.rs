@@ -19,6 +19,18 @@
 //!    [`engine::DeletionEngine`] API, obtaining a model provably close to the
 //!    retrained one (Theorems 5/8/9) at a small fraction of the cost.
 //!
+//! ## Where each equation lives
+//!
+//! The captures of the offline phase (Eq. 5/6 with §4.1/§4.2 provenance)
+//! are built in [`trainer`] and stored in [`capture`]. The online phase is
+//! the delta pipeline of [`engine`]: BaseL and PrIU are one walk over the
+//! captured schedule there, and the family modules supply one PrIU
+//! iteration each — linear regression (Eq. 13/14), dense logistic
+//! regression (Eq. 19/20) and the sparse linearised rule (Eq. 11, §5.3) —
+//! plus PrIU-opt (Eq. 15-18 for linear regression, §5.4 for logistic,
+//! whose first phase is the same walk cut at its switch iteration).
+//! [`update`] holds the removal-set helpers the walk shares.
+//!
 //! ## Quick start
 //!
 //! Train once through the [`engine::SessionBuilder`] (the model family

@@ -80,8 +80,8 @@ pub(crate) fn linear_step(
 pub struct TrainedLinear {
     /// The trained model `M_init`.
     pub model: Model,
-    /// The captured provenance, consumed by `update::priu_linear` and
-    /// `update::priu_opt_linear`.
+    /// The captured provenance, consumed by the linear engine's PrIU and
+    /// PrIU-opt updates.
     pub provenance: LinearProvenance,
 }
 

@@ -35,8 +35,8 @@ use crate::workspace::Workspace;
 pub struct TrainedLogistic {
     /// The trained model `M_init`.
     pub model: Model,
-    /// The captured provenance, consumed by `update::priu_logistic` and
-    /// `update::priu_opt_logistic`.
+    /// The captured provenance, consumed by the logistic engine's PrIU and
+    /// PrIU-opt updates.
     pub provenance: LogisticProvenance,
 }
 

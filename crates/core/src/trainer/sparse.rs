@@ -89,7 +89,8 @@ pub(crate) fn sparse_logistic_step(
 pub struct TrainedSparseLogistic {
     /// The trained model `M_init`.
     pub model: Model,
-    /// The captured provenance, consumed by `update::sparse_logistic`.
+    /// The captured provenance, consumed by the sparse engine's PrIU
+    /// update.
     pub provenance: SparseLogisticProvenance,
 }
 

@@ -1,25 +1,19 @@
-//! Incremental model updates after deleting training samples.
+//! Incremental model updates after deleting training samples: the
+//! removal-set helpers every replay shares, and the behaviour tests of
+//! PrIU and PrIU-opt per model family.
 //!
-//! * [`priu_linear`] — PrIU for linear regression (Eq. 13/14).
-//! * [`priu_opt_linear`] — PrIU-opt for linear regression (Eq. 15-18).
-//! * [`priu_logistic`] — PrIU for binary / multinomial logistic regression
-//!   (Eq. 19/20).
-//! * [`priu_opt_logistic`] — PrIU-opt for logistic regression (§5.4: early
-//!   provenance termination + incremental eigenvalue updates).
-//! * [`sparse_logistic`] — the sparse-dataset path (§5.3: linearised update
-//!   rule only).
-
-pub mod priu_linear;
-pub mod priu_logistic;
-pub mod priu_opt_linear;
-pub mod priu_opt_logistic;
-pub mod sparse_logistic;
-
-pub use priu_linear::priu_update_linear;
-pub use priu_logistic::priu_update_logistic;
-pub use priu_opt_linear::priu_opt_update_linear;
-pub use priu_opt_logistic::priu_opt_update_logistic;
-pub use sparse_logistic::priu_update_sparse_logistic;
+//! The updates themselves run inside the engine's delta pipeline:
+//!
+//! * PrIU is one walk over the captured schedule in `engine/mod.rs`, shared
+//!   with BaseL; each family supplies one iteration's cached expression —
+//!   linear regression (Eq. 13/14) in `engine/linear.rs`, binary and
+//!   multinomial logistic regression (Eq. 19/20) in `engine/logistic.rs`,
+//!   and the sparse linearised update rule (Eq. 11, §5.3) in
+//!   `engine/sparse.rs`.
+//! * PrIU-opt for linear regression (§5.2, Eq. 15-18) is the eigenbasis
+//!   recursion in `engine/linear.rs`; for logistic regression (§5.4) it is
+//!   the same PrIU walk cut at the switch iteration followed by the frozen
+//!   `C*` recursion, in `engine/logistic.rs`.
 
 use crate::error::{CoreError, Result};
 
@@ -39,7 +33,7 @@ pub(crate) fn normalize_removed(num_samples: usize, removed: &[usize]) -> Result
 }
 
 /// Writes the positions (indices into `batch`) of the batch members that
-/// belong to the removal set into a reused buffer, so the replay loops call
+/// belong to the removal set into a reused buffer, so the replay walk calls
 /// it per iteration without allocating. Both slices must be sorted
 /// ascending.
 pub(crate) fn removed_positions_into(
@@ -75,6 +69,17 @@ pub(crate) fn drop_positions<T: Copy>(items: &[T], positions: &[usize]) -> Vec<T
     }
     kept
 }
+
+#[cfg(test)]
+mod priu_linear;
+#[cfg(test)]
+mod priu_logistic;
+#[cfg(test)]
+mod priu_opt_linear;
+#[cfg(test)]
+mod priu_opt_logistic;
+#[cfg(test)]
+mod sparse_logistic;
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,12 @@
 //! Verifies the workspace path's zero-allocation guarantee end to end with a
 //! counting global allocator: the number of heap allocations performed by a
-//! PrIU / PrIU-opt / BaseL update call must be **independent of the
-//! iteration count** — i.e. the replay loops allocate only per call
-//! (removal-set normalisation, the produced model), never per iteration. A
-//! second check asserts the workspace growth counter stays flat once warm,
-//! including through the trainers' GD steps.
+//! BaseL / PrIU / PrIU-opt `session.update` call must be **independent of
+//! the iteration count** — i.e. the replay walk allocates only per call
+//! (removal-set normalisation, the workspace, the produced model), never
+//! per iteration. A second check asserts the workspace growth counter stays
+//! flat once warm through the trainers' GD steps; the engine's unit test
+//! `replays_never_grow_the_sized_workspace` checks the same of every replay
+//! on the workspace the engine sizes for it.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test pollutes
 //! the allocation counters.
@@ -13,13 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use priu_core::baseline::closed_form::{closed_form_delta_with, ClosedFormCapture};
-use priu_core::trainer::linear::{train_linear_with, TrainedLinear};
-use priu_core::trainer::logistic::{train_binary_logistic_with, TrainedLogistic};
+use priu_core::trainer::linear::train_linear_with;
 use priu_core::trainer::sparse::train_sparse_binary_logistic_with;
-use priu_core::update::priu_linear::priu_update_linear_with;
-use priu_core::update::priu_logistic::priu_update_logistic_with;
-use priu_core::update::priu_opt_logistic::priu_opt_update_logistic_with;
-use priu_core::update::sparse_logistic::priu_update_sparse_logistic_with;
 use priu_core::{
     DeletionEngine, Delta, DeltaRows, Method, SessionBuilder, TrainerConfig, Workspace,
 };
@@ -126,128 +123,9 @@ fn config(iterations: usize, learning_rate: f64) -> TrainerConfig {
     config_with_batch(iterations, learning_rate, 50)
 }
 
-fn train_linear_pair(data: &DenseDataset) -> (TrainedLinear, TrainedLinear) {
-    let mut ws = Workspace::new();
-    (
-        train_linear_with(data, &config(6, 0.05), &mut ws).unwrap(),
-        train_linear_with(data, &config(48, 0.05), &mut ws).unwrap(),
-    )
-}
-
-fn train_logistic_pair(data: &DenseDataset) -> (TrainedLogistic, TrainedLogistic) {
-    let mut ws = Workspace::new();
-    (
-        train_binary_logistic_with(data, &config(10, 0.3), &mut ws).unwrap(),
-        train_binary_logistic_with(data, &config(80, 0.3), &mut ws).unwrap(),
-    )
-}
-
 #[test]
 fn update_allocations_are_independent_of_iteration_count() {
     let removed = [3usize, 57, 200, 311];
-
-    // Linear PrIU: 6 vs 48 provenance-tracked iterations.
-    let data = regression_data();
-    let (short, long) = train_linear_pair(&data);
-    let mut ws = Workspace::new();
-    // Warm-up pass over both provenances.
-    priu_update_linear_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    priu_update_linear_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    ws.reset_grow_events();
-    let allocs_short = count_allocations(|| {
-        priu_update_linear_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        priu_update_linear_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "linear PrIU allocated per iteration ({allocs_short} vs {allocs_long} allocations \
-         for 6 vs 48 iterations)"
-    );
-    assert_eq!(ws.grow_events(), 0, "warm workspace grew during replay");
-
-    // Logistic PrIU and PrIU-opt: 10 vs 80 iterations (the opt capture's
-    // phase-1 replay span and phase-2 recursion length both scale with τ).
-    let data = classification_data();
-    let (short, long) = train_logistic_pair(&data);
-    let mut ws = Workspace::new();
-    priu_update_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    priu_update_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    let allocs_short = count_allocations(|| {
-        priu_update_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        priu_update_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "logistic PrIU allocated per iteration ({allocs_short} vs {allocs_long})"
-    );
-
-    priu_opt_update_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    priu_opt_update_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    let allocs_short = count_allocations(|| {
-        priu_opt_update_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        priu_opt_update_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "logistic PrIU-opt allocated per iteration ({allocs_short} vs {allocs_long})"
-    );
-
-    // Dense-draw batch derivation (4·B >= n makes `sample_indices_into`
-    // scratch over all n indices instead of the Floyd branch): the replay
-    // loop must stay allocation-free there too.
-    let data = regression_data();
-    let cfg = |iters| config_with_batch(iters, 0.05, 120);
-    let mut ws = Workspace::new();
-    let short = train_linear_with(&data, &cfg(6), &mut ws).unwrap();
-    let long = train_linear_with(&data, &cfg(48), &mut ws).unwrap();
-    let mut ws = Workspace::new();
-    priu_update_linear_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    priu_update_linear_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    let allocs_short = count_allocations(|| {
-        priu_update_linear_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        priu_update_linear_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "dense-draw replay allocated per iteration ({allocs_short} vs {allocs_long})"
-    );
-
-    // Sparse PrIU: the (now parallel, kernel-based) CSR replay loop must
-    // also allocate only per call — the gather/scatter kernels run on
-    // workspace buffers, and mb-SGD-sized batches stay on the single-chunk
-    // inline path of the worker pool.
-    let data = sparse_data();
-    let mut tws = Workspace::new();
-    let short = train_sparse_binary_logistic_with(&data, &config(8, 0.3), &mut tws).unwrap();
-    let long = train_sparse_binary_logistic_with(&data, &config(64, 0.3), &mut tws).unwrap();
-    let mut ws = Workspace::new();
-    priu_update_sparse_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    priu_update_sparse_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    ws.reset_grow_events();
-    let allocs_short = count_allocations(|| {
-        priu_update_sparse_logistic_with(&data, &short.provenance, &removed, &mut ws).unwrap();
-    });
-    let allocs_long = count_allocations(|| {
-        priu_update_sparse_logistic_with(&data, &long.provenance, &removed, &mut ws).unwrap();
-    });
-    assert_eq!(
-        allocs_short, allocs_long,
-        "sparse PrIU allocated per iteration ({allocs_short} vs {allocs_long} allocations \
-         for 8 vs 64 iterations)"
-    );
-    assert_eq!(
-        ws.grow_events(),
-        0,
-        "warm workspace grew during sparse replay"
-    );
 
     // Trainers: the GD step never grows a warm workspace, regardless of how
     // many iterations run (capture storage allocates, the step itself not).
@@ -275,16 +153,19 @@ fn update_allocations_are_independent_of_iteration_count() {
         "warm workspace grew during sparse training"
     );
 
-    // BaseL replays the trainer's own GD step over workspace buffers sized
-    // before the update timer starts, for every family: a retrain
+    // BaseL, PrIU and PrIU-opt are one replay walk over workspace buffers
+    // sized before the update timer starts, for every family: an update
     // allocates per call (removal normalisation, workspace, model), never
-    // per iteration.
-    let dense = |data: DenseDataset, iterations, learning_rate| {
-        SessionBuilder::dense(data, config(iterations, learning_rate))
-            .opt_capture(false)
-            .closed_form_capture(false)
-            .fit()
-            .unwrap()
+    // per iteration — through the phase-1 walk and the phase-2 recursion
+    // of logistic PrIU-opt too, whose lengths both scale with τ.
+    let dense = |data: DenseDataset, iterations, learning_rate, batch_size| {
+        SessionBuilder::dense(
+            data,
+            config_with_batch(iterations, learning_rate, batch_size),
+        )
+        .closed_form_capture(false)
+        .fit()
+        .unwrap()
     };
     let sparse = |iterations| {
         SessionBuilder::sparse(sparse_data(), config(iterations, 0.3))
@@ -294,35 +175,48 @@ fn update_allocations_are_independent_of_iteration_count() {
     let families = [
         (
             "linear",
-            dense(regression_data(), 8, 0.05),
-            dense(regression_data(), 64, 0.05),
+            dense(regression_data(), 8, 0.05, 50),
+            dense(regression_data(), 64, 0.05, 50),
+        ),
+        // Dense-draw batch derivation (4·B >= n makes `sample_indices_into`
+        // scratch over all n indices instead of the Floyd branch).
+        (
+            "linear dense-draw",
+            dense(regression_data(), 8, 0.05, 120),
+            dense(regression_data(), 64, 0.05, 120),
         ),
         (
             "binary",
-            dense(classification_data(), 8, 0.3),
-            dense(classification_data(), 64, 0.3),
+            dense(classification_data(), 8, 0.3, 50),
+            dense(classification_data(), 64, 0.3, 50),
         ),
         (
             "multinomial",
-            dense(multiclass_data(), 8, 0.3),
-            dense(multiclass_data(), 64, 0.3),
+            dense(multiclass_data(), 8, 0.3, 50),
+            dense(multiclass_data(), 64, 0.3, 50),
         ),
+        // The sparse walk's gather/scatter kernels run on workspace
+        // buffers, and mb-SGD-sized batches stay on the single-chunk
+        // inline path of the worker pool.
         ("sparse", sparse(8), sparse(64)),
     ];
     for (family, short, long) in &families {
-        short.update(Method::Retrain, &removed).unwrap(); // warm-up
-        long.update(Method::Retrain, &removed).unwrap();
-        let allocs_short = count_allocations(|| {
-            short.update(Method::Retrain, &removed).unwrap();
-        });
-        let allocs_long = count_allocations(|| {
-            long.update(Method::Retrain, &removed).unwrap();
-        });
-        assert_eq!(
-            allocs_short, allocs_long,
-            "{family} BaseL allocated per iteration ({allocs_short} vs {allocs_long} \
-             allocations for 8 vs 64 iterations)"
-        );
+        let replays = [Method::Retrain, Method::Priu, Method::PriuOpt];
+        for method in replays.into_iter().filter(|&m| short.supports(m)) {
+            short.update(method, &removed).unwrap(); // warm-up
+            long.update(method, &removed).unwrap();
+            let allocs_short = count_allocations(|| {
+                short.update(method, &removed).unwrap();
+            });
+            let allocs_long = count_allocations(|| {
+                long.update(method, &removed).unwrap();
+            });
+            assert_eq!(
+                allocs_short, allocs_long,
+                "{family} {method} allocated per iteration ({allocs_short} vs {allocs_long} \
+                 allocations for 8 vs 64 iterations)"
+            );
+        }
     }
 
     // The delta engines' warm addition path: the appended explicit-batch

@@ -767,14 +767,19 @@ fn applier_loop(inner: &Inner) {
         let ready: Vec<ReadyBatch> = {
             let mut planner = inner.planner();
             loop {
-                if inner.shutdown.load(Ordering::Acquire) {
+                // Read once per pass, under the planner lock `shutdown`
+                // stores it under: a drain decision always follows a flush
+                // of the same reading, and a store cannot slip in between
+                // this check and the wait below.
+                let shutting_down = inner.shutdown.load(Ordering::Acquire);
+                if shutting_down {
                     planner.flush_all();
                 }
                 let ready = planner.take_ready(Instant::now(), &inner.cfg.planner);
                 if !ready.is_empty() {
                     break ready;
                 }
-                if inner.shutdown.load(Ordering::Acquire) {
+                if shutting_down {
                     return; // drained
                 }
                 let wait = match planner.next_deadline(&inner.cfg.planner) {
@@ -1047,7 +1052,13 @@ impl Server {
     /// the snapshot thread — so a clean shutdown never abandons a
     /// scheduled snapshot. Idempotent; safe from multiple threads.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Stored under the planner lock, which the applier holds from its
+        // shutdown check until it waits: it either sees the flag before
+        // deciding, or is already waiting and gets the notification.
+        {
+            let _planner = self.inner.planner();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.work.notify_all();
         let handle = self
             .applier

@@ -3,7 +3,6 @@
 //! zeroing-out), and retraining from scratch must all tell the same story.
 
 use priu::core::reference::AnnotatedLinearGd;
-use priu::core::update::priu_linear::priu_update_linear;
 use priu::core::{DeletionEngine, LinearEngine, Method, TrainerConfig};
 use priu::data::catalog::Hyperparameters;
 use priu::data::synthetic::regression::{generate_regression, RegressionConfig};
@@ -45,7 +44,7 @@ fn annotated_reference_priu_and_retraining_agree_on_full_batch_gd() {
     })
     .with_opt_capture(false);
     let session = LinearEngine::fit(data.clone(), config).unwrap();
-    let priu = priu_update_linear(&data, session.provenance(), &removed).unwrap();
+    let priu = session.update(Method::Priu, &removed).unwrap().model;
     let retrained = session.update(Method::Retrain, &removed).unwrap().model;
 
     let ab = (&annotated.flatten() - &priu.flatten()).norm_inf();
