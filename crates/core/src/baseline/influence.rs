@@ -82,7 +82,6 @@ mod tests {
     use crate::engine::{DeletionEngine, LogisticEngine, Method};
     use crate::metrics::compare_models;
     use crate::model::ModelKind;
-    use crate::trainer::logistic::train_binary_logistic;
     use priu_data::catalog::Hyperparameters;
     use priu_data::dirty::random_subsets;
     use priu_data::synthetic::classification::{
@@ -114,9 +113,9 @@ mod tests {
     #[test]
     fn empty_removal_returns_the_original_model() {
         let d = data();
-        let trained = train_binary_logistic(&d, &config()).unwrap();
-        let updated = influence_update(&d, &trained.model, 0.02, &[]).unwrap();
-        assert_eq!(updated, trained.model);
+        let trained = LogisticEngine::fit(d.clone(), config()).unwrap();
+        let updated = influence_update(&d, trained.model(), 0.02, &[]).unwrap();
+        assert_eq!(&updated, trained.model());
     }
 
     #[test]

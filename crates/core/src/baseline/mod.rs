@@ -3,7 +3,7 @@
 //! BaseL — retraining with the same mini-batch schedule, the removed
 //! samples excluded from every batch — has no module here: it is
 //! `Method::Retrain` in the engine's delta pipeline, which replays the
-//! trainer's own GD step (`engine`, DESIGN §2.1).
+//! fit's own GD step (`engine`, DESIGN §2.1).
 //!
 //! * [`closed_form`] — the incremental closed-form (normal-equation) update
 //!   for linear regression used by prior incremental-maintenance work

@@ -10,9 +10,9 @@
 //! Closed-form folds both delta directions into that view and solves once.
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use priu_data::dataset::DenseDataset;
+use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::decomposition::eigen::{
     eigen_update_into, EigenScratch, EigenUpdateScratch, SymmetricEigen,
 };
@@ -21,8 +21,7 @@ use priu_linalg::{Matrix, Vector};
 use crate::baseline::closed_form::closed_form_delta_with;
 use crate::baseline::influence::influence_update;
 use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, NormalEquations};
-use crate::config::TrainerConfig;
-use crate::engine::{timed_update, Engine, Family, LinearEngine, Method, Session, UpdateOutcome};
+use crate::engine::{timed_update, Family, LinearEngine, Method, Session, UpdateOutcome};
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
 use crate::snapshot::{
@@ -30,7 +29,7 @@ use crate::snapshot::{
     get_model, get_trainer_config, put_dense_dataset, put_linear_provenance, put_model,
     put_trainer_config, SnapshotReader, SnapshotWriter,
 };
-use crate::trainer::linear::{linear_step, train_linear_with};
+use crate::trainer::linear::linear_step;
 use crate::workspace::Workspace;
 
 thread_local! {
@@ -340,29 +339,36 @@ impl Family for Linear {
     type Provenance = LinearProvenance;
     const SESSION: &'static str = "dense linear";
     const LABELS: &'static str = "continuous labels for rows added to a linear session";
+    const OPT_CAPTURE: bool = true;
 
-    fn fit(self, dataset: DenseDataset, config: TrainerConfig) -> Result<LinearEngine> {
-        // Pre-size the workspace before the offline timer starts, so the
-        // timed region measures training and capture work, not buffer
-        // growth; the m × m decomposition buffers are only needed when the
-        // PrIU-opt capture will factorise.
-        let mut ws = Workspace::sized_for(dataset.num_features(), config.hyper.batch_size, 1);
-        if config.capture_opt {
-            ws.reserve_decompositions(dataset.num_features());
+    fn model_kind(rows: &DenseDataset) -> Result<ModelKind> {
+        match rows.labels {
+            Labels::Continuous(_) => Ok(ModelKind::Linear),
+            _ => Err(CoreError::LabelMismatch {
+                expected: "continuous labels for linear regression",
+            }),
         }
-        let start = Instant::now();
-        let mut trained = train_linear_with(&dataset, &config, &mut ws)?;
-        if self.closed_form && trained.provenance.normal.is_none() {
-            trained.provenance.normal = Some(NormalEquations::build(&dataset)?);
+    }
+
+    /// The offline structures of PrIU-opt (§5.2) and closed form: one
+    /// normal-equations view `XᵀX`, `XᵀY`, plus the eigendecomposition of
+    /// `XᵀX` for PrIU-opt.
+    fn fit_captures(
+        e: &mut LinearEngine,
+        _frozen: Option<&[Vector]>,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        if e.config.capture_opt || e.family.closed_form {
+            let view = NormalEquations::build(&e.dataset)?;
+            if e.config.capture_opt {
+                // The fit's own scratch, not the thread's refresh scratch:
+                // that one would outlive the fit on the fitting thread.
+                let eigen = SymmetricEigen::new_with(&view.xtx, &mut ws.eig)?;
+                e.provenance.opt = Some(LinearOptCapture { eigen });
+            }
+            e.provenance.normal = Some(view);
         }
-        Ok(Engine {
-            dataset,
-            config,
-            model: trained.model,
-            provenance: trained.provenance,
-            family: self,
-            training_time: start.elapsed(),
-        })
+        Ok(())
     }
 
     fn supported_methods(e: &LinearEngine) -> Vec<Method> {
@@ -557,6 +563,7 @@ impl Family for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TrainerConfig;
     use crate::engine::{DeletionEngine, Delta, DeltaRows};
     use crate::metrics::compare_models;
     use priu_data::catalog::Hyperparameters;

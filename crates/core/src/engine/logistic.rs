@@ -8,24 +8,22 @@
 //! frozen linearisation point belongs to the pre-delta trajectory, so it
 //! is dropped rather than left stale.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use priu_data::dataset::{DenseDataset, Labels, TaskKind};
+use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::Vector;
 
 use crate::baseline::influence::influence_update;
 use crate::capture::{ClassIterationCache, LogisticIterationCache, LogisticProvenance};
-use crate::config::TrainerConfig;
-use crate::engine::{timed_update, Engine, Family, LogisticEngine, Method, Session, UpdateOutcome};
+use crate::engine::{timed_update, Family, LogisticEngine, Method, Session, UpdateOutcome};
 use crate::error::{CoreError, Result};
-use crate::model::Model;
+use crate::model::{Model, ModelKind};
 use crate::snapshot::{
     get_dense_dataset, get_logistic_provenance, get_model, get_trainer_config, put_dense_dataset,
     put_logistic_provenance, put_model, put_trainer_config, SnapshotReader, SnapshotWriter,
 };
 use crate::trainer::logistic::{
-    binary_logistic_step, multinomial_logistic_step, train_binary_logistic_with,
-    train_multinomial_logistic_with,
+    binary_logistic_step, capture_binary_opt, capture_multinomial_opt, multinomial_logistic_step,
 };
 use crate::update::drop_positions;
 use crate::workspace::Workspace;
@@ -168,41 +166,48 @@ impl Family for Logistic {
     const SESSION: &'static str = "dense logistic";
     const LABELS: &'static str =
         "added rows with the same label kind (and class count) as the logistic session";
+    const OPT_CAPTURE: bool = true;
 
-    fn fit(self, dataset: DenseDataset, config: TrainerConfig) -> Result<LogisticEngine> {
-        // Pre-size the workspace — including the m × m buffers the PrIU-opt
-        // capture eigendecomposes into — before the offline timer starts.
-        let num_classes = match dataset.task() {
-            TaskKind::MulticlassClassification { num_classes } => num_classes,
-            _ => 1,
-        };
-        let mut ws =
-            Workspace::sized_for(dataset.num_features(), config.hyper.batch_size, num_classes);
-        if config.capture_opt {
-            ws.reserve_decompositions(dataset.num_features());
+    fn model_kind(rows: &DenseDataset) -> Result<ModelKind> {
+        match rows.labels {
+            Labels::Binary(_) => Ok(ModelKind::BinaryLogistic),
+            Labels::Multiclass { num_classes, .. } => {
+                Ok(ModelKind::MultinomialLogistic { num_classes })
+            }
+            Labels::Continuous(_) => Err(CoreError::LabelMismatch {
+                expected: "binary or multiclass labels for a logistic session",
+            }),
         }
-        let start = Instant::now();
-        let trained = match dataset.task() {
-            TaskKind::BinaryClassification => {
-                train_binary_logistic_with(&dataset, &config, &mut ws)?
-            }
-            TaskKind::MulticlassClassification { .. } => {
-                train_multinomial_logistic_with(&dataset, &config, &mut ws)?
-            }
-            TaskKind::Regression => {
-                return Err(CoreError::LabelMismatch {
-                    expected: "binary or multiclass labels for a logistic session",
-                })
-            }
+    }
+
+    /// PrIU-opt freezes the full-data linearisation at the weights the
+    /// fit reached at its switch iteration `ts` (§5.4).
+    fn frozen_iteration(e: &LogisticEngine) -> Option<usize> {
+        e.config
+            .capture_opt
+            .then(|| e.config.opt_switch_iteration())
+    }
+
+    fn fit_captures(
+        e: &mut LogisticEngine,
+        frozen: Option<&[Vector]>,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        let Some(weights) = frozen else {
+            return Ok(());
         };
-        Ok(Engine {
-            dataset,
-            config,
-            model: trained.model,
-            provenance: trained.provenance,
-            family: self,
-            training_time: start.elapsed(),
-        })
+        let (dataset, config) = (&e.dataset, &e.config);
+        let (interp, ts) = (&config.interpolation, config.opt_switch_iteration());
+        let opt = match &dataset.labels {
+            Labels::Binary(y) => capture_binary_opt(dataset, y, &weights[0], interp, ts, ws)?,
+            Labels::Multiclass {
+                classes,
+                num_classes,
+            } => capture_multinomial_opt(dataset, classes, *num_classes, weights, interp, ts, ws)?,
+            Labels::Continuous(_) => unreachable!("logistic rows carry class labels"),
+        };
+        e.provenance.opt = Some(opt);
+        Ok(())
     }
 
     fn supported_methods(e: &LogisticEngine) -> Vec<Method> {

@@ -28,19 +28,21 @@
 //! post-batch model: validate the added rows → normalise the removal set
 //! → run the method's model update → derive the survivors → zero the
 //! removed samples' tokens in each cached per-iteration expression they
-//! appear in (§4.1) → run the appended explicit-batch GD steps. BaseL and
-//! PrIU are one walk over the captured schedule, written here
-//! (`Engine::replay`); they differ only in the per-iteration step, the
-//! family's GD step for BaseL and its cached expression for PrIU (Eq.
-//! 13/14, Eq. 19/20, Eq. 11). Every other method is the family's.
+//! appear in (§4.1) → run the appended explicit-batch GD steps. Training,
+//! BaseL and PrIU are one walk over the schedule, written here
+//! (`Engine::replay`); they differ only in the per-iteration step: the
+//! family's GD step with capture for the fit, without for BaseL, and its
+//! cached expression for PrIU (Eq. 13/14, Eq. 19/20, Eq. 11). Every other
+//! method is the family's.
 //! [`StagedDelta::finish`] cannot fail and builds the successor: carry the
 //! untouched caches → restrict and extend the schedule → select and extend
 //! the dataset → the family's extra captures. `apply_delta` is one followed
 //! by the other. The family modules (`linear`, `logistic`, `sparse`)
-//! supply only what differs, through a sealed family trait: the fit, the
-//! per-method model function, how one cache drops removed batch members,
-//! one PrIU iteration, one GD step (shared by training, BaseL and the
-//! appended batches), and the successor's extra captures.
+//! supply only what differs, through a sealed family trait: the fit's
+//! label check and extra captures, the per-method model function, how
+//! one cache drops removed batch members, one PrIU iteration, one GD step
+//! (shared by training, BaseL and the appended batches), and the
+//! successor's extra captures.
 
 mod linear;
 mod logistic;
@@ -60,7 +62,7 @@ use crate::capture::{
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
-use crate::model::Model;
+use crate::model::{Model, ModelKind};
 use crate::trainer::sparse::SparseLogisticProvenance;
 use crate::update::{normalize_removed, removed_positions_into};
 use crate::workspace::Workspace;
@@ -525,9 +527,31 @@ mod family {
         const SESSION: &'static str;
         /// The label kind added rows must carry, for label mismatches.
         const LABELS: &'static str;
+        /// Whether the family has a PrIU-opt capture. When the config asks
+        /// for it, the fit factorises an `m × m` matrix on its workspace.
+        const OPT_CAPTURE: bool = false;
 
-        /// Trains the initial model and captures provenance.
-        fn fit(self, dataset: Self::Data, config: TrainerConfig) -> Result<Engine<Self>>;
+        /// The model kind a fit over `rows` trains. This is the family's
+        /// label check: rows it cannot train on are a
+        /// [`CoreError::LabelMismatch`] before any step runs.
+        fn model_kind(rows: &Self::Data) -> Result<ModelKind>;
+
+        /// The fit iteration whose starting weights
+        /// [`Family::fit_captures`] reads, if it reads any.
+        fn frozen_iteration(_e: &Engine<Self>) -> Option<usize> {
+            None
+        }
+
+        /// Adds the captures the family keeps beyond the caches to a
+        /// freshly fitted engine. `frozen` holds the weights at
+        /// [`Family::frozen_iteration`] if the fit reached it.
+        fn fit_captures(
+            _e: &mut Engine<Self>,
+            _frozen: Option<&[Vector]>,
+            _ws: &mut Workspace,
+        ) -> Result<()> {
+            Ok(())
+        }
 
         /// The methods the session's captures support, in registry order.
         fn supported_methods(e: &Engine<Self>) -> Vec<Method>;
@@ -566,9 +590,9 @@ mod family {
         ) -> Result<Self::Cache>;
 
         /// One exact GD step over the batch staged in `ws.batch` of
-        /// `rows`, capturing the iteration's cache when asked: the
-        /// trainer's step, run by BaseL over the session's rows and by the
-        /// appended batches over a delta's.
+        /// `rows`, capturing the iteration's cache when asked: run with
+        /// capture by the fit and without by BaseL, both over the
+        /// session's rows, and by the appended batches over a delta's.
         fn step(
             e: &Engine<Self>,
             rows: &Self::Data,
@@ -605,10 +629,15 @@ mod family {
         fn schedule(&self) -> &BatchSchedule;
         /// One cache per scheduled iteration.
         fn caches(&self) -> &[C];
+        /// The caches, which the fit fills.
+        fn caches_mut(&mut self) -> &mut Vec<C>;
         /// The parameters training started from, `w⁽⁰⁾`.
         fn initial_model(&self) -> &Model;
         /// The weight decay `1 − ηλ` of one GD step.
         fn decay(&self) -> f64;
+        /// A fit's provenance before its walk: the schedule, `η`, `λ` and
+        /// `w⁽⁰⁾`, without caches or extra captures.
+        fn new(schedule: BatchSchedule, eta: f64, lambda: f64, initial_model: Model) -> Self;
         /// The successor's provenance: the same hyperparameters and
         /// initial model around a new schedule and caches, without extra
         /// captures.
@@ -626,20 +655,31 @@ mod family {
                 fn caches(&self) -> &[$cache] {
                     &self.$caches
                 }
+                fn caches_mut(&mut self) -> &mut Vec<$cache> {
+                    &mut self.$caches
+                }
                 fn initial_model(&self) -> &Model {
                     &self.initial_model
                 }
                 fn decay(&self) -> f64 {
                     1.0 - self.learning_rate * self.regularization
                 }
-                fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
+                fn new(schedule: BatchSchedule, eta: f64, lambda: f64, initial_model: Model) -> Self {
                     Self {
                         schedule,
-                        learning_rate: self.learning_rate,
-                        regularization: self.regularization,
-                        initial_model: self.initial_model.clone(),
-                        $caches: caches,
+                        learning_rate: eta,
+                        regularization: lambda,
+                        initial_model,
+                        $caches: Vec::new(),
                         $($extra: None,)*
+                    }
+                }
+                fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
+                    let (eta, lambda) = (self.learning_rate, self.regularization);
+                    let initial_model = self.initial_model.clone();
+                    Self {
+                        $caches: caches,
+                        ..Self::new(schedule, eta, lambda, initial_model)
                     }
                 }
             }
@@ -720,7 +760,71 @@ impl<F: Family> Engine<F> {
     /// # Errors
     /// Propagates training failures (label mismatch, divergence).
     pub fn fit(dataset: F::Data, config: TrainerConfig) -> Result<Self> {
-        F::default().fit(dataset, config)
+        Self::fit_family(F::default(), dataset, config)
+    }
+
+    /// The offline phase for a family marker, timed after its workspace
+    /// is sized, so the timed region measures training and capture work,
+    /// not buffer growth.
+    fn fit_family(family: F, dataset: F::Data, config: TrainerConfig) -> Result<Self> {
+        let (mut e, mut ws) = Self::unfitted(family, dataset, config)?;
+        let start = Instant::now();
+        e.train(&mut ws)?;
+        e.training_time = start.elapsed();
+        Ok(e)
+    }
+
+    /// A fit's engine before its walk — the schedule, `η`, `λ` and `w⁽⁰⁾`
+    /// without caches — and the workspace sized for the walk. Labels the
+    /// family cannot train on are a [`CoreError::LabelMismatch`].
+    fn unfitted(family: F, dataset: F::Data, config: TrainerConfig) -> Result<(Self, Workspace)> {
+        let kind = F::model_kind(&dataset)?;
+        let (hyper, n, m) = (config.hyper, dataset.num_samples(), dataset.num_features());
+        let schedule = BatchSchedule::new(n, hyper.batch_size, hyper.num_iterations, config.seed);
+        let model = Model::zeros(kind, m);
+        let (eta, lambda) = (hyper.learning_rate, hyper.regularization);
+        let provenance = F::Provenance::new(schedule, eta, lambda, model.clone());
+        let e = Engine {
+            dataset,
+            config,
+            model,
+            provenance,
+            family,
+            training_time: Duration::ZERO,
+        };
+        let mut ws = e.sized_workspace(0);
+        if F::OPT_CAPTURE && e.config.capture_opt {
+            ws.reserve_decompositions(m);
+        }
+        Ok((e, ws))
+    }
+
+    /// Trains the model (Eq. 5/6) as the replay with nothing removed and
+    /// capture on, so training, BaseL and PrIU walk one schedule: each
+    /// iteration runs [`Family::step`] and keeps its cache, with the
+    /// weights checked for divergence every 32 iterations and at `τ`. The
+    /// family's extra captures follow the walk.
+    fn train(&mut self, ws: &mut Workspace) -> Result<()> {
+        let tau = self.provenance.schedule().num_iterations();
+        let frozen_at = F::frozen_iteration(self);
+        let (mut caches, mut frozen) = (Vec::with_capacity(tau), None);
+        let model = self.replay(&[], tau, ws, |t, weights, _, ws| {
+            if frozen_at == Some(t) {
+                frozen = Some(weights.to_vec());
+            }
+            let cache = F::step(self, &self.dataset, weights, true, ws)?;
+            caches.push(cache.expect("capture was requested"));
+            if t % 32 == 0 && weights.iter().any(|w| !w.is_finite()) {
+                return Err(CoreError::Diverged { iteration: t });
+            }
+            Ok(())
+        })?;
+        if !model.is_finite() {
+            return Err(CoreError::Diverged { iteration: tau });
+        }
+        self.model = model;
+        *self.provenance.caches_mut() = caches;
+        F::fit_captures(self, frozen.as_deref(), ws)
     }
 
     /// The training dataset this session currently covers.
@@ -763,13 +867,13 @@ impl<F: Family> Engine<F> {
         timed_update(method, num_removed, 0, || replay(&mut ws))
     }
 
-    /// The deletion replay BaseL and PrIU share: walks the captured
-    /// schedule from `w⁽⁰⁾` over iterations `0..end` with the samples of
-    /// `removed` (ascending and distinct) taken out. Each iteration stages
-    /// its batch in `ws.batch` and the removed members' positions in
-    /// `ws.positions`; a batch left empty only decays every weight vector
-    /// by `1 − ηλ`, any other goes to `step` with its iteration and its
-    /// number of survivors `b_u`.
+    /// The one schedule walk behind training, BaseL and PrIU: walks the
+    /// captured schedule from `w⁽⁰⁾` over iterations `0..end` with the
+    /// samples of `removed` (ascending and distinct) taken out; the fit
+    /// removes nothing. Each iteration stages its batch in `ws.batch` and
+    /// the removed members' positions in `ws.positions`; a batch left
+    /// empty only decays every weight vector by `1 − ηλ`, any other goes
+    /// to `step` with its iteration and its number of survivors `b_u`.
     fn replay(
         &self,
         removed: &[usize],
@@ -794,7 +898,7 @@ impl<F: Family> Engine<F> {
     }
 
     /// BaseL (§6): retrains over the captured schedule with the removed
-    /// samples dropped from every batch, through the trainer's own
+    /// samples dropped from every batch, through the fit's own
     /// [`Family::step`] — so an empty removal replays the fit bit for bit.
     fn retrain(&self, removed: &[usize], ws: &mut Workspace) -> Result<Model> {
         let end = self.provenance.schedule().num_iterations();
@@ -1404,12 +1508,12 @@ impl SessionBuilder {
                 let family = linear::Linear {
                     closed_form: self.closed_form,
                 };
-                Session::Linear(family.fit(dataset, self.config)?)
+                Session::Linear(LinearEngine::fit_family(family, dataset, self.config)?)
             }
             BuilderData::Dense(dataset) => {
                 Session::Logistic(LogisticEngine::fit(dataset, self.config)?)
             }
-            // The sparse trainer rejects non-binary labels itself.
+            // The sparse family's label check rejects non-binary labels.
             BuilderData::Sparse(dataset) => {
                 Session::SparseLogistic(SparseLogisticEngine::fit(dataset, self.config)?)
             }
@@ -1933,7 +2037,7 @@ mod tests {
         }
     }
 
-    /// BaseL runs the trainer's own GD step, so with nothing removed it
+    /// BaseL runs the fit's own GD step, so with nothing removed it
     /// replays the fit bit for bit.
     fn assert_basel_replays_training(session: &Session) {
         let replay = session.update(Method::Retrain, &[]).unwrap();
@@ -2067,9 +2171,57 @@ mod tests {
     }
 
     #[test]
+    fn fit_rejects_the_wrong_label_kind_without_panicking() {
+        // Each family checks the labels before its first step, so rows it
+        // cannot train on are a typed error, never the step's `expect`.
+        use priu_data::dataset::Labels;
+        use priu_linalg::CsrMatrix;
+        let config = TrainerConfig::from_hyper(hyper());
+        let binary = generate_binary_classification(&ClassificationConfig {
+            num_samples: 60,
+            num_features: 4,
+            seed: 5,
+            ..Default::default()
+        });
+        let continuous = generate_regression(&RegressionConfig {
+            num_samples: 60,
+            num_features: 4,
+            seed: 6,
+            ..Default::default()
+        });
+        let x = CsrMatrix::from_dense(&continuous.x);
+        let multiclass = Labels::Multiclass {
+            classes: (0..60).map(|i| i % 3).collect(),
+            num_classes: 3,
+        };
+        let fits = [
+            ("linear", LinearEngine::fit(binary, config).map(drop)),
+            (
+                "logistic",
+                LogisticEngine::fit(continuous.clone(), config).map(drop),
+            ),
+            (
+                "sparse continuous",
+                SparseLogisticEngine::fit(SparseDataset::new(x.clone(), continuous.labels), config)
+                    .map(drop),
+            ),
+            (
+                "sparse multiclass",
+                SparseLogisticEngine::fit(SparseDataset::new(x, multiclass), config).map(drop),
+            ),
+        ];
+        for (label, fit) in fits {
+            assert!(
+                matches!(fit, Err(CoreError::LabelMismatch { .. })),
+                "{label}: {fit:?}"
+            );
+        }
+    }
+
+    #[test]
     fn replays_never_grow_the_sized_workspace() {
-        // Every replay runs on the workspace the engine sizes for it before
-        // the update timer starts, and never has to grow it.
+        // Every replay, the fit included, runs on the workspace the engine
+        // sizes for it before its timer starts, and never has to grow it.
         fn assert_warm<F: Family>(
             label: &str,
             e: &Engine<F>,
@@ -2081,6 +2233,11 @@ mod tests {
             assert_eq!(ws.grow_events(), 0, "{label} grew its sized workspace");
         }
         fn assert_walks_warm<F: Family>(label: &str, e: &Engine<F>, removed: &[usize]) {
+            // The fit walks the session's rows on the workspace it sizes.
+            let fit = Engine::unfitted(e.family.clone(), e.dataset.clone(), e.config);
+            let (mut fresh, mut ws) = fit.unwrap();
+            fresh.train(&mut ws).unwrap();
+            assert_eq!(ws.grow_events(), 0, "{label} fit grew its sized workspace");
             assert_warm(&format!("{label} BaseL"), e, 0, |ws| e.retrain(removed, ws));
             let end = e.provenance.caches().len();
             assert_warm(&format!("{label} PrIU"), e, 0, |ws| {

@@ -5,21 +5,19 @@
 //! over the surviving CSR rows, dropping a removed sample drops its entry,
 //! and the successor keeps no extra captures.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use priu_data::dataset::SparseDataset;
+use priu_data::dataset::{Labels, SparseDataset};
 use priu_linalg::Vector;
 
-use crate::config::TrainerConfig;
-use crate::engine::{Engine, Family, Method, Session, SparseLogisticEngine, UpdateOutcome};
+use crate::engine::{Family, Method, Session, SparseLogisticEngine, UpdateOutcome};
 use crate::error::{CoreError, Result};
+use crate::model::ModelKind;
 use crate::snapshot::{
     get_model, get_sparse_dataset, get_sparse_provenance, get_trainer_config, put_model,
     put_sparse_dataset, put_sparse_provenance, put_trainer_config, SnapshotReader, SnapshotWriter,
 };
-use crate::trainer::sparse::{
-    sparse_logistic_step, train_sparse_binary_logistic, SparseLogisticProvenance,
-};
+use crate::trainer::sparse::{sparse_logistic_step, SparseLogisticProvenance};
 use crate::update::drop_positions;
 use crate::workspace::Workspace;
 
@@ -66,17 +64,13 @@ impl Family for SparseLogistic {
     const LABELS: &'static str =
         "binary (+1/-1) labels for rows added to a sparse logistic session";
 
-    fn fit(self, dataset: SparseDataset, config: TrainerConfig) -> Result<SparseLogisticEngine> {
-        let start = Instant::now();
-        let trained = train_sparse_binary_logistic(&dataset, &config)?;
-        Ok(Engine {
-            dataset,
-            config,
-            model: trained.model,
-            provenance: trained.provenance,
-            family: self,
-            training_time: start.elapsed(),
-        })
+    fn model_kind(rows: &SparseDataset) -> Result<ModelKind> {
+        match rows.labels {
+            Labels::Binary(_) => Ok(ModelKind::BinaryLogistic),
+            _ => Err(CoreError::LabelMismatch {
+                expected: "binary (+1/-1) labels for sparse logistic regression",
+            }),
+        }
     }
 
     fn supported_methods(_: &SparseLogisticEngine) -> Vec<Method> {
@@ -150,8 +144,8 @@ impl Family for SparseLogistic {
             .x
             .scatter_rows_into(sel, &slopes[..sel.len()], acc)?;
         // Fused parameter step (bitwise identical to scale_mut + axpy on
-        // every SIMD level) — keeps the replay in lock-step with the
-        // trainer's fused step.
+        // every SIMD level) — keeps the replay in lock-step with the GD
+        // step's fused update.
         w.scale_add(1.0 - eta * lambda, eta / b_u as f64, acc)?;
         Ok(())
     }

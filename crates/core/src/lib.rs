@@ -21,15 +21,16 @@
 //!
 //! ## Where each equation lives
 //!
-//! The captures of the offline phase (Eq. 5/6 with §4.1/§4.2 provenance)
-//! are built in [`trainer`] and stored in [`capture`]. The online phase is
-//! the delta pipeline of [`engine`]: BaseL and PrIU are one walk over the
-//! captured schedule there, and the family modules supply one PrIU
-//! iteration each — linear regression (Eq. 13/14), dense logistic
-//! regression (Eq. 19/20) and the sparse linearised rule (Eq. 11, §5.3) —
-//! plus PrIU-opt (Eq. 15-18 for linear regression, §5.4 for logistic,
-//! whose first phase is the same walk cut at its switch iteration).
-//! [`update`] holds the removal-set helpers the walk shares.
+//! The GD steps of Eq. 5/6 and the §4.1/§4.2 provenance they capture are
+//! written in [`trainer`]; the captures are stored in [`capture`]. Both
+//! phases run in [`engine`], on one walk over the schedule: the offline
+//! fit walks it with capture on, and in the online delta pipeline BaseL
+//! and PrIU walk it again. The family modules supply one PrIU iteration
+//! each — linear regression (Eq. 13/14), dense logistic regression (Eq.
+//! 19/20) and the sparse linearised rule (Eq. 11, §5.3) — plus PrIU-opt
+//! (Eq. 15-18 for linear regression, §5.4 for logistic, whose first phase
+//! is the same walk cut at its switch iteration). [`update`] holds the
+//! removal-set helpers the walk shares.
 //!
 //! ## Quick start
 //!

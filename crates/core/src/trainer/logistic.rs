@@ -1,12 +1,14 @@
-//! Binary and multinomial logistic-regression training (Eq. 6) with
-//! provenance capture via piecewise-linear interpolation (§4.2, §5.3, §5.4).
+//! The binary and multinomial logistic-regression GD steps (Eq. 6) with
+//! provenance capture via piecewise-linear interpolation (§4.2, §5.3,
+//! §5.4).
 //!
-//! The trainers run the *exact* non-linear mb-SGD update to produce the
-//! initial model; at every iteration they additionally capture the
-//! linearisation of the non-linearity around the current trajectory —
-//! per-sample coefficients `(a_{i,(t)}, b'_{i,(t)})`, the aggregated
-//! Gram-form `C^{(t)}` (possibly truncated, Eq. 20) and moment vector
-//! `D^{(t)}` — which is all the incremental update (Eq. 19) needs.
+//! The steps run the *exact* non-linear mb-SGD update; with capture on,
+//! as in the fit, they additionally capture the linearisation of the
+//! non-linearity around the current trajectory — per-sample coefficients
+//! `(a_{i,(t)}, b'_{i,(t)})`, the aggregated Gram-form `C^{(t)}` (possibly
+//! truncated, Eq. 20) and moment vector `D^{(t)}` — which is all the
+//! incremental update (Eq. 19) needs. The PrIU-opt captures freeze the
+//! full-data linearisation at the switch iteration's weights.
 //!
 //! For the multinomial case the softmax probability of class `k` is written
 //! as `σ(w_kᵀx_i − L_{i,k})` with `L_{i,k} = ln Σ_{j≠k} e^{w_jᵀx_i}` captured
@@ -14,31 +16,19 @@
 //! the same 1-D interpolant per class (see `DESIGN.md` §2.6 for why this
 //! substitution preserves the paper's structure).
 
-use priu_data::dataset::{DenseDataset, Labels};
-use priu_data::minibatch::BatchSchedule;
+use priu_data::dataset::DenseDataset;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
 use priu_linalg::{Matrix, Vector};
 
 use crate::capture::{
     ClassIterationCache, GramCache, LogisticIterationCache, LogisticOptCapture,
-    LogisticOptClassCapture, LogisticProvenance,
+    LogisticOptClassCapture,
 };
-use crate::config::{Compression, TrainerConfig};
-use crate::error::{CoreError, Result};
+use crate::config::Compression;
+use crate::error::Result;
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::{Model, ModelKind};
 use crate::workspace::Workspace;
-
-/// The result of training a logistic-regression model with provenance
-/// capture.
-#[derive(Debug, Clone)]
-pub struct TrainedLogistic {
-    /// The trained model `M_init`.
-    pub model: Model,
-    /// The captured provenance, consumed by the logistic engine's PrIU and
-    /// PrIU-opt updates.
-    pub provenance: LogisticProvenance,
-}
 
 /// Builds one class's per-iteration cache from batch rows and coefficients.
 /// Borrows its inputs — `transpose_matvec` consumes the coefficient slice
@@ -61,9 +51,9 @@ fn build_class_cache(
 
 /// Runs one exact binary-logistic mb-SGD step (Eq. 6) on the batch staged
 /// in `ws.batch`, selecting rows from `x`/`y` and mutating `w` in place.
-/// The single definition of the step: the trainer loop calls it per
-/// scheduled iteration, the delta engine for BaseL's retraining and for
-/// appended explicit batches.
+/// The single definition of the step: the engine's fit calls it per
+/// scheduled iteration, BaseL's retraining and the appended explicit
+/// batches call it too.
 ///
 /// With `capture` set the iteration's linearised provenance — the `(a, b')`
 /// coefficients around the *current* trajectory plus the aggregated Gram
@@ -218,103 +208,16 @@ pub(crate) fn multinomial_logistic_step(
     }))
 }
 
-/// Trains a binary logistic-regression model (labels in `{-1, +1}`) with
-/// mb-SGD while capturing PrIU provenance.
-///
-/// # Errors
-/// * [`CoreError::LabelMismatch`] for non-binary labels.
-/// * [`CoreError::Diverged`] if parameters become non-finite.
-pub fn train_binary_logistic(
-    dataset: &DenseDataset,
-    config: &TrainerConfig,
-) -> Result<TrainedLogistic> {
-    train_binary_logistic_with(dataset, config, &mut Workspace::new())
-}
-
-/// Like [`train_binary_logistic`], reusing a caller-owned [`Workspace`]:
-/// once the buffers are warm, the mb-SGD step performs no heap allocation
-/// per iteration (provenance capture storage still allocates — it outlives
-/// the loop by design).
-///
-/// # Errors
-/// See [`train_binary_logistic`].
-pub fn train_binary_logistic_with(
-    dataset: &DenseDataset,
-    config: &TrainerConfig,
-    ws: &mut Workspace,
-) -> Result<TrainedLogistic> {
-    let y = match &dataset.labels {
-        Labels::Binary(y) => y,
-        _ => {
-            return Err(CoreError::LabelMismatch {
-                expected: "binary (+1/-1) labels for binary logistic regression",
-            })
-        }
-    };
-    let n = dataset.num_samples();
-    let m = dataset.num_features();
-    let hyper = &config.hyper;
-    let schedule = BatchSchedule::new(n, hyper.batch_size, hyper.num_iterations, config.seed);
-    let eta = hyper.learning_rate;
-    let lambda = hyper.regularization;
-    let interp = &config.interpolation;
-    let ts = config.opt_switch_iteration();
-
-    let initial_model = Model::zeros(ModelKind::BinaryLogistic, m);
-    let mut w = Vector::zeros(m);
-    let mut iterations = Vec::with_capacity(hyper.num_iterations);
-    let mut opt: Option<LogisticOptCapture> = None;
-
-    for t in 0..hyper.num_iterations {
-        // PrIU-opt freeze point: capture full-data linearisation at w^{(ts)}.
-        if config.capture_opt && t == ts {
-            opt = Some(capture_binary_opt(dataset, y, &w, interp, ts, m, ws)?);
-        }
-
-        schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
-        let cache = binary_logistic_step(
-            &dataset.x,
-            y,
-            &mut w,
-            eta,
-            lambda,
-            interp,
-            Some(config.compression),
-            ws,
-        )?
-        .expect("capture was requested");
-        if t % 32 == 0 && !w.is_finite() {
-            return Err(CoreError::Diverged { iteration: t });
-        }
-        iterations.push(cache);
-    }
-    if !w.is_finite() {
-        return Err(CoreError::Diverged {
-            iteration: hyper.num_iterations,
-        });
-    }
-
-    let model = Model::new(ModelKind::BinaryLogistic, vec![w])?;
-    Ok(TrainedLogistic {
-        model,
-        provenance: LogisticProvenance {
-            schedule,
-            learning_rate: eta,
-            regularization: lambda,
-            initial_model,
-            iterations,
-            opt,
-        },
-    })
-}
-
-fn capture_binary_opt(
+/// PrIU-opt's frozen capture for binary labels (§5.4): the full-data
+/// linearisation at `w`, the switch iteration `ts`'s weights — every
+/// sample's `(a, b')`, `C* = Σ a x xᵀ` with its eigendecomposition, and
+/// `D* = Σ b' x`.
+pub(crate) fn capture_binary_opt(
     dataset: &DenseDataset,
     y: &Vector,
     w: &Vector,
     interp: &PiecewiseLinearSigmoid,
     ts: usize,
-    m: usize,
     ws: &mut Workspace,
 ) -> Result<LogisticOptCapture> {
     let n = dataset.num_samples();
@@ -329,7 +232,7 @@ fn capture_binary_opt(
     }
     // The frozen C* and its eigendecomposition run on workspace buffers;
     // only the capture's stored pieces are allocated.
-    ws.prepare_square(m);
+    ws.prepare_square(dataset.num_features());
     let Workspace { mm0, eig, .. } = ws;
     dataset.x.weighted_gram_into(Some(&a_all), mm0);
     let eigen = SymmetricEigen::new_with(mm0, eig)?;
@@ -344,110 +247,11 @@ fn capture_binary_opt(
             coefficients,
         }],
     })
-    .map(|mut capture| {
-        // Defensive: ensure the eigen dimension matches the feature count.
-        debug_assert_eq!(capture.classes[0].eigen.values.len(), m);
-        capture.switch_iteration = ts;
-        capture
-    })
 }
 
-/// Trains a multinomial logistic-regression model with mb-SGD while
-/// capturing PrIU provenance (one set of caches per class).
-///
-/// # Errors
-/// * [`CoreError::LabelMismatch`] for non-multiclass labels.
-/// * [`CoreError::Diverged`] if parameters become non-finite.
-pub fn train_multinomial_logistic(
-    dataset: &DenseDataset,
-    config: &TrainerConfig,
-) -> Result<TrainedLogistic> {
-    train_multinomial_logistic_with(dataset, config, &mut Workspace::new())
-}
-
-/// Like [`train_multinomial_logistic`], reusing a caller-owned
-/// [`Workspace`] so the mb-SGD step is allocation-free once warm.
-///
-/// # Errors
-/// See [`train_multinomial_logistic`].
-pub fn train_multinomial_logistic_with(
-    dataset: &DenseDataset,
-    config: &TrainerConfig,
-    ws: &mut Workspace,
-) -> Result<TrainedLogistic> {
-    let (classes, q) = match &dataset.labels {
-        Labels::Multiclass {
-            classes,
-            num_classes,
-        } => (classes, *num_classes),
-        _ => {
-            return Err(CoreError::LabelMismatch {
-                expected: "multiclass labels for multinomial logistic regression",
-            })
-        }
-    };
-    let n = dataset.num_samples();
-    let m = dataset.num_features();
-    let hyper = &config.hyper;
-    let schedule = BatchSchedule::new(n, hyper.batch_size, hyper.num_iterations, config.seed);
-    let eta = hyper.learning_rate;
-    let lambda = hyper.regularization;
-    let interp = &config.interpolation;
-    let ts = config.opt_switch_iteration();
-
-    let initial_model = Model::zeros(ModelKind::MultinomialLogistic { num_classes: q }, m);
-    let mut weights: Vec<Vector> = vec![Vector::zeros(m); q];
-    let mut iterations = Vec::with_capacity(hyper.num_iterations);
-    let mut opt: Option<LogisticOptCapture> = None;
-
-    for t in 0..hyper.num_iterations {
-        if config.capture_opt && t == ts {
-            opt = Some(capture_multinomial_opt(
-                dataset, classes, q, &weights, interp, ts, ws,
-            )?);
-        }
-
-        schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
-        let cache = multinomial_logistic_step(
-            &dataset.x,
-            classes,
-            q,
-            &mut weights,
-            eta,
-            lambda,
-            interp,
-            Some(config.compression),
-            ws,
-        )?
-        .expect("capture was requested");
-
-        if t % 32 == 0 && weights.iter().any(|w| !w.is_finite()) {
-            return Err(CoreError::Diverged { iteration: t });
-        }
-
-        iterations.push(cache);
-    }
-    if weights.iter().any(|w| !w.is_finite()) {
-        return Err(CoreError::Diverged {
-            iteration: hyper.num_iterations,
-        });
-    }
-
-    let model = Model::new(ModelKind::MultinomialLogistic { num_classes: q }, weights)?;
-    Ok(TrainedLogistic {
-        model,
-        provenance: LogisticProvenance {
-            schedule,
-            learning_rate: eta,
-            regularization: lambda,
-            initial_model,
-            iterations,
-            opt,
-        },
-    })
-}
-
-fn capture_multinomial_opt(
+/// PrIU-opt's frozen capture for multiclass labels: per class, the
+/// binary capture's pieces for the scalarised softmax at `weights`.
+pub(crate) fn capture_multinomial_opt(
     dataset: &DenseDataset,
     classes: &[u32],
     q: usize,
@@ -506,12 +310,17 @@ fn capture_multinomial_opt(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, LogisticEngine};
+    use crate::error::CoreError;
     use crate::metrics::classification_accuracy;
     use priu_data::catalog::Hyperparameters;
+    use priu_data::dataset::DenseDataset;
     use priu_data::synthetic::classification::{
         generate_binary_classification, generate_multiclass_classification, ClassificationConfig,
     };
+    use priu_data::synthetic::regression::{generate_regression, RegressionConfig};
+    use priu_linalg::Vector;
 
     fn binary_data() -> DenseDataset {
         generate_binary_classification(&ClassificationConfig {
@@ -548,13 +357,13 @@ mod tests {
     #[test]
     fn binary_training_beats_chance_substantially() {
         let data = binary_data();
-        let trained = train_binary_logistic(&data, &config(300)).unwrap();
-        let acc = classification_accuracy(&trained.model, &data).unwrap();
+        let trained = LogisticEngine::fit(data.clone(), config(300)).unwrap();
+        let acc = classification_accuracy(trained.model(), &data).unwrap();
         assert!(acc > 0.8, "accuracy {acc}");
-        assert_eq!(trained.provenance.iterations.len(), 300);
-        assert!(trained.provenance.opt.is_some());
+        assert_eq!(trained.provenance().iterations.len(), 300);
+        assert!(trained.provenance().opt.is_some());
         assert_eq!(
-            trained.provenance.opt.as_ref().unwrap().switch_iteration,
+            trained.provenance().opt.as_ref().unwrap().switch_iteration,
             210
         );
     }
@@ -562,20 +371,20 @@ mod tests {
     #[test]
     fn multinomial_training_beats_chance_substantially() {
         let data = multi_data();
-        let trained = train_multinomial_logistic(&data, &config(300)).unwrap();
-        let acc = classification_accuracy(&trained.model, &data).unwrap();
+        let trained = LogisticEngine::fit(data.clone(), config(300)).unwrap();
+        let acc = classification_accuracy(trained.model(), &data).unwrap();
         assert!(acc > 0.6, "accuracy {acc} (chance is 0.25)");
-        assert_eq!(trained.provenance.iterations[0].classes.len(), 4);
-        assert!(trained.provenance.opt.is_some());
-        assert_eq!(trained.provenance.opt.as_ref().unwrap().classes.len(), 4);
+        assert_eq!(trained.provenance().iterations[0].classes.len(), 4);
+        assert!(trained.provenance().opt.is_some());
+        assert_eq!(trained.provenance().opt.as_ref().unwrap().classes.len(), 4);
     }
 
     #[test]
     fn training_is_deterministic() {
         let data = binary_data();
-        let a = train_binary_logistic(&data, &config(50)).unwrap();
-        let b = train_binary_logistic(&data, &config(50)).unwrap();
-        assert_eq!(a.model, b.model);
+        let a = LogisticEngine::fit(data.clone(), config(50)).unwrap();
+        let b = LogisticEngine::fit(data, config(50)).unwrap();
+        assert_eq!(a.model(), b.model());
     }
 
     #[test]
@@ -584,8 +393,8 @@ mod tests {
         // close to the exact model (Theorem 4: error O((Δx)²)).
         let data = binary_data();
         let cfg = config(150);
-        let trained = train_binary_logistic(&data, &cfg).unwrap();
-        let prov = &trained.provenance;
+        let trained = LogisticEngine::fit(data.clone(), cfg).unwrap();
+        let prov = trained.provenance();
         let mut w = Vector::zeros(data.num_features());
         let eta = prov.learning_rate;
         let lambda = prov.regularization;
@@ -598,28 +407,37 @@ mod tests {
             next.axpy(eta / b, &cache.d).unwrap();
             w = next;
         }
-        let diff = (&w - trained.model.weight()).norm2();
+        let diff = (&w - trained.model().weight()).norm2();
         assert!(diff < 1e-6, "linearised trajectory differs by {diff}");
     }
 
     #[test]
     fn label_mismatch_and_divergence_are_reported() {
-        let data = binary_data();
+        // The family follows the labels, so only continuous ones mismatch.
+        let regression = generate_regression(&RegressionConfig {
+            num_samples: 100,
+            num_features: 8,
+            seed: 23,
+            ..Default::default()
+        });
         assert!(matches!(
-            train_multinomial_logistic(&data, &config(10)),
+            LogisticEngine::fit(regression, config(10)),
             Err(CoreError::LabelMismatch { .. })
         ));
-        let multi = multi_data();
-        assert!(matches!(
-            train_binary_logistic(&multi, &config(10)),
-            Err(CoreError::LabelMismatch { .. })
-        ));
+        let mut diverging = config(64);
+        diverging.hyper.learning_rate = 1e308;
+        for data in [binary_data(), multi_data()] {
+            assert!(matches!(
+                LogisticEngine::fit(data, diverging),
+                Err(CoreError::Diverged { .. })
+            ));
+        }
     }
 
     #[test]
     fn opt_capture_can_be_disabled() {
         let data = binary_data();
-        let trained = train_binary_logistic(&data, &config(40).with_opt_capture(false)).unwrap();
-        assert!(trained.provenance.opt.is_none());
+        let trained = LogisticEngine::fit(data, config(40).with_opt_capture(false)).unwrap();
+        assert!(trained.provenance().opt.is_none());
     }
 }

@@ -1,4 +1,5 @@
-//! Sparse binary logistic-regression training (the RCV1-style path of §5.3).
+//! The sparse binary logistic-regression GD step (the RCV1-style path of
+//! §5.3) and the provenance it captures.
 //!
 //! For sparse datasets PrIU does not cache Gram-form intermediates (their
 //! truncated factors would be dense); it only records the per-iteration
@@ -6,14 +7,12 @@
 //! (Eq. 11) over the surviving samples, so the expected speed-up over
 //! retraining is marginal — which is exactly what the paper reports (~10%).
 
-use priu_data::dataset::{Labels, SparseDataset};
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::{CsrMatrix, Vector};
 
-use crate::config::TrainerConfig;
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::interpolation::PiecewiseLinearSigmoid;
-use crate::model::{Model, ModelKind};
+use crate::model::Model;
 use crate::workspace::Workspace;
 
 /// Provenance captured while training a sparse binary logistic model: the
@@ -35,9 +34,9 @@ pub struct SparseLogisticProvenance {
 
 /// Runs one exact sparse binary-logistic mb-SGD step on the batch staged in
 /// `ws.batch` (gather margins, scatter gradient — the batched CSR kernels),
-/// mutating `w` in place. The single definition of the step: the trainer
-/// loop calls it per scheduled iteration, the delta engine for BaseL's
-/// retraining and for appended explicit batches. With `capture` set the
+/// mutating `w` in place. The single definition of the step: the engine's
+/// fit calls it per scheduled iteration, BaseL's retraining and the
+/// appended explicit batches call it too. With `capture` set the
 /// iteration's `(a, b')` linearisation coefficients are collected and
 /// returned (allocates: it is storage); with `false` the step touches only
 /// workspace buffers.
@@ -84,96 +83,17 @@ pub(crate) fn sparse_logistic_step(
     Ok(iter_coeffs)
 }
 
-/// The result of training a sparse binary logistic model.
-#[derive(Debug, Clone)]
-pub struct TrainedSparseLogistic {
-    /// The trained model `M_init`.
-    pub model: Model,
-    /// The captured provenance, consumed by the sparse engine's PrIU
-    /// update.
-    pub provenance: SparseLogisticProvenance,
-}
-
-/// Trains a binary logistic-regression model over a sparse (CSR) dataset with
-/// mb-SGD, capturing the linearisation coefficients per iteration.
-///
-/// # Errors
-/// * [`CoreError::LabelMismatch`] for non-binary labels.
-/// * [`CoreError::Diverged`] if parameters become non-finite.
-pub fn train_sparse_binary_logistic(
-    dataset: &SparseDataset,
-    config: &TrainerConfig,
-) -> Result<TrainedSparseLogistic> {
-    train_sparse_binary_logistic_with(dataset, config, &mut Workspace::new())
-}
-
-/// Like [`train_sparse_binary_logistic`], reusing a caller-owned
-/// [`Workspace`] so the mb-SGD step is allocation-free once warm (the
-/// captured coefficient lists still allocate — they are storage).
-///
-/// # Errors
-/// See [`train_sparse_binary_logistic`].
-pub fn train_sparse_binary_logistic_with(
-    dataset: &SparseDataset,
-    config: &TrainerConfig,
-    ws: &mut Workspace,
-) -> Result<TrainedSparseLogistic> {
-    let y = match &dataset.labels {
-        Labels::Binary(y) => y,
-        _ => {
-            return Err(CoreError::LabelMismatch {
-                expected: "binary (+1/-1) labels for sparse logistic regression",
-            })
-        }
-    };
-    let n = dataset.num_samples();
-    let m = dataset.num_features();
-    let hyper = &config.hyper;
-    let schedule = BatchSchedule::new(n, hyper.batch_size, hyper.num_iterations, config.seed);
-    let eta = hyper.learning_rate;
-    let lambda = hyper.regularization;
-    let interp = &config.interpolation;
-
-    let initial_model = Model::zeros(ModelKind::BinaryLogistic, m);
-    let mut w = Vector::zeros(m);
-    let mut coefficients = Vec::with_capacity(hyper.num_iterations);
-
-    for t in 0..hyper.num_iterations {
-        schedule.batch_into(t, &mut ws.batch, &mut ws.idx_scratch);
-        let iter_coeffs =
-            sparse_logistic_step(&dataset.x, y, &mut w, eta, lambda, interp, true, ws)?
-                .expect("capture was requested");
-        if t % 32 == 0 && !w.is_finite() {
-            return Err(CoreError::Diverged { iteration: t });
-        }
-        coefficients.push(iter_coeffs);
-    }
-    if !w.is_finite() {
-        return Err(CoreError::Diverged {
-            iteration: hyper.num_iterations,
-        });
-    }
-
-    let model = Model::new(ModelKind::BinaryLogistic, vec![w])?;
-    Ok(TrainedSparseLogistic {
-        model,
-        provenance: SparseLogisticProvenance {
-            schedule,
-            learning_rate: eta,
-            regularization: lambda,
-            initial_model,
-            coefficients,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::capture::ProvenanceMemory;
+    use crate::config::TrainerConfig;
+    use crate::engine::{DeletionEngine, SparseLogisticEngine};
+    use crate::error::CoreError;
     use crate::metrics::sparse_classification_accuracy;
     use priu_data::catalog::Hyperparameters;
+    use priu_data::dataset::{Labels, SparseDataset};
     use priu_data::synthetic::sparse_text::{generate_sparse_binary, SparseConfig};
+    use priu_linalg::Vector;
 
     fn data() -> SparseDataset {
         generate_sparse_binary(&SparseConfig {
@@ -198,20 +118,19 @@ mod tests {
     #[test]
     fn sparse_training_beats_chance() {
         let d = data();
-        let trained = train_sparse_binary_logistic(&d, &config()).unwrap();
-        let acc = sparse_classification_accuracy(&trained.model, &d).unwrap();
+        let trained = SparseLogisticEngine::fit(d.clone(), config()).unwrap();
+        let acc = sparse_classification_accuracy(trained.model(), &d).unwrap();
         assert!(acc > 0.7, "accuracy {acc}");
-        assert_eq!(trained.provenance.coefficients.len(), 300);
-        assert_eq!(trained.provenance.coefficients[0].len(), 50);
-        assert!(trained.provenance.provenance_bytes() > 0);
+        assert_eq!(trained.provenance().coefficients.len(), 300);
+        assert_eq!(trained.provenance().coefficients[0].len(), 50);
+        assert!(trained.provenance().provenance_bytes() > 0);
     }
 
     #[test]
     fn sparse_training_is_deterministic() {
-        let d = data();
-        let a = train_sparse_binary_logistic(&d, &config()).unwrap();
-        let b = train_sparse_binary_logistic(&d, &config()).unwrap();
-        assert_eq!(a.model, b.model);
+        let a = SparseLogisticEngine::fit(data(), config()).unwrap();
+        let b = SparseLogisticEngine::fit(data(), config()).unwrap();
+        assert_eq!(a.model(), b.model());
     }
 
     #[test]
@@ -222,7 +141,7 @@ mod tests {
             Labels::Continuous(Vector::zeros(d.num_samples())),
         );
         assert!(matches!(
-            train_sparse_binary_logistic(&bad, &config()),
+            SparseLogisticEngine::fit(bad, config()),
             Err(CoreError::LabelMismatch { .. })
         ));
     }

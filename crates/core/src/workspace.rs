@@ -1,6 +1,6 @@
 //! Caller-owned scratch buffers for the allocation-free hot paths.
 //!
-//! The GD trainer loop and the PrIU / PrIU-opt replay loops run the same
+//! The fit's GD walk and the PrIU / PrIU-opt replay loops run the same
 //! handful of kernels thousands of times per call. [`Workspace`] owns every
 //! intermediate those loops need — the materialised batch indices, the
 //! selected batch rows, batch-sized coefficient buffers and feature-sized
@@ -26,7 +26,7 @@
 //! end-to-end property that update-call allocation totals are independent of
 //! the iteration count.
 //!
-//! What is *not* covered: provenance capture storage. The trainers append a
+//! What is *not* covered: provenance capture storage. The fit appends a
 //! freshly-built Gram cache and coefficient list per iteration — that data
 //! outlives the loop by design and is exempt from the zero-allocation
 //! guarantee (see DESIGN.md §3.3).
@@ -34,7 +34,7 @@
 use priu_linalg::decomposition::EigenScratch;
 use priu_linalg::Matrix;
 
-/// Reusable scratch for the trainer and update hot loops.
+/// Reusable scratch for the training and update hot loops.
 ///
 /// Buffers are grouped by extent: index buffers, the batch-rows matrix,
 /// batch-sized (`B`) float buffers and feature-sized (`m`) float buffers.

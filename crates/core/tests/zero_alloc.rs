@@ -3,10 +3,9 @@
 //! BaseL / PrIU / PrIU-opt `session.update` call must be **independent of
 //! the iteration count** — i.e. the replay walk allocates only per call
 //! (removal-set normalisation, the workspace, the produced model), never
-//! per iteration. A second check asserts the workspace growth counter stays
-//! flat once warm through the trainers' GD steps; the engine's unit test
-//! `replays_never_grow_the_sized_workspace` checks the same of every replay
-//! on the workspace the engine sizes for it.
+//! per iteration. The engine's unit test
+//! `replays_never_grow_the_sized_workspace` checks that no replay, the fit
+//! included, grows the workspace the engine sizes for it.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test pollutes
 //! the allocation counters.
@@ -15,10 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use priu_core::baseline::closed_form::{closed_form_delta_with, ClosedFormCapture};
-use priu_core::trainer::linear::train_linear_with;
-use priu_core::trainer::sparse::train_sparse_binary_logistic_with;
 use priu_core::{
-    DeletionEngine, Delta, DeltaRows, Method, SessionBuilder, TrainerConfig, Workspace,
+    DeletionEngine, Delta, DeltaRows, LinearEngine, Method, SessionBuilder, TrainerConfig,
+    Workspace,
 };
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, SparseDataset};
@@ -126,32 +124,6 @@ fn config(iterations: usize, learning_rate: f64) -> TrainerConfig {
 #[test]
 fn update_allocations_are_independent_of_iteration_count() {
     let removed = [3usize, 57, 200, 311];
-
-    // Trainers: the GD step never grows a warm workspace, regardless of how
-    // many iterations run (capture storage allocates, the step itself not).
-    let data = regression_data();
-    let mut ws = Workspace::new();
-    train_linear_with(&data, &config(5, 0.05), &mut ws).unwrap();
-    ws.reset_grow_events();
-    train_linear_with(&data, &config(30, 0.05), &mut ws).unwrap();
-    assert_eq!(
-        ws.grow_events(),
-        0,
-        "warm workspace grew during linear training"
-    );
-
-    // The sparse trainer's GD step (rows_dot + scatter_rows kernels) shares
-    // the guarantee: warm buffers never grow, however many iterations run.
-    let data = sparse_data();
-    let mut ws = Workspace::new();
-    train_sparse_binary_logistic_with(&data, &config(5, 0.3), &mut ws).unwrap();
-    ws.reset_grow_events();
-    train_sparse_binary_logistic_with(&data, &config(40, 0.3), &mut ws).unwrap();
-    assert_eq!(
-        ws.grow_events(),
-        0,
-        "warm workspace grew during sparse training"
-    );
 
     // BaseL, PrIU and PrIU-opt are one replay walk over workspace buffers
     // sized before the update timer starts, for every family: an update
@@ -460,19 +432,17 @@ fn offline_factorization_allocations_are_per_call_constants() {
         "warm workspace grew during closed-form updates"
     );
 
-    // The PrIU-opt offline capture inside training: two identical training
-    // runs on a warm workspace allocate identically — the capture's
-    // factorisation adds no per-run drift on top of the (by-design) stored
-    // provenance.
-    let mut ws = Workspace::sized_for(data.num_features(), 50, 1);
-    ws.reserve_decompositions(data.num_features());
+    // The PrIU-opt offline capture inside the fit: two identical fits
+    // allocate identically — the capture's factorisation adds no per-run
+    // drift on top of the (by-design) stored provenance.
     let cfg = config(12, 0.05); // capture_opt defaults to on
-    train_linear_with(&data, &cfg, &mut ws).unwrap(); // warm-up
+    LinearEngine::fit(data.clone(), cfg).unwrap(); // warm-up
+    let (first, second) = (data.clone(), data);
     let allocs_a = count_allocations(|| {
-        train_linear_with(&data, &cfg, &mut ws).unwrap();
+        LinearEngine::fit(first, cfg).unwrap();
     });
     let allocs_b = count_allocations(|| {
-        train_linear_with(&data, &cfg, &mut ws).unwrap();
+        LinearEngine::fit(second, cfg).unwrap();
     });
     assert_eq!(
         allocs_a, allocs_b,
