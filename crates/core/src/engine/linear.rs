@@ -10,7 +10,6 @@
 //! Closed-form folds both delta directions into that view and solves once.
 
 use std::cell::RefCell;
-use std::time::Duration;
 
 use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::decomposition::eigen::{
@@ -24,11 +23,7 @@ use crate::capture::{LinearIterationCache, LinearOptCapture, LinearProvenance, N
 use crate::engine::{timed_update, Family, LinearEngine, Method, Session, UpdateOutcome};
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
-use crate::snapshot::{
-    get_closed_form_v1, get_dense_dataset, get_linear_provenance, get_linear_provenance_v1,
-    get_model, get_trainer_config, put_dense_dataset, put_linear_provenance, put_model,
-    put_trainer_config, SnapshotReader, SnapshotWriter,
-};
+use crate::snapshot::{SnapshotReader, SnapshotWriter};
 use crate::trainer::linear::linear_step;
 use crate::workspace::Workspace;
 
@@ -124,98 +119,6 @@ impl Default for Linear {
 }
 
 impl LinearEngine {
-    /// Serializes the whole engine state bit-exactly (durability snapshots)
-    /// in the current layout (layout 2, see [`LinearEngine::decode_snapshot`]).
-    pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        put_dense_dataset(w, &self.dataset);
-        put_trainer_config(w, &self.config);
-        put_model(w, &self.model);
-        put_linear_provenance(w, &self.provenance);
-        w.bool(self.family.closed_form);
-        w.u64(self.training_time.as_nanos() as u64);
-    }
-
-    /// Rebuilds an engine from [`LinearEngine::encode_snapshot`] bytes:
-    /// dataset, config, model, provenance (one normal-equations view, then
-    /// the eigenpairs), the closed-form flag and the training time.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
-    pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self> {
-        Self {
-            dataset: get_dense_dataset(r, "linear dataset")?,
-            config: get_trainer_config(r, "linear config")?,
-            model: get_model(r, "linear model")?,
-            provenance: get_linear_provenance(r, "linear provenance")?,
-            family: Linear {
-                closed_form: r.bool("linear closed-form flag")?,
-            },
-            training_time: Duration::from_nanos(r.u64("linear training time")?),
-        }
-        .checked()
-    }
-
-    /// Rebuilds an engine from bytes in the first layout, where the
-    /// PrIU-opt capture and the closed-form views each carried their own
-    /// `XᵀY` (and the closed-form views their own `XᵀX`). The copies fold
-    /// into one view: the closed-form one when present (it is exact), else
-    /// the opt capture's `XᵀY` with `XᵀX` reconstructed from its
-    /// eigenpairs.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
-    pub fn decode_snapshot_v1(r: &mut SnapshotReader<'_>) -> Result<Self> {
-        let dataset = get_dense_dataset(r, "linear dataset")?;
-        let config = get_trainer_config(r, "linear config")?;
-        let model = get_model(r, "linear model")?;
-        let (mut provenance, opt_xty) = get_linear_provenance_v1(r, "linear provenance")?;
-        let closed_form_view = if r.bool("linear closed-form flag")? {
-            Some(get_closed_form_v1(r, "linear closed-form")?)
-        } else {
-            None
-        };
-        let training_time = Duration::from_nanos(r.u64("linear training time")?);
-        let closed_form = closed_form_view.is_some();
-        provenance.normal = match (closed_form_view, &provenance.opt, opt_xty) {
-            (Some(view), _, _) => Some(view),
-            (None, Some(opt), Some(xty)) => Some(NormalEquations {
-                xtx: opt.eigen.reconstruct(),
-                xty,
-                n: dataset.num_samples(),
-            }),
-            _ => None,
-        };
-        Self {
-            dataset,
-            config,
-            model,
-            provenance,
-            family: Linear { closed_form },
-            training_time,
-        }
-        .checked()
-    }
-
-    /// Rejects a decoded engine whose views or eigenpairs disagree in
-    /// shape with the dataset (so corrupt input fails here with a typed
-    /// error instead of panicking in a later apply).
-    fn checked(self) -> Result<Self> {
-        let (m, p) = (self.dataset.num_features(), &self.provenance);
-        let view_fits = p
-            .normal
-            .as_ref()
-            .is_none_or(|v| v.xtx.nrows() == m && v.n == self.dataset.num_samples());
-        let eigen_fits = p.opt.as_ref().is_none_or(|o| o.eigen.vectors.nrows() == m);
-        let view_present = p.normal.is_some() || (p.opt.is_none() && !self.family.closed_form);
-        if !(view_fits && eigen_fits && view_present) {
-            return Err(CoreError::Snapshot(
-                "snapshot truncated or corrupt: linear captures do not match the dataset"
-                    .to_string(),
-            ));
-        }
-        Ok(self)
-    }
-
     /// One timed closed-form solve folding the whole delta into the
     /// normal-equations view (downdate removed, grow added, solve once).
     fn closed_form_delta(
@@ -340,6 +243,7 @@ impl Family for Linear {
     const SESSION: &'static str = "dense linear";
     const LABELS: &'static str = "continuous labels for rows added to a linear session";
     const OPT_CAPTURE: bool = true;
+    const TAG: u8 = 4;
 
     fn model_kind(rows: &DenseDataset) -> Result<ModelKind> {
         match rows.labels {
@@ -557,6 +461,33 @@ impl Family for Linear {
 
     fn deflation_rows(cache: &LinearIterationCache) -> usize {
         cache.gram.deflation_rows()
+    }
+
+    fn put_state(&self, w: &mut SnapshotWriter) {
+        w.bool(self.closed_form);
+    }
+
+    fn get_state(r: &mut SnapshotReader<'_>) -> Result<Self> {
+        Ok(Linear {
+            closed_form: r.bool("linear closed-form flag")?,
+        })
+    }
+
+    fn cache_fits(_: &LinearEngine, cache: &LinearIterationCache, batch_len: usize) -> bool {
+        cache.batch_size == batch_len
+    }
+
+    /// The view and the eigenpairs are `m × m` over the dataset's rows, and
+    /// the view is there whenever a method solves with it.
+    fn captures_fit(e: &LinearEngine) -> bool {
+        let (m, p) = (e.dataset.num_features(), &e.provenance);
+        let view_fits = p
+            .normal
+            .as_ref()
+            .is_none_or(|v| v.xtx.nrows() == m && v.n == e.dataset.num_samples());
+        let eigen_fits = p.opt.as_ref().is_none_or(|o| o.eigen.vectors.nrows() == m);
+        let view_present = p.normal.is_some() || (p.opt.is_none() && !e.family.closed_form);
+        view_fits && eigen_fits && view_present
     }
 }
 

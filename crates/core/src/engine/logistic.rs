@@ -8,8 +8,6 @@
 //! frozen linearisation point belongs to the pre-delta trajectory, so it
 //! is dropped rather than left stale.
 
-use std::time::Duration;
-
 use priu_data::dataset::{DenseDataset, Labels};
 use priu_linalg::Vector;
 
@@ -18,10 +16,6 @@ use crate::capture::{ClassIterationCache, LogisticIterationCache, LogisticProven
 use crate::engine::{timed_update, Family, LogisticEngine, Method, Session, UpdateOutcome};
 use crate::error::{CoreError, Result};
 use crate::model::{Model, ModelKind};
-use crate::snapshot::{
-    get_dense_dataset, get_logistic_provenance, get_model, get_trainer_config, put_dense_dataset,
-    put_logistic_provenance, put_model, put_trainer_config, SnapshotReader, SnapshotWriter,
-};
 use crate::trainer::logistic::{
     binary_logistic_step, capture_binary_opt, capture_multinomial_opt, multinomial_logistic_step,
 };
@@ -33,30 +27,6 @@ use crate::workspace::Workspace;
 pub struct Logistic;
 
 impl LogisticEngine {
-    /// Serializes the whole engine state bit-exactly (durability snapshots).
-    pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        put_dense_dataset(w, &self.dataset);
-        put_trainer_config(w, &self.config);
-        put_model(w, &self.model);
-        put_logistic_provenance(w, &self.provenance);
-        w.u64(self.training_time.as_nanos() as u64);
-    }
-
-    /// Rebuilds an engine from [`LogisticEngine::encode_snapshot`] bytes.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
-    pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self> {
-        Ok(Self {
-            dataset: get_dense_dataset(r, "logistic dataset")?,
-            config: get_trainer_config(r, "logistic config")?,
-            model: get_model(r, "logistic model")?,
-            provenance: get_logistic_provenance(r, "logistic provenance")?,
-            family: Logistic,
-            training_time: Duration::from_nanos(r.u64("logistic training time")?),
-        })
-    }
-
     /// PrIU-opt (§5.4) for a removal set, ascending and distinct. The
     /// optimisation exploits the observation that the linearisation
     /// coefficients stabilise as training converges: after iteration
@@ -167,6 +137,7 @@ impl Family for Logistic {
     const LABELS: &'static str =
         "added rows with the same label kind (and class count) as the logistic session";
     const OPT_CAPTURE: bool = true;
+    const TAG: u8 = 2;
 
     fn model_kind(rows: &DenseDataset) -> Result<ModelKind> {
         match rows.labels {
@@ -380,5 +351,22 @@ impl Family for Logistic {
             .map(|class| class.gram.deflation_rows())
             .max()
             .unwrap_or(0)
+    }
+
+    fn cache_fits(e: &LogisticEngine, cache: &LogisticIterationCache, batch_len: usize) -> bool {
+        let classes = &cache.classes;
+        cache.batch_size == batch_len
+            && classes.len() == e.model.weights().len()
+            && classes.iter().all(|c| c.coefficients.len() == batch_len)
+    }
+
+    /// The PrIU-opt capture keeps one frozen linearisation per weight
+    /// vector, with a coefficient pair per row.
+    fn captures_fit(e: &LogisticEngine) -> bool {
+        let n = e.dataset.num_samples();
+        e.provenance.opt.as_ref().is_none_or(|opt| {
+            opt.classes.len() == e.model.weights().len()
+                && opt.classes.iter().all(|c| c.coefficients.len() == n)
+        })
     }
 }

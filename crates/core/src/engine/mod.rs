@@ -37,12 +37,16 @@
 //! [`StagedDelta::finish`] cannot fail and builds the successor: carry the
 //! untouched caches → restrict and extend the schedule → select and extend
 //! the dataset → the family's extra captures. `apply_delta` is one followed
-//! by the other. The family modules (`linear`, `logistic`, `sparse`)
-//! supply only what differs, through a sealed family trait: the fit's
-//! label check and extra captures, the per-method model function, how
-//! one cache drops removed batch members, one PrIU iteration, one GD step
-//! (shared by training, BaseL and the appended batches), and the
-//! successor's extra captures.
+//! by the other. The snapshot codec is written here once too
+//! (`Session::to_snapshot_bytes`): the family's tag, then dataset,
+//! configuration, model, provenance, family state and training time, with
+//! a decode-time check that the parts agree. The family modules (`linear`,
+//! `logistic`, `sparse`) supply only what differs, through a sealed family
+//! trait: the fit's label check and extra captures, the per-method model
+//! function, how one cache drops removed batch members, one PrIU
+//! iteration, one GD step (shared by training, BaseL and the appended
+//! batches), the successor's extra captures, and for snapshots its tag, its
+//! own state and whether a decoded cache and its extra captures fit.
 
 mod linear;
 mod logistic;
@@ -63,6 +67,10 @@ use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::{Model, ModelKind};
+use crate::snapshot::{
+    corrupt, get_model, get_schedule, get_trainer_config, put_model, put_schedule,
+    put_trainer_config, Codec, SnapshotReader, SnapshotWriter,
+};
 use crate::trainer::sparse::SparseLogisticProvenance;
 use crate::update::{normalize_removed, removed_positions_into};
 use crate::workspace::Workspace;
@@ -530,6 +538,9 @@ mod family {
         /// Whether the family has a PrIU-opt capture. When the config asks
         /// for it, the fit factorises an `m × m` matrix on its workspace.
         const OPT_CAPTURE: bool = false;
+        /// The snapshot's session tag. It doubles as the layout version: a
+        /// layout change takes a fresh tag.
+        const TAG: u8;
 
         /// The model kind a fit over `rows` trains. This is the family's
         /// label check: rows it cannot train on are a
@@ -621,10 +632,34 @@ mod family {
         fn deflation_rows(_cache: &Self::Cache) -> usize {
             0
         }
+
+        /// Writes the family's own state to a snapshot, after the
+        /// provenance.
+        fn put_state(&self, _w: &mut SnapshotWriter) {}
+
+        /// Reads what [`Family::put_state`] wrote.
+        fn get_state(_r: &mut SnapshotReader<'_>) -> Result<Self> {
+            Ok(Self::default())
+        }
+
+        /// Whether a decoded `cache` fits `e`: it covers a batch of
+        /// `batch_len` rows, with one entry per weight vector where it
+        /// keeps one.
+        fn cache_fits(_e: &Engine<Self>, _cache: &Self::Cache, _batch_len: usize) -> bool {
+            true
+        }
+
+        /// Whether a decoded engine's extra captures fit its dataset and
+        /// model.
+        fn captures_fit(_e: &Engine<Self>) -> bool {
+            true
+        }
     }
 
-    /// The parts every family's provenance shares.
-    pub trait Captured<C>: ProvenanceMemory + Clone + Debug {
+    /// The parts every family's provenance shares. Its snapshot codec
+    /// writes the schedule, `η`, `λ`, `w⁽⁰⁾`, the caches and each extra
+    /// capture behind a presence flag.
+    pub trait Captured<C>: Codec + ProvenanceMemory + Clone + Debug {
         /// The mini-batch schedule.
         fn schedule(&self) -> &BatchSchedule;
         /// One cache per scheduled iteration.
@@ -644,10 +679,33 @@ mod family {
         fn successor(&self, schedule: BatchSchedule, caches: Vec<C>) -> Self;
     }
 
-    /// Implements [`Captured`] for a provenance whose caches are `$caches`
-    /// and whose extra captures are the `Option` fields `$extra`.
+    /// Implements [`Captured`] and its snapshot codec for a provenance
+    /// whose caches are `$caches` and whose extra captures are the `Option`
+    /// fields `$extra`, in field order.
     macro_rules! captured {
         ($provenance:ty, $caches:ident: $cache:ty $(, $extra:ident)*) => {
+            impl Codec for $provenance {
+                fn put(&self, w: &mut SnapshotWriter) {
+                    put_schedule(w, &self.schedule);
+                    w.f64(self.learning_rate);
+                    w.f64(self.regularization);
+                    put_model(w, &self.initial_model);
+                    w.usize(self.$caches.len());
+                    self.$caches.iter().for_each(|cache| cache.put(w));
+                    $(w.option(self.$extra.as_ref(), |w, extra| extra.put(w));)*
+                }
+                fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+                    let schedule = get_schedule(r, what)?;
+                    let (eta, lambda) = (r.f64(what)?, r.f64(what)?);
+                    let mut provenance = Self::new(schedule, eta, lambda, get_model(r, what)?);
+                    let n = r.len(1, what)?;
+                    let caches = (0..n).map(|_| Codec::get(r, what));
+                    provenance.$caches = caches.collect::<Result<_>>()?;
+                    $(provenance.$extra = r.option(what, |r| Codec::get(r, what))?;)*
+                    Ok(provenance)
+                }
+            }
+
             impl Captured<$cache> for $provenance {
                 fn schedule(&self) -> &BatchSchedule {
                     &self.schedule
@@ -693,7 +751,7 @@ mod family {
     captured!(SparseLogisticProvenance, coefficients: Vec<(f64, f64)>);
 
     /// Training rows, dense or sparse.
-    pub trait Rows: Clone + Debug + Sized {
+    pub trait Rows: Codec + Clone + Debug {
         /// The rows of this storage in a delta, if it has this storage.
         fn of(rows: &DeltaRows) -> Option<&Self>;
         /// Number of rows.
@@ -835,6 +893,68 @@ impl<F: Family> Engine<F> {
     /// The captured provenance.
     pub fn provenance(&self) -> &F::Provenance {
         &self.provenance
+    }
+
+    /// Writes the whole engine bit-exactly after its family's tag: dataset,
+    /// trainer configuration, model, provenance, the family's own state and
+    /// the training time.
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.u8(F::TAG);
+        self.dataset.put(w);
+        put_trainer_config(w, &self.config);
+        put_model(w, &self.model);
+        self.provenance.put(w);
+        self.family.put_state(w);
+        w.u64(self.training_time.as_nanos() as u64);
+    }
+
+    /// Reads what [`Engine::put`] wrote after the tag. Every failure is a
+    /// [`CoreError::Snapshot`], including parts that decode alone but
+    /// disagree with each other (see [`Engine::checked`]).
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self> {
+        let what = |part: &str| format!("{} {part}", F::SESSION);
+        let decoded = (|| {
+            Self {
+                dataset: Codec::get(r, &what("dataset"))?,
+                config: get_trainer_config(r, &what("config"))?,
+                model: get_model(r, &what("model"))?,
+                provenance: Codec::get(r, &what("provenance"))?,
+                family: F::get_state(r)?,
+                training_time: Duration::from_nanos(r.u64("training time")?),
+            }
+            .checked()
+        })();
+        decoded.map_err(|e| match e {
+            CoreError::Snapshot(_) => e,
+            e => corrupt(&format!("{}: {e}", F::SESSION)),
+        })
+    }
+
+    /// Rejects a decoded engine whose parts disagree, so corrupt input
+    /// fails at decode instead of panicking in a later update: the schedule
+    /// draws from the dataset's rows, there is one cache per scheduled
+    /// iteration and each fits its batch, the model and `w⁽⁰⁾` are of the
+    /// kind the labels train with the dataset's width, and the family's
+    /// extra captures fit.
+    fn checked(self) -> Result<Self> {
+        let (p, m) = (&self.provenance, self.dataset.num_features());
+        let schedule = p.schedule();
+        let kind = F::model_kind(&self.dataset).ok();
+        let fits = |model: &Model| Some(model.kind()) == kind && model.num_features() == m;
+        let mut caches = p.caches().iter().enumerate();
+        let consistent = schedule.num_samples() == self.dataset.num_samples()
+            && p.caches().len() == schedule.num_iterations()
+            && caches.all(|(t, cache)| F::cache_fits(&self, cache, schedule.batch_len(t)))
+            && fits(&self.model)
+            && fits(p.initial_model())
+            && F::captures_fit(&self);
+        if !consistent {
+            return Err(corrupt(&format!(
+                "{}: parts disagree with the dataset",
+                F::SESSION
+            )));
+        }
+        Ok(self)
     }
 
     /// A workspace pre-sized for this session's replay loops (called before
@@ -1189,6 +1309,16 @@ impl<F: Family> Staged<'_, F> {
     }
 }
 
+macro_rules! delegate {
+    ($self:ident, $e:ident => $body:expr) => {
+        match $self {
+            Session::Linear($e) => $body,
+            Session::Logistic($e) => $body,
+            Session::SparseLogistic($e) => $body,
+        }
+    };
+}
+
 /// A fitted session of any model family, programmable through
 /// [`DeletionEngine`]. Produced by [`SessionBuilder::fit`] and by
 /// [`DeletionEngine::apply`].
@@ -1221,48 +1351,37 @@ impl Session {
     }
 
     /// Serializes the session bit-exactly for durability snapshots: the
-    /// dataset, trainer configuration, model, captured provenance and any
-    /// materialised views, every `f64` as its exact bit pattern. The inverse
-    /// is [`Session::from_snapshot_bytes`]; round-tripping yields a session
-    /// whose `apply_delta` chain is bitwise identical to the original's.
+    /// family's tag, then the dataset, trainer configuration, model,
+    /// captured provenance and any materialised views, every `f64` as its
+    /// exact bit pattern. The inverse is [`Session::from_snapshot_bytes`];
+    /// round-tripping yields a session whose `apply_delta` chain is bitwise
+    /// identical to the original's.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = crate::snapshot::SnapshotWriter::new();
-        match self {
-            Session::Linear(e) => {
-                w.u8(SESSION_LINEAR);
-                e.encode_snapshot(&mut w);
-            }
-            Session::Logistic(e) => {
-                w.u8(SESSION_LOGISTIC);
-                e.encode_snapshot(&mut w);
-            }
-            Session::SparseLogistic(e) => {
-                w.u8(SESSION_SPARSE_LOGISTIC);
-                e.encode_snapshot(&mut w);
-            }
-        }
+        let mut w = SnapshotWriter::new();
+        delegate!(self, e => e.put(&mut w));
         w.into_bytes()
     }
 
-    /// Rebuilds a session from [`Session::to_snapshot_bytes`] output,
-    /// including linear sessions written in the first layout (their
-    /// separate `XᵀX`/`XᵀY` copies fold into one normal-equations view).
+    /// Rebuilds a session from [`Session::to_snapshot_bytes`] output. The
+    /// tag selects the family: linear 4, dense logistic 2, sparse logistic
+    /// 3. Tag 1, an earlier linear layout, is unknown.
     ///
     /// # Errors
-    /// Returns [`CoreError::Snapshot`](crate::error::CoreError::Snapshot) on
-    /// truncated, corrupt or trailing-byte input — never panics, so the
-    /// recovery path can skip a bad snapshot and fall back to an older one.
+    /// Returns [`CoreError::Snapshot`] on truncated, corrupt or
+    /// trailing-byte input, an unknown tag, or parts that disagree with
+    /// each other (a schedule over another row count, a cache count other
+    /// than the iteration count, batches indexing past the dataset, a model
+    /// the labels do not train, captures shaped for another width) — never
+    /// panics, so the recovery path can skip a bad snapshot and fall back
+    /// to an older one.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Session> {
-        let mut r = crate::snapshot::SnapshotReader::new(bytes);
+        let mut r = SnapshotReader::new(bytes);
         let session = match r.u8("session family tag")? {
-            SESSION_LINEAR => Session::Linear(LinearEngine::decode_snapshot(&mut r)?),
-            SESSION_LINEAR_V1 => Session::Linear(LinearEngine::decode_snapshot_v1(&mut r)?),
-            SESSION_LOGISTIC => Session::Logistic(LogisticEngine::decode_snapshot(&mut r)?),
-            SESSION_SPARSE_LOGISTIC => {
-                Session::SparseLogistic(SparseLogisticEngine::decode_snapshot(&mut r)?)
-            }
+            linear::Linear::TAG => Session::Linear(Engine::get(&mut r)?),
+            logistic::Logistic::TAG => Session::Logistic(Engine::get(&mut r)?),
+            sparse::SparseLogistic::TAG => Session::SparseLogistic(Engine::get(&mut r)?),
             tag => {
-                return Err(crate::error::CoreError::Snapshot(format!(
+                return Err(CoreError::Snapshot(format!(
                     "unknown session family tag {tag}"
                 )))
             }
@@ -1270,26 +1389,6 @@ impl Session {
         r.finish()?;
         Ok(session)
     }
-}
-
-// The family tag doubles as the layout version: a layout change takes a
-// fresh tag, and the old tag stays decodable so existing stores recover.
-/// Linear, first layout (separate closed-form and PrIU-opt `XᵀY` copies);
-/// decoded only.
-const SESSION_LINEAR_V1: u8 = 1;
-const SESSION_LOGISTIC: u8 = 2;
-const SESSION_SPARSE_LOGISTIC: u8 = 3;
-/// Linear, layout 2: one normal-equations view behind both captures.
-const SESSION_LINEAR: u8 = 4;
-
-macro_rules! delegate {
-    ($self:ident, $e:ident => $body:expr) => {
-        match $self {
-            Session::Linear($e) => $body,
-            Session::Logistic($e) => $body,
-            Session::SparseLogistic($e) => $body,
-        }
-    };
 }
 
 impl DeletionEngine for Session {
@@ -2406,5 +2505,58 @@ mod tests {
         let retrain = session.update(Method::Retrain, &removed).unwrap();
         let cmp = compare_models(&retrain.model, &priu.model).unwrap();
         assert!(cmp.cosine_similarity > 0.99);
+    }
+
+    /// Encodes `e` after `corrupt` changed it, and decodes the blob.
+    fn decode_corrupted<F: Family>(
+        e: &Engine<F>,
+        corrupt: impl FnOnce(&mut Engine<F>),
+    ) -> Result<Session> {
+        let mut e = e.clone();
+        corrupt(&mut e);
+        let mut w = SnapshotWriter::new();
+        e.put(&mut w);
+        Session::from_snapshot_bytes(&w.into_bytes())
+    }
+
+    /// A cache missing, or one moved onto a batch of another size, fails
+    /// at decode; the untouched engine decodes.
+    fn assert_decode_rejects_misplaced_caches<F: Family>(e: &Engine<F>) {
+        assert!(decode_corrupted(e, |_| {}).is_ok());
+        let short = decode_corrupted(e, |e| drop(e.provenance.caches_mut().pop()));
+        assert!(matches!(short, Err(CoreError::Snapshot(_))), "{short:?}");
+        let schedule = e.provenance.schedule();
+        let len = |t| schedule.batch_len(t);
+        let other = (1..schedule.num_iterations()).find(|&t| len(t) != len(0));
+        let other = other.expect("a successor's batches differ in size");
+        let swapped = decode_corrupted(e, |e| e.provenance.caches_mut().swap(0, other));
+        assert!(
+            matches!(swapped, Err(CoreError::Snapshot(_))),
+            "{swapped:?}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_caches_that_disagree_with_the_schedule() {
+        let sessions = [
+            linear_session(),
+            binary_session(),
+            multinomial_session(),
+            sparse_session(),
+        ];
+        for session in sessions {
+            // A successor's explicit batches lost different numbers of rows.
+            let removed: Vec<usize> = (0..session.num_samples()).step_by(5).collect();
+            match session.apply(Method::Priu, &removed).unwrap().session {
+                Session::Linear(e) => {
+                    assert_decode_rejects_misplaced_caches(&e);
+                    // Closed form solves with the view, so it must be there.
+                    let viewless = decode_corrupted(&e, |e| e.provenance.normal = None);
+                    assert!(matches!(viewless, Err(CoreError::Snapshot(_))));
+                }
+                Session::Logistic(e) => assert_decode_rejects_misplaced_caches(&e),
+                Session::SparseLogistic(e) => assert_decode_rejects_misplaced_caches(&e),
+            }
+        }
     }
 }

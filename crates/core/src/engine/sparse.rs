@@ -5,18 +5,12 @@
 //! over the surviving CSR rows, dropping a removed sample drops its entry,
 //! and the successor keeps no extra captures.
 
-use std::time::Duration;
-
 use priu_data::dataset::{Labels, SparseDataset};
 use priu_linalg::Vector;
 
 use crate::engine::{Family, Method, Session, SparseLogisticEngine, UpdateOutcome};
 use crate::error::{CoreError, Result};
 use crate::model::ModelKind;
-use crate::snapshot::{
-    get_model, get_sparse_dataset, get_sparse_provenance, get_trainer_config, put_model,
-    put_sparse_dataset, put_sparse_provenance, put_trainer_config, SnapshotReader, SnapshotWriter,
-};
 use crate::trainer::sparse::{sparse_logistic_step, SparseLogisticProvenance};
 use crate::update::drop_positions;
 use crate::workspace::Workspace;
@@ -29,33 +23,6 @@ type Coefficients = Vec<(f64, f64)>;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SparseLogistic;
 
-impl SparseLogisticEngine {
-    /// Serializes the whole engine state bit-exactly (durability snapshots).
-    pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
-        put_sparse_dataset(w, &self.dataset);
-        put_trainer_config(w, &self.config);
-        put_model(w, &self.model);
-        put_sparse_provenance(w, &self.provenance);
-        w.u64(self.training_time.as_nanos() as u64);
-    }
-
-    /// Rebuilds an engine from [`SparseLogisticEngine::encode_snapshot`]
-    /// bytes.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Snapshot`] on truncated or corrupt input.
-    pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self> {
-        Ok(Self {
-            dataset: get_sparse_dataset(r, "sparse dataset")?,
-            config: get_trainer_config(r, "sparse config")?,
-            model: get_model(r, "sparse model")?,
-            provenance: get_sparse_provenance(r, "sparse provenance")?,
-            family: SparseLogistic,
-            training_time: Duration::from_nanos(r.u64("sparse training time")?),
-        })
-    }
-}
-
 impl Family for SparseLogistic {
     type Data = SparseDataset;
     type Cache = Coefficients;
@@ -63,6 +30,7 @@ impl Family for SparseLogistic {
     const SESSION: &'static str = "sparse logistic";
     const LABELS: &'static str =
         "binary (+1/-1) labels for rows added to a sparse logistic session";
+    const TAG: u8 = 3;
 
     fn model_kind(rows: &SparseDataset) -> Result<ModelKind> {
         match rows.labels {
@@ -186,5 +154,9 @@ impl Family for SparseLogistic {
 
     fn into_session(e: SparseLogisticEngine) -> Session {
         Session::SparseLogistic(e)
+    }
+
+    fn cache_fits(_: &SparseLogisticEngine, coeffs: &Coefficients, batch_len: usize) -> bool {
+        coeffs.len() == batch_len
     }
 }

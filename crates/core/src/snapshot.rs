@@ -19,12 +19,17 @@
 //! elements after a count the caller writes (`u64` here and in the WAL,
 //! `u32` on the wire).
 //!
-//! Layout discipline: each composite type has a `put_*` / `get_*` pair in
-//! this module when its fields are public, while the engine structs (private
-//! fields) implement their halves in their own modules. A one-byte tag
-//! disambiguates every enum. Decode failures are a typed [`CodecError`],
-//! which surfaces here as [`CoreError::Snapshot`] — an error the recovery
-//! path can log and skip, never a panic.
+//! Layout discipline: each composite type with public fields has its codec
+//! in this module — a `put_*` / `get_*` pair, or a [`Codec`] impl where the
+//! engine reaches it through a type parameter (datasets, one iteration's
+//! cache, extra captures). The engine session (private fields) is written
+//! once, generically over its family, next to `Engine` in the engine
+//! module: tag, dataset, configuration, model, provenance, family state,
+//! training time. A one-byte tag disambiguates every enum. Decode failures
+//! are a typed [`CodecError`], which surfaces here as
+//! [`CoreError::Snapshot`] — an error the recovery path can log and skip,
+//! never a panic. The session decoder maps every other error onto it as
+//! well, and rejects parts that decode alone but disagree with each other.
 
 use std::fmt;
 
@@ -36,15 +41,13 @@ use priu_linalg::decomposition::TruncatedGram;
 use priu_linalg::{CsrMatrix, Matrix, Vector};
 
 use crate::capture::{
-    ClassIterationCache, GramCache, LinearIterationCache, LinearOptCapture, LinearProvenance,
-    LogisticIterationCache, LogisticOptCapture, LogisticOptClassCapture, LogisticProvenance,
-    NormalEquations,
+    ClassIterationCache, GramCache, LinearIterationCache, LinearOptCapture, LogisticIterationCache,
+    LogisticOptCapture, LogisticOptClassCapture, NormalEquations,
 };
 use crate::config::{Compression, TrainerConfig};
 use crate::error::{CoreError, Result};
 use crate::interpolation::PiecewiseLinearSigmoid;
 use crate::model::{Model, ModelKind};
-use crate::trainer::sparse::SparseLogisticProvenance;
 
 /// Why bytes failed to decode. Every variant but `TrailingBytes` carries
 /// its rendered message; callers map the variant onto their own error
@@ -85,8 +88,21 @@ impl From<CodecError> for CoreError {
     }
 }
 
-fn corrupt(what: &str) -> CoreError {
+pub(crate) fn corrupt(what: &str) -> CoreError {
     CodecError::Invalid(what.to_string()).into()
+}
+
+/// A composite the engine's generic snapshot codec reaches through a type
+/// parameter: a dataset, one iteration's cache or an extra capture. `get`
+/// reads back what `put` wrote, bit for bit.
+pub trait Codec: Sized {
+    /// Appends the value.
+    fn put(&self, w: &mut SnapshotWriter);
+    /// Reads a value [`Codec::put`] wrote; `what` names it in errors.
+    ///
+    /// # Errors
+    /// [`CoreError::Snapshot`] on truncated or corrupt input.
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self>;
 }
 
 /// Append-only byte sink.
@@ -376,18 +392,22 @@ fn get_usize_vec(r: &mut SnapshotReader<'_>, what: &str) -> Result<Vec<usize>> {
         .collect()
 }
 
-fn put_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
-    w.usize(pairs.len());
-    for &(a, b) in pairs {
-        w.f64(a);
-        w.f64(b);
+/// `(a, b')` linearisation coefficients: the sparse family's cache, and
+/// part of the dense logistic ones.
+impl Codec for Vec<(f64, f64)> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.usize(self.len());
+        for &(a, b) in self {
+            w.f64(a);
+            w.f64(b);
+        }
     }
-}
 
-fn get_pairs(r: &mut SnapshotReader<'_>, what: &str) -> Result<Vec<(f64, f64)>> {
-    let n = r.len(16, what)?;
-    let flat = r.f64s(2 * n, what)?;
-    Ok(flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        let n = r.len(16, what)?;
+        let flat = r.f64s(2 * n, what)?;
+        Ok(flat.chunks_exact(2).map(|p| (p[0], p[1])).collect())
+    }
 }
 
 // --- datasets -------------------------------------------------------------
@@ -442,20 +462,20 @@ pub fn get_labels(r: &mut SnapshotReader<'_>, what: &str) -> Result<Labels> {
     }
 }
 
-/// Encodes a dense dataset.
-pub fn put_dense_dataset(w: &mut SnapshotWriter, d: &DenseDataset) {
-    put_matrix(w, &d.x);
-    put_labels(w, &d.labels);
-}
-
-/// Decodes a dense dataset.
-pub fn get_dense_dataset(r: &mut SnapshotReader<'_>, what: &str) -> Result<DenseDataset> {
-    let x = get_matrix(r, what)?;
-    let labels = get_labels(r, what)?;
-    if labels.len() != x.nrows() {
-        return Err(corrupt(&format!("{what}: label/row count mismatch")));
+impl Codec for DenseDataset {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_matrix(w, &self.x);
+        put_labels(w, &self.labels);
     }
-    Ok(DenseDataset::new(x, labels))
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        let x = get_matrix(r, what)?;
+        let labels = get_labels(r, what)?;
+        if labels.len() != x.nrows() {
+            return Err(corrupt(&format!("{what}: label/row count mismatch")));
+        }
+        Ok(DenseDataset::new(x, labels))
+    }
 }
 
 /// Encodes a CSR matrix.
@@ -479,20 +499,20 @@ pub fn get_csr(r: &mut SnapshotReader<'_>, what: &str) -> Result<CsrMatrix> {
     Ok(CsrMatrix::from_raw(rows, cols, row_ptr, col_idx, values)?)
 }
 
-/// Encodes a sparse dataset.
-pub fn put_sparse_dataset(w: &mut SnapshotWriter, d: &SparseDataset) {
-    put_csr(w, &d.x);
-    put_labels(w, &d.labels);
-}
-
-/// Decodes a sparse dataset.
-pub fn get_sparse_dataset(r: &mut SnapshotReader<'_>, what: &str) -> Result<SparseDataset> {
-    let x = get_csr(r, what)?;
-    let labels = get_labels(r, what)?;
-    if labels.len() != x.nrows() {
-        return Err(corrupt(&format!("{what}: label/row count mismatch")));
+impl Codec for SparseDataset {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_csr(w, &self.x);
+        put_labels(w, &self.labels);
     }
-    Ok(SparseDataset::new(x, labels))
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        let x = get_csr(r, what)?;
+        let labels = get_labels(r, what)?;
+        if labels.len() != x.nrows() {
+            return Err(corrupt(&format!("{what}: label/row count mismatch")));
+        }
+        Ok(SparseDataset::new(x, labels))
+    }
 }
 
 // --- model / config -------------------------------------------------------
@@ -620,13 +640,15 @@ pub fn put_schedule(w: &mut SnapshotWriter, s: &BatchSchedule) {
     });
 }
 
-/// Decodes a mini-batch schedule.
+/// Decodes a mini-batch schedule, rejecting one whose batches cannot be
+/// drawn: a seed-derived batch larger than the sample space, or explicit
+/// batches that are not one per iteration or index past `num_samples`.
 pub fn get_schedule(r: &mut SnapshotReader<'_>, what: &str) -> Result<BatchSchedule> {
     let num_samples = r.usize(what)?;
     let batch_size = r.usize(what)?;
     let num_iterations = r.usize(what)?;
     let seed = r.u64(what)?;
-    let explicit = r.option(what, |r| {
+    let explicit: Option<Vec<Vec<usize>>> = r.option(what, |r| {
         let n = r.len(8, what)?;
         (0..n)
             .map(|_| get_usize_vec(r, what))
@@ -634,6 +656,15 @@ pub fn get_schedule(r: &mut SnapshotReader<'_>, what: &str) -> Result<BatchSched
     })?;
     if num_samples == 0 || batch_size == 0 {
         return Err(corrupt(&format!("{what}: empty schedule")));
+    }
+    let drawable = match &explicit {
+        None => batch_size <= num_samples,
+        Some(batches) => {
+            batches.len() == num_iterations && batches.iter().flatten().all(|&i| i < num_samples)
+        }
+    };
+    if !drawable {
+        return Err(corrupt(&format!("{what}: batches do not fit the schedule")));
     }
     Ok(BatchSchedule::from_parts(
         num_samples,
@@ -723,227 +754,118 @@ fn get_eigen(r: &mut SnapshotReader<'_>, what: &str) -> Result<SymmetricEigen> {
     Ok(SymmetricEigen { values, vectors })
 }
 
-/// Encodes the normal-equations view.
-pub fn put_normal_equations(w: &mut SnapshotWriter, v: &NormalEquations) {
-    put_matrix(w, &v.xtx);
-    put_vector(w, &v.xty);
-    w.usize(v.n);
-}
+// --- captures and per-iteration caches ----------------------------------
 
-/// Decodes the normal-equations view.
-pub fn get_normal_equations(r: &mut SnapshotReader<'_>, what: &str) -> Result<NormalEquations> {
-    let xtx = get_matrix(r, what)?;
-    let xty = get_vector(r, what)?;
-    if !xtx.is_square() || xtx.nrows() != xty.len() {
-        return Err(corrupt(&format!("{what}: normal-equations shape mismatch")));
+impl Codec for NormalEquations {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_matrix(w, &self.xtx);
+        put_vector(w, &self.xty);
+        w.usize(self.n);
     }
-    Ok(NormalEquations {
-        xtx,
-        xty,
-        n: r.usize(what)?,
-    })
-}
 
-/// Encodes the full linear-regression provenance (layout 2: the
-/// normal-equations view, then the eigenpairs alone).
-pub fn put_linear_provenance(w: &mut SnapshotWriter, p: &LinearProvenance) {
-    put_schedule(w, &p.schedule);
-    w.f64(p.learning_rate);
-    w.f64(p.regularization);
-    put_model(w, &p.initial_model);
-    w.usize(p.iterations.len());
-    for it in &p.iterations {
-        put_gram_cache(w, &it.gram);
-        put_vector(w, &it.xy);
-        w.usize(it.batch_size);
-    }
-    w.option(p.normal.as_ref(), put_normal_equations);
-    w.option(p.opt.as_ref(), |w, opt| put_eigen(w, &opt.eigen));
-}
-
-/// Decodes the full linear-regression provenance (layout 2).
-pub fn get_linear_provenance(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
-    let mut provenance = get_linear_iterations(r, what)?;
-    provenance.normal = r.option(what, |r| get_normal_equations(r, what))?;
-    provenance.opt = r.option(what, |r| get_linear_opt(r, what))?;
-    Ok(provenance)
-}
-
-/// Decodes linear provenance in the first layout, where the PrIU-opt
-/// capture carried its own `XᵀY` after the eigenpairs. Returns the
-/// provenance without a normal-equations view, plus that `XᵀY` copy for
-/// the caller to fold into one.
-pub fn get_linear_provenance_v1(
-    r: &mut SnapshotReader<'_>,
-    what: &str,
-) -> Result<(LinearProvenance, Option<Vector>)> {
-    let mut provenance = get_linear_iterations(r, what)?;
-    let mut xty = None;
-    if r.bool(what)? {
-        provenance.opt = Some(get_linear_opt(r, what)?);
-        xty = Some(get_vector(r, what)?);
-    }
-    Ok((provenance, xty))
-}
-
-fn get_linear_opt(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearOptCapture> {
-    Ok(LinearOptCapture {
-        eigen: get_eigen(r, what)?,
-    })
-}
-
-/// The layout-independent head of linear provenance: schedule, rates,
-/// initial model and per-iteration caches (no view, no opt capture).
-fn get_linear_iterations(r: &mut SnapshotReader<'_>, what: &str) -> Result<LinearProvenance> {
-    let schedule = get_schedule(r, what)?;
-    let learning_rate = r.f64(what)?;
-    let regularization = r.f64(what)?;
-    let initial_model = get_model(r, what)?;
-    let n = r.len(1, what)?;
-    let mut iterations = Vec::with_capacity(n);
-    for _ in 0..n {
-        iterations.push(LinearIterationCache {
-            gram: get_gram_cache(r, what)?,
-            xy: get_vector(r, what)?,
-            batch_size: r.usize(what)?,
-        });
-    }
-    Ok(LinearProvenance {
-        schedule,
-        learning_rate,
-        regularization,
-        initial_model,
-        iterations,
-        normal: None,
-        opt: None,
-    })
-}
-
-/// Encodes the full logistic-regression provenance.
-pub fn put_logistic_provenance(w: &mut SnapshotWriter, p: &LogisticProvenance) {
-    put_schedule(w, &p.schedule);
-    w.f64(p.learning_rate);
-    w.f64(p.regularization);
-    put_model(w, &p.initial_model);
-    w.usize(p.iterations.len());
-    for it in &p.iterations {
-        w.usize(it.classes.len());
-        for c in &it.classes {
-            put_gram_cache(w, &c.gram);
-            put_vector(w, &c.d);
-            put_pairs(w, &c.coefficients);
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        let xtx = get_matrix(r, what)?;
+        let xty = get_vector(r, what)?;
+        if !xtx.is_square() || xtx.nrows() != xty.len() {
+            return Err(corrupt(&format!("{what}: normal-equations shape mismatch")));
         }
-        w.usize(it.batch_size);
+        Ok(NormalEquations {
+            xtx,
+            xty,
+            n: r.usize(what)?,
+        })
     }
-    w.option(p.opt.as_ref(), |w, opt| {
-        w.usize(opt.switch_iteration);
-        put_model(w, &opt.model_at_switch);
-        w.usize(opt.classes.len());
-        for c in &opt.classes {
+}
+
+impl Codec for LinearOptCapture {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_eigen(w, &self.eigen);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        Ok(LinearOptCapture {
+            eigen: get_eigen(r, what)?,
+        })
+    }
+}
+
+impl Codec for LogisticOptCapture {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.usize(self.switch_iteration);
+        put_model(w, &self.model_at_switch);
+        w.usize(self.classes.len());
+        for c in &self.classes {
             put_eigen(w, &c.eigen);
             put_vector(w, &c.d_star);
-            put_pairs(w, &c.coefficients);
+            c.coefficients.put(w);
         }
-    });
-}
-
-/// Decodes the full logistic-regression provenance.
-pub fn get_logistic_provenance(
-    r: &mut SnapshotReader<'_>,
-    what: &str,
-) -> Result<LogisticProvenance> {
-    let schedule = get_schedule(r, what)?;
-    let learning_rate = r.f64(what)?;
-    let regularization = r.f64(what)?;
-    let initial_model = get_model(r, what)?;
-    let n = r.len(1, what)?;
-    let mut iterations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let num_classes = r.len(1, what)?;
-        let mut classes = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
-            classes.push(ClassIterationCache {
-                gram: get_gram_cache(r, what)?,
-                d: get_vector(r, what)?,
-                coefficients: get_pairs(r, what)?,
-            });
-        }
-        iterations.push(LogisticIterationCache {
-            classes,
-            batch_size: r.usize(what)?,
-        });
     }
-    let opt = r.option(what, |r| {
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
         let switch_iteration = r.usize(what)?;
         let model_at_switch = get_model(r, what)?;
-        let num_classes = r.len(1, what)?;
-        let mut classes = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
+        let n = r.len(1, what)?;
+        let mut classes = Vec::with_capacity(n);
+        for _ in 0..n {
             classes.push(LogisticOptClassCapture {
                 eigen: get_eigen(r, what)?,
                 d_star: get_vector(r, what)?,
-                coefficients: get_pairs(r, what)?,
+                coefficients: Codec::get(r, what)?,
             });
         }
-        Ok::<_, CoreError>(LogisticOptCapture {
+        Ok(LogisticOptCapture {
             switch_iteration,
             model_at_switch,
             classes,
         })
-    })?;
-    Ok(LogisticProvenance {
-        schedule,
-        learning_rate,
-        regularization,
-        initial_model,
-        iterations,
-        opt,
-    })
-}
-
-/// Encodes the sparse-logistic provenance (schedule + per-iteration
-/// coefficient lists; the sparse path keeps no Gram caches).
-pub fn put_sparse_provenance(w: &mut SnapshotWriter, p: &SparseLogisticProvenance) {
-    put_schedule(w, &p.schedule);
-    w.f64(p.learning_rate);
-    w.f64(p.regularization);
-    put_model(w, &p.initial_model);
-    w.usize(p.coefficients.len());
-    for per_iter in &p.coefficients {
-        put_pairs(w, per_iter);
     }
 }
 
-/// Decodes the sparse-logistic provenance.
-pub fn get_sparse_provenance(
-    r: &mut SnapshotReader<'_>,
-    what: &str,
-) -> Result<SparseLogisticProvenance> {
-    let schedule = get_schedule(r, what)?;
-    let learning_rate = r.f64(what)?;
-    let regularization = r.f64(what)?;
-    let initial_model = get_model(r, what)?;
-    let n = r.len(1, what)?;
-    let mut coefficients = Vec::with_capacity(n);
-    for _ in 0..n {
-        coefficients.push(get_pairs(r, what)?);
+/// The linear family's cache: one batch's Gram form, moment and size.
+impl Codec for LinearIterationCache {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_gram_cache(w, &self.gram);
+        put_vector(w, &self.xy);
+        w.usize(self.batch_size);
     }
-    Ok(SparseLogisticProvenance {
-        schedule,
-        learning_rate,
-        regularization,
-        initial_model,
-        coefficients,
-    })
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        Ok(LinearIterationCache {
+            gram: get_gram_cache(r, what)?,
+            xy: get_vector(r, what)?,
+            batch_size: r.usize(what)?,
+        })
+    }
 }
 
-/// Decodes the first layout's closed-form views — `XᵀX`, `XᵀY`, `n` and
-/// the regularisation rate — as a normal-equations view. The rate is
-/// dropped: it always equals the trainer configuration's.
-pub fn get_closed_form_v1(r: &mut SnapshotReader<'_>, what: &str) -> Result<NormalEquations> {
-    let normal = get_normal_equations(r, what)?;
-    r.f64(what)?;
-    Ok(normal)
+/// The dense logistic family's cache: per class the linearised Gram form,
+/// moment and coefficients, then the batch size.
+impl Codec for LogisticIterationCache {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.usize(self.classes.len());
+        for c in &self.classes {
+            put_gram_cache(w, &c.gram);
+            put_vector(w, &c.d);
+            c.coefficients.put(w);
+        }
+        w.usize(self.batch_size);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self> {
+        let n = r.len(1, what)?;
+        let mut classes = Vec::with_capacity(n);
+        for _ in 0..n {
+            classes.push(ClassIterationCache {
+                gram: get_gram_cache(r, what)?,
+                d: get_vector(r, what)?,
+                coefficients: Codec::get(r, what)?,
+            });
+        }
+        Ok(LogisticIterationCache {
+            classes,
+            batch_size: r.usize(what)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1036,6 +958,34 @@ mod tests {
             let back = get_schedule(&mut r, "schedule").unwrap();
             r.finish().unwrap();
             assert_eq!(back, schedule);
+        }
+    }
+
+    #[test]
+    fn schedules_whose_batches_cannot_be_drawn_are_rejected() {
+        let decode = |schedule: &BatchSchedule| {
+            let mut w = SnapshotWriter::new();
+            put_schedule(&mut w, schedule);
+            get_schedule(&mut SnapshotReader::new(&w.into_bytes()), "schedule")
+        };
+        let batches = |b: &[&[usize]]| Some(b.iter().map(|b| b.to_vec()).collect());
+        assert!(decode(&BatchSchedule::from_parts(
+            4,
+            2,
+            2,
+            1,
+            batches(&[&[0, 3], &[1]])
+        ))
+        .is_ok());
+        for schedule in [
+            // A seed-derived batch larger than the sample space.
+            BatchSchedule::from_parts(4, 5, 2, 1, None),
+            // Explicit batches: one short of the iteration count, or
+            // indexing past the samples.
+            BatchSchedule::from_parts(4, 2, 3, 1, batches(&[&[0, 3], &[1]])),
+            BatchSchedule::from_parts(4, 2, 2, 1, batches(&[&[0, 4], &[1]])),
+        ] {
+            assert!(matches!(decode(&schedule), Err(CoreError::Snapshot(_))));
         }
     }
 }

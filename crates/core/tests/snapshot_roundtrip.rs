@@ -21,8 +21,10 @@
 //! caches, restricted explicit-batch schedules), which a fresh fit never
 //! exercises.
 
+use priu_core::snapshot::{put_model, put_trainer_config, Codec, SnapshotWriter};
 use priu_core::{
-    Compression, DeletionEngine, Delta, DeltaRows, Method, Session, SessionBuilder, TrainerConfig,
+    Compression, CoreError, DeletionEngine, Delta, DeltaRows, Method, Model, ModelKind, Session,
+    SessionBuilder, TrainerConfig,
 };
 use priu_data::catalog::Hyperparameters;
 use priu_data::synthetic::classification::{
@@ -280,143 +282,164 @@ fn post_delta_successors_round_trip_bitwise() {
     }
 }
 
+/// A 100-row successor of `session`: the same width, labels kind and
+/// trainer configuration over fewer rows.
+fn shrunk(session: &Session) -> Session {
+    let removed: Vec<usize> = (100..session.num_samples()).collect();
+    session.apply(Method::Retrain, &removed).unwrap().session
+}
+
+/// The encoded length of a session's dataset, which its blob holds right
+/// after the one-byte family tag.
+fn dataset_len(session: &Session) -> usize {
+    let mut w = SnapshotWriter::new();
+    match (session.dense_dataset(), session.sparse_dataset()) {
+        (Some(dense), _) => dense.put(&mut w),
+        (_, Some(sparse)) => sparse.put(&mut w),
+        _ => unreachable!("every session holds a dataset"),
+    }
+    w.into_bytes().len()
+}
+
+/// `host`'s blob with its dataset replaced by `guest`'s.
+fn splice_dataset(guest: &Session, host: &Session) -> Vec<u8> {
+    let (guest_bytes, host_bytes) = (guest.to_snapshot_bytes(), host.to_snapshot_bytes());
+    let head = &guest_bytes[..1 + dataset_len(guest)];
+    [head, &host_bytes[1 + dataset_len(host)..]].concat()
+}
+
+fn is_snapshot_error(decoded: &Result<Session, CoreError>) -> bool {
+    matches!(decoded, Err(CoreError::Snapshot(_)))
+}
+
 #[test]
-fn corrupt_session_blobs_fail_typed_never_panic() {
-    let session = linear(Compression::Exact { rank: 4 }, true, 61);
+fn spliced_sessions_fail_at_decode_for_every_family() {
+    let families = [
+        (
+            "linear",
+            linear(Compression::Exact { rank: 4 }, true, 21),
+            25,
+        ),
+        ("logistic", logistic(31), 32),
+        ("multinomial", multinomial(41), 42),
+        ("sparse-logistic", sparse(51), 52),
+    ];
+    for (label, session, other_seed) in families {
+        // A dataset of another 120 rows fits the provenance: the splice
+        // itself decodes.
+        let other = match label {
+            "linear" => linear(Compression::Exact { rank: 4 }, true, other_seed),
+            "logistic" => logistic(other_seed),
+            "multinomial" => multinomial(other_seed),
+            _ => sparse(other_seed),
+        };
+        let same_rows = Session::from_snapshot_bytes(&splice_dataset(&other, &session));
+        assert!(same_rows.is_ok(), "{label}: {:?}", same_rows.err());
+        // 100 rows ahead of a 120-row session's provenance do not.
+        let spliced = Session::from_snapshot_bytes(&splice_dataset(&shrunk(&session), &session));
+        assert!(is_snapshot_error(&spliced), "{label}: {:?}", spliced.err());
+    }
+}
+
+#[test]
+fn a_model_with_too_few_weight_vectors_is_a_snapshot_error() {
+    let session = multinomial(41);
     let bytes = session.to_snapshot_bytes();
-    // Every truncation offset: typed error, no panic.
-    for cut in 0..bytes.len().min(512) {
+    let Session::Logistic(engine) = &session else {
+        unreachable!("a multinomial session is dense logistic");
+    };
+    // The model follows the dataset and the trainer configuration.
+    let mut w = SnapshotWriter::new();
+    put_trainer_config(&mut w, &TrainerConfig::from_hyper(hyper()));
+    let model_at = 1 + dataset_len(&session) + w.into_bytes().len();
+    let mut w = SnapshotWriter::new();
+    put_model(&mut w, engine.model());
+    let model_len = w.into_bytes().len();
+    // Four classes, two weight vectors.
+    let two = Model::new(
+        ModelKind::MultinomialLogistic { num_classes: 2 },
+        engine.model().weights()[..2].to_vec(),
+    )
+    .unwrap();
+    let mut w = SnapshotWriter::new();
+    put_model(&mut w, &two);
+    let mut model = w.into_bytes();
+    model[1..9].copy_from_slice(&4u64.to_le_bytes());
+    let spliced = [&bytes[..model_at], &model, &bytes[model_at + model_len..]].concat();
+    let decoded = Session::from_snapshot_bytes(&spliced);
+    assert_eq!(
+        decoded.err(),
+        Some(CoreError::Snapshot(
+            "snapshot truncated or corrupt: dense logistic: invalid configuration: \
+             expected 4 weight vectors, got 2"
+                .into()
+        ))
+    );
+}
+
+#[test]
+fn the_first_linear_layout_tag_is_unknown() {
+    let mut bytes = linear(Compression::Exact { rank: 4 }, true, 21).to_snapshot_bytes();
+    bytes[0] = 1;
+    assert_eq!(
+        Session::from_snapshot_bytes(&bytes).err(),
+        Some(CoreError::Snapshot("unknown session family tag 1".into()))
+    );
+}
+
+/// The offsets the corruption sweep visits in a blob of `len` bytes:
+/// every one of the first and last [`SWEEP_WINDOW`] bytes — the tag, the
+/// dataset's shape and labels head; the extra captures, family state and
+/// training time — and every [`SWEEP_STRIDE`]-th between. Each decode is
+/// linear in the blob, so every offset of a 120 KB blob would cost minutes
+/// in an unoptimised test build.
+fn sweep_offsets(len: usize) -> impl Iterator<Item = usize> {
+    (0..len)
+        .filter(move |&at| at < SWEEP_WINDOW || at + SWEEP_WINDOW >= len || at % SWEEP_STRIDE == 0)
+}
+const SWEEP_WINDOW: usize = 256;
+const SWEEP_STRIDE: usize = 211;
+
+/// Truncating `bytes` anywhere fails with a snapshot error, and garbling
+/// any single byte either still decodes or fails with one; neither panics.
+fn assert_corruption_fails_typed(label: &str, bytes: &[u8]) {
+    for at in sweep_offsets(bytes.len()) {
+        let decoded = Session::from_snapshot_bytes(&bytes[..at]);
         assert!(
-            Session::from_snapshot_bytes(&bytes[..cut]).is_err(),
-            "truncation at {cut} decoded"
+            is_snapshot_error(&decoded),
+            "{label}: truncation at {at}: {:?}",
+            decoded.err()
+        );
+        let mut garbled = bytes.to_vec();
+        garbled[at] ^= 0xA5;
+        let decoded = std::panic::catch_unwind(|| Session::from_snapshot_bytes(&garbled))
+            .unwrap_or_else(|_| panic!("{label}: garbling byte {at} panicked the decoder"));
+        assert!(
+            decoded.is_ok() || is_snapshot_error(&decoded),
+            "{label}: garbling byte {at}: {:?}",
+            decoded.err()
         );
     }
-    // And truncations near the end, where the closed-form capture lives.
-    for cut in bytes.len().saturating_sub(512)..bytes.len() {
-        assert!(Session::from_snapshot_bytes(&bytes[..cut]).is_err());
-    }
-    // A bad family tag fails typed.
-    let mut bad = bytes.clone();
-    bad[0] = 99;
-    assert!(Session::from_snapshot_bytes(&bad).is_err());
     // Trailing garbage is rejected, not silently ignored.
-    let mut padded = bytes;
-    padded.push(0);
-    assert!(Session::from_snapshot_bytes(&padded).is_err());
-}
-
-// ---------------------------------------------------------------------------
-// The first linear layout
-// ---------------------------------------------------------------------------
-
-/// Linear session blobs written by the first layout, in which the PrIU-opt
-/// capture and the closed-form views each carried their own `XᵀY` (and the
-/// views their own `XᵀX`). Both are one chained PrIU-opt apply (rows 5 and
-/// 17 removed) on a 48×4 regression session (`generate_regression` seed 23,
-/// noise 0.1; batch 12, 8 iterations, η 0.05, λ 0.05, trainer seed 3),
-/// with and without the closed-form capture.
-const V1_BOTH: &[u8] = include_bytes!("fixtures/linear_v1_both.bin");
-const V1_OPT_ONLY: &[u8] = include_bytes!("fixtures/linear_v1_opt_only.bin");
-
-/// Model bits the first layout's code produced for `update(method, &[1, 9])`
-/// on the fixtures above, per SIMD level (any thread count).
-fn v1_priu_opt_bits(level: SimdLevel) -> [u64; 4] {
-    let third = match level {
-        SimdLevel::Portable => 0xbf80c1c949a3f3c1,
-        SimdLevel::Avx2 => 0xbf80c1c949a3f3c0,
-    };
-    [
-        0x3fc79dce33fa63a3,
-        0x3fd444d8b361bfa5,
-        third,
-        0xbf96914224c03c7d,
-    ]
-}
-const V1_CLOSED_FORM_BITS: [u64; 4] = [
-    0x3fceff33213381f7,
-    0x3fe0a505540be6c1,
-    0xbfa11422c0e65114,
-    0x3f7ea8e126b1a652,
-];
-
-fn weight_bits(session: &Session, method: Method) -> Vec<u64> {
-    session
-        .update(method, &[1, 9])
-        .unwrap_or_else(|e| panic!("{method:?} update: {e}"))
-        .model
-        .weight()
-        .as_slice()
-        .iter()
-        .map(|w| w.to_bits())
-        .collect()
+    let padded = [bytes, &[0]].concat();
+    assert!(is_snapshot_error(&Session::from_snapshot_bytes(&padded)));
 }
 
 #[test]
-fn first_layout_linear_snapshots_decode_into_one_view() {
-    for (label, bytes, closed_form) in [("both", V1_BOTH, true), ("opt-only", V1_OPT_ONLY, false)] {
-        let session = Session::from_snapshot_bytes(bytes)
-            .unwrap_or_else(|e| panic!("{label}: old layout failed to decode: {e}"));
-        let Session::Linear(engine) = &session else {
-            panic!("{label}: decoded a non-linear session");
-        };
-        let view = engine
-            .provenance()
-            .normal
-            .as_ref()
-            .unwrap_or_else(|| panic!("{label}: copies not folded into a view"));
-        assert_eq!(view.n, engine.dataset().num_samples(), "{label}");
-        assert_eq!(session.supports(Method::ClosedForm), closed_form, "{label}");
-
-        // The folded view serves the same updates the old layout did: its
-        // `XᵀY` is the one both copies held, bit for bit, and the
-        // closed-form `XᵀX` is the stored one.
-        for level in simd::available_levels() {
-            simd::with_level(level, || {
-                assert_eq!(
-                    weight_bits(&session, Method::PriuOpt),
-                    v1_priu_opt_bits(level),
-                    "{label}: PrIU-opt ({level})"
-                );
-                if closed_form {
-                    assert_eq!(
-                        weight_bits(&session, Method::ClosedForm),
-                        V1_CLOSED_FORM_BITS,
-                        "{label}: closed-form ({level})"
-                    );
-                }
-            });
-        }
-
-        // Re-encoding writes the current layout, which round-trips.
-        let current = session.to_snapshot_bytes();
-        assert_ne!(current[0], bytes[0], "{label}: layout tag not bumped");
-        let again = Session::from_snapshot_bytes(&current).unwrap();
-        assert_eq!(again.to_snapshot_bytes(), current, "{label}");
-
-        // A chained apply keeps working from the folded view.
-        let next = session.apply(Method::PriuOpt, &[0, 3]).unwrap().session;
-        assert_eq!(next.num_samples(), session.num_samples() - 2, "{label}");
+fn corrupt_session_blobs_fail_typed_never_panic() {
+    for (label, session, _) in fixtures() {
+        assert_corruption_fails_typed(label, &session.to_snapshot_bytes());
     }
 }
 
 #[test]
-fn corrupt_first_layout_snapshots_fail_typed_never_panic() {
-    for bytes in [V1_BOTH, V1_OPT_ONLY] {
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(
-                    Session::from_snapshot_bytes(&bytes[..cut]),
-                    Err(priu_core::CoreError::Snapshot(_))
-                ),
-                "truncation at {cut} did not fail typed"
-            );
-        }
-        // Garbling any single byte either still decodes or fails typed.
-        for at in 0..bytes.len() {
-            let mut garbled = bytes.to_vec();
-            garbled[at] ^= 0xA5;
-            let decoded = std::panic::catch_unwind(|| Session::from_snapshot_bytes(&garbled));
-            assert!(decoded.is_ok(), "garbling byte {at} panicked the decoder");
+fn corrupt_successor_blobs_fail_typed_never_panic() {
+    // One successor per family: deflated caches, an explicit schedule.
+    for (label, session, method) in fixtures() {
+        if matches!(label, "linear-exact-opt" | "logistic" | "sparse-logistic") {
+            let successor = session.apply(method, &[2, 3, 17, 40]).unwrap().session;
+            let label = format!("{label}-successor");
+            assert_corruption_fails_typed(&label, &successor.to_snapshot_bytes());
         }
     }
 }

@@ -115,6 +115,17 @@ impl BatchSchedule {
         out
     }
 
+    /// Number of samples in mini-batch `t`, without drawing it.
+    ///
+    /// # Panics
+    /// Panics if `t >= num_iterations`.
+    pub fn batch_len(&self, t: usize) -> usize {
+        assert!(t < self.num_iterations, "iteration {t} out of range");
+        self.explicit
+            .as_ref()
+            .map_or(self.batch_size, |batches| batches[t].len())
+    }
+
     /// Writes the sample indices of mini-batch `t` into `out`, using
     /// `scratch` as working storage. Both buffers are reused across calls, so
     /// the per-iteration replay loops derive batches without allocating.
