@@ -645,9 +645,7 @@ mod family {
         /// Whether a decoded `cache` fits `e`: it covers a batch of
         /// `batch_len` rows, with one entry per weight vector where it
         /// keeps one.
-        fn cache_fits(_e: &Engine<Self>, _cache: &Self::Cache, _batch_len: usize) -> bool {
-            true
-        }
+        fn cache_fits(e: &Engine<Self>, cache: &Self::Cache, batch_len: usize) -> bool;
 
         /// Whether a decoded engine's extra captures fit its dataset and
         /// model.
@@ -699,8 +697,11 @@ mod family {
                     let (eta, lambda) = (r.f64(what)?, r.f64(what)?);
                     let mut provenance = Self::new(schedule, eta, lambda, get_model(r, what)?);
                     let n = r.len(1, what)?;
-                    let caches = (0..n).map(|_| Codec::get(r, what));
-                    provenance.$caches = caches.collect::<Result<_>>()?;
+                    let mut caches = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        caches.push(Codec::get(r, what)?);
+                    }
+                    provenance.$caches = caches;
                     $(provenance.$extra = r.option(what, |r| Codec::get(r, what))?;)*
                     Ok(provenance)
                 }

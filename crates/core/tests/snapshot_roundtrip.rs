@@ -392,18 +392,20 @@ fn the_first_linear_layout_tag_is_unknown() {
 /// dataset's shape and labels head; the extra captures, family state and
 /// training time — and every [`SWEEP_STRIDE`]-th between. Each decode is
 /// linear in the blob, so every offset of a 120 KB blob would cost minutes
-/// in an unoptimised test build.
+/// in an unoptimised test build; [`small_fixtures`] are swept at every
+/// offset instead.
 fn sweep_offsets(len: usize) -> impl Iterator<Item = usize> {
     (0..len)
         .filter(move |&at| at < SWEEP_WINDOW || at + SWEEP_WINDOW >= len || at % SWEEP_STRIDE == 0)
 }
-const SWEEP_WINDOW: usize = 256;
+const SWEEP_WINDOW: usize = 512;
 const SWEEP_STRIDE: usize = 211;
 
-/// Truncating `bytes` anywhere fails with a snapshot error, and garbling
-/// any single byte either still decodes or fails with one; neither panics.
-fn assert_corruption_fails_typed(label: &str, bytes: &[u8]) {
-    for at in sweep_offsets(bytes.len()) {
+/// Truncating `bytes` at each of `offsets` fails with a snapshot error,
+/// and garbling the byte there either still decodes or fails with one;
+/// neither panics.
+fn assert_corruption_fails_typed(label: &str, bytes: &[u8], offsets: impl Iterator<Item = usize>) {
+    for at in offsets {
         let decoded = Session::from_snapshot_bytes(&bytes[..at]);
         assert!(
             is_snapshot_error(&decoded),
@@ -428,7 +430,8 @@ fn assert_corruption_fails_typed(label: &str, bytes: &[u8]) {
 #[test]
 fn corrupt_session_blobs_fail_typed_never_panic() {
     for (label, session, _) in fixtures() {
-        assert_corruption_fails_typed(label, &session.to_snapshot_bytes());
+        let bytes = session.to_snapshot_bytes();
+        assert_corruption_fails_typed(label, &bytes, sweep_offsets(bytes.len()));
     }
 }
 
@@ -439,7 +442,91 @@ fn corrupt_successor_blobs_fail_typed_never_panic() {
         if matches!(label, "linear-exact-opt" | "logistic" | "sparse-logistic") {
             let successor = session.apply(method, &[2, 3, 17, 40]).unwrap().session;
             let label = format!("{label}-successor");
-            assert_corruption_fails_typed(&label, &successor.to_snapshot_bytes());
+            let bytes = successor.to_snapshot_bytes();
+            assert_corruption_fails_typed(&label, &bytes, sweep_offsets(bytes.len()));
+        }
+    }
+}
+
+/// One session per family small enough (a few KB) to corrupt at every
+/// byte: 48 rows, batch 12, 8 iterations, with a method it supports.
+fn small_fixtures() -> Vec<(&'static str, Session, Method)> {
+    const ROWS: usize = 48;
+    let hyper = |learning_rate| Hyperparameters {
+        batch_size: 12,
+        num_iterations: 8,
+        learning_rate,
+        regularization: 0.05,
+    };
+    let regression = generate_regression(&RegressionConfig {
+        num_samples: ROWS,
+        num_features: 4,
+        noise_std: 0.1,
+        seed: 23,
+        ..Default::default()
+    });
+    let classification = |num_classes, seed| ClassificationConfig {
+        num_samples: ROWS,
+        num_features: 3,
+        num_classes,
+        separation: 3.0,
+        label_noise: 0.5,
+        seed,
+    };
+    let binary = generate_binary_classification(&classification(2, 33));
+    let multiclass = generate_multiclass_classification(&classification(3, 43));
+    let sparse = generate_sparse_binary(&SparseConfig {
+        num_samples: ROWS,
+        num_features: 40,
+        nnz_per_row: 4,
+        informative_fraction: 0.2,
+        seed: 53,
+    });
+    let linear = SessionBuilder::dense(regression, TrainerConfig::from_hyper(hyper(0.05)))
+        .seed(3)
+        .compression(Compression::Exact { rank: 4 })
+        .opt_capture(true);
+    let logistic = TrainerConfig::from_hyper(hyper(0.3));
+    vec![
+        ("small-linear", linear.fit().unwrap(), Method::PriuOpt),
+        (
+            "small-logistic",
+            SessionBuilder::dense(binary, logistic)
+                .seed(5)
+                .fit()
+                .unwrap(),
+            Method::Priu,
+        ),
+        (
+            "small-multinomial",
+            SessionBuilder::dense(multiclass, logistic)
+                .seed(6)
+                .fit()
+                .unwrap(),
+            Method::Priu,
+        ),
+        (
+            "small-sparse-logistic",
+            SessionBuilder::sparse(sparse, logistic)
+                .seed(7)
+                .fit()
+                .unwrap(),
+            Method::Priu,
+        ),
+    ]
+}
+
+#[test]
+fn small_blobs_fail_typed_at_every_byte() {
+    // Each family's fresh session and one successor, every truncation and
+    // every single-byte flip.
+    for (label, session, method) in small_fixtures() {
+        let successor = session.apply(method, &[5, 17]).unwrap().session;
+        for (label, blob) in [
+            (label.to_string(), session.to_snapshot_bytes()),
+            (format!("{label}-successor"), successor.to_snapshot_bytes()),
+        ] {
+            assert_corruption_fails_typed(&label, &blob, 0..blob.len());
         }
     }
 }
