@@ -8,6 +8,8 @@
 //! contributions — which only needs the caches below plus the removed rows
 //! themselves.
 
+use std::sync::Arc;
+
 use priu_data::dataset::DenseDataset;
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::decomposition::eigen::SymmetricEigen;
@@ -25,8 +27,9 @@ use crate::trainer::sparse::SparseLogisticProvenance;
 pub enum GramCache {
     /// The dense `m x m` matrix.
     Dense(Matrix),
-    /// The rank-`r` factorisation `P Vᵀ`.
-    Truncated(TruncatedGram),
+    /// The rank-`r` factorisation `P Vᵀ`, shared with the caches deflated
+    /// from it.
+    Truncated(Arc<TruncatedGram>),
     /// A truncated base minus an exact low-rank deflation: the operator
     /// `P Vᵀ − Σ_k c_k x_k x_kᵀ` with the removed samples' rows and
     /// coefficients kept in factored form. Produced by chained deletions
@@ -34,8 +37,9 @@ pub enum GramCache {
     /// tokens have been zeroed out of the cached expression, which amounts to
     /// subtracting their contributions.
     Deflated {
-        /// The original truncated cache.
-        base: TruncatedGram,
+        /// The original truncated cache, shared with the cache it was
+        /// deflated from.
+        base: Arc<TruncatedGram>,
         /// Rows of the deleted samples (`k × m`).
         rows: Matrix,
         /// The deleted samples' Gram coefficients (one per row).
@@ -58,13 +62,13 @@ impl GramCache {
             }
             Compression::Exact { rank } => {
                 let factor = GramFactor::new(rows.clone(), coefficients.to_vec())?;
-                Ok(GramCache::Truncated(
+                Ok(GramCache::Truncated(Arc::new(
                     factor.truncate(rank, TruncationMethod::Exact)?,
-                ))
+                )))
             }
             Compression::Randomized { rank, oversample } => {
                 let factor = GramFactor::new(rows.clone(), coefficients.to_vec())?;
-                Ok(GramCache::Truncated(factor.truncate(
+                Ok(GramCache::Truncated(Arc::new(factor.truncate(
                     rank,
                     TruncationMethod::Randomized {
                         oversample,
@@ -73,7 +77,7 @@ impl GramCache {
                         // (dim, batch) is preferable for reproducibility.
                         seed: 0x5EED ^ (rank as u64) << 32 ^ factor_dims_seed(&factor),
                     },
-                )?))
+                )?)))
             }
         }
     }
@@ -165,7 +169,8 @@ impl GramCache {
     /// the cached operator — the deletion-propagation step of a chained
     /// deletion. Dense caches are downdated in place (exactly); truncated
     /// caches keep the correction in factored form so later `apply` calls
-    /// stay `O((r + k)·m)`.
+    /// stay `O((r + k)·m)`, and share their truncated base with this cache
+    /// instead of copying it.
     ///
     /// `rows` holds the deleted samples' feature rows and `coefficients`
     /// their per-sample Gram coefficients (all `1.0` for linear regression,
@@ -182,7 +187,7 @@ impl GramCache {
                 Ok(GramCache::Dense(downdated))
             }
             GramCache::Truncated(t) => Ok(GramCache::Deflated {
-                base: t.clone(),
+                base: Arc::clone(t),
                 rows,
                 coefficients,
             }),
@@ -191,20 +196,17 @@ impl GramCache {
                 rows: prior_rows,
                 coefficients: prior_coefficients,
             } => {
+                // Row-major storage: the new rows follow the prior ones.
                 let total = prior_rows.nrows() + rows.nrows();
-                let m = prior_rows.ncols();
-                let stacked = Matrix::from_fn(total, m, |i, j| {
-                    if i < prior_rows.nrows() {
-                        prior_rows[(i, j)]
-                    } else {
-                        rows[(i - prior_rows.nrows(), j)]
-                    }
-                });
-                let mut all_coefficients = prior_coefficients.clone();
+                let mut stacked = Vec::with_capacity(total * prior_rows.ncols());
+                stacked.extend_from_slice(prior_rows.as_slice());
+                stacked.extend_from_slice(rows.as_slice());
+                let mut all_coefficients = Vec::with_capacity(total);
+                all_coefficients.extend_from_slice(prior_coefficients);
                 all_coefficients.extend_from_slice(&coefficients);
                 Ok(GramCache::Deflated {
-                    base: base.clone(),
-                    rows: stacked,
+                    base: Arc::clone(base),
+                    rows: Matrix::from_vec(total, prior_rows.ncols(), stacked)?,
                     coefficients: all_coefficients,
                 })
             }
@@ -370,8 +372,9 @@ pub struct LinearProvenance {
     pub regularization: f64,
     /// Initial parameters `w^{(0)}`.
     pub initial_model: Model,
-    /// Per-iteration caches (length `τ`).
-    pub iterations: Vec<LinearIterationCache>,
+    /// Per-iteration caches (length `τ`), each shared with the sessions
+    /// chained from this one until a delta touches its batch.
+    pub iterations: Vec<Arc<LinearIterationCache>>,
     /// The normal-equations view (present whenever the PrIU-opt or the
     /// closed-form capture is on).
     pub normal: Option<NormalEquations>,
@@ -392,9 +395,9 @@ pub struct LogisticProvenance {
     pub regularization: f64,
     /// Initial parameters `w^{(0)}`.
     pub initial_model: Model,
-    /// Per-iteration caches. With an opt capture present this only covers
-    /// iterations `0..ts`; otherwise all `τ` iterations.
-    pub iterations: Vec<LogisticIterationCache>,
+    /// Per-iteration caches (length `τ`), shared like
+    /// [`LinearProvenance::iterations`].
+    pub iterations: Vec<Arc<LogisticIterationCache>>,
     /// PrIU-opt capture (present unless disabled in the config).
     pub opt: Option<LogisticOptCapture>,
 }
@@ -537,6 +540,16 @@ mod tests {
                 .deflate(r.select_rows(&[4]), vec![-0.5])
                 .unwrap();
             assert!((&twice.apply(&w).unwrap() - &expected).norm2() < 1e-8);
+
+            // Every deflation shares the truncated factor it started from.
+            if let GramCache::Truncated(base) = &full {
+                for cache in [&deflated, &twice] {
+                    let GramCache::Deflated { base: shared, .. } = cache else {
+                        panic!("a truncated cache deflates in factored form");
+                    };
+                    assert!(Arc::ptr_eq(base, shared));
+                }
+            }
         }
     }
 
@@ -563,16 +576,16 @@ mod tests {
             regularization: hyper.regularization,
             initial_model: Model::zeros(crate::model::ModelKind::Linear, 4),
             iterations: vec![
-                LinearIterationCache {
+                Arc::new(LinearIterationCache {
                     gram: gram.clone(),
                     xy: Vector::zeros(4),
                     batch_size: 6,
-                },
-                LinearIterationCache {
+                }),
+                Arc::new(LinearIterationCache {
                     gram,
                     xy: Vector::zeros(4),
                     batch_size: 6,
-                },
+                }),
             ],
             normal: None,
             opt: None,

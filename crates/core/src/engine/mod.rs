@@ -34,7 +34,7 @@
 //! family's GD step with capture for the fit, without for BaseL, and its
 //! cached expression for PrIU (Eq. 13/14, Eq. 19/20, Eq. 11). Every other
 //! method is the family's.
-//! [`StagedDelta::finish`] cannot fail and builds the successor: carry the
+//! [`StagedDelta::finish`] cannot fail and builds the successor: share the
 //! untouched caches → restrict and extend the schedule → select and extend
 //! the dataset → the family's extra captures. `apply_delta` is one followed
 //! by the other. The snapshot codec is written here once too
@@ -53,6 +53,7 @@ mod logistic;
 mod sparse;
 
 use std::fmt::Debug;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use priu_data::dataset::{DenseDataset, SparseDataset, TaskKind};
@@ -654,16 +655,17 @@ mod family {
         }
     }
 
-    /// The parts every family's provenance shares. Its snapshot codec
-    /// writes the schedule, `η`, `λ`, `w⁽⁰⁾`, the caches and each extra
-    /// capture behind a presence flag.
+    /// The parts every family's provenance shares. Each cache sits behind
+    /// an `Arc`, so a successor shares every cache its delta did not touch
+    /// with its parent. Its snapshot codec writes the schedule, `η`, `λ`,
+    /// `w⁽⁰⁾`, the caches and each extra capture behind a presence flag.
     pub trait Captured<C>: Codec + ProvenanceMemory + Clone + Debug {
         /// The mini-batch schedule.
         fn schedule(&self) -> &BatchSchedule;
         /// One cache per scheduled iteration.
-        fn caches(&self) -> &[C];
+        fn caches(&self) -> &[Arc<C>];
         /// The caches, which the fit fills.
-        fn caches_mut(&mut self) -> &mut Vec<C>;
+        fn caches_mut(&mut self) -> &mut Vec<Arc<C>>;
         /// The parameters training started from, `w⁽⁰⁾`.
         fn initial_model(&self) -> &Model;
         /// The weight decay `1 − ηλ` of one GD step.
@@ -674,7 +676,7 @@ mod family {
         /// The successor's provenance: the same hyperparameters and
         /// initial model around a new schedule and caches, without extra
         /// captures.
-        fn successor(&self, schedule: BatchSchedule, caches: Vec<C>) -> Self;
+        fn successor(&self, schedule: BatchSchedule, caches: Vec<Arc<C>>) -> Self;
     }
 
     /// Implements [`Captured`] and its snapshot codec for a provenance
@@ -699,7 +701,7 @@ mod family {
                     let n = r.len(1, what)?;
                     let mut caches = Vec::with_capacity(n);
                     for _ in 0..n {
-                        caches.push(Codec::get(r, what)?);
+                        caches.push(Arc::new(Codec::get(r, what)?));
                     }
                     provenance.$caches = caches;
                     $(provenance.$extra = r.option(what, |r| Codec::get(r, what))?;)*
@@ -711,10 +713,10 @@ mod family {
                 fn schedule(&self) -> &BatchSchedule {
                     &self.schedule
                 }
-                fn caches(&self) -> &[$cache] {
+                fn caches(&self) -> &[Arc<$cache>] {
                     &self.$caches
                 }
-                fn caches_mut(&mut self) -> &mut Vec<$cache> {
+                fn caches_mut(&mut self) -> &mut Vec<Arc<$cache>> {
                     &mut self.$caches
                 }
                 fn initial_model(&self) -> &Model {
@@ -733,7 +735,7 @@ mod family {
                         $($extra: None,)*
                     }
                 }
-                fn successor(&self, schedule: BatchSchedule, caches: Vec<$cache>) -> Self {
+                fn successor(&self, schedule: BatchSchedule, caches: Vec<Arc<$cache>>) -> Self {
                     let (eta, lambda) = (self.learning_rate, self.regularization);
                     let initial_model = self.initial_model.clone();
                     Self {
@@ -872,7 +874,7 @@ impl<F: Family> Engine<F> {
                 frozen = Some(weights.to_vec());
             }
             let cache = F::step(self, &self.dataset, weights, true, ws)?;
-            caches.push(cache.expect("capture was requested"));
+            caches.push(Arc::new(cache.expect("capture was requested")));
             if t % 32 == 0 && weights.iter().any(|w| !w.is_finite()) {
                 return Err(CoreError::Diverged { iteration: t });
             }
@@ -970,7 +972,7 @@ impl<F: Family> Engine<F> {
         // Chained sessions carry deflation corrections whose row count can
         // exceed both the batch size and the feature count.
         let caches = self.provenance.caches().iter();
-        ws.reserve_gram_scratch(caches.map(F::deflation_rows).max().unwrap_or(0));
+        ws.reserve_gram_scratch(caches.map(|c| F::deflation_rows(c)).max().unwrap_or(0));
         ws
     }
 
@@ -1257,7 +1259,8 @@ impl<F: Family> Staged<'_, F> {
     }
 
     /// The infallible half of [`DeletionEngine::apply_delta`]: restricts
-    /// the schedule to the survivors, carries the untouched caches over,
+    /// the schedule to the survivors, shares the untouched caches with the
+    /// parent (only the propagated and appended ones are new),
     /// extends schedule and dataset by the appended rows — by the same
     /// chunking (`appended_batches`) the staged steps took, shifted to the
     /// successor's row space, so retraining the successor replays the
@@ -1278,8 +1281,8 @@ impl<F: Family> Staged<'_, F> {
         let mut caches = Vec::with_capacity(schedule.num_iterations() + appended.len());
         for (t, cache) in parent.provenance.caches().iter().enumerate() {
             caches.push(match propagated.next_if(|(u, _)| *u == t) {
-                Some((_, cache)) => cache,
-                None => cache.clone(),
+                Some((_, cache)) => Arc::new(cache),
+                None => Arc::clone(cache),
             });
         }
         let batches = (0..schedule.num_iterations())
@@ -1291,7 +1294,7 @@ impl<F: Family> Staged<'_, F> {
             let k = added.num_samples();
             let extra = appended_batches(survivors.len(), k, schedule.batch_size());
             restricted = restricted.extend_with(extra, k);
-            caches.extend(appended);
+            caches.extend(appended.into_iter().map(Arc::new));
             dataset.append(added);
         }
         let mut successor = Engine {
@@ -1351,16 +1354,25 @@ impl Session {
         }
     }
 
-    /// Serializes the session bit-exactly for durability snapshots: the
-    /// family's tag, then the dataset, trainer configuration, model,
-    /// captured provenance and any materialised views, every `f64` as its
-    /// exact bit pattern. The inverse is [`Session::from_snapshot_bytes`];
-    /// round-tripping yields a session whose `apply_delta` chain is bitwise
-    /// identical to the original's.
+    /// Serializes the session bit-exactly for durability snapshots, into
+    /// one buffer that a sizing pass made exactly as long as the encoding.
+    /// See [`Session::write_snapshot`] for the layout.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        delegate!(self, e => e.put(&mut w));
+        let mut sizing = SnapshotWriter::sizing();
+        self.write_snapshot(&mut sizing);
+        let mut w = SnapshotWriter::with_capacity(sizing.len());
+        self.write_snapshot(&mut w);
         w.into_bytes()
+    }
+
+    /// Appends the session's snapshot encoding to `w`: the family's tag,
+    /// then the dataset, trainer configuration, model, captured provenance
+    /// and any materialised views, every `f64` as its exact bit pattern.
+    /// The inverse is [`Session::from_snapshot_bytes`]; round-tripping
+    /// yields a session whose `apply_delta` chain is bitwise identical to
+    /// the original's.
+    pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
+        delegate!(self, e => e.put(w));
     }
 
     /// Rebuilds a session from [`Session::to_snapshot_bytes`] output. The
@@ -1474,10 +1486,10 @@ impl StagedDelta<'_> {
         delegate_staged!(&self.0, s => s.outcome())
     }
 
-    /// The infallible half of [`DeletionEngine::apply_delta`]: carries the
-    /// untouched caches over, restricts and extends the schedule and the
-    /// dataset, and rebuilds the family's extra captures. A capture that
-    /// cannot be rebuilt is left out of the successor.
+    /// The infallible half of [`DeletionEngine::apply_delta`]: shares the
+    /// untouched caches with the staged session, restricts and extends the
+    /// schedule and the dataset, and rebuilds the family's extra captures.
+    /// A capture that cannot be rebuilt is left out of the successor.
     pub fn finish(self) -> ChainedUpdate {
         delegate_staged!(self.0, s => s.finish())
     }
@@ -2535,6 +2547,83 @@ mod tests {
             matches!(swapped, Err(CoreError::Snapshot(_))),
             "{swapped:?}"
         );
+    }
+
+    /// Asserts that `successor`, the result of `delta` on `parent`, shares
+    /// with it every cache whose batch held no removed row, holds a new
+    /// allocation for every other cache and every appended one, and
+    /// encodes exactly as the successor of a parent whose caches are all
+    /// deep copies.
+    fn assert_shares_untouched_caches<F: Family>(
+        parent: &Engine<F>,
+        successor: &Engine<F>,
+        delta: &Delta,
+    ) {
+        let schedule = parent.provenance.schedule();
+        let (before, after) = (parent.provenance.caches(), successor.provenance.caches());
+        let mut touched = 0;
+        for (t, (old, new)) in before.iter().zip(after).enumerate() {
+            let hit = schedule.batch(t).iter().any(|i| delta.removed.contains(i));
+            touched += usize::from(hit);
+            assert_eq!(Arc::ptr_eq(old, new), !hit, "{}: iteration {t}", F::SESSION);
+        }
+        assert_eq!(touched > 0, !delta.removed.is_empty(), "{}", F::SESSION);
+        let appended = &after[before.len()..];
+        assert_eq!(
+            appended.is_empty(),
+            delta.num_added() == 0,
+            "{}",
+            F::SESSION
+        );
+        for new in appended {
+            assert!(before.iter().all(|old| !Arc::ptr_eq(old, new)));
+        }
+
+        let mut copied = parent.clone();
+        for cache in copied.provenance.caches_mut() {
+            *cache = Arc::new(F::Cache::clone(cache));
+        }
+        let copied = F::into_session(copied);
+        let from_copies = copied.apply_delta(Method::Priu, delta).unwrap().session;
+        assert_eq!(
+            F::into_session(successor.clone()).to_snapshot_bytes(),
+            from_copies.to_snapshot_bytes(),
+            "{}",
+            F::SESSION
+        );
+    }
+
+    #[test]
+    fn successors_share_the_caches_their_delta_left_alone() {
+        let cases = [
+            (linear_session(), DeltaRows::Dense(linear_added_rows(1, 91))),
+            (binary_session(), DeltaRows::Dense(binary_added_rows(1, 92))),
+            (
+                multinomial_session(),
+                DeltaRows::Dense(multinomial_added_rows(1, 93)),
+            ),
+            (
+                sparse_session(),
+                DeltaRows::Sparse(sparse_added_rows(1, 94)),
+            ),
+        ];
+        for (session, added) in cases {
+            for delta in [Delta::removal(&[7]), Delta::addition(added.clone())] {
+                let successor = session.apply_delta(Method::Priu, &delta).unwrap().session;
+                match (&session, &successor) {
+                    (Session::Linear(p), Session::Linear(s)) => {
+                        assert_shares_untouched_caches(p, s, &delta)
+                    }
+                    (Session::Logistic(p), Session::Logistic(s)) => {
+                        assert_shares_untouched_caches(p, s, &delta)
+                    }
+                    (Session::SparseLogistic(p), Session::SparseLogistic(s)) => {
+                        assert_shares_untouched_caches(p, s, &delta)
+                    }
+                    _ => panic!("a successor keeps its parent's family"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! well, and rejects parts that decode alone but disagree with each other.
 
 use std::fmt;
+use std::sync::Arc;
 
 use priu_data::catalog::Hyperparameters;
 use priu_data::dataset::{DenseDataset, Labels, SparseDataset};
@@ -105,10 +106,24 @@ pub trait Codec: Sized {
     fn get(r: &mut SnapshotReader<'_>, what: &str) -> Result<Self>;
 }
 
-/// Append-only byte sink.
-#[derive(Debug, Default)]
+/// Append-only byte sink. A sizing writer ([`SnapshotWriter::sizing`])
+/// stores nothing and only counts what it is given, so one pass of a
+/// value's `put` tells the exact capacity the real encoding needs.
+#[derive(Debug)]
 pub struct SnapshotWriter {
-    buf: Vec<u8>,
+    sink: Sink,
+}
+
+#[derive(Debug)]
+enum Sink {
+    Bytes(Vec<u8>),
+    Count(usize),
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl SnapshotWriter {
@@ -117,29 +132,63 @@ impl SnapshotWriter {
         Self::default()
     }
 
-    /// Consumes the writer, yielding the encoded bytes.
+    /// An empty writer whose buffer holds `capacity` bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            sink: Sink::Bytes(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// A writer that counts the bytes it is given without storing them.
+    pub fn sizing() -> Self {
+        Self {
+            sink: Sink::Count(0),
+        }
+    }
+
+    /// Bytes written (or, for a sizing writer, counted) so far.
+    pub fn len(&self) -> usize {
+        match &self.sink {
+            Sink::Bytes(buf) => buf.len(),
+            Sink::Count(n) => *n,
+        }
+    }
+
+    /// Whether nothing has been written yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Consumes the writer, yielding the encoded bytes; a sizing writer
+    /// yields none.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Bytes(buf) => buf,
+            Sink::Count(_) => Vec::new(),
+        }
     }
 
     /// Appends raw bytes (a nested blob with its own codec).
     pub fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        match &mut self.sink {
+            Sink::Bytes(buf) => buf.extend_from_slice(bytes),
+            Sink::Count(n) => *n += bytes.len(),
+        }
     }
 
     /// Appends a raw byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64` (also the `u64` count prefix).
@@ -181,17 +230,23 @@ impl SnapshotWriter {
 
     /// Appends the bit patterns of a run of `f64`s (no count).
     pub fn f64s(&mut self, v: &[f64]) {
-        self.buf.reserve(8 * v.len());
-        for &x in v {
-            self.f64(x);
-        }
+        self.words(v.iter().map(|x| x.to_bits()));
     }
 
     /// Appends a run of `u64`s (no count).
     pub fn u64s(&mut self, v: &[u64]) {
-        self.buf.reserve(8 * v.len());
-        for &x in v {
-            self.u64(x);
+        self.words(v.iter().copied());
+    }
+
+    fn words(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        match &mut self.sink {
+            Sink::Bytes(buf) => {
+                buf.reserve(8 * words.len());
+                for x in words {
+                    buf.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+            Sink::Count(n) => *n += 8 * words.len(),
         }
     }
 }
@@ -721,9 +776,9 @@ pub fn put_gram_cache(w: &mut SnapshotWriter, g: &GramCache) {
 pub fn get_gram_cache(r: &mut SnapshotReader<'_>, what: &str) -> Result<GramCache> {
     match r.u8(what)? {
         GRAM_DENSE => Ok(GramCache::Dense(get_matrix(r, what)?)),
-        GRAM_TRUNCATED => Ok(GramCache::Truncated(get_truncated(r, what)?)),
+        GRAM_TRUNCATED => Ok(GramCache::Truncated(Arc::new(get_truncated(r, what)?))),
         GRAM_DEFLATED => {
-            let base = get_truncated(r, what)?;
+            let base = Arc::new(get_truncated(r, what)?);
             let rows = get_matrix(r, what)?;
             let n = r.usize(what)?;
             let coefficients = r.f64s(n, what)?;

@@ -7,6 +7,8 @@
 //! (Eq. 11) over the surviving samples, so the expected speed-up over
 //! retraining is marginal — which is exactly what the paper reports (~10%).
 
+use std::sync::Arc;
+
 use priu_data::minibatch::BatchSchedule;
 use priu_linalg::{CsrMatrix, Vector};
 
@@ -28,8 +30,10 @@ pub struct SparseLogisticProvenance {
     pub regularization: f64,
     /// Initial parameters `w^{(0)}`.
     pub initial_model: Model,
-    /// Per-iteration `(a, b')` coefficients, aligned with the batch order.
-    pub coefficients: Vec<Vec<(f64, f64)>>,
+    /// Per-iteration `(a, b')` coefficients, aligned with the batch order,
+    /// each shared with the sessions chained from this one until a delta
+    /// touches its batch.
+    pub coefficients: Vec<Arc<Vec<(f64, f64)>>>,
 }
 
 /// Runs one exact sparse binary-logistic mb-SGD step on the batch staged in

@@ -242,9 +242,9 @@ fn wal_records() -> Vec<WalRecord> {
 
 fn wal_bytes() -> Vec<u8> {
     let mut out = Vec::new();
-    push_frame(&mut out, &encode_checkpoint(&wal_checkpoint()));
+    push_frame(&mut out, &encode_checkpoint(&wal_checkpoint())).unwrap();
     for record in wal_records() {
-        push_frame(&mut out, &encode_record(&record));
+        push_frame(&mut out, &encode_record(&record)).unwrap();
     }
     out
 }
@@ -335,7 +335,10 @@ fn snapshot_fixture_matches_byte_for_byte() {
     );
     assert_eq!(blob.len(), fresh_blob.len());
     assert_eq!(blob[..blob.len() - 8], fresh_blob[..blob.len() - 8]);
-    assert_eq!(snapshot_file_bytes(COVERED_LSN, &loaded.state), SNAPSHOT);
+    assert_eq!(
+        snapshot_file_bytes(COVERED_LSN, &loaded.state).unwrap(),
+        SNAPSHOT
+    );
 }
 
 /// Seeded mutants of `bytes`: byte flips, splices of `donor` bytes
@@ -412,7 +415,7 @@ fn every_decoder_survives_seeded_mutations() {
         let cuts = (0..payload.len()).map(|cut| payload[..cut].to_vec());
         for m in cuts.chain(mutants(&payload, &donor, &mut rng)) {
             let mut frame = Vec::new();
-            push_frame(&mut frame, &m);
+            push_frame(&mut frame, &m).unwrap();
             let scan = scan_bytes(&frame);
             assert!(scan.records.len() + usize::from(scan.checkpoint.is_some()) <= 1);
         }

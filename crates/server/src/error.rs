@@ -42,6 +42,18 @@ pub enum ServerError {
     Durability(String),
     /// A wire-protocol frame could not be decoded.
     Protocol(ProtocolError),
+    /// A WAL frame or snapshot file is longer than its length prefix
+    /// admits, so its reader would reject it. Raised before any byte of it
+    /// is written: the log stays usable, the snapshot set unchanged, and
+    /// the batch or registration fails unacknowledged.
+    Oversized {
+        /// What was being written.
+        what: &'static str,
+        /// Its encoded length in bytes.
+        len: usize,
+        /// The most its length prefix admits.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ServerError {
@@ -65,11 +77,26 @@ impl fmt::Display for ServerError {
             ServerError::ShuttingDown => f.write_str("the server is shutting down"),
             ServerError::Durability(message) => write!(f, "durability error: {message}"),
             ServerError::Protocol(err) => write!(f, "protocol error: {err}"),
+            ServerError::Oversized { what, len, max } => {
+                write!(f, "{what} of {len} bytes exceeds its {max} byte limit")
+            }
         }
     }
 }
 
 impl std::error::Error for ServerError {}
+
+/// `len` as the `u32` length prefix of a `what` whose reader admits at
+/// most `max` bytes.
+///
+/// # Errors
+/// [`ServerError::Oversized`] if `len` exceeds `max`.
+pub(crate) fn length_prefix(what: &'static str, len: usize, max: u32) -> Result<u32> {
+    match u32::try_from(len) {
+        Ok(prefix) if prefix <= max => Ok(prefix),
+        _ => Err(ServerError::Oversized { what, len, max }),
+    }
+}
 
 impl From<CoreError> for ServerError {
     fn from(err: CoreError) -> Self {

@@ -518,6 +518,11 @@ fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
                 cost,
                 step,
             }),
+            Err(err @ ServerError::Oversized { .. }) => {
+                // Nothing of the record was written: only this batch
+                // fails, and the log serves the rest of the pass.
+                fail_batch(&batch, &format!("durability failure: {err}"));
+            }
             Err(err) => {
                 // The log is broken: earlier appends can never fsync.
                 let message = format!("durability failure: {err}");
@@ -557,7 +562,8 @@ fn apply_pass(inner: &Inner, ready: Vec<ReadyBatch>) {
 /// state, decides its method and appends its WAL frame.
 ///
 /// # Errors
-/// The WAL append failure; the log is broken from then on.
+/// The WAL append failure; the log is broken from then on, unless the
+/// record was [`ServerError::Oversized`] and nothing of it was written.
 fn resolve_batch(
     inner: &Inner,
     batch: &ReadyBatch,
@@ -892,7 +898,9 @@ impl Server {
     /// # Errors
     /// [`ServerError::SessionExists`], [`ServerError::ShuttingDown`],
     /// [`ServerError::Durability`] if the baseline snapshot cannot be
-    /// written (the session is not registered in that case).
+    /// written, [`ServerError::Oversized`] if the session is too large for
+    /// the snapshot format (the session is not registered in either
+    /// case).
     pub fn register_session(&self, name: &str, session: Session) -> Result<()> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServerError::ShuttingDown);

@@ -17,11 +17,15 @@
 //! payload = u64 covered_lsn, u64 epoch, u64 next_id,
 //!           u64 initial_samples, u64 removed_since_refit,
 //!           u64 id count + that many u64 stable ids,
-//!           u64 session blob len + Session::to_snapshot_bytes
+//!           u64 session blob len + Session::write_snapshot
 //! ```
 //!
 //! The payload encodes through `priu_core::snapshot`'s `SnapshotWriter` /
 //! `SnapshotReader`, the codec of the session blob, the WAL and the wire.
+//! The whole file is encoded once, into one buffer: a sizing pass counts
+//! its length, the header and every payload field go straight into a
+//! buffer of exactly that capacity, and the two lengths and the CRC are
+//! patched in once the payload is written.
 //!
 //! Session names contain `/` (tenant × model), so the filename carries the
 //! name hex-encoded; the zero-padded epoch makes lexicographic order equal
@@ -48,7 +52,7 @@ use std::thread::{self, JoinHandle};
 use priu_core::snapshot::{SnapshotReader, SnapshotWriter};
 use priu_core::{CoreError, DeletionEngine, Session};
 
-use crate::error::{Result, ServerError};
+use crate::error::{length_prefix, Result, ServerError};
 use crate::failpoint::fail_point;
 use crate::registry::SlotState;
 use crate::wal::{crc32, read_file, sync_parent_dir, GroupWal};
@@ -120,19 +124,37 @@ fn parse_snapshot_name(file_name: &str) -> Option<(String, u64)> {
 
 // --- writing --------------------------------------------------------------
 
+/// Magic, payload length and CRC.
+const HEADER_BYTES: usize = 16;
+
 /// The whole snapshot file: magic, payload length, CRC, payload.
-pub(crate) fn snapshot_file_bytes(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
-    let payload = encode_snapshot(covered_lsn, state);
-    let mut bytes = Vec::with_capacity(16 + payload.len());
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    bytes
+///
+/// # Errors
+/// [`ServerError::Oversized`] if the payload is too long for the header's
+/// `u32` length, which the loader would reject; checked before the file
+/// is encoded.
+pub(crate) fn snapshot_file_bytes(covered_lsn: u64, state: &SlotState) -> Result<Vec<u8>> {
+    let mut sizing = SnapshotWriter::sizing();
+    put_payload(&mut sizing, covered_lsn, state);
+    length_prefix("snapshot payload", sizing.len(), u32::MAX)?;
+    let mut w = SnapshotWriter::with_capacity(HEADER_BYTES + sizing.len());
+    w.bytes(SNAPSHOT_MAGIC);
+    w.u32(0);
+    w.u32(0);
+    let blob_len_at = put_payload(&mut w, covered_lsn, state);
+    let mut bytes = w.into_bytes();
+    let blob_len = (bytes.len() - blob_len_at - 8) as u64;
+    bytes[blob_len_at..blob_len_at + 8].copy_from_slice(&blob_len.to_le_bytes());
+    let len = length_prefix("snapshot payload", bytes.len() - HEADER_BYTES, u32::MAX)?;
+    bytes[8..12].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&bytes[HEADER_BYTES..]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    Ok(bytes)
 }
 
-fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
+/// Writes the payload with a zero session blob length, returning the
+/// writer offset that length sits at.
+fn put_payload(w: &mut SnapshotWriter, covered_lsn: u64, state: &SlotState) -> usize {
     w.u64(covered_lsn);
     w.u64(state.epoch);
     w.u64(state.next_id);
@@ -140,10 +162,10 @@ fn encode_snapshot(covered_lsn: u64, state: &SlotState) -> Vec<u8> {
     w.usize(state.removed_since_refit);
     w.usize(state.ids.len());
     w.u64s(&state.ids);
-    let blob = state.session.to_snapshot_bytes();
-    w.usize(blob.len());
-    w.bytes(&blob);
-    w.into_bytes()
+    let blob_len_at = w.len();
+    w.usize(0);
+    state.session.write_snapshot(w);
+    blob_len_at
 }
 
 pub(crate) fn decode_snapshot(payload: &[u8]) -> priu_core::Result<LoadedSnapshot> {
@@ -203,8 +225,9 @@ pub(crate) fn decode_snapshot(payload: &[u8]) -> priu_core::Result<LoadedSnapsho
 /// `snapshot-mid-write`, `snapshot-before-rename`, `snapshot-after-rename`.
 ///
 /// # Errors
+/// [`ServerError::Oversized`] for a state too large for the file format,
 /// [`ServerError::Durability`] on I/O failure; the previous snapshot set
-/// is untouched in that case.
+/// is untouched in either case.
 pub(crate) fn write_snapshot(
     dir: &Path,
     session: &str,
@@ -214,7 +237,7 @@ pub(crate) fn write_snapshot(
     let snap_dir = snapshot_dir(dir);
     std::fs::create_dir_all(&snap_dir)
         .map_err(|e| ServerError::Durability(format!("creating {}: {e}", snap_dir.display())))?;
-    let bytes = snapshot_file_bytes(covered_lsn, state);
+    let bytes = snapshot_file_bytes(covered_lsn, state)?;
 
     let final_path = snapshot_path(dir, session, state.epoch);
     let tmp_path = final_path.with_extension("snap.tmp");
@@ -568,9 +591,10 @@ impl SnapshotService {
     /// files.
     ///
     /// # Errors
-    /// [`ServerError::Durability`] if the write failed (the caller then
-    /// unregisters the session), [`ServerError::ShuttingDown`] if the
-    /// service already stopped.
+    /// [`ServerError::Durability`] if the write failed or
+    /// [`ServerError::Oversized`] if the state is too large for the file
+    /// format (the caller then unregisters the session),
+    /// [`ServerError::ShuttingDown`] if the service already stopped.
     pub(crate) fn write_baseline(
         &self,
         session: &str,

@@ -96,7 +96,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use priu_core::snapshot::{CodecError, CodecResult, SnapshotReader, SnapshotWriter};
 use priu_core::Method;
 
-use crate::error::{Result, ServerError};
+use crate::error::{length_prefix, Result, ServerError};
 use crate::failpoint::fail_point;
 use crate::protocol::get_added_rows;
 
@@ -373,10 +373,17 @@ pub(crate) fn decode_checkpoint(payload: &[u8]) -> CodecResult<CheckpointRecord>
 }
 
 /// Appends one `[len][crc][payload]` frame to a byte buffer.
-pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+///
+/// # Errors
+/// [`ServerError::Oversized`] for a payload over [`MAX_WAL_FRAME_BYTES`],
+/// which the scan would read back as an [`WalTail::OversizedFrame`]
+/// tail; nothing is appended then.
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<()> {
+    let len = length_prefix("WAL frame payload", payload.len(), MAX_WAL_FRAME_BYTES)?;
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+    Ok(())
 }
 
 // --- scanning -------------------------------------------------------------
@@ -516,6 +523,8 @@ impl Wal {
     /// batches several appends under one. Returns `(lsn, frame bytes)`.
     ///
     /// # Errors
+    /// [`ServerError::Oversized`] for a record over
+    /// [`MAX_WAL_FRAME_BYTES`], before anything is written.
     /// [`ServerError::Durability`] on I/O failure. A failed `write_all`
     /// may leave a partial frame, so the caller must treat the log as
     /// broken (see [`GroupWal`]).
@@ -524,7 +533,7 @@ impl Wal {
         record.lsn = lsn;
         let payload = encode_record(record);
         let mut frame = Vec::with_capacity(8 + payload.len());
-        push_frame(&mut frame, &payload);
+        push_frame(&mut frame, &payload)?;
         self.file.write_all(&frame).map_err(|e| {
             ServerError::Durability(format!("appending WAL frame {}: {e}", self.path.display()))
         })?;
@@ -667,12 +676,16 @@ impl GroupWal {
     ///
     /// # Errors
     /// [`ServerError::Durability`] on I/O failure or a previously broken
-    /// log. An append failure breaks the log (partial frame).
+    /// log. An append failure breaks the log (partial frame), except a
+    /// [`ServerError::Oversized`] record, which fails before anything is
+    /// written and leaves the log serving.
     pub fn append(&self, record: &mut WalRecord) -> Result<u64> {
         let mut state = self.lock();
         state.check()?;
         let (_, bytes) = state.wal.append(record).inspect_err(|err| {
-            state.broken = Some(err.to_string());
+            if !matches!(err, ServerError::Oversized { .. }) {
+                state.broken = Some(err.to_string());
+            }
         })?;
         state.appended_seq += 1;
         state.stats.frames += 1;
@@ -758,14 +771,14 @@ impl GroupWal {
             floors: floors.to_vec(),
         };
         let mut rewritten = Vec::new();
-        push_frame(&mut rewritten, &encode_checkpoint(&checkpoint));
+        push_frame(&mut rewritten, &encode_checkpoint(&checkpoint))?;
         let head = rewritten.len();
         for record in scan
             .records
             .iter()
             .filter(|r| r.lsn >= floor_of(&r.session))
         {
-            push_frame(&mut rewritten, &encode_record(record));
+            push_frame(&mut rewritten, &encode_record(record))?;
         }
 
         let tmp = path.with_extension("wal.tmp");
@@ -1002,6 +1015,25 @@ mod tests {
     }
 
     #[test]
+    fn lengths_past_what_the_reader_admits_fail_typed_at_write_time() {
+        let max = MAX_WAL_FRAME_BYTES;
+        assert_eq!(length_prefix("frame", 0, max).unwrap(), 0);
+        assert_eq!(length_prefix("frame", max as usize, max).unwrap(), max);
+        assert!(matches!(
+            length_prefix("frame", max as usize + 1, max),
+            Err(ServerError::Oversized { what: "frame", .. })
+        ));
+        // A length past `u32::MAX` fails instead of wrapping to a small
+        // prefix (the snapshot header's limit).
+        if let Ok(len) = usize::try_from(1u64 << 32) {
+            assert!(matches!(
+                length_prefix("snapshot", len, u32::MAX),
+                Err(ServerError::Oversized { len: l, max: u32::MAX, .. }) if l == len
+            ));
+        }
+    }
+
+    #[test]
     fn oversized_length_prefix_is_rejected() {
         let dir = tempdir("wal-oversized");
         let path = dir.join("deltas.wal");
@@ -1023,10 +1055,10 @@ mod tests {
             // A valid frame, then one whose CRC holds but whose removal
             // set is out of order (the encoder writes whatever it gets).
             let mut bytes = Vec::new();
-            push_frame(&mut bytes, &encode_record(&record(0, "s")));
+            push_frame(&mut bytes, &encode_record(&record(0, "s"))).unwrap();
             let mut unsorted = record(1, "s");
             unsorted.removed_ids = bad;
-            push_frame(&mut bytes, &encode_record(&unsorted));
+            push_frame(&mut bytes, &encode_record(&unsorted)).unwrap();
             std::fs::write(&path, &bytes).unwrap();
             let scan = scan_wal(&path).unwrap();
             assert_eq!(scan.records.len(), 1);
